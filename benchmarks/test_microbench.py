@@ -13,8 +13,18 @@ from repro.codec.checksum import crc32, crc32c_py
 from repro.codec.compress import lz77_compress, lz77_decompress
 from repro.db import DB
 from repro.devices import MemStorage
-from repro.lsm import MemTable, Options
-from repro.workload import InsertWorkload
+from repro.lsm import (
+    KIND_VALUE,
+    Block,
+    BlockBuilder,
+    MemTable,
+    Options,
+    bloom_hash,
+    encode_internal_key,
+    internal_compare,
+    merge_iterators,
+)
+from repro.workload import InsertWorkload, ValueGenerator, format_key
 
 PAYLOAD = InsertWorkload(n=0)  # unused; keeps import meaningful
 
@@ -48,6 +58,69 @@ def test_bench_lz77_compress(benchmark, blob64k):
 def test_bench_lz77_decompress(benchmark, blob64k):
     compressed = lz77_compress(blob64k)
     benchmark(lz77_decompress, compressed)
+
+
+# The compute-stage kernels (S4/S5 and the flush that shares them), on
+# the two payload shapes of the repo benchmark (perf/): a ~4 KB data
+# block of 16 B keys with 100 B or 1 KB values, each value its key index
+# and version in front of a half-compressible ValueGenerator body.
+PAYLOAD_SHAPES = {"100B-values": 100, "1KB-values": 1000}
+
+
+def _block_entries(value_bytes: int, start: int = 0, step: int = 1) -> list[tuple[bytes, bytes]]:
+    values = ValueGenerator(value_bytes - 24, seed=101)
+    entries, size = [], 0
+    index = start
+    while size < 4096:
+        value = b"%016d:%06d:" % (index, 0) + values.value_for(index * 1_000_003)
+        entries.append((encode_internal_key(format_key(index), 1, KIND_VALUE), value))
+        size += 24 + len(value)
+        index += step
+    return entries
+
+
+def _build_block(entries) -> bytes:
+    builder = BlockBuilder(16, compare=internal_compare)
+    for ikey, value in entries:
+        builder.add(ikey, value)
+    return builder.finish()
+
+
+@pytest.fixture(scope="module", params=sorted(PAYLOAD_SHAPES))
+def block_entries(request):
+    return _block_entries(PAYLOAD_SHAPES[request.param])
+
+
+def test_bench_lz77_compress_block(benchmark, block_entries):
+    raw = _build_block(block_entries)
+    packed = benchmark(lz77_compress, raw)
+    assert lz77_decompress(packed) == raw
+
+
+def test_bench_block_build(benchmark, block_entries):
+    raw = benchmark(_build_block, block_entries)
+    assert list(Block(raw, compare=internal_compare)) == block_entries
+
+
+def test_bench_block_iterate(benchmark, block_entries):
+    raw = _build_block(block_entries)
+    entries = benchmark(lambda: list(Block(raw, compare=internal_compare)))
+    assert entries == block_entries
+
+
+def test_bench_bloom_hash_16B_key(benchmark):
+    keys = [format_key(i) for i in range(1000)]
+    assert len(keys[0]) == 16
+    benchmark(lambda: [bloom_hash(k) for k in keys])
+
+
+def test_bench_merge_two_sources(benchmark):
+    # Interleaved runs, as S4 sees an upper and a lower component.
+    evens = _block_entries(100, start=0, step=2)
+    odds = _block_entries(100, start=1, step=2)
+    merged = benchmark(lambda: list(merge_iterators([iter(evens), iter(odds)])))
+    assert len(merged) == len(evens) + len(odds)
+    assert merged[:2] == [evens[0], odds[0]]
 
 
 def test_bench_memtable_insert(benchmark):

@@ -50,20 +50,48 @@ _HASH_BITS = 14
 _HASH_SIZE = 1 << _HASH_BITS
 _HASH_MULT = 0x1E35A7BD
 
+# Lane masks for _hash_positions: the low word, and the hash bits, of
+# one 64-bit lane.
+_LANE_WORD = b"\xff\xff\xff\xff\x00\x00\x00\x00"
+_LANE_HASH = (_HASH_SIZE - 1).to_bytes(8, "little")
 
-def _hash4(data: bytes, pos: int) -> int:
-    word = (
-        data[pos]
-        | data[pos + 1] << 8
-        | data[pos + 2] << 16
-        | data[pos + 3] << 24
-    )
-    return ((word * _HASH_MULT) & 0xFFFFFFFF) >> (32 - _HASH_BITS)
+
+def _hash_positions(data: bytes) -> memoryview:
+    """The table slot of every position of ``data``, as a ``uint16`` view.
+
+    Position ``p`` hashes to bits 18..31 of (little-endian word at
+    ``p``) * ``_HASH_MULT``.  Instead of a Python call per position the
+    input is read as one big integer and treated as 64-bit lanes, one
+    per eight input bytes.  Pass ``k`` (0..7) shifts the input down
+    ``k`` bytes, masks the low word of every lane, multiplies all lanes
+    at once (a 32-bit word times the 29-bit multiplier stays inside its
+    lane) and keeps each lane's 14 hash bits: the hashes of positions
+    ``k``, ``k + 8``, ``k + 16``, ...  Four passes share a lane as
+    16-bit slots, so passes 0-3 and 4-7 each become one byte string,
+    and the two are interleaved lane by lane into position order.
+    Entries for the last three positions (no full word) are junk and
+    never read.
+    """
+    lanes = (len(data) + 7) // 8
+    nbytes = 8 * lanes
+    word_mask = int.from_bytes(_LANE_WORD * lanes, "little")
+    hash_mask = int.from_bytes(_LANE_HASH * lanes, "little")
+    x = int.from_bytes(data, "little")
+    halves = [0, 0]
+    for k in range(8):
+        hashed = ((((x >> (8 * k)) & word_mask) * _HASH_MULT) >> (32 - _HASH_BITS)) & hash_mask
+        halves[k >> 2] |= hashed << (16 * (k & 3))
+    out = memoryview(bytearray(2 * nbytes)).cast("Q")
+    out[0::2] = memoryview(halves[0].to_bytes(nbytes, "little")).cast("Q")
+    out[1::2] = memoryview(halves[1].to_bytes(nbytes, "little")).cast("Q")
+    return out.cast("B").cast("H")
 
 
 def _emit_literal(out: bytearray, data: bytes, start: int, end: int) -> None:
     while start < end:
-        run = min(end - start, 0xFFFF + 1)
+        run = end - start
+        if run > 0xFFFF + 1:
+            run = 0xFFFF + 1
         n = run - 1
         if n < 60:
             out.append(n << 2)
@@ -85,7 +113,7 @@ def _emit_copy(out: bytearray, offset: int, length: int) -> None:
             out.append(0x01 | ((length - 4) << 2) | ((offset >> 8) << 5))
             out.append(offset & 0xFF)
             return
-        chunk = min(length, _MAX_MATCH)
+        chunk = length if length < _MAX_MATCH else _MAX_MATCH
         # Avoid leaving a sub-minimum tail that the 1-byte form can't encode;
         # the 2-byte form handles any length 1..64 so a tail is fine here.
         out.append(0x02 | ((chunk - 1) << 2))
@@ -95,7 +123,13 @@ def _emit_copy(out: bytearray, offset: int, length: int) -> None:
 
 
 def lz77_compress(data: bytes) -> bytes:
-    """Compress ``data``; output starts with a varint of the input length."""
+    """Compress ``data``; output starts with a varint of the input length.
+
+    Greedy single-candidate matcher: a 16 K-entry table maps the hash
+    of the next four bytes to the last position that had it.  Every
+    emitted byte is pinned by ``tests/codec/lz77_reference.py``, the
+    plain form of this loop.
+    """
     n = len(data)
     out = bytearray(encode_varint32(n))
     if n < _MIN_MATCH + 1:
@@ -103,40 +137,46 @@ def lz77_compress(data: bytes) -> bytes:
             _emit_literal(out, data, 0, n)
         return bytes(out)
 
-    table = [-1] * _HASH_SIZE
+    limit = n - _MIN_MATCH
+    hashes = _hash_positions(data)[: limit + 1]
+    # An empty slot reads as a candidate beyond every offset.
+    table = [-_MAX_OFFSET - 1] * _HASH_SIZE
+    from_bytes = int.from_bytes
+    max_offset = _MAX_OFFSET
     pos = 0
     literal_start = 0
-    limit = n - _MIN_MATCH
     while pos <= limit:
-        h = _hash4(data, pos)
-        cand = table[h]
-        table[h] = pos
-        if (
-            cand >= 0
-            and pos - cand <= _MAX_OFFSET
-            and data[cand : cand + _MIN_MATCH] == data[pos : pos + _MIN_MATCH]
-        ):
-            # Extend the match forward.
-            match_len = _MIN_MATCH
-            max_len = min(_MAX_MATCH, n - pos)
-            while (
-                match_len < max_len
-                and data[cand + match_len] == data[pos + match_len]
+        # Literal run: every position enters the table until one matches.
+        for pos, h in enumerate(hashes[pos:], pos):
+            cand = table[h]
+            table[h] = pos
+            if (
+                pos - cand <= max_offset
+                and data[cand : cand + _MIN_MATCH] == data[pos : pos + _MIN_MATCH]
             ):
-                match_len += 1
-            if literal_start < pos:
-                _emit_literal(out, data, literal_start, pos)
-            _emit_copy(out, pos - cand, match_len)
-            # Seed the table inside the match (sparsely, for speed).
-            end = pos + match_len
-            seed = pos + 1
-            while seed < min(end, limit + 1):
-                table[_hash4(data, seed)] = seed
-                seed += 2
-            pos = end
-            literal_start = pos
+                break
         else:
-            pos += 1
+            break
+        # Extend the match forward: the first differing byte of the two
+        # tails is the lowest set bit of their XOR.
+        ahead = data[pos + _MIN_MATCH : pos + _MAX_MATCH]
+        behind = data[cand + _MIN_MATCH : cand + _MIN_MATCH + len(ahead)]
+        if ahead == behind:
+            match_len = _MIN_MATCH + len(ahead)
+        else:
+            diff = from_bytes(ahead, "little") ^ from_bytes(behind, "little")
+            match_len = _MIN_MATCH + (((diff & -diff).bit_length() - 1) >> 3)
+        if literal_start < pos:
+            _emit_literal(out, data, literal_start, pos)
+        _emit_copy(out, pos - cand, match_len)
+        # Seed the table inside the match (sparsely, for speed).
+        end = pos + match_len
+        seed = pos + 1
+        for h in hashes[seed:end:2]:
+            table[h] = seed
+            seed += 2
+        pos = end
+        literal_start = pos
     if literal_start < n:
         _emit_literal(out, data, literal_start, n)
     return bytes(out)
@@ -161,12 +201,15 @@ def lz77_decompress(blob: bytes) -> bytes:
             kind = tag & 0x03
             if kind == 0x00:  # literal
                 length = (tag >> 2) + 1
-                if length == 61:
-                    length = blob[pos] + 1
-                    pos += 1
-                elif length == 62:
-                    length = (blob[pos] | blob[pos + 1] << 8) + 1
-                    pos += 2
+                if length > 60:
+                    if length == 61:
+                        length = blob[pos] + 1
+                        pos += 1
+                    elif length == 62:
+                        length = (blob[pos] | blob[pos + 1] << 8) + 1
+                        pos += 2
+                    else:
+                        raise CompressionError(f"bad literal tag {tag:#x}")
                 if pos + length > n:
                     raise CompressionError("truncated literal")
                 out += blob[pos : pos + length]
@@ -199,9 +242,9 @@ def _copy_back(out: bytearray, offset: int, length: int) -> None:
     if offset >= length:
         out += out[start : start + length]
     else:
-        # Overlapping copy: replicate byte-by-byte (RLE-style).
-        for i in range(length):
-            out.append(out[start + i])
+        # Overlapping copy (RLE-style): the last ``offset`` bytes repeat.
+        period = out[start:]
+        out += (period * (length // offset + 1))[:length]
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ MAX_VARINT64_LEN = 10
 
 _FIXED32 = struct.Struct("<I")
 _FIXED64 = struct.Struct("<Q")
+_ONE_BYTE = [bytes((i,)) for i in range(0x80)]
 
 
 class VarintError(ValueError):
@@ -50,6 +51,9 @@ def encode_varint64(value: int) -> bytes:
 
 def encode_varint32(value: int) -> bytes:
     """Encode a non-negative integer < 2**32 as a LEB128 varint."""
+    if 0 <= value < 0x80:
+        # Block entry headers and short lengths: one byte, no loop.
+        return _ONE_BYTE[value]
     if value < 0 or value >= 1 << 32:
         raise VarintError(f"varint32 out of range: {value}")
     return encode_varint64(value)

@@ -30,6 +30,7 @@ as distinct steps so profiling can attribute time per step (Figs 5,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from ..codec.checksum import Checksummer
@@ -225,8 +226,8 @@ def step_merge(
 
 
 def _entries_of(blocks: Sequence[RawBlock]) -> Iterator[tuple[bytes, bytes]]:
-    for block in blocks:
-        yield from Block(block.raw, compare=internal_compare)
+    # chain: the merge pulls entries straight from each block's iterator.
+    return chain.from_iterable(Block(b.raw, compare=internal_compare) for b in blocks)
 
 
 def step_compress(blocks: Sequence[MergedBlock], codec: Codec) -> list[tuple[MergedBlock, bytes, int]]:

@@ -80,11 +80,19 @@ class BlockBuilder:
         else:
             shared = _shared_prefix_len(self._last_key, key)
         non_shared = len(key) - shared
-        self._buf += encode_varint32(shared)
-        self._buf += encode_varint32(non_shared)
-        self._buf += encode_varint32(len(value))
-        self._buf += key[shared:]
-        self._buf += value
+        value_len = len(value)
+        buf = self._buf
+        if shared < 0x80 and non_shared < 0x80 and value_len < 0x80:
+            # Three one-byte varints, written without allocating them.
+            buf.append(shared)
+            buf.append(non_shared)
+            buf.append(value_len)
+        else:
+            buf += encode_varint32(shared)
+            buf += encode_varint32(non_shared)
+            buf += encode_varint32(value_len)
+        buf += key[shared:]
+        buf += value
         self._last_key = key
         self._counter += 1
         self._n_entries += 1
@@ -123,10 +131,12 @@ class BlockBuilder:
 
 def _shared_prefix_len(a: bytes, b: bytes) -> int:
     n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
+    a, b = a[:n], b[:n]
+    if a == b:
+        return n
+    # The first differing byte is the lowest set bit of the XOR.
+    diff = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+    return ((diff & -diff).bit_length() - 1) >> 3
 
 
 class Block:
@@ -151,10 +161,24 @@ class Block:
 
     def _parse_entry(self, pos: int, prev_key: bytes) -> tuple[bytes, bytes, int]:
         """Decode entry at ``pos`` → (key, value, next_pos)."""
+        data = self._data
         try:
-            shared, pos = decode_varint32(self._data, pos)
-            non_shared, pos = decode_varint32(self._data, pos)
-            value_len, pos = decode_varint32(self._data, pos)
+            # Each header field is a varint32; one byte is the common
+            # case and is read in place.
+            shared = data[pos]
+            pos += 1
+            if shared >= 0x80:
+                shared, pos = decode_varint32(data, pos - 1)
+            non_shared = data[pos]
+            pos += 1
+            if non_shared >= 0x80:
+                non_shared, pos = decode_varint32(data, pos - 1)
+            value_len = data[pos]
+            pos += 1
+            if value_len >= 0x80:
+                value_len, pos = decode_varint32(data, pos - 1)
+        except IndexError:
+            raise BlockCorruption("truncated varint") from None
         except ValueError as exc:
             raise BlockCorruption(str(exc)) from None
         if shared > len(prev_key):
@@ -163,16 +187,18 @@ class Block:
         value_end = key_end + value_len
         if value_end > self._entries_end:
             raise BlockCorruption("entry overruns block")
-        key = prev_key[:shared] + self._data[pos:key_end]
-        value = self._data[key_end:value_end]
+        key = prev_key[:shared] + data[pos:key_end]
+        value = data[key_end:value_end]
         return key, value, value_end
 
-    def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
-        pos = 0
-        key = b""
+    def _iter_from(self, pos: int, key: bytes) -> Iterator[tuple[bytes, bytes]]:
+        """Stream entries from ``pos``, whose predecessor's key is ``key``."""
         while pos < self._entries_end:
             key, value, pos = self._parse_entry(pos, key)
             yield key, value
+
+    def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
+        return self._iter_from(0, b"")
 
     def _restart_key(self, index: int) -> bytes:
         key, _, _ = self._parse_entry(self._restarts[index], b"")
@@ -191,16 +217,12 @@ class Block:
         pos = self._restarts[lo]
         key = b""
         while pos < self._entries_end:
-            key, value, nxt = self._parse_entry(pos, key)
+            key, value, pos = self._parse_entry(pos, key)
             if self.compare(key, target) >= 0:
                 yield key, value
-                pos = nxt
                 # From here just stream the rest.
-                while pos < self._entries_end:
-                    key, value, pos = self._parse_entry(pos, key)
-                    yield key, value
+                yield from self._iter_from(pos, key)
                 return
-            pos = nxt
 
     def iter_reverse(self) -> Iterator[tuple[bytes, bytes]]:
         """Entries in descending key order.

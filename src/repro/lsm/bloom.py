@@ -11,29 +11,26 @@ count), so a reader needs no out-of-band parameters.
 
 from __future__ import annotations
 
+import struct
+
 __all__ = ["bloom_hash", "BloomFilterBuilder", "BloomFilter"]
+
+
+_WORDS = struct.Struct("<I").iter_unpack
 
 
 def bloom_hash(key: bytes, seed: int = 0xBC9F1D34) -> int:
     """Murmur-flavoured 32-bit hash (LevelDB's Hash())."""
     m = 0xC6A4A793
-    h = (seed ^ (len(key) * m)) & 0xFFFFFFFF
-    i = 0
     n = len(key)
-    while i + 4 <= n:
-        w = key[i] | key[i + 1] << 8 | key[i + 2] << 16 | key[i + 3] << 24
-        h = (h + w) & 0xFFFFFFFF
-        h = (h * m) & 0xFFFFFFFF
+    h = (seed ^ (n * m)) & 0xFFFFFFFF
+    rest = n & 3
+    for (w,) in _WORDS(key[: n - rest] if rest else key):
+        h = ((h + w) * m) & 0xFFFFFFFF
         h ^= h >> 16
-        i += 4
-    rest = n - i
-    if rest == 3:
-        h = (h + (key[i + 2] << 16)) & 0xFFFFFFFF
-    if rest >= 2:
-        h = (h + (key[i + 1] << 8)) & 0xFFFFFFFF
-    if rest >= 1:
-        h = (h + key[i]) & 0xFFFFFFFF
-        h = (h * m) & 0xFFFFFFFF
+    if rest:
+        # The 1-3 trailing bytes, added as one little-endian number.
+        h = ((h + int.from_bytes(key[n - rest :], "little")) * m) & 0xFFFFFFFF
         h ^= h >> 24
     return h
 

@@ -57,8 +57,8 @@ def decode_internal_key(ikey: bytes) -> tuple[bytes, int, int]:
     """Split an internal key into ``(user_key, sequence, kind)``."""
     if len(ikey) < 8:
         raise ValueError(f"internal key too short: {len(ikey)} bytes")
-    seq, kind = unpack_trailer(get_fixed64(ikey, len(ikey) - 8))
-    return ikey[:-8], seq, kind
+    trailer = int.from_bytes(ikey[-8:], "little")
+    return ikey[:-8], trailer >> 8, trailer & 0xFF
 
 
 def internal_compare(a: bytes, b: bytes) -> int:

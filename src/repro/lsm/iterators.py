@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator, Optional
 
-from .ikey import KIND_DELETE, InternalKey, decode_internal_key
+from .ikey import KIND_DELETE, decode_internal_key
 
 __all__ = [
     "drop_tombstones",
@@ -37,18 +37,34 @@ def merge_iterators(sources: Iterable[Iterator[Entry]]) -> Iterator[Entry]:
     Earlier sources win ties, so pass newer components first
     (memtable, then L0 newest→oldest, then L1, ...).
     """
-    heap: list[tuple[InternalKey, int, Entry, Iterator[Entry]]] = []
+    # Heap items order themselves as plain tuples: user key ascending,
+    # then the negated trailer (newer sequence first), then source
+    # priority, which is unique, so entries are never compared.
+    trailer_of = int.from_bytes
+    heap: list[tuple[bytes, int, int, Entry, Iterator[Entry]]] = []
     for priority, src in enumerate(sources):
         it = iter(src)
         first = next(it, None)
         if first is not None:
-            heapq.heappush(heap, (InternalKey.decode(first[0]), priority, first, it))
-    while heap:
-        _, priority, entry, it = heapq.heappop(heap)
+            ikey = first[0]
+            heap.append((ikey[:-8], -trailer_of(ikey[-8:], "little"), priority, first, it))
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        _, _, priority, entry, it = heap[0]
         yield entry
         nxt = next(it, None)
-        if nxt is not None:
-            heapq.heappush(heap, (InternalKey.decode(nxt[0]), priority, nxt, it))
+        if nxt is None:
+            heapq.heappop(heap)
+        else:
+            ikey = nxt[0]
+            heapq.heapreplace(
+                heap, (ikey[:-8], -trailer_of(ikey[-8:], "little"), priority, nxt, it)
+            )
+    if heap:
+        # One source left: nothing to compare with.
+        _, _, _, entry, it = heap[0]
+        yield entry
+        yield from it
 
 
 class _ReverseKey:

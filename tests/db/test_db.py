@@ -404,3 +404,35 @@ class TestAuxiliaryAPIs:
     def test_approximate_size_empty_db(self):
         with DB(MemStorage(), small_options()) as db:
             assert db.approximate_size() == 0
+
+
+def test_engine_runs_without_numpy():
+    """Write, flush and compact in a fresh interpreter: numpy must not
+    get imported (it would add 16 MB to a 27-30 MB server process)."""
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import sys
+from repro.core import ProcedureSpec
+from repro.db import DB
+from repro.devices import MemStorage
+from repro.lsm import Options
+
+options = Options(
+    memtable_bytes=8 * 1024, sstable_bytes=4 * 1024, block_bytes=1024,
+    level1_bytes=16 * 1024, l0_compaction_trigger=2, compression="lz77",
+)
+with DB(MemStorage(), options, compaction_spec=ProcedureSpec.pcp(subtask_bytes=4096)) as db:
+    for i in range(600):
+        db.put(b"key-%06d" % ((i * 7919) % 600), b"value-%06d-" % i * 8)
+    db.flush()
+    db.compact_all()
+    assert db.stats.flushes > 0
+    assert db.stats.compactions > db.stats.trivial_moves
+    assert db.get(b"key-000001") is not None
+assert "numpy" not in sys.modules, "numpy was imported by the engine"
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=120)

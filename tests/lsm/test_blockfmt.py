@@ -1,10 +1,13 @@
 """Tests for the prefix-compressed block format."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm.blockfmt import Block, BlockBuilder, BlockCorruption
+from repro.codec.varint import encode_varint32, put_fixed32
+from repro.lsm.blockfmt import Block, BlockBuilder, BlockCorruption, _shared_prefix_len
 
 
 def _build(entries, restart_interval=16):
@@ -64,6 +67,71 @@ class TestBuilder:
     def test_restart_points_created(self):
         block = Block(_build([(b"%04d" % i, b"") for i in range(64)], 16))
         assert block.num_restarts() == 4
+
+
+def _shared_prefix_len_reference(a: bytes, b: bytes) -> int:
+    n = min(len(a), len(b))
+    i = 0
+    while i < n and a[i] == b[i]:
+        i += 1
+    return i
+
+
+def _block_reference(entries, restart_interval: int) -> bytes:
+    """The block wire format written out long-hand: every header field a
+    varint, whatever its size."""
+    out = bytearray()
+    restarts = []
+    last_key = b""
+    for i, (key, value) in enumerate(entries):
+        if i % restart_interval == 0:
+            restarts.append(len(out))
+            shared = 0
+        else:
+            shared = _shared_prefix_len_reference(last_key, key)
+        out += encode_varint32(shared)
+        out += encode_varint32(len(key) - shared)
+        out += encode_varint32(len(value))
+        out += key[shared:] + value
+        last_key = key
+    for r in restarts:
+        out += put_fixed32(r)
+    return bytes(out + put_fixed32(len(restarts)))
+
+
+class TestKernelsMatchReference:
+    def test_shared_prefix_len_on_random_keys(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            a = rng.randbytes(rng.randrange(41))
+            # b: a shared prefix of a, then anything.
+            b = a[: rng.randrange(len(a) + 1)] + rng.randbytes(rng.randrange(41))
+            assert _shared_prefix_len(a, b) == _shared_prefix_len_reference(a, b)
+            assert _shared_prefix_len(b, a) == _shared_prefix_len_reference(b, a)
+
+    @given(st.binary(max_size=40), st.binary(max_size=40))
+    def test_shared_prefix_len_property(self, a, b):
+        assert _shared_prefix_len(a, b) == _shared_prefix_len_reference(a, b)
+
+    def test_shared_prefix_len_trailing_zero_bytes(self):
+        # Zero bytes are invisible to an integer comparison of unequal
+        # lengths; the prefix length must not depend on them.
+        assert _shared_prefix_len(b"ab\x00\x00", b"ab\x00") == 3
+        assert _shared_prefix_len(b"\x00\x00", b"\x00\x01") == 1
+        assert _shared_prefix_len(b"", b"\x00") == 0
+
+    @pytest.mark.parametrize("key_pad,value_len", [(0, 5), (0, 127), (0, 128), (150, 20), (150, 300)])
+    def test_block_bytes_with_short_and_long_fields(self, key_pad, value_len):
+        # One- and multi-byte varints in each of the three header
+        # fields: shared >= 128 needs long keys with a long common prefix.
+        entries = [
+            (b"p" * key_pad + b"key-%05d" % i, bytes([i % 251]) * value_len)
+            for i in range(60)
+        ]
+        blob = _build(entries, restart_interval=8)
+        assert blob == _block_reference(entries, 8)
+        assert list(Block(blob)) == entries
+        assert list(Block(blob).seek(entries[37][0])) == entries[37:]
 
 
 class TestSeek:

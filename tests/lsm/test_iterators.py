@@ -31,6 +31,20 @@ class TestMerge:
         merged = list(merge_iterators([iter(older), iter(newer)]))
         assert [v for _, v in merged] == [b"new", b"old"]
 
+    def test_equal_keys_earlier_source_first_and_value_before_delete(self):
+        # Same internal key in two sources: source order decides.  Same
+        # user key and sequence: the larger trailer (VALUE) sorts first,
+        # as internal_compare has it.
+        first = [_e(b"k", 5, b"from-0"), _e(b"m", 1, b"tail-0"), _e(b"z", 1, b"z-0")]
+        second = [_e(b"k", 5, b"from-1"), _e(b"k", 4, b"", KIND_DELETE), _e(b"m", 9, b"m-1")]
+        third = [_e(b"k", 4, b"value-at-4")]
+        merged = list(merge_iterators([iter(first), iter(second), iter(third)]))
+        assert [v for _, v in merged] == [
+            b"from-0", b"from-1", b"value-at-4", b"", b"m-1", b"tail-0", b"z-0",
+        ]
+        for (ka, _), (kb, _) in zip(merged, merged[1:]):
+            assert internal_compare(ka, kb) <= 0
+
     def test_empty_sources(self):
         assert list(merge_iterators([iter([]), iter([])])) == []
         assert list(merge_iterators([])) == []
