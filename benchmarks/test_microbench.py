@@ -24,6 +24,8 @@ from repro.lsm import (
     internal_compare,
     merge_iterators,
 )
+from repro.server import ServerThread, SyncClient
+from repro.server import protocol as P
 from repro.workload import InsertWorkload, ValueGenerator, format_key
 
 PAYLOAD = InsertWorkload(n=0)  # unused; keeps import meaningful
@@ -180,3 +182,98 @@ def test_bench_db_get_after_compaction(benchmark):
 
     benchmark(get_200)
     db.close()
+
+
+# The request fast path, one factor per benchmark: the four codec passes
+# a request costs (encode + decode of request and response, checksum
+# included), the non-waiting engine read beside the waiting one, and the
+# round trips themselves.
+FRAME_PAYLOADS = {"28B": 28, "128B": 128, "1KB": 1024}
+
+
+@pytest.fixture(params=sorted(FRAME_PAYLOADS), scope="module")
+def frame_value(request):
+    return _kv_blob(FRAME_PAYLOADS[request.param])
+
+
+def test_bench_request_codec(benchmark, frame_value):
+    body = P.encode_lp(b"user%012d" % 7) + P.encode_lp(frame_value)
+
+    def roundtrip():
+        frame = P.encode_request(P.OP_PUT, 40_000, body)
+        return P.decode_request(
+            P.decode_frame(P.frame_length(frame[:4]), frame[4:])
+        )
+
+    assert roundtrip().body == body
+    benchmark(roundtrip)
+
+
+def test_bench_response_codec(benchmark, frame_value):
+    body = P.encode_lp(frame_value)
+
+    def roundtrip():
+        frame = P.encode_response(P.ST_OK, 40_000, body)
+        return P.decode_response(
+            P.decode_frame(P.frame_length(frame[:4]), frame[4:])
+        )
+
+    assert roundtrip().body == body
+    benchmark(roundtrip)
+
+
+@pytest.fixture(scope="module")
+def cached_store():
+    """A compacted store that fits its block cache, every block warm."""
+    options = Options(
+        memtable_bytes=64 * 1024, sstable_bytes=32 * 1024,
+        level1_bytes=256 * 1024, level_multiplier=4, compression="lz77",
+        checksum="crc32", block_cache_entries=1024,
+    )
+    db = DB(MemStorage(), options)
+    records = list(InsertWorkload(n=2000, distribution="uniform", seed=7))
+    for key, value in records:
+        db.put(key, value)
+    db.flush()
+    db.compact_range()
+    keys = [key for key, _ in records[::10]]
+    for key in keys:
+        assert db.get(key) is not None
+    yield db, keys
+    db.close()
+
+
+@pytest.mark.parametrize("wait", [True, False], ids=["wait", "nowait"])
+def test_bench_db_get_cached_hit(benchmark, cached_store, wait):
+    db, keys = cached_store
+
+    def get_200():
+        for key in keys:
+            db.get(key, wait=wait)
+
+    benchmark(get_200)
+
+
+@pytest.fixture(scope="module")
+def cached_server(cached_store):
+    db, keys = cached_store
+    with ServerThread(db, own_db=False) as handle:
+        with SyncClient(handle.host, handle.port) as client:
+            yield client, keys
+
+
+# Report-only: client and server share this interpreter's GIL, so the
+# absolute numbers are not the benchmark's (perf/ runs two processes).
+def test_bench_ping_round_trip(benchmark, cached_server):
+    client, _ = cached_server
+    benchmark(client.ping)
+
+
+def test_bench_cached_get_round_trip(benchmark, cached_server):
+    client, keys = cached_server
+
+    def get_200():
+        for key in keys:
+            client.get(key)
+
+    benchmark(get_200)

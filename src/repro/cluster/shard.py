@@ -38,6 +38,9 @@ class ShardLike(Protocol):
 
     * ``write`` applies a :class:`repro.lsm.wal.WriteBatch`
       atomically *within this shard*;
+    * ``get(..., wait=False)`` answers without waiting (no lock wait,
+      no file open, no device or network I/O) or raises
+      :class:`repro.db.WouldBlock`;
     * ``scan``/``scan_reverse`` yield the half-open window
       ``[start, end)`` in key order (descending for reverse);
     * ``write_stalled`` is advisory backpressure — True means a write
@@ -55,7 +58,9 @@ class ShardLike(Protocol):
     def write(self, batch) -> None: ...
 
     # ------------------------------------------------------------- reads
-    def get(self, key: bytes, snapshot=None) -> Optional[bytes]: ...
+    def get(
+        self, key: bytes, snapshot=None, wait: bool = True
+    ) -> Optional[bytes]: ...
 
     def multi_get(self, keys, snapshot=None) -> list[Optional[bytes]]: ...
 

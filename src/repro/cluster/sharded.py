@@ -314,11 +314,16 @@ class ShardedDB:
         return snapshot.shard_snapshots[shard]
 
     def get(
-        self, key: bytes, snapshot: Optional[ClusterSnapshot] = None
+        self,
+        key: bytes,
+        snapshot: Optional[ClusterSnapshot] = None,
+        wait: bool = True,
     ) -> Optional[bytes]:
+        """``wait=False`` is forwarded: the owning shard answers without
+        waiting or raises :class:`repro.db.WouldBlock`."""
         shard = self.partitioner.shard_of(key)
         return self.shards[shard].get(
-            key, snapshot=self._shard_snapshot(snapshot, shard)
+            key, snapshot=self._shard_snapshot(snapshot, shard), wait=wait
         )
 
     def multi_get(

@@ -1,7 +1,7 @@
 """The key-value store: DB facade, snapshots, manifest recovery."""
 
 from .cursor import Cursor
-from .db import DB, DBStats, Snapshot
+from .db import DB, DBStats, Snapshot, WouldBlock
 from .manifest import ManifestWriter, VersionEdit, recover_version
 from .verify import VerifyReport, repair_db, verify_db
 
@@ -13,6 +13,7 @@ __all__ = [
     "Snapshot",
     "VerifyReport",
     "VersionEdit",
+    "WouldBlock",
     "recover_version",
     "repair_db",
     "verify_db",

@@ -48,13 +48,13 @@ from ..lsm.memtable import MemTable
 from ..lsm.options import Options
 from ..lsm.table_builder import TableBuilder
 from ..lsm.table_format import TableCorruption
-from ..lsm.table_reader import Table
+from ..lsm.table_reader import Table, WouldBlock
 from ..lsm.version import FileMetaData, sstable_name
 from ..lsm.wal import LogReader, LogWriter, WalRetention, WriteBatch
 from ..obs import Observability
 from .manifest import ManifestWriter, VersionEdit, recover_version, set_current
 
-__all__ = ["DB", "DBStats", "Snapshot"]
+__all__ = ["DB", "DBStats", "Snapshot", "WouldBlock"]
 
 
 @dataclass
@@ -160,6 +160,7 @@ class DB:
         # The mutex also guards the version set and manifest.
         self._lock = make_rlock("db.mutex")
         self._file_number_lock = make_lock("db.file_number")
+        self._gets_lock = make_lock("db.gets")
         # Race-sanitizer marker for the version set + manifest state the
         # mutex guards; inert (NULL_STATE) outside REPRO_RACE_SANITIZER.
         self._version_state = shared_state("db.version")
@@ -337,9 +338,11 @@ class DB:
         if self._faulty is not None:
             self._faulty.crash_point(name)
 
-    def _open_table(self, meta: FileMetaData) -> Table:
+    def _open_table(self, meta: FileMetaData, wait: bool = True) -> Table:
         table = self._tables.get(meta.number)
         if table is None:
+            if not wait:
+                raise WouldBlock(f"table {meta.name} is not open")
             table = Table(
                 self.storage.open(meta.name),
                 self.options,
@@ -984,28 +987,56 @@ class DB:
             self._check_open()
 
     # ------------------------------------------------------------ reads
-    def get(self, key: bytes, snapshot: Optional[Snapshot] = None) -> Optional[bytes]:
-        """Newest visible value for ``key``, or None."""
+    def get(
+        self,
+        key: bytes,
+        snapshot: Optional[Snapshot] = None,
+        wait: bool = True,
+    ) -> Optional[bytes]:
+        """Newest visible value for ``key``, or None.
+
+        ``wait=False`` is the non-waiting read (RocksDB's
+        ``kBlockCacheTier``) for callers that must not block, such as
+        the server's event loop: it try-acquires the DB mutex and
+        answers from the memtable, already-open tables and the block
+        cache only.  The moment it would have to wait for the mutex,
+        open a table or read the device it raises :class:`WouldBlock`
+        with nothing counted; repeat the call with ``wait=True``.
+        """
         seq = snapshot.sequence if snapshot is not None else MAX_SEQUENCE
-        with self._lock:
+        if not self._lock.acquire(wait):
+            raise WouldBlock("db.mutex is held")
+        try:
             self._check_open()
-            self.stats.gets += 1
             result = self.memtable.get(key, seq)
-            if result.found:
-                return None if result.deleted else result.value
-            candidates = self.version.files_for_get(key)
-            tables = [self._open_table(meta) for _, meta in candidates]
+            tables = (
+                ()
+                if result.found
+                else [
+                    self._open_table(meta, wait)
+                    for _, meta in self.version.files_for_get(key)
+                ]
+            )
+        finally:
+            self._lock.release()
+        value = None if result.deleted else result.value
         probe = lookup_key(key, seq)
         for table in tables:
-            hit = table.get(probe)
+            hit = table.get(probe, wait)
             if hit is None:
                 continue
-            ikey, value = hit
+            ikey, found = hit
             user, _s, kind = decode_internal_key(ikey)
             if user != key:
                 continue
-            return None if kind == KIND_DELETE else value
-        return None
+            value = None if kind == KIND_DELETE else found
+            break
+        # Counted once the answer is known, so a WouldBlock probe and
+        # its wait=True repeat are one get; outside the mutex, hence
+        # the counter's own lock.
+        with self._gets_lock:
+            self.stats.gets += 1
+        return value
 
     def multi_get(
         self, keys, snapshot: Optional[Snapshot] = None

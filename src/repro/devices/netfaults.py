@@ -22,7 +22,10 @@ round-trip for the ``dbtool chaos-proxy`` CLI):
 * **latency** — per-chunk fixed + seeded-jitter delay;
 * **black hole** — swallow bytes in one direction (or both) while the
   socket stays open: the asymmetric partition that makes a primary
-  look alive to TCP but dead to its followers.
+  look alive to TCP but dead to its followers;
+* **flip** — forward a chosen chunk with its last byte inverted: a
+  whole frame arrives, its CRC trailer does not match, and the
+  connection stays up — the peer must notice and drop it itself.
 
 Runtime controls (:meth:`FaultyProxy.partition` / :meth:`~FaultyProxy.
 heal` / :meth:`~FaultyProxy.drop_connections`) drive kill/partition/
@@ -72,7 +75,10 @@ class NetFaultPlan:
     ``blackhole`` swallows bytes in one direction (``c2s``/``s2c``) or
     ``both`` while connections stay open — an asymmetric partition.
     ``cut_mid_frame`` makes cuts tear the chunk: a seeded prefix is
-    forwarded before the close.  ``max_faults`` bounds refuse+cut
+    forwarded before the close.  ``flip_nth`` maps a direction
+    (``c2s``/``s2c``) to the 1-based chunk index that is forwarded with
+    its last byte inverted (outside the budget, like the other
+    non-closing faults).  ``max_faults`` bounds refuse+cut
     injections (black-holing and latency are continuous conditions,
     not budgeted events); ``None`` means unbounded.
     """
@@ -85,6 +91,7 @@ class NetFaultPlan:
     blackhole: Optional[str] = None
     cut_mid_frame: bool = False
     fail_nth: dict = field(default_factory=dict)
+    flip_nth: dict = field(default_factory=dict)
     max_faults: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -100,11 +107,16 @@ class NetFaultPlan:
                 f"blackhole must be one of {_BLACKHOLE_MODES}, "
                 f"got {self.blackhole!r}"
             )
-        for kind, nth in self.fail_nth.items():
-            if kind not in _NET_OP_KINDS:
-                raise ValueError(f"fail_nth: unknown op kind {kind!r}")
-            if nth < 1:
-                raise ValueError(f"fail_nth[{kind!r}] must be >= 1, got {nth}")
+        for name, kinds in (
+            ("fail_nth", _NET_OP_KINDS), ("flip_nth", _NET_OP_KINDS[1:])
+        ):
+            for kind, nth in getattr(self, name).items():
+                if kind not in kinds:
+                    raise ValueError(f"{name}: unknown op kind {kind!r}")
+                if nth < 1:
+                    raise ValueError(
+                        f"{name}[{kind!r}] must be >= 1, got {nth}"
+                    )
 
     def to_json(self) -> str:
         defaults = NetFaultPlan()
@@ -155,7 +167,7 @@ class FaultyProxy:
     seeded RNG under one lock, runtime controls (:meth:`partition`,
     :meth:`set_plan`, :meth:`drop_connections`) may be called from any
     thread.  ``injected`` counts injections by kind (``refuse`` /
-    ``cut`` / ``blackhole`` / ``latency``).
+    ``cut`` / ``blackhole`` / ``latency`` / ``flip``).
     """
 
     #: Socket timeout on both pump directions; bounds how fast close()
@@ -346,6 +358,14 @@ class FaultyProxy:
                     return True
             return False
 
+    def _flips(self, direction: str) -> bool:
+        """Is the chunk ``_decide`` just counted the one to corrupt?"""
+        with self._lock:
+            return (
+                self.plan.flip_nth.get(direction)
+                == self._op_counts[direction]
+            )
+
     def _torn_prefix(self, chunk: bytes) -> bytes:
         with self._lock:
             if not self.plan.cut_mid_frame or len(chunk) < 2:
@@ -435,6 +455,9 @@ class FaultyProxy:
                            else ""),
                     )
                     return
+                if self._flips(direction):
+                    chunk = chunk[:-1] + bytes((chunk[-1] ^ 0xFF,))
+                    self._note("flip", f"{direction} last byte inverted")
                 delay = self._latency_s()
                 if delay > 0:
                     self._note("latency", f"{direction} +{delay * 1e3:.1f}ms")

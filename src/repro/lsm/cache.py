@@ -58,14 +58,17 @@ class LRUCache:
         with self._lock:
             return len(self._map)
 
-    def get(self, key: Hashable) -> Optional[Any]:
+    def get(self, key: Hashable, count_miss: bool = True) -> Optional[Any]:
+        """The cached value or None.  ``count_miss=False`` leaves a miss
+        out of the statistics (a probe whose caller will look again)."""
         with self._lock:
             try:
                 value = self._map[key]
             except KeyError:
-                self.stats.misses += 1
-                if self._m_misses is not None:
-                    self._m_misses.inc()
+                if count_miss:
+                    self.stats.misses += 1
+                    if self._m_misses is not None:
+                        self._m_misses.inc()
                 return None
             self._map.move_to_end(key)
             self.stats.hits += 1

@@ -26,7 +26,19 @@ from .table_format import (
     read_block,
 )
 
-__all__ = ["Table"]
+__all__ = ["Table", "WouldBlock"]
+
+
+class WouldBlock(Exception):
+    """A non-waiting read (``wait=False``) would have had to wait.
+
+    Raised instead of waiting for a lock, opening a file or reading the
+    device; the caller repeats the read with ``wait=True`` on a thread
+    that may block.  Spans the exception unwinds through are not
+    recorded (see :class:`repro.obs.Tracer`): the repeat is the read.
+    """
+
+    leaves_no_span = True
 
 
 class Table:
@@ -67,12 +79,18 @@ class Table:
         return self._file
 
     # -- block access ------------------------------------------------
-    def _load_block(self, handle: BlockHandle, cacheable: bool = True) -> bytes:
+    def _load_block(
+        self, handle: BlockHandle, cacheable: bool = True, wait: bool = True
+    ) -> bytes:
         if cacheable and self._cache is not None:
             key = (self._table_id, handle.offset)
-            cached = self._cache.get(key)
+            # A non-waiting miss is not a lookup: the caller repeats the
+            # read with wait=True and that one counts.
+            cached = self._cache.get(key, count_miss=wait)
             if cached is not None:
                 return cached
+        if not wait:
+            raise WouldBlock("block is not in the cache")
         stored = read_block(self._file, handle)
         raw = decode_block_contents(
             stored, self._checksummer, verify=self.options.paranoid_checks
@@ -81,8 +99,10 @@ class Table:
             self._cache.put((self._table_id, handle.offset), raw)
         return raw
 
-    def _block_at(self, handle: BlockHandle) -> Block:
-        return Block(self._load_block(handle), compare=internal_compare)
+    def _block_at(self, handle: BlockHandle, wait: bool = True) -> Block:
+        return Block(
+            self._load_block(handle, wait=wait), compare=internal_compare
+        )
 
     def num_blocks(self) -> int:
         return len(self._index_entries)
@@ -108,23 +128,27 @@ class Table:
                 hi = mid
         return lo if lo < len(entries) else None
 
-    def get(self, ikey: bytes) -> Optional[tuple[bytes, bytes]]:
+    def get(
+        self, ikey: bytes, wait: bool = True
+    ) -> Optional[tuple[bytes, bytes]]:
         """First entry with internal key >= ``ikey``, or None.
 
         The caller (DB read path) checks whether the returned entry's
-        user key actually matches.
+        user key actually matches.  With ``wait=False`` only the block
+        cache is consulted: a block that would need a device read raises
+        :class:`WouldBlock`.
         """
         if self._bloom is not None and not self._bloom.may_contain(ikey[:-8]):
             return None
         idx = self._find_block_index(ikey)
         if idx is None:
             return None
-        block = self._block_at(self._index_entries[idx][1])
+        block = self._block_at(self._index_entries[idx][1], wait)
         for key, value in block.seek(ikey):
             return key, value
         # The target sorts after everything in this block; try the next.
         if idx + 1 < len(self._index_entries):
-            block = self._block_at(self._index_entries[idx + 1][1])
+            block = self._block_at(self._index_entries[idx + 1][1], wait)
             for key, value in block:
                 return key, value
         return None

@@ -131,7 +131,9 @@ class _SpanScope:
     When the calling thread carries a trace context the span is stamped
     with ``trace_id``/``span_id``/``parent_span_id`` and becomes the
     parent of any span nested inside it; with no context bound the
-    extra cost is a single ``getattr``.
+    extra cost is a single ``getattr``.  A span unwound by an exception
+    whose class sets ``leaves_no_span`` (:class:`repro.db.WouldBlock`)
+    is dropped.
     """
 
     __slots__ = ("_tracer", "_name", "_cat", "_args", "_start",
@@ -152,14 +154,19 @@ class _SpanScope:
         self._start = self._tracer._clock()
         return self
 
-    def __exit__(self, *exc) -> bool:
+    def __exit__(self, exc_type, *exc) -> bool:
         tracer = self._tracer
         end = tracer._clock()
-        thread = threading.current_thread()
-        args = self._args
         ctx = self._ctx
         if ctx is not None:
             _context.value = ctx
+        if getattr(exc_type, "leaves_no_span", False):
+            # Control flow, not work: the caller repeats the operation
+            # and that attempt is the one the trace shows.
+            return False
+        thread = threading.current_thread()
+        args = self._args
+        if ctx is not None:
             args = dict(args)
             args["trace_id"] = ctx[0]
             args["span_id"] = self._span_id

@@ -18,7 +18,7 @@ import threading
 from typing import Iterator, Optional
 
 from ..analysis.locksan import make_lock
-from ..db.db import DBStats
+from ..db.db import DBStats, WouldBlock
 from ..lsm.ikey import KIND_VALUE
 from ..obs import Observability
 from ..server.client import CircuitBreaker, RetryPolicy, SyncClient
@@ -88,8 +88,12 @@ class RemoteShard:
             self._client.batch(ops)
 
     # ------------------------------------------------------------ reads
-    def get(self, key: bytes, snapshot=None) -> Optional[bytes]:
+    def get(
+        self, key: bytes, snapshot=None, wait: bool = True
+    ) -> Optional[bytes]:
         self._reject_snapshot(snapshot)
+        if not wait:
+            raise WouldBlock("a remote shard answers over the network")
         with self._lock:
             return self._client.get(key)
 

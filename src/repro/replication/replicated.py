@@ -32,6 +32,7 @@ import threading
 from typing import Iterator, Optional, Union
 
 from ..analysis.locksan import make_lock
+from ..db.db import WouldBlock
 from ..obs import Observability
 from ..server.client import ClientError, ServerBusyError
 from ..server.retry import CircuitBreaker, RetryPolicy
@@ -207,7 +208,11 @@ class ReplicatedShard:
         self._on_primary(lambda c: c.write(batch))
 
     # ------------------------------------------------------------ reads
-    def get(self, key: bytes, snapshot=None) -> Optional[bytes]:
+    def get(
+        self, key: bytes, snapshot=None, wait: bool = True
+    ) -> Optional[bytes]:
+        if not wait:
+            raise WouldBlock("a replica set answers over the network")
         return self._read(lambda c: c.get(key, snapshot=snapshot))
 
     def multi_get(self, keys, snapshot=None) -> list[Optional[bytes]]:

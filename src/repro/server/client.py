@@ -157,7 +157,12 @@ class SyncClient:
         self._hello_done = False
         self._hello_ack_level: Optional[int] = None
         self._sock: Optional[socket.socket] = None
+        # Received bytes not yet handed out: _recv_buf from _recv_pos
+        # on.  Taking a frame moves the offset; the buffer is rebuilt
+        # only when more must be received, so N pipelined responses
+        # arriving together cost O(bytes), not O(N * bytes).
         self._recv_buf = b""
+        self._recv_pos = 0
         self._next_id = 0
         self.stall_retries = 0  # observable back-off count
         # `is None`, not truthiness: an enabled-but-empty Tracer has
@@ -198,7 +203,7 @@ class SyncClient:
         sock.settimeout(self.timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
-        self._recv_buf = b""
+        self._drop_received()
         if self.breaker is not None:
             self.breaker.record_success()
         if self._hello_done:
@@ -222,7 +227,11 @@ class SyncClient:
             except OSError:  # pragma: no cover
                 pass
         self._sock = None
+        self._drop_received()
+
+    def _drop_received(self) -> None:
         self._recv_buf = b""
+        self._recv_pos = 0
 
     def _take_id(self) -> int:
         self._next_id += 1
@@ -232,13 +241,24 @@ class SyncClient:
         self._sock.sendall(frame)
 
     def _recv_exact(self, n: int) -> bytes:
-        while len(self._recv_buf) < n:
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("server closed the connection")
-            self._recv_buf += chunk
-        data, self._recv_buf = self._recv_buf[:n], self._recv_buf[n:]
-        return data
+        buf, pos = self._recv_buf, self._recv_pos
+        end = pos + n
+        if end > len(buf):
+            # Keep the unread tail (less than one frame), receive until
+            # there is enough, join once: a large frame arriving in
+            # many pieces is copied once, not once per piece.
+            have = len(buf) - pos
+            parts = [buf[pos:]] if have else []
+            while have < n:
+                chunk = self._sock.recv(65536)
+                if not chunk:
+                    raise ConnectionError("server closed the connection")
+                parts.append(chunk)
+                have += len(chunk)
+            buf = self._recv_buf = b"".join(parts)
+            pos, end = 0, n
+        self._recv_pos = end
+        return buf[pos:end]
 
     def _recv_response(self, expect_id: int) -> P.Response:
         length = P.frame_length(self._recv_exact(4), self.max_frame_bytes)
@@ -319,6 +339,13 @@ class SyncClient:
                 response = self._recv_response(request_id)
             except CircuitOpenError:
                 raise  # fail fast: no backoff against a known-down node
+            except ProtocolError:
+                # Some of a frame has been consumed, or a reply to
+                # another request is still coming: the stream cannot be
+                # resynchronised (the server drops the connection for
+                # the same reason).  The next call reconnects.
+                self._teardown()
+                raise
             except OSError:
                 self._teardown()
                 # _connect records its own breaker failures.
@@ -522,17 +549,26 @@ class SyncPipeline:
             return self.results
         if client._sock is None:
             client._connect()
-        client._send(
-            b"".join(
-                P.encode_request(opcode, request_id, body)
-                for opcode, request_id, body in self._queued
+        try:
+            client._send(
+                b"".join(
+                    P.encode_request(opcode, request_id, body)
+                    for opcode, request_id, body in self._queued
+                )
             )
-        )
+            responses = [
+                client._recv_response(request_id)
+                for _, request_id, _ in self._queued
+            ]
+        except (ProtocolError, OSError):
+            # The responses not read yet would answer the client's next
+            # request: drop the connection with them.
+            client._teardown()
+            raise
         retry: list[tuple[int, int, bytes]] = []
         slots: list = []
         time_hint = 0.025
-        for opcode, request_id, body in self._queued:
-            response = client._recv_response(request_id)
+        for (opcode, _, body), response in zip(self._queued, responses):
             if response.status == P.ST_STALLED:
                 retry.append((opcode, len(slots), body))
                 slots.append(None)
@@ -634,6 +670,10 @@ class AsyncClient:
                 ConnectionError(f"connection lost: {exc}")
             )
         except ProtocolError as exc:
+            # Nobody reads this connection any more: close it, so the
+            # next call fails like on any lost connection (and heals
+            # through the retry policy) instead of waiting forever.
+            self._writer.close()
             self._fail_pending(exc)
 
     def _fail_pending(self, exc: Exception) -> None:

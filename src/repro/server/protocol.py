@@ -2,16 +2,21 @@
 
 The protocol is a length-prefixed binary framing that reuses the
 engine's own primitives — :mod:`repro.codec` varints for
-length-prefixed strings and the LevelDB-masked CRC-32C for frame
-integrity — so a server frame is checked exactly like an SSTable
-block:
+length-prefixed strings and the LevelDB-masked CRC-32 (IEEE, zlib's —
+the engine's default block checksum) for frame integrity — so a server
+frame is checked exactly like an SSTable block:
 
 .. code-block:: none
 
     +-----------------+------------------------+------------------+
     | fixed32 length  |  payload (length bytes)|  fixed32 masked  |
-    | (little endian) |                        |  CRC-32C(payload)|
+    | (little endian) |                        |  CRC-32(payload) |
     +-----------------+------------------------+------------------+
+
+Up to protocol 2.2 the trailer was the pure-Python CRC-32C, which cost
+more per request than the engine did; major 3 is that one change, so a
+major-2 peer fails at the first frame with "frame checksum mismatch"
+instead of negotiating.
 
 Request payload::
 
@@ -51,10 +56,11 @@ compaction pause explicitly and can back off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
 from typing import Iterator, Optional
+from zlib import crc32
 
-from ..codec.checksum import crc32c, mask_crc, unmask_crc
+from ..codec.checksum import mask_crc
 from ..codec.varint import (
     decode_varint64,
     encode_varint32,
@@ -224,8 +230,11 @@ STATUS_NAMES = {
 #: frames on the replication stream — additive again: the primary only
 #: heartbeats subscribers whose hello announced >= 2.2, and PROMOTE on
 #: an older server fails loudly as an unknown opcode.
-PROTOCOL_MAJOR = 2
-PROTOCOL_MINOR = 2
+#: Major 3 changed the frame trailer from CRC-32C to CRC-32 (IEEE) and
+#: nothing else: every 2.2 feature is in 3.0, and the two majors cannot
+#: exchange a single frame, so there is nothing to negotiate.
+PROTOCOL_MAJOR = 3
+PROTOCOL_MINOR = 0
 
 #: A PING body opening with this magic is a version hello rather than
 #: opaque echo data.  The leading NUL keeps it out of the plausible
@@ -273,11 +282,13 @@ class ProtocolError(ValueError):
 
 # ------------------------------------------------------------- framing
 def encode_frame(payload: bytes) -> bytes:
-    """Wrap ``payload`` with the length prefix and CRC-32C trailer."""
-    return (
-        put_fixed32(len(payload))
-        + payload
-        + put_fixed32(mask_crc(crc32c(payload)))
+    """Wrap ``payload`` with the length prefix and masked CRC-32 trailer."""
+    return b"".join(
+        (
+            put_fixed32(len(payload)),
+            payload,
+            put_fixed32(mask_crc(crc32(payload))),
+        )
     )
 
 
@@ -297,8 +308,8 @@ def decode_frame(length: int, rest: bytes) -> bytes:
         raise ProtocolError(
             f"truncated frame: expected {length + 4} bytes, got {len(rest)}"
         )
-    payload, crc = rest[:length], get_fixed32(rest, length)
-    if crc32c(payload) != unmask_crc(crc):
+    payload = rest[:length]
+    if mask_crc(crc32(payload)) != get_fixed32(rest, length):
         raise ProtocolError("frame checksum mismatch")
     return payload
 
@@ -318,11 +329,10 @@ def decode_lp(buf: bytes, offset: int = 0) -> tuple[bytes, int]:
     end = pos + length
     if end > len(buf):
         raise ProtocolError("length prefix overruns payload")
-    return bytes(buf[pos:end]), end
+    return buf[pos:end], end
 
 
 # ------------------------------------------------- request / response
-@dataclass(frozen=True)
 class Request:
     """One decoded request frame.
 
@@ -331,24 +341,49 @@ class Request:
     span that sent this request.
     """
 
-    opcode: int
-    request_id: int
-    body: bytes = b""
-    trace_id: Optional[int] = None
-    span_id: Optional[int] = None
+    __slots__ = ("opcode", "request_id", "body", "trace_id", "span_id")
+
+    def __init__(
+        self,
+        opcode: int,
+        request_id: int,
+        body: bytes = b"",
+        trace_id: Optional[int] = None,
+        span_id: Optional[int] = None,
+    ) -> None:
+        self.opcode = opcode
+        self.request_id = request_id
+        self.body = body
+        self.trace_id = trace_id
+        self.span_id = span_id
+
+    def __repr__(self) -> str:
+        return (
+            f"Request({self.opcode_name}, id={self.request_id}, "
+            f"body={self.body!r}, trace_id={self.trace_id}, "
+            f"span_id={self.span_id})"
+        )
 
     @property
     def opcode_name(self) -> str:
         return OPCODE_NAMES.get(self.opcode, f"0x{self.opcode:02x}")
 
 
-@dataclass(frozen=True)
 class Response:
     """One decoded response frame."""
 
-    status: int
-    request_id: int
-    body: bytes = b""
+    __slots__ = ("status", "request_id", "body")
+
+    def __init__(self, status: int, request_id: int, body: bytes = b"") -> None:
+        self.status = status
+        self.request_id = request_id
+        self.body = body
+
+    def __repr__(self) -> str:
+        return (
+            f"Response({self.status_name}, id={self.request_id}, "
+            f"body={self.body!r})"
+        )
 
     @property
     def status_name(self) -> str:
@@ -359,19 +394,39 @@ class Response:
         return self.status == ST_OK
 
 
-def _encode_head(first_byte: int, request_id: int, body: bytes) -> bytes:
-    return bytes([first_byte]) + encode_varint64(request_id) + body
+# One struct per head length: the first byte, then a request id of one,
+# two or three varint bytes (ids below 2**21; a connection that lives
+# longer falls through to the generic varint encoder).
+_HEAD2 = struct.Struct("<BB").pack
+_HEAD3 = struct.Struct("<BBB").pack
+_HEAD4 = struct.Struct("<BBBB").pack
 
 
-def _decode_head(payload: bytes) -> tuple[int, int, bytes]:
+def _head(first_byte: int, request_id: int) -> bytes:
+    """``first_byte  request_id:varint64`` — what opens every payload."""
+    if request_id < 0x80:
+        return _HEAD2(first_byte, request_id)
+    if request_id < 0x4000:
+        return _HEAD3(first_byte, request_id & 0x7F | 0x80, request_id >> 7)
+    if request_id < 0x200000:
+        return _HEAD4(
+            first_byte,
+            request_id & 0x7F | 0x80,
+            request_id >> 7 & 0x7F | 0x80,
+            request_id >> 14,
+        )
+    return bytes((first_byte,)) + encode_varint64(request_id)
+
+
+def _decode_head(payload: bytes) -> tuple[int, int, int]:
+    """``(first_byte, request_id, body_offset)`` of a payload."""
     if not payload:
         raise ProtocolError("empty payload")
-    first = payload[0]
     try:
         request_id, pos = decode_varint64(payload, 1)
     except ValueError as exc:
         raise ProtocolError(f"bad request id: {exc}") from None
-    return first, request_id, bytes(payload[pos:])
+    return payload[0], request_id, pos
 
 
 def encode_request(
@@ -384,50 +439,52 @@ def encode_request(
     """Full request frame (framing included).
 
     Passing ``trace_id`` (protocol >= 2.1 only — callers must have
-    negotiated via hello) sets :data:`TRACE_FLAG` and prepends the
-    trace-context varints to the body.
+    negotiated via hello) sets :data:`TRACE_FLAG` and puts the
+    trace-context varints between the head and the body.
     """
     if opcode not in OPCODE_NAMES:
         raise ProtocolError(f"unknown opcode 0x{opcode:02x}")
     if trace_id is None:
-        return encode_frame(_encode_head(opcode, request_id, body))
-    ctx = (
-        encode_varint64(trace_id)
-        + encode_varint64(span_id if span_id is not None else 0)
-    )
+        return encode_frame(_head(opcode, request_id) + body)
     return encode_frame(
-        _encode_head(opcode | TRACE_FLAG, request_id, ctx + body)
+        b"".join(
+            (
+                _head(opcode | TRACE_FLAG, request_id),
+                encode_varint64(trace_id),
+                encode_varint64(span_id if span_id is not None else 0),
+                body,
+            )
+        )
     )
 
 
 def decode_request(payload: bytes) -> Request:
-    first, request_id, body = _decode_head(payload)
+    first, request_id, pos = _decode_head(payload)
     opcode = first & ~TRACE_FLAG
     if opcode not in OPCODE_NAMES:
         raise ProtocolError(f"unknown opcode 0x{opcode:02x}")
-    trace_id = span_id = None
-    if first & TRACE_FLAG:
-        try:
-            trace_id, pos = decode_varint64(body, 0)
-            span_id, pos = decode_varint64(body, pos)
-        except ValueError as exc:
-            raise ProtocolError(f"bad trace context: {exc}") from None
-        body = body[pos:]
-    return Request(opcode, request_id, body, trace_id, span_id)
+    if not first & TRACE_FLAG:
+        return Request(opcode, request_id, payload[pos:])
+    try:
+        trace_id, pos = decode_varint64(payload, pos)
+        span_id, pos = decode_varint64(payload, pos)
+    except ValueError as exc:
+        raise ProtocolError(f"bad trace context: {exc}") from None
+    return Request(opcode, request_id, payload[pos:], trace_id, span_id)
 
 
 def encode_response(status: int, request_id: int, body: bytes = b"") -> bytes:
     """Full response frame (framing included)."""
     if status not in STATUS_NAMES:
         raise ProtocolError(f"unknown status 0x{status:02x}")
-    return encode_frame(_encode_head(status, request_id, body))
+    return encode_frame(_head(status, request_id) + body)
 
 
 def decode_response(payload: bytes) -> Response:
-    status, request_id, body = _decode_head(payload)
+    status, request_id, pos = _decode_head(payload)
     if status not in STATUS_NAMES:
         raise ProtocolError(f"unknown status 0x{status:02x}")
-    return Response(status, request_id, body)
+    return Response(status, request_id, payload[pos:])
 
 
 # ------------------------------------------------------ opcode bodies

@@ -11,6 +11,16 @@ connection, a reader coroutine decodes frames and a writer coroutine
 emits responses **in request order** (Redis-style pipelining) from a
 bounded queue.
 
+What cannot wait skips the pool.  When a connection has nothing in
+flight, its reader first runs the request in non-waiting mode on the
+loop thread itself — ``PING`` touches no engine state, and ``GET`` goes
+through ``DB.get(wait=False)``, which never waits for the DB mutex,
+opens a table or reads the device — and writes the reply directly:
+no task, no queue, no executor round trip.  Anything that would wait
+raises :class:`repro.db.WouldBlock` (a held mutex, an uncached block,
+every other opcode) and takes the pool path above.  Both entries are
+one function, :meth:`KVServer._handle_request`.
+
 Backpressure, two layers
 ========================
 
@@ -47,7 +57,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..analysis.locksan import make_lock
-from ..db.db import DB
+from ..db.db import DB, WouldBlock
 from ..devices.faults import TransientIOError
 from ..lsm.wal import WriteBatch
 from ..obs import NULL_EVENTS, NULL_TRACER, trace_context
@@ -273,10 +283,15 @@ class KVServer:
         queue: asyncio.Queue = asyncio.Queue(
             maxsize=self.config.max_inflight_per_conn
         )
-        writer_task = asyncio.create_task(self._write_responses(queue, writer))
         # Mutable per-connection state: the hello handshake stores the
-        # connection's negotiated write ack level here.
-        state: dict = {"writer_task": writer_task}
+        # connection's negotiated write ack level here; "inflight" is
+        # the number of requests handed to the writer task whose frames
+        # are not on the socket yet.
+        state: dict = {"inflight": 0}
+        writer_task = asyncio.create_task(
+            self._write_responses(queue, writer, state)
+        )
+        state["writer_task"] = writer_task
         try:
             await self._read_requests(reader, writer, queue, state)
         finally:
@@ -300,6 +315,7 @@ class KVServer:
         queue: asyncio.Queue,
         state: dict,
     ) -> None:
+        inline_run = 0  # consecutive replies written without yielding
         while True:
             try:
                 header = await reader.readexactly(4)
@@ -323,18 +339,45 @@ class KVServer:
                 await state["writer_task"]
                 await self._serve_subscription(reader, writer, request, state)
                 return
+            t0 = time.perf_counter()
+            bytes_in = P.FRAME_OVERHEAD + len(payload)
+            if not state["inflight"]:
+                # Nothing ahead of this request on the connection, so a
+                # reply written here is in request order.  Awaiting the
+                # handler directly runs it on this thread, now.
+                try:
+                    frame = await self._handle_request(
+                        request, bytes_in, state, t0, wait=False
+                    )
+                except WouldBlock:
+                    pass
+                else:
+                    try:
+                        writer.write(frame)
+                        await writer.drain()
+                    except OSError:  # covers ConnectionError
+                        return
+                    inline_run += 1
+                    if inline_run >= self.config.max_inflight_per_conn:
+                        # A pipelining client keeps readexactly from
+                        # ever suspending; let other connections in.
+                        inline_run = 0
+                        await asyncio.sleep(0)
+                    continue
+            inline_run = 0
+            state["inflight"] += 1
             # Bounded queue: blocks when the pipeline is full, which
             # stops reading this socket until responses drain.
             await queue.put(
                 asyncio.create_task(
                     self._handle_request(
-                        request, P.FRAME_OVERHEAD + len(payload), state
+                        request, bytes_in, state, t0, wait=True
                     )
                 )
             )
 
     async def _write_responses(
-        self, queue: asyncio.Queue, writer: asyncio.StreamWriter
+        self, queue: asyncio.Queue, writer: asyncio.StreamWriter, state: dict
     ) -> None:
         # Keeps consuming until the sentinel even after a send failure,
         # so the reader's queue.put never deadlocks on a dead peer.
@@ -345,23 +388,37 @@ class KVServer:
                 return
             try:
                 frame = await task
-            except Exception:  # pragma: no cover - handler is total
-                _log.exception("request task failed outside the handler")
-                continue
-            if broken:
-                continue
-            try:
-                writer.write(frame)
-                await writer.drain()
+                if not broken:
+                    writer.write(frame)
+                    await writer.drain()
             except OSError:  # covers ConnectionError
                 broken = True
+            except Exception:  # pragma: no cover - handler is total
+                _log.exception("request task failed outside the handler")
+            finally:
+                # Only now may the reader write a reply itself: this
+                # frame is on the socket and nobody else is in drain().
+                state["inflight"] -= 1
 
     # ----------------------------------------------------------- dispatch
     async def _handle_request(
-        self, request: P.Request, bytes_in: int, state: dict
+        self,
+        request: P.Request,
+        bytes_in: int,
+        state: dict,
+        t0: float,
+        wait: bool,
     ) -> bytes:
-        """Execute one request; returns the encoded response frame."""
-        t0 = time.perf_counter()
+        """Execute one request; returns the encoded response frame.
+
+        The one handler behind both entries.  ``wait=True`` runs the
+        opcode on a pool thread.  ``wait=False`` runs it right here on
+        the loop thread in non-waiting mode and never suspends; when the
+        opcode would have to wait, :class:`WouldBlock` propagates with
+        nothing recorded and the caller comes back with ``wait=True``.
+        ``t0`` is when the request was decoded, so a request that came
+        back is timed from its first attempt.
+        """
         status = P.ST_SERVER_ERROR
         body = b""
         try:
@@ -369,6 +426,10 @@ class KVServer:
                 status, body = P.ST_SHUTTING_DOWN, P.encode_lp(
                     b"server shutting down"
                 )
+            elif not wait:
+                # A write always raises here, and meets the stall check
+                # below when it comes back.
+                status, body = self._execute(request, state, False)
             elif self._stalled_for(request):
                 # The engine would park this write until compaction
                 # catches up; tell the client to back off instead.
@@ -378,8 +439,10 @@ class KVServer:
             else:
                 loop = asyncio.get_running_loop()
                 status, body = await loop.run_in_executor(
-                    self._pool, self._execute, request, state
+                    self._pool, self._execute, request, state, True
                 )
+        except WouldBlock:
+            raise
         except P.ProtocolError as exc:
             status, body = P.ST_BAD_REQUEST, P.encode_lp(str(exc).encode())
         except TransientIOError:
@@ -436,28 +499,32 @@ class KVServer:
             return False
         return self.db.write_stalled(keys=keys)
 
-    def _execute(self, request: P.Request, state: dict) -> tuple[int, bytes]:
-        """Run one opcode against the DB (worker thread).
+    def _execute(
+        self, request: P.Request, state: dict, wait: bool
+    ) -> tuple[int, bytes]:
+        """Run one opcode against the DB, on the calling thread.
 
-        A request carrying 2.1 trace context binds it to this worker
-        thread for the duration: the ``server:<OP>`` dispatch span and
-        every engine span recorded underneath (``db:<OP>``, flush,
-        write-stall, ``repl-ack-wait``) get stamped with the client's
-        trace id and chain parent span ids (see
-        :func:`repro.obs.trace_context`).  Requests without context pay
-        nothing.
+        A request carrying 2.1 trace context binds it to this thread —
+        a pool worker, or the loop thread when ``wait`` is False — for
+        the duration: the ``server:<OP>`` dispatch span and every engine
+        span recorded underneath (``db:<OP>``, flush, write-stall,
+        ``repl-ack-wait``) get stamped with the client's trace id and
+        chain parent span ids (see :func:`repro.obs.trace_context`).
+        Requests without context pay nothing.
         """
         if request.trace_id is None:
-            return self._execute_op(request, state)
+            return self._execute_op(request, state, wait)
         with trace_context(request.trace_id, request.span_id or 0):
             with self._tracer.span(
                 f"server:{request.opcode_name}", cat="server"
             ):
-                return self._execute_op(request, state)
+                return self._execute_op(request, state, wait)
 
     def _execute_op(
-        self, request: P.Request, state: dict
+        self, request: P.Request, state: dict, wait: bool
     ) -> tuple[int, bytes]:
+        """``wait=False`` must return without waiting on anything — a
+        lock, a file, the device, a follower — or raise WouldBlock."""
         op, body = request.opcode, request.body
         if op == P.OP_PING:
             hello = P.decode_hello_body(body)
@@ -475,6 +542,17 @@ class KVServer:
             if ack_level is not None:
                 state["ack_level"] = ack_level
             return P.ST_OK, P.encode_hello_ack()
+        if op == P.OP_GET:
+            key, _ = P.decode_lp(body)
+            with self._tracer.span("db:GET", cat="db"):
+                value = self.db.get(key, wait=wait)
+            if value is None:
+                return P.ST_NOT_FOUND, b""
+            return P.ST_OK, P.encode_lp(value)
+        if not wait:
+            # Everything below syncs a file, walks the tree, holds the
+            # DB mutex across I/O or waits for followers.
+            raise WouldBlock("only PING and GET can answer without waiting")
         if op == P.OP_PROMOTE:
             # Deliberately allowed on a read-only replica: promotion is
             # how a follower *stops* being read-only (failover).
@@ -488,13 +566,6 @@ class KVServer:
             raise P.ProtocolError(
                 "replication stream opcode outside a REPL_SUBSCRIBE stream"
             )
-        if op == P.OP_GET:
-            key, _ = P.decode_lp(body)
-            with self._tracer.span("db:GET", cat="db"):
-                value = self.db.get(key)
-            if value is None:
-                return P.ST_NOT_FOUND, b""
-            return P.ST_OK, P.encode_lp(value)
         if op == P.OP_PUT:
             key, pos = P.decode_lp(body)
             value, _ = P.decode_lp(body, pos)

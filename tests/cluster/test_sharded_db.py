@@ -9,6 +9,7 @@ from repro.cluster import (
     ShardedDB,
 )
 from repro.core.procedures import ProcedureSpec
+from repro.db import WouldBlock
 from repro.lsm.wal import WriteBatch
 from tests.helpers import small_options
 
@@ -28,6 +29,16 @@ class TestRouting:
         cluster.delete(b"key0123")
         assert cluster.get(b"key0123") is None
         assert cluster.get(b"never-written") is None
+
+    def test_get_forwards_wait_to_the_owning_shard(self, cluster):
+        for i in range(300):
+            cluster.put(b"key%04d" % i, b"v%04d" % i)
+        assert cluster.get(b"key0007", wait=False) == b"v0007"
+        cluster.flush()
+        with pytest.raises(WouldBlock):  # the shard's new table is not open
+            cluster.get(b"key0007", wait=False)
+        assert cluster.get(b"key0007") == b"v0007"
+        assert cluster.get(b"key0007", wait=False) == b"v0007"
 
     def test_keys_land_on_partitioner_shard(self, cluster):
         for i in range(100):

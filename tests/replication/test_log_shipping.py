@@ -63,7 +63,7 @@ def test_one_primary_two_followers_end_to_end():
 
             # Phase 1: writes flow at ack=1 and reach both followers.
             client = SyncClient(handle.host, handle.port)
-            assert client.hello() == (2, P.PROTOCOL_MINOR)
+            assert client.hello() == (P.PROTOCOL_MAJOR, P.PROTOCOL_MINOR)
             for i in range(100):
                 client.put(f"key{i:04d}".encode(), f"val{i}".encode())
             target = primary.last_sequence

@@ -12,7 +12,7 @@ import inspect
 import pytest
 
 from repro.cluster import ShardLike, ShardedDB
-from repro.db import DB
+from repro.db import DB, WouldBlock
 from repro.devices import MemStorage
 from repro.lsm import Options
 from repro.replication import RemoteShard, ReplicatedShard
@@ -84,6 +84,26 @@ def test_remote_shard_signature_compatible_with_db():
             if p not in remote_params and p not in ("self", "kwargs")
         ]
         assert not missing, f"{name} lacks params {missing}"
+
+
+def test_network_shards_refuse_a_non_waiting_get_at_once(served_db):
+    """A shard that answers over the network cannot answer without
+    waiting, and must say so before touching the socket."""
+    remote = RemoteShard(served_db.host, served_db.port)
+    replicated = ReplicatedShard(
+        [(served_db.host, served_db.port)], ack_level=0
+    )
+    try:
+        remote.put(b"k", b"v")
+        requests = served_db.metrics.total_requests()
+        for shard in (remote, replicated):
+            with pytest.raises(WouldBlock):
+                shard.get(b"k", wait=False)
+        assert served_db.metrics.total_requests() == requests
+        assert remote.get(b"k") == b"v"
+    finally:
+        remote.close()
+        replicated.close()
 
 
 def test_mixed_cluster_from_shards(served_db, tmp_path):

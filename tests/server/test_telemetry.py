@@ -228,7 +228,7 @@ class TestReplicatedTelemetry:
                 with SyncClient(
                     handle.host, handle.port, tracer=client_tracer
                 ) as c:
-                    assert c.hello() == (2, P.PROTOCOL_MINOR)
+                    assert c.hello() == (P.PROTOCOL_MAJOR, P.PROTOCOL_MINOR)
                     c.put(b"traced-key", b"traced-value")
                     assert c.get(b"traced-key") == b"traced-value"
             finally:
