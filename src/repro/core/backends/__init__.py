@@ -1,4 +1,4 @@
-"""Execution backends: virtual-time (DES) and real threads."""
+"""Execution backends: virtual time (DES) and the functional executor."""
 
 from .simbackend import (
     PipelineConfig,
@@ -8,22 +8,15 @@ from .simbackend import (
     simulate_pipeline,
     simulate_scp,
 )
-from .threadbackend import (
-    ExecutionStats,
-    ReorderBuffer,
-    execute_pipelined,
-    execute_scp,
-)
+from .threadbackend import ExecutionStats, execute_subtasks
 
 __all__ = [
     "ExecutionStats",
     "PipelineConfig",
-    "ReorderBuffer",
     "ScheduleResult",
     "SimJob",
     "TimelineEvent",
-    "execute_pipelined",
-    "execute_scp",
+    "execute_subtasks",
     "simulate_pipeline",
     "simulate_scp",
 ]

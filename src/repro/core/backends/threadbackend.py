@@ -1,33 +1,40 @@
-"""Real-thread execution of the compaction procedures.
+"""Functional execution of the compaction procedures, on real data.
 
-This backend actually runs the seven steps on real data with real
-``threading`` workers and bounded queues — the implementation a C++
-port would mirror, and the functional engine the DB uses.  It measures
-wall-clock stage times, but NOTE: under CPython's GIL the compute
-stages of concurrent sub-tasks serialize, so measured speedups are a
-*lower bound* on what the schedule allows; quantitative experiments
-use :mod:`repro.core.backends.simbackend` instead (see DESIGN.md).
+One loop runs every procedure.  The calling thread does S1 (read) and
+S7 (write) itself and hands each sub-task's S2–S6 to an *executor* —
+anything with ``submit(fn, *args) -> Future`` — keeping a bounded
+window of sub-tasks in flight.  The procedures differ only in who
+computes: the caller in place (SCP), ``k`` threads owned by the call
+(PCP, S-PPCP, C-PPCP), a pool shared by every shard's compactions, or
+worker processes.  Sub-tasks are independent, so every choice writes
+the same bytes.
 
-Write ordering: sub-tasks finish compute in any order when
-``compute_workers > 1``, but output tables must be key-ordered, so the
-write stage runs through :class:`ReorderBuffer`, releasing sub-task
-results strictly by index.
+Write ordering needs no bookkeeping: futures are consumed in the order
+they were submitted, and submission order is key order.
+
+What this backend overlaps is I/O with compute.  S1 and S7 share the
+caller thread, so its bound is ``max(t1 + t7, Σt2..6 / k)`` rather than
+Eq 2's three-way max, and under CPython's GIL the compute of concurrent
+sub-tasks on *threads* serializes besides.  Measured speedups are
+therefore a lower bound on what the schedule allows; the quantitative
+experiments use :mod:`repro.core.backends.simbackend`, which models the
+paper's three independent stages (see DESIGN.md).
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
-from ...analysis.locksan import make_lock
-from ...codec.checksum import Checksummer
-from ...codec.compress import Codec
+from ...codec.checksum import get_checksummer
+from ...codec.compress import get_codec
 from ...lsm.table_sink import EncodedBlock, TableSink
 from ...obs.tracer import NULL_TRACER, Tracer
 from ..steps import (
+    StoredBlock,
     step_checksum,
     step_compress,
     step_decompress,
@@ -38,15 +45,19 @@ from ..steps import (
 )
 from ..subtask import SubTask
 
-__all__ = ["ExecutionStats", "ReorderBuffer", "run_subtask_compute",
-           "execute_scp", "execute_pipelined", "execute_pipelined_pooled"]
-
-_SENTINEL = object()
+__all__ = ["ExecutionStats", "InlineExecutor", "run_subtask_read",
+           "run_subtask_compute", "execute_subtasks"]
 
 
 @dataclass
 class ExecutionStats:
-    """Wall-clock accounting of a functional compaction run."""
+    """Wall-clock accounting of a functional compaction run.
+
+    ``stage_seconds`` is time spent *inside* each stage, summed over
+    sub-tasks, under every executor: ``read`` and ``write`` on the
+    caller thread, ``compute`` wherever S2–S6 ran (so with ``k``
+    parallel workers it can exceed ``wall_seconds``).
+    """
 
     wall_seconds: float = 0.0
     n_subtasks: int = 0
@@ -61,29 +72,19 @@ class ExecutionStats:
         return self.input_bytes / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
 
-class ReorderBuffer:
-    """Release out-of-order results strictly by sub-task index."""
+class InlineExecutor:
+    """SCP's executor: ``submit`` runs the job on the calling thread."""
 
-    def __init__(self) -> None:
-        self._pending: dict[int, object] = {}
-        self._next = 0
-
-    def push(self, index: int, item: object) -> list[object]:
-        """Insert a result; return the (possibly empty) ready run."""
-        if index < self._next or index in self._pending:
-            raise ValueError(f"duplicate or stale sub-task index {index}")
-        self._pending[index] = item
-        ready = []
-        while self._next in self._pending:
-            ready.append(self._pending.pop(self._next))
-            self._next += 1
-        return ready
-
-    def __len__(self) -> int:
-        return len(self._pending)
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # re-raised by result(), like a pool's
+            future.set_exception(exc)
+        return future
 
 
-def run_subtask_read(subtask: SubTask, tracer: Tracer = NULL_TRACER) -> list:
+def run_subtask_read(subtask: SubTask, tracer: Tracer = NULL_TRACER) -> list[StoredBlock]:
     """S1 for one sub-task: fetch every input block."""
     files = [run.table.file for run in subtask.runs]
     handles = [run.handles for run in subtask.runs]
@@ -92,271 +93,125 @@ def run_subtask_read(subtask: SubTask, tracer: Tracer = NULL_TRACER) -> list:
 
 
 def run_subtask_compute(
-    subtask: SubTask,
-    stored_blocks: list,
-    codec: Codec,
-    checksummer: Checksummer,
+    stored: list[StoredBlock],
+    index: int,
+    lower: Optional[bytes],
+    upper: Optional[bytes],
+    n_sources: int,
+    codec_name: str,
+    checksum_name: str,
     block_bytes: int,
     restart_interval: int,
     drop_deletes: bool,
-    smallest_snapshot=None,
+    smallest_snapshot: Optional[int],
     tracer: Tracer = NULL_TRACER,
-) -> list[EncodedBlock]:
-    """S2-S6 for one sub-task: verify, decompress, merge, re-encode."""
-    i = subtask.index
-    with tracer.span("S2:checksum", cat="compute", subtask=i):
-        step_checksum(stored_blocks, checksummer)
-    with tracer.span("S3:decompress", cat="compute", subtask=i):
-        raw = step_decompress(stored_blocks)
-    with tracer.span("S4:merge", cat="compute", subtask=i):
+) -> tuple[list[EncodedBlock], float]:
+    """S2–S6 for one sub-task: verify, decompress, merge, re-encode.
+
+    Returns the finished blocks and the seconds spent producing them.
+    Arguments and result are picklable — codec and checksum by name,
+    the sub-task as its bounds and run count rather than the
+    :class:`SubTask` holding open tables — so this one function is the
+    compute stage on the caller, on a pool thread and in a worker
+    process (which leaves ``tracer``, the one exception, at its default).
+    """
+    t0 = time.perf_counter()
+    codec = get_codec(codec_name)
+    checksummer = get_checksummer(checksum_name)
+    with tracer.span("S2:checksum", cat="compute", subtask=index):
+        step_checksum(stored, checksummer)
+    with tracer.span("S3:decompress", cat="compute", subtask=index):
+        raw = step_decompress(stored)
+    with tracer.span("S4:merge", cat="compute", subtask=index):
         merged = step_merge(
-            raw,
-            subtask.lower,
-            subtask.upper,
-            block_bytes,
-            restart_interval,
-            drop_deletes,
-            n_sources=len(subtask.runs),
-            smallest_snapshot=smallest_snapshot,
+            raw, lower, upper, block_bytes, restart_interval, drop_deletes,
+            n_sources=n_sources, smallest_snapshot=smallest_snapshot,
         )
-    with tracer.span("S5:compress", cat="compute", subtask=i):
+    with tracer.span("S5:compress", cat="compute", subtask=index):
         compressed = step_compress(merged, codec)
-    with tracer.span("S6:rechecksum", cat="compute", subtask=i):
-        return step_rechecksum(compressed, checksummer)
+    with tracer.span("S6:rechecksum", cat="compute", subtask=index):
+        encoded = step_rechecksum(compressed, checksummer)
+    return encoded, time.perf_counter() - t0
 
 
-def execute_scp(
+def execute_subtasks(
     subtasks: Sequence[SubTask],
     sink: TableSink,
-    codec: Codec,
-    checksummer: Checksummer,
+    executor,
+    window: int,
+    codec_name: str,
+    checksum_name: str,
     block_bytes: int,
     restart_interval: int = 16,
     drop_deletes: bool = False,
-    smallest_snapshot=None,
+    smallest_snapshot: Optional[int] = None,
     tracer: Tracer = NULL_TRACER,
+    remote: bool = False,
 ) -> ExecutionStats:
-    """Sequential Compaction Procedure: one sub-task at a time."""
+    """Run a compaction: S1 and S7 here, S2–S6 on ``executor``.
+
+    Up to ``window`` sub-tasks are read ahead and submitted; the oldest
+    is then awaited, written, and replaced by the next read, so reads of
+    upcoming sub-tasks overlap the executor's compute of earlier ones
+    and memory holds at most ``window`` sub-tasks.  The executor is
+    borrowed: whoever created it shuts it down.
+
+    ``remote`` says the executor's workers are other processes: the
+    tracer stays here, and each sub-task's compute is recorded as one
+    coarse ``S2-S6:compute`` span from submission to collection (queue
+    wait and pickling included) instead of a span per step.
+
+    Any stage's exception is re-raised on the calling thread, after
+    every future still in flight has settled — no worker is left holding
+    this compaction's blocks, and the DB's retry/quarantine handling
+    sees the error under every procedure.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
     stats = ExecutionStats()
-    t_start = time.perf_counter()
-    for subtask in subtasks:
+    settings = (codec_name, checksum_name, block_bytes, restart_interval,
+                drop_deletes, smallest_snapshot)
+    if not remote:
+        settings += (tracer,)
+    pending: deque = deque()  # FIFO of (subtask, future, submitted_at)
+
+    def write_oldest() -> None:
+        subtask, future, submitted_at = pending.popleft()
+        encoded, compute_s = future.result()
+        if remote and tracer.enabled:
+            tracer.add_complete(
+                "S2-S6:compute", submitted_at, tracer.now(), cat="compute",
+                thread="mp-pool", subtask=subtask.index,
+            )
         t0 = time.perf_counter()
-        stored = run_subtask_read(subtask, tracer=tracer)
-        t1 = time.perf_counter()
-        encoded = run_subtask_compute(
-            subtask, stored, codec, checksummer, block_bytes,
-            restart_interval, drop_deletes, smallest_snapshot,
-            tracer=tracer,
-        )
-        t2 = time.perf_counter()
         with tracer.span("S7:write", cat="write", subtask=subtask.index):
             written = step_write(encoded, sink)
-        t3 = time.perf_counter()
-        stats.stage_seconds["read"] += t1 - t0
-        stats.stage_seconds["compute"] += t2 - t1
-        stats.stage_seconds["write"] += t3 - t2
+        stats.stage_seconds["write"] += time.perf_counter() - t0
+        stats.stage_seconds["compute"] += compute_s
         stats.n_subtasks += 1
         stats.input_bytes += subtask.input_bytes()
         stats.output_bytes += written
         stats.entries_out += sum(b.num_entries for b in encoded)
-    stats.wall_seconds = time.perf_counter() - t_start
-    return stats
-
-
-def execute_pipelined(
-    subtasks: Sequence[SubTask],
-    sink: TableSink,
-    codec: Codec,
-    checksummer: Checksummer,
-    block_bytes: int,
-    restart_interval: int = 16,
-    drop_deletes: bool = False,
-    compute_workers: int = 1,
-    queue_capacity: int = 2,
-    smallest_snapshot=None,
-    tracer: Tracer = NULL_TRACER,
-) -> ExecutionStats:
-    """PCP / C-PPCP with real threads.
-
-    Three stages — read thread, ``compute_workers`` compute threads,
-    write thread — connected by bounded queues.  The write thread
-    reorders results by sub-task index before appending to ``sink``.
-    Any stage exception cancels the run and re-raises.
-    """
-    if compute_workers < 1:
-        raise ValueError("compute_workers must be >= 1")
-    stats = ExecutionStats()
-    q1: queue.Queue = queue.Queue(maxsize=queue_capacity)
-    q2: queue.Queue = queue.Queue(maxsize=queue_capacity)
-    errors: list[BaseException] = []
-    error_lock = make_lock("pcp.errors")
-    stage_lock = make_lock("pcp.stage_stats")
-
-    def fail(exc: BaseException) -> None:
-        with error_lock:
-            errors.append(exc)
-
-    def reader() -> None:
-        try:
-            for subtask in subtasks:
-                if errors:
-                    break
-                t0 = time.perf_counter()
-                stored = run_subtask_read(subtask, tracer=tracer)
-                with stage_lock:
-                    stats.stage_seconds["read"] += time.perf_counter() - t0
-                q1.put((subtask, stored))
-        except BaseException as exc:  # pragma: no cover - defensive
-            fail(exc)
-        finally:
-            for _ in range(compute_workers):
-                q1.put(_SENTINEL)
-
-    def computer() -> None:
-        try:
-            while True:
-                item = q1.get()
-                if item is _SENTINEL:
-                    break
-                if errors:
-                    continue
-                subtask, stored = item
-                t0 = time.perf_counter()
-                encoded = run_subtask_compute(
-                    subtask, stored, codec, checksummer, block_bytes,
-                    restart_interval, drop_deletes, smallest_snapshot,
-                    tracer=tracer,
-                )
-                with stage_lock:
-                    stats.stage_seconds["compute"] += time.perf_counter() - t0
-                q2.put((subtask.index, subtask, encoded))
-        except BaseException as exc:
-            fail(exc)
-
-    def writer() -> None:
-        reorder = ReorderBuffer()
-        expected = len(subtasks)
-        done = 0
-        try:
-            while done < expected and not errors:
-                index, subtask, encoded = q2.get()
-                for sub, enc in reorder.push(index, (subtask, encoded)):
-                    t0 = time.perf_counter()
-                    with tracer.span("S7:write", cat="write", subtask=sub.index):
-                        written = step_write(enc, sink)
-                    with stage_lock:
-                        stats.stage_seconds["write"] += time.perf_counter() - t0
-                        stats.n_subtasks += 1
-                        stats.input_bytes += sub.input_bytes()
-                        stats.output_bytes += written
-                        stats.entries_out += sum(b.num_entries for b in enc)
-                    done += 1
-        except BaseException as exc:  # pragma: no cover - defensive
-            fail(exc)
 
     t_start = time.perf_counter()
-    threads = [threading.Thread(target=reader, name="pcp-read")]
-    threads += [
-        threading.Thread(target=computer, name=f"pcp-compute{i}")
-        for i in range(compute_workers)
-    ]
-    write_thread = threading.Thread(target=writer, name="pcp-write")
-
-    for t in threads:
-        t.start()
-    write_thread.start()
-    for t in threads:
-        t.join()
-    # Unblock the writer if an error starved it.
-    if errors:
-        q2.put((10**9, None, None))
-    write_thread.join()
-    stats.wall_seconds = time.perf_counter() - t_start
-    if errors:
-        raise errors[0]
-    return stats
-
-
-def execute_pipelined_pooled(
-    subtasks: Sequence[SubTask],
-    sink: TableSink,
-    codec: Codec,
-    checksummer: Checksummer,
-    block_bytes: int,
-    pool,
-    restart_interval: int = 16,
-    drop_deletes: bool = False,
-    queue_capacity: int = 2,
-    smallest_snapshot=None,
-    tracer: Tracer = NULL_TRACER,
-) -> ExecutionStats:
-    """PCP with the compute stage on a *shared*, externally owned pool.
-
-    The per-compaction variant (:func:`execute_pipelined`) spawns its
-    own compute threads; with N shards compacting concurrently that is
-    N × k threads.  Here the caller thread runs S1 (read) and S7
-    (write) itself and submits each sub-task's S2–S6 to ``pool``
-    (anything with ``submit(fn, *args) -> Future``, e.g.
-    :class:`repro.cluster.SharedComputePool`), keeping up to
-    ``queue_capacity`` sub-tasks in flight.  Reads of upcoming
-    sub-tasks therefore overlap the pool's compute of earlier ones —
-    the paper's 3-stage overlap — while *aggregate* compute concurrency
-    across every concurrent compaction stays bounded by the pool.
-
-    Results complete in submission order (a FIFO of futures), so no
-    reorder buffer is needed and outputs stay key-ordered.  A failed
-    sub-task re-raises in the caller after draining in-flight futures,
-    preserving the retry/quarantine contract of the DB's compaction.
-    """
-    if queue_capacity < 1:
-        raise ValueError("queue_capacity must be >= 1")
-    stats = ExecutionStats()
-
-    def compute_job(subtask: SubTask, stored: list):
-        t0 = time.perf_counter()
-        encoded = run_subtask_compute(
-            subtask, stored, codec, checksummer, block_bytes,
-            restart_interval, drop_deletes, smallest_snapshot,
-            tracer=tracer,
-        )
-        return encoded, time.perf_counter() - t0
-
-    t_start = time.perf_counter()
-    pending: list = []  # FIFO of (subtask, future)
-    iterator = iter(subtasks)
-
-    def admit() -> bool:
-        subtask = next(iterator, None)
-        if subtask is None:
-            return False
-        t0 = time.perf_counter()
-        stored = run_subtask_read(subtask, tracer=tracer)
-        stats.stage_seconds["read"] += time.perf_counter() - t0
-        pending.append((subtask, pool.submit(compute_job, subtask, stored)))
-        return True
-
     try:
-        while len(pending) < queue_capacity and admit():
-            pass
-        while pending:
-            subtask, future = pending.pop(0)
-            encoded, compute_s = future.result()
-            stats.stage_seconds["compute"] += compute_s
+        for subtask in subtasks:
+            if len(pending) == window:
+                write_oldest()
             t0 = time.perf_counter()
-            with tracer.span("S7:write", cat="write", subtask=subtask.index):
-                written = step_write(encoded, sink)
-            stats.stage_seconds["write"] += time.perf_counter() - t0
-            stats.n_subtasks += 1
-            stats.input_bytes += subtask.input_bytes()
-            stats.output_bytes += written
-            stats.entries_out += sum(b.num_entries for b in encoded)
-            admit()
+            stored = run_subtask_read(subtask, tracer)
+            stats.stage_seconds["read"] += time.perf_counter() - t0
+            future = executor.submit(
+                run_subtask_compute, stored, subtask.index, subtask.lower,
+                subtask.upper, len(subtask.runs), *settings,
+            )
+            pending.append((subtask, future, tracer.now()))
+        while pending:
+            write_oldest()
     except BaseException:
-        # Let in-flight compute settle before re-raising so no pool
-        # worker is left touching this compaction's tables.
-        for _subtask, future in pending:
+        for _subtask, future, _at in pending:
             future.cancel()
-        for _subtask, future in pending:
+        for _subtask, future, _at in pending:
             try:
                 future.result()
             except BaseException:  # repro: noqa[RA105] original error wins

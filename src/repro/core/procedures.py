@@ -19,11 +19,11 @@ and execution output is bit-identical across procedures.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from ..codec.checksum import get_checksummer
-from ..codec.compress import get_codec
 from ..devices.base import Device
 from ..lsm.options import Options
 from ..lsm.table_reader import Table
@@ -39,9 +39,8 @@ from .backends.simbackend import (
 )
 from .backends.threadbackend import (
     ExecutionStats,
-    execute_pipelined,
-    execute_pipelined_pooled,
-    execute_scp,
+    InlineExecutor,
+    execute_subtasks,
 )
 from .costmodel import DEFAULT_KV_BYTES, CostModel
 from .subtask import SubTask, partition_subtasks
@@ -153,61 +152,58 @@ def compact_tables(
 
     Returns ``(output file metadata, execution stats, subtasks)``.
     The merged result is identical for every procedure spec; only the
-    schedule differs.  With an enabled ``tracer`` every S1–S7 step of
-    every sub-task records a span (plus one ``compaction`` umbrella
-    span), so a PCP run renders as the paper's Fig 6/7 overlap diagram.
+    schedule differs, and the spec's whole effect here is the choice of
+    who computes S2–S6 (:func:`execute_subtasks` does the rest):
 
-    ``compute_pool`` (optional, pipelined thread-backend specs only)
-    runs the S2–S6 compute stage on a shared, externally owned pool
-    (e.g. :class:`repro.cluster.SharedComputePool`) instead of
-    spawning per-compaction compute threads — how a sharded store
-    bounds aggregate compaction compute across N shards.
+    * SCP — the calling thread, in place, one sub-task at a time;
+    * PCP / S-PPCP / C-PPCP — ``spec.compute_workers`` threads that live
+      for this call.  S-PPCP is storage parallelism; functionally (one
+      host, one address space) it executes like PCP — the device
+      fan-out matters only for timing, which the sim backend models;
+    * ``compute_pool`` given (pipelined thread-backend specs) — that
+      pool, shared and externally owned (e.g.
+      :class:`repro.cluster.SharedComputePool`): how a sharded store
+      bounds aggregate compaction compute across N shards;
+    * ``backend="process"`` — worker processes that live for this call.
+
+    A pipelined spec keeps ``compute_workers + queue_capacity``
+    sub-tasks in flight: one per worker plus the queue the paper puts
+    in front of the compute stage.  With an enabled ``tracer`` every
+    S1–S7 step of every sub-task records a span (plus one ``compaction``
+    umbrella span), so a PCP run renders as the paper's Fig 6/7 overlap
+    diagram.
     """
     spec = spec or ProcedureSpec.scp()
     subtasks = partition_subtasks(tables, spec.subtask_bytes, lower, upper)
     sink = TableSink(storage, options, file_namer)
-    codec = get_codec(options.compression)
-    checksummer = get_checksummer(options.checksum)
+    workers = spec.compute_workers
+    window = workers + spec.queue_capacity
+    remote = False
     with tracer.span(
         "compaction", cat="compaction",
         procedure=spec.kind, subtasks=len(subtasks),
-    ):
-        if spec.kind == SCP:
-            stats = execute_scp(
-                subtasks, sink, codec, checksummer, options.block_bytes,
-                options.block_restart_interval, drop_deletes,
-                smallest_snapshot=smallest_snapshot, tracer=tracer,
-            )
+    ), ExitStack() as owned:
+        if not spec.is_pipelined:
+            executor, window = InlineExecutor(), 1
         elif spec.backend == "process":
-            from .backends.processbackend import execute_pipelined_mp
+            # Imported here: the module costs a server that never asks
+            # for worker processes 2 MB of resident memory.
+            from concurrent.futures import ProcessPoolExecutor
 
-            stats = execute_pipelined_mp(
-                subtasks, sink, options.compression, options.checksum,
-                options.block_bytes, options.block_restart_interval,
-                drop_deletes,
-                compute_workers=max(2, spec.compute_workers),
-                smallest_snapshot=smallest_snapshot, tracer=tracer,
-            )
+            executor = owned.enter_context(ProcessPoolExecutor(workers))
+            remote = True
         elif compute_pool is not None:
-            stats = execute_pipelined_pooled(
-                subtasks, sink, codec, checksummer, options.block_bytes,
-                pool=compute_pool,
-                restart_interval=options.block_restart_interval,
-                drop_deletes=drop_deletes,
-                queue_capacity=spec.queue_capacity,
-                smallest_snapshot=smallest_snapshot, tracer=tracer,
-            )
+            executor = compute_pool
         else:
-            # S-PPCP is storage parallelism; functionally (one host, one
-            # address space) it executes like PCP — the device fan-out
-            # matters only for timing, which the sim backend models.
-            stats = execute_pipelined(
-                subtasks, sink, codec, checksummer, options.block_bytes,
-                options.block_restart_interval, drop_deletes,
-                compute_workers=spec.compute_workers,
-                queue_capacity=spec.queue_capacity,
-                smallest_snapshot=smallest_snapshot, tracer=tracer,
+            executor = owned.enter_context(
+                ThreadPoolExecutor(workers, thread_name_prefix="pcp-compute")
             )
+        stats = execute_subtasks(
+            subtasks, sink, executor, window,
+            options.compression, options.checksum, options.block_bytes,
+            options.block_restart_interval, drop_deletes, smallest_snapshot,
+            tracer=tracer, remote=remote,
+        )
         outputs = sink.finish()
     return outputs, stats, subtasks
 

@@ -21,7 +21,6 @@ from .iterators import (
 )
 from .memtable import GetResult, MemTable
 from .options import Options
-from .picker import CompactionPicker, CompactionTask
 from .table_builder import TableBuilder, shortest_separator, shortest_successor
 from .table_format import (
     BLOCK_TRAILER_SIZE,
@@ -45,8 +44,6 @@ __all__ = [
     "BloomFilter",
     "BloomFilterBuilder",
     "CacheStats",
-    "CompactionPicker",
-    "CompactionTask",
     "FOOTER_SIZE",
     "FileMetaData",
     "Footer",

@@ -42,7 +42,7 @@ from .client import (
     ServerError,
     SyncClient,
 )
-from .metrics import LatencyHistogram, ServerMetrics
+from .metrics import ServerMetrics
 from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy
 from .server import KVServer, ServerConfig, ServerThread, serve_forever
 
@@ -52,7 +52,6 @@ __all__ = [
     "CircuitOpenError",
     "ClientError",
     "KVServer",
-    "LatencyHistogram",
     "ProtocolError",
     "RetryPolicy",
     "ServerBusyError",

@@ -6,14 +6,11 @@ metrics layer is built around tail latency: every request records into
 a log-bucketed histogram whose p50/p95/p99 are queryable over the wire
 via the STATS opcode.
 
-The histogram itself now lives in :mod:`repro.obs` — the engine-wide
-metrics subsystem generalised this module's original private
-implementation — and this module re-exports it, so
-``from repro.server.metrics import LatencyHistogram`` keeps working.
-:class:`ServerMetrics` is likewise backed by a
-:class:`repro.obs.MetricsRegistry` (counters under ``server.*`` and
-``server.op.<NAME>.*``), while its ``snapshot()`` wire payload — the
-STATS opcode body — is byte-for-byte what it always was.
+The histogram is :class:`repro.obs.LatencyHistogram`, and
+:class:`ServerMetrics` is backed by a :class:`repro.obs.MetricsRegistry`
+(counters under ``server.*`` and ``server.op.<NAME>.*``), while its
+``snapshot()`` wire payload — the STATS opcode body — is byte-for-byte
+what it always was.
 
 Thread-safety: recording happens from the server's worker threads and
 the asyncio loop; every obs metric carries its own lock, and a
@@ -24,10 +21,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..obs import LatencyHistogram, MetricsRegistry
+from ..obs import MetricsRegistry
 from .protocol import OPCODE_NAMES
 
-__all__ = ["LatencyHistogram", "OpMetrics", "ServerMetrics"]
+__all__ = ["OpMetrics", "ServerMetrics"]
 
 
 class OpMetrics:

@@ -150,32 +150,51 @@ class TestSCPFunctional:
 
 class TestProcedureEquivalence:
     @pytest.mark.parametrize(
-        "spec",
+        "spec, shared_pool",
         [
-            ProcedureSpec.pcp(subtask_bytes=2048),
-            ProcedureSpec.cppcp(k=3, subtask_bytes=2048),
-            ProcedureSpec.sppcp(k=2, subtask_bytes=2048),
-            ProcedureSpec.pcp(subtask_bytes=2048, queue_capacity=1),
+            (ProcedureSpec.pcp(subtask_bytes=2048), False),
+            (ProcedureSpec.cppcp(k=3, subtask_bytes=2048), False),
+            (ProcedureSpec.sppcp(k=2, subtask_bytes=2048), False),
+            (ProcedureSpec.pcp(subtask_bytes=2048, queue_capacity=1), False),
+            (ProcedureSpec.cppcp(k=2, subtask_bytes=2048), False),
+            (ProcedureSpec.cppcp(k=4, subtask_bytes=2048), False),
+            (ProcedureSpec.pcp(subtask_bytes=2048), True),
+            (ProcedureSpec.cppcp(k=2, subtask_bytes=2048, backend="process"), False),
         ],
-        ids=["pcp", "cppcp3", "sppcp2", "pcp-q1"],
+        ids=["pcp", "cppcp3", "sppcp2", "pcp-q1", "cppcp2", "cppcp4",
+             "pcp-shared", "cppcp2-process"],
     )
-    def test_pipelined_output_identical_to_scp(self, setup, spec):
+    def test_pipelined_output_identical_to_scp(self, setup, spec, shared_pool):
+        from repro.cluster import SharedComputePool
+
         storage, options, upper, lower, *_ = setup
         c1 = itertools.count(100)
-        scp_out, _, _ = compact_tables(
+        scp_out, scp_stats, _ = compact_tables(
             [upper, lower], storage, options,
             file_namer=lambda: f"scp-{next(c1):06d}.sst",
             spec=ProcedureSpec.scp(subtask_bytes=2048),
         )
         c2 = itertools.count(100)
-        pipe_out, _, _ = compact_tables(
-            [upper, lower], storage, options,
-            file_namer=lambda: f"pipe-{next(c2):06d}.sst",
-            spec=spec,
-        )
+        pool = SharedComputePool(2) if shared_pool else None
+        try:
+            pipe_out, pipe_stats, _ = compact_tables(
+                [upper, lower], storage, options,
+                file_namer=lambda: f"pipe-{next(c2):06d}.sst",
+                spec=spec, compute_pool=pool,
+            )
+        finally:
+            if pool is not None:
+                pool.shutdown()
         scp_bytes = [storage.open(m.name).read_all() for m in scp_out]
         pipe_bytes = [storage.open(m.name).read_all() for m in pipe_out]
         assert scp_bytes == pipe_bytes  # bit-identical outputs
+        # stage_seconds means the same under every executor: time inside
+        # the stage.  Read and write run on the caller, so they fit in
+        # the wall time; compute is measured where it ran.
+        for stats in (scp_stats, pipe_stats):
+            stages = stats.stage_seconds
+            assert stages["read"] + stages["write"] <= stats.wall_seconds
+            assert stages["compute"] > 0
 
     def test_stats_account_input_bytes(self, setup):
         storage, options, upper, lower, *_ = setup
@@ -297,28 +316,3 @@ class TestSpecValidation:
         assert ProcedureSpec.cppcp(4).pipeline_config().compute_workers == 4
         assert ProcedureSpec.pcp().pipeline_config().n_devices == 1
 
-
-class TestReorderBuffer:
-    def test_in_order(self):
-        from repro.core.backends.threadbackend import ReorderBuffer
-
-        rb = ReorderBuffer()
-        assert rb.push(0, "a") == ["a"]
-        assert rb.push(1, "b") == ["b"]
-
-    def test_out_of_order_buffered(self):
-        from repro.core.backends.threadbackend import ReorderBuffer
-
-        rb = ReorderBuffer()
-        assert rb.push(2, "c") == []
-        assert rb.push(1, "b") == []
-        assert rb.push(0, "a") == ["a", "b", "c"]
-        assert len(rb) == 0
-
-    def test_duplicate_rejected(self):
-        from repro.core.backends.threadbackend import ReorderBuffer
-
-        rb = ReorderBuffer()
-        rb.push(0, "a")
-        with pytest.raises(ValueError):
-            rb.push(0, "again")

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.core.backends.processbackend import compute_remote, execute_pipelined_mp
+from repro.core.backends.threadbackend import run_subtask_compute, run_subtask_read
 from repro.core.procedures import ProcedureSpec, compact_tables
 from repro.core.subtask import partition_subtasks
 from repro.devices import MemStorage
@@ -12,7 +12,8 @@ from repro.lsm.ikey import KIND_VALUE, encode_internal_key
 from repro.lsm.options import Options
 from repro.lsm.table_builder import TableBuilder
 from repro.lsm.table_reader import Table
-from repro.lsm.table_sink import TableSink
+
+MP_SPEC = ProcedureSpec.cppcp(k=2, subtask_bytes=2048, backend="process")
 
 
 def _ik(user, seq=1):
@@ -38,21 +39,22 @@ def inputs():
 
 
 def test_compute_remote_is_picklable_roundtrip(inputs):
-    """The worker function runs in-process with plain data."""
-    from repro.core.backends.threadbackend import run_subtask_read
+    """What crosses the process boundary survives pickling, and the
+    worker function runs on the unpickled copy."""
+    import pickle
 
     storage, options, upper, lower = inputs
-    subtasks = partition_subtasks([upper, lower], 2048)
-    stored = run_subtask_read(subtasks[0])
-    encoded = compute_remote(
-        [(b.source, b.data) for b in stored],
-        subtasks[0].lower, subtasks[0].upper,
-        options.compression, options.checksum,
-        options.block_bytes, options.block_restart_interval,
-        False, None,
+    subtask = partition_subtasks([upper, lower], 2048)[0]
+    args = (
+        run_subtask_read(subtask), subtask.index, subtask.lower, subtask.upper,
+        len(subtask.runs), options.compression, options.checksum,
+        options.block_bytes, options.block_restart_interval, False, None,
     )
+    fn, shipped = pickle.loads(pickle.dumps((run_subtask_compute, args)))
+    encoded, seconds = pickle.loads(pickle.dumps(fn(*shipped)))
     assert encoded
     assert all(b.num_entries > 0 for b in encoded)
+    assert seconds > 0
 
 
 def test_mp_output_identical_to_scp(inputs):
@@ -63,15 +65,11 @@ def test_mp_output_identical_to_scp(inputs):
         file_namer=lambda: f"scp-{next(c1):04d}.sst",
         spec=ProcedureSpec.scp(subtask_bytes=2048),
     )
-    subtasks = partition_subtasks([upper, lower], 2048)
     c2 = itertools.count(1)
-    sink = TableSink(storage, options, lambda: f"mp-{next(c2):04d}.sst")
-    stats = execute_pipelined_mp(
-        subtasks, sink, options.compression, options.checksum,
-        options.block_bytes, options.block_restart_interval,
-        compute_workers=2,
+    mp_out, stats, subtasks = compact_tables(
+        [upper, lower], storage, options,
+        file_namer=lambda: f"mp-{next(c2):04d}.sst", spec=MP_SPEC,
     )
-    mp_out = sink.finish()
     assert stats.n_subtasks == len(subtasks)
     scp_bytes = [storage.open(m.name).read_all() for m in scp_out]
     mp_bytes = [storage.open(m.name).read_all() for m in mp_out]
@@ -79,23 +77,16 @@ def test_mp_output_identical_to_scp(inputs):
 
 
 def test_mp_empty_subtasks(inputs):
-    storage, options, *_ = inputs
-    sink = TableSink(storage, options, lambda: "never.sst")
-    stats = execute_pipelined_mp(
-        [], sink, options.compression, options.checksum, options.block_bytes
+    """A key range that selects nothing: no sub-task, no output file."""
+    storage, options, upper, lower = inputs
+    outputs, stats, subtasks = compact_tables(
+        [upper, lower], storage, options, file_namer=lambda: "never.sst",
+        spec=MP_SPEC, lower=b"zzz",
     )
+    assert subtasks == []
     assert stats.n_subtasks == 0
-    assert sink.finish() == []
-
-
-def test_mp_invalid_workers(inputs):
-    storage, options, *_ = inputs
-    sink = TableSink(storage, options, lambda: "x.sst")
-    with pytest.raises(ValueError):
-        execute_pipelined_mp(
-            [], sink, options.compression, options.checksum,
-            options.block_bytes, compute_workers=0,
-        )
+    assert outputs == []
+    assert not storage.exists("never.sst")
 
 
 def test_mp_worker_exception_propagates(inputs):
@@ -110,14 +101,12 @@ def test_mp_worker_exception_propagates(inputs):
         bad_storage.open("u.sst"),
         Options(block_bytes=512, compression="lz77", paranoid_checks=False),
     )
-    subtasks = partition_subtasks([bad_upper], 2048)
-    sink = TableSink(storage, options, lambda: "bad.sst")
     from repro.lsm.table_format import TableCorruption
 
     with pytest.raises(TableCorruption):
-        execute_pipelined_mp(
-            subtasks, sink, options.compression, options.checksum,
-            options.block_bytes, compute_workers=2,
+        compact_tables(
+            [bad_upper], storage, options, file_namer=lambda: "bad.sst",
+            spec=MP_SPEC,
         )
 
 

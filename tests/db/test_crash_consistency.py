@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from repro.core import ProcedureSpec
 from repro.db import DB
 from repro.db.verify import verify_db
 from repro.devices import MemStorage
@@ -49,12 +50,22 @@ def crash_options(**kw):
     return Options(**defaults)
 
 
-def run_until_crash(point, seed=0, baseline=100, workload=600):
+#: Sub-tasks small enough that these tiny compactions have several, so a
+#: pipelined spec really keeps a window of them in flight.
+PCP = ProcedureSpec.pcp(subtask_bytes=2048)
+PROCEDURES = {
+    "scp": ProcedureSpec.scp(subtask_bytes=2048),
+    "pcp": PCP,
+    "cppcp2": ProcedureSpec.cppcp(2, subtask_bytes=2048),
+}
+
+
+def run_until_crash(point, seed=0, baseline=100, workload=600, spec=None):
     """Two-phase harness; returns (acked dict, frozen image, crashed?)."""
     storage = FaultyStorage(MemStorage(), FaultPlan())
     acked = {}
 
-    db = DB(storage, crash_options(), sync_every=1)
+    db = DB(storage, crash_options(), sync_every=1, compaction_spec=spec)
     for i in range(baseline):
         k, v = b"base-%04d" % i, b"b-%d" % i
         db.put(k, v)
@@ -64,7 +75,7 @@ def run_until_crash(point, seed=0, baseline=100, workload=600):
     storage.arm(FaultPlan(seed=seed, crash_at=point))
     crashed = False
     try:
-        db = DB(storage, crash_options(), sync_every=1)
+        db = DB(storage, crash_options(), sync_every=1, compaction_spec=spec)
         order = list(range(workload))
         random.Random(seed).shuffle(order)
         for i in order:
@@ -83,36 +94,58 @@ def run_until_crash(point, seed=0, baseline=100, workload=600):
 ALWAYS_REACHED = set(CRASH_POINTS) - {"current.tmp_written", "current.renamed"}
 
 
+#: The rows that cut power around a compaction: repeated under PCP, the
+#: procedure the server runs (S1 and S7 on the compacting thread, S2–S6
+#: on a pool thread), beside the default SCP of the full matrix.
+COMPACTION_POINTS = [p for p in CRASH_POINTS if p.startswith("compaction.")]
+
+
+def check_no_acked_write_lost(point, spec=None):
+    acked, frozen, crashed = run_until_crash(point, spec=spec)
+    # CURRENT is only swapped at DB.open; those two points fire
+    # during the phase-2 reopen, before any new write — every other
+    # point must cut power mid-workload.
+    if point in ALWAYS_REACHED:
+        assert crashed, f"workload never reached crash point {point}"
+
+    db = DB(frozen, crash_options())
+    try:
+        for k, v in acked.items():
+            assert db.get(k) == v, f"{point}: lost acked write {k!r}"
+    finally:
+        db.close()
+    report = verify_db(frozen, crash_options())
+    assert report.ok, f"{point}: verify failed:\n{report.render()}"
+
+
+def check_recovery_gc_leaves_no_garbage(point, spec=None):
+    _, frozen, crashed = run_until_crash(point, seed=1, spec=spec)
+    assert crashed
+    db = DB(frozen, crash_options())
+    db.put(b"post-recovery", b"ok")
+    db.close()
+    leftovers = [n for n in frozen.list() if n.endswith(".tmp")]
+    assert leftovers == []
+    report = verify_db(frozen, crash_options())
+    assert report.ok and not report.warnings, report.render()
+
+
 class TestCrashMatrix:
     @pytest.mark.parametrize("point", CRASH_POINTS)
     def test_no_acked_write_lost(self, point):
-        acked, frozen, crashed = run_until_crash(point)
-        # CURRENT is only swapped at DB.open; those two points fire
-        # during the phase-2 reopen, before any new write — every other
-        # point must cut power mid-workload.
-        if point in ALWAYS_REACHED:
-            assert crashed, f"workload never reached crash point {point}"
+        check_no_acked_write_lost(point)
 
-        db = DB(frozen, crash_options())
-        try:
-            for k, v in acked.items():
-                assert db.get(k) == v, f"{point}: lost acked write {k!r}"
-        finally:
-            db.close()
-        report = verify_db(frozen, crash_options())
-        assert report.ok, f"{point}: verify failed:\n{report.render()}"
+    @pytest.mark.parametrize("point", COMPACTION_POINTS)
+    def test_no_acked_write_lost_under_pcp(self, point):
+        check_no_acked_write_lost(point, PCP)
 
     @pytest.mark.parametrize("point", sorted(ALWAYS_REACHED))
     def test_crash_then_recovery_gc_leaves_no_garbage(self, point):
-        _, frozen, crashed = run_until_crash(point, seed=1)
-        assert crashed
-        db = DB(frozen, crash_options())
-        db.put(b"post-recovery", b"ok")
-        db.close()
-        leftovers = [n for n in frozen.list() if n.endswith(".tmp")]
-        assert leftovers == []
-        report = verify_db(frozen, crash_options())
-        assert report.ok and not report.warnings, report.render()
+        check_recovery_gc_leaves_no_garbage(point)
+
+    @pytest.mark.parametrize("point", COMPACTION_POINTS)
+    def test_crash_then_recovery_gc_leaves_no_garbage_under_pcp(self, point):
+        check_recovery_gc_leaves_no_garbage(point, PCP)
 
 
 class TestCurrentSwapAtomicity:
@@ -192,13 +225,17 @@ class TestReproducibility:
 
 
 class TestSelfHealing:
-    def test_transient_write_error_retried_compaction_succeeds(self):
+    @pytest.mark.parametrize("procedure", list(PROCEDURES))
+    def test_transient_write_error_retried_compaction_succeeds(self, procedure):
         """A compaction hit by an injected transient EIO succeeds on
-        retry, visible in ``compaction.retries``."""
+        retry, visible in ``compaction.retries`` — under the pipelined
+        procedures too, where the error has to come back from S7 with
+        compute still in flight."""
         storage = FaultyStorage(MemStorage(), FaultPlan())
         db = DB(
             storage,
             small_options(l0_compaction_trigger=100, l0_stop_writes_trigger=200),
+            compaction_spec=PROCEDURES[procedure],
         )
         order = list(range(700))
         random.Random(2).shuffle(order)
@@ -215,7 +252,7 @@ class TestSelfHealing:
             assert db.get(b"key-%04d" % i) == b"v-%d" % i
         db.close()
 
-    def test_persistent_transient_errors_exhaust_retries(self):
+    def _exhaust_retries(self, spec):
         storage = FaultyStorage(MemStorage(), FaultPlan())
         opts = small_options(
             l0_compaction_trigger=100,
@@ -223,7 +260,7 @@ class TestSelfHealing:
             compaction_retries=2,
             compaction_retry_backoff_s=0.0,
         )
-        db = DB(storage, opts)
+        db = DB(storage, opts, compaction_spec=spec)
         order = list(range(700))
         random.Random(4).shuffle(order)
         for i in order:
@@ -242,6 +279,13 @@ class TestSelfHealing:
         for i in range(700):
             assert db.get(b"key-%04d" % i) == b"v-%d" % i
         db.close()
+
+    def test_persistent_transient_errors_exhaust_retries(self):
+        self._exhaust_retries(PROCEDURES["scp"])
+
+    @pytest.mark.parametrize("procedure", ["pcp", "cppcp2"])
+    def test_persistent_transient_errors_exhaust_retries_pipelined(self, procedure):
+        self._exhaust_retries(PROCEDURES[procedure])
 
     def test_quarantined_table_surfaces_on_reopen(self):
         from tests.helpers import corrupt_file

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ProcedureSpec
 from repro.db import DB
 from repro.devices import MemStorage
 from repro.lsm import LogCorruption
@@ -21,13 +22,24 @@ from tests.helpers import corrupt_file, small_options
 
 
 class TestCompactionDetectsCorruption:
-    def test_compaction_quarantines_corrupt_input(self):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ProcedureSpec.scp(subtask_bytes=2048),
+            ProcedureSpec.pcp(subtask_bytes=2048),
+            ProcedureSpec.cppcp(2, subtask_bytes=2048),
+        ],
+        ids=["scp", "pcp", "cppcp2"],
+    )
+    def test_compaction_quarantines_corrupt_input(self, spec):
         """S2 catches a flipped bit in a compaction input block; the
-        damaged table is renamed aside and the DB keeps serving."""
+        damaged table is renamed aside and the DB keeps serving —
+        wherever S2 ran."""
         storage = MemStorage()
         db = DB(
             storage,
             small_options(l0_compaction_trigger=100, l0_stop_writes_trigger=200),
+            compaction_spec=spec,
         )
         # Shuffled keys: L0 files overlap, so compaction must merge
         # (sequential fills would trivially move without reading).

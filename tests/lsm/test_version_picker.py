@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.compaction import LeveledPolicy
 from repro.lsm.ikey import KIND_VALUE, encode_internal_key
 from repro.lsm.options import Options
-from repro.lsm.picker import CompactionPicker
 from repro.lsm.version import FileMetaData, Version
 
 
@@ -98,7 +98,7 @@ class TestVersion:
 class TestPickerL0:
     def test_no_compaction_when_quiet(self):
         opts = _options(l0_compaction_trigger=4)
-        picker = CompactionPicker(opts)
+        picker = LeveledPolicy(opts)
         v = Version(opts)
         v.add_file(0, _meta(1, b"a", b"m"))
         assert picker.pick(v) is None
@@ -106,7 +106,7 @@ class TestPickerL0:
 
     def test_l0_trigger_by_file_count(self):
         opts = _options(l0_compaction_trigger=2)
-        picker = CompactionPicker(opts)
+        picker = LeveledPolicy(opts)
         v = Version(opts)
         v.add_file(0, _meta(1, b"a", b"m"))
         v.add_file(0, _meta(2, b"d", b"q"))
@@ -116,7 +116,7 @@ class TestPickerL0:
 
     def test_l0_pulls_in_transitive_overlaps(self):
         opts = _options(l0_compaction_trigger=3)
-        picker = CompactionPicker(opts)
+        picker = LeveledPolicy(opts)
         v = Version(opts)
         v.add_file(0, _meta(1, b"a", b"e"))
         v.add_file(0, _meta(2, b"d", b"k"))
@@ -126,7 +126,7 @@ class TestPickerL0:
 
     def test_l0_includes_overlapping_l1(self):
         opts = _options(l0_compaction_trigger=1)
-        picker = CompactionPicker(opts)
+        picker = LeveledPolicy(opts)
         v = Version(opts)
         v.add_file(0, _meta(1, b"d", b"h"))
         v.add_file(1, _meta(2, b"a", b"e"))
@@ -138,7 +138,7 @@ class TestPickerL0:
 class TestPickerLevels:
     def test_size_trigger(self):
         opts = _options(level1_bytes=1000)
-        picker = CompactionPicker(opts)
+        picker = LeveledPolicy(opts)
         v = Version(opts)
         v.add_file(1, _meta(1, b"a", b"m", size=600))
         v.add_file(1, _meta(2, b"n", b"z", size=600))
@@ -148,7 +148,7 @@ class TestPickerLevels:
 
     def test_round_robin_pointer(self):
         opts = _options(level1_bytes=100)
-        picker = CompactionPicker(opts)
+        picker = LeveledPolicy(opts)
         v = Version(opts)
         v.add_file(1, _meta(1, b"a", b"f", size=200))
         v.add_file(1, _meta(2, b"g", b"p", size=200))
@@ -161,7 +161,7 @@ class TestPickerLevels:
 
     def test_trivial_move_detected(self):
         opts = _options(level1_bytes=100)
-        picker = CompactionPicker(opts)
+        picker = LeveledPolicy(opts)
         v = Version(opts)
         v.add_file(1, _meta(1, b"a", b"f", size=200))
         task = picker.pick(v)
@@ -169,7 +169,7 @@ class TestPickerLevels:
 
     def test_overlap_disables_trivial_move(self):
         opts = _options(level1_bytes=100)
-        picker = CompactionPicker(opts)
+        picker = LeveledPolicy(opts)
         v = Version(opts)
         v.add_file(1, _meta(1, b"a", b"f", size=200))
         v.add_file(2, _meta(2, b"c", b"d", size=50))
@@ -179,7 +179,7 @@ class TestPickerLevels:
 
     def test_key_range_user(self):
         opts = _options(level1_bytes=100)
-        picker = CompactionPicker(opts)
+        picker = LeveledPolicy(opts)
         v = Version(opts)
         v.add_file(1, _meta(1, b"d", b"f", size=200))
         v.add_file(2, _meta(2, b"a", b"e", size=50))
@@ -188,7 +188,7 @@ class TestPickerLevels:
 
     def test_write_stall(self):
         opts = _options(l0_stop_writes_trigger=3)
-        picker = CompactionPicker(opts)
+        picker = LeveledPolicy(opts)
         v = Version(opts)
         for i in range(3):
             v.add_file(0, _meta(i, b"a", b"z"))
@@ -196,7 +196,7 @@ class TestPickerLevels:
 
     def test_deepest_level_never_picked_as_source(self):
         opts = _options(level1_bytes=1, num_levels=3)
-        picker = CompactionPicker(opts)
+        picker = LeveledPolicy(opts)
         v = Version(opts)
         # Oversize the bottom level: still no compaction from it.
         v.add_file(2, _meta(1, b"a", b"z", size=10**9))

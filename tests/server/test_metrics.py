@@ -2,8 +2,9 @@
 
 import random
 
+from repro.obs import LatencyHistogram
 from repro.server import protocol as P
-from repro.server.metrics import LatencyHistogram, ServerMetrics
+from repro.server.metrics import ServerMetrics
 
 
 class TestLatencyHistogram:
