@@ -110,6 +110,48 @@ def test_bench_block_iterate(benchmark, block_entries):
     assert entries == block_entries
 
 
+# One input block of a compaction, two ways (report only): re-encoded
+# by S2–S6, or — when no other run overlaps it — verified, scanned for
+# the sink's metadata and handed on as stored.
+def _stored_block(entries):
+    from repro.codec import get_checksummer, get_codec
+    from repro.core.steps import StoredBlock
+    from repro.lsm.table_format import encode_block_contents
+
+    stored = encode_block_contents(
+        _build_block(entries), get_codec("lz77"), get_checksummer("crc32")
+    )
+    return [StoredBlock(0, stored)]
+
+
+def test_bench_block_through_s2_s6(benchmark, block_entries):
+    from repro.codec import get_checksummer, get_codec
+    from repro.core import steps
+
+    stored = _stored_block(block_entries)
+    codec, checksummer = get_codec("lz77"), get_checksummer("crc32")
+
+    def reencode():
+        steps.step_checksum(stored, checksummer)
+        merged = steps.step_merge(steps.step_decompress(stored), None, None, 1 << 20)
+        return steps.step_rechecksum(steps.step_compress(merged, codec), checksummer)
+
+    (block,) = benchmark(reencode)
+    assert block.num_entries == len(block_entries) and not block.passthrough
+
+
+def test_bench_block_passed_through(benchmark, block_entries):
+    from repro.core.backends.threadbackend import run_subtask_compute
+
+    stored = _stored_block(block_entries)
+    (block,), _seconds = benchmark(
+        run_subtask_compute, stored, 0, None, None, 1, "lz77", "crc32", 4096, 16,
+        False, None,
+    )
+    assert block.num_entries == len(block_entries) and block.passthrough
+    assert block.stored == stored[0].data
+
+
 def test_bench_bloom_hash_16B_key(benchmark):
     keys = [format_key(i) for i in range(1000)]
     assert len(keys[0]) == 16

@@ -27,6 +27,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Optional, Sequence
 
 from ...codec.checksum import get_checksummer
@@ -34,7 +35,9 @@ from ...codec.compress import get_codec
 from ...lsm.table_sink import EncodedBlock, TableSink
 from ...obs.tracer import NULL_TRACER, Tracer
 from ..steps import (
+    RawBlock,
     StoredBlock,
+    passthrough_blocks,
     step_checksum,
     step_compress,
     step_decompress,
@@ -43,7 +46,7 @@ from ..steps import (
     step_rechecksum,
     step_write,
 )
-from ..subtask import SubTask
+from ..subtask import SubTask, distinct_input_bytes
 
 __all__ = ["ExecutionStats", "InlineExecutor", "run_subtask_read",
            "run_subtask_compute", "execute_subtasks"]
@@ -61,9 +64,12 @@ class ExecutionStats:
 
     wall_seconds: float = 0.0
     n_subtasks: int = 0
-    input_bytes: int = 0
+    input_bytes: int = 0  # stored bytes of the input blocks, each once
     output_bytes: int = 0
     entries_out: int = 0
+    #: input blocks written out as stored (verified, never re-encoded)
+    passthrough_blocks: int = 0
+    passthrough_bytes: int = 0
     stage_seconds: dict[str, float] = field(
         default_factory=lambda: {"read": 0.0, "compute": 0.0, "write": 0.0}
     )
@@ -108,6 +114,13 @@ def run_subtask_compute(
 ) -> tuple[list[EncodedBlock], float]:
     """S2–S6 for one sub-task: verify, decompress, merge, re-encode.
 
+    Where a single run supplies every block, nothing else holds a key
+    of the sub-task's range, and most blocks would come out of S4–S6 as
+    they went in: those that :func:`passthrough_blocks` vouches for are
+    handed on as stored, after S2 and S3 like any other, and only the
+    rest — consecutive ones together, order kept — are merged and
+    re-encoded.  A sub-task with two runs or more has no such blocks.
+
     Returns the finished blocks and the seconds spent producing them.
     Arguments and result are picklable — codec and checksum by name,
     the sub-task as its bounds and run count rather than the
@@ -122,15 +135,31 @@ def run_subtask_compute(
         step_checksum(stored, checksummer)
     with tracer.span("S3:decompress", cat="compute", subtask=index):
         raw = step_decompress(stored)
-    with tracer.span("S4:merge", cat="compute", subtask=index):
-        merged = step_merge(
-            raw, lower, upper, block_bytes, restart_interval, drop_deletes,
-            n_sources=n_sources, smallest_snapshot=smallest_snapshot,
+    if len({block.source for block in stored}) == 1:
+        kept = passthrough_blocks(
+            stored, raw, lower, upper, codec, drop_deletes, smallest_snapshot
         )
-    with tracer.span("S5:compress", cat="compute", subtask=index):
-        compressed = step_compress(merged, codec)
-    with tracer.span("S6:rechecksum", cat="compute", subtask=index):
-        encoded = step_rechecksum(compressed, checksummer)
+    else:
+        kept = [None] * len(raw)
+
+    def reencode(blocks: list[RawBlock]) -> list[EncodedBlock]:
+        with tracer.span("S4:merge", cat="compute", subtask=index):
+            merged = step_merge(
+                blocks, lower, upper, block_bytes, restart_interval, drop_deletes,
+                n_sources=n_sources, smallest_snapshot=smallest_snapshot,
+            )
+        with tracer.span("S5:compress", cat="compute", subtask=index):
+            compressed = step_compress(merged, codec)
+        with tracer.span("S6:rechecksum", cat="compute", subtask=index):
+            return step_rechecksum(compressed, checksummer)
+
+    # Consecutive blocks that cannot pass through are merged together.
+    encoded: list[EncodedBlock] = []
+    for merges, group in groupby(zip(kept, raw), key=lambda pair: pair[0] is None):
+        if merges:
+            encoded += reencode([block for _, block in group])
+        else:
+            encoded += [keep for keep, _ in group]
     return encoded, time.perf_counter() - t0
 
 
@@ -153,8 +182,10 @@ def execute_subtasks(
     Up to ``window`` sub-tasks are read ahead and submitted; the oldest
     is then awaited, written, and replaced by the next read, so reads of
     upcoming sub-tasks overlap the executor's compute of earlier ones
-    and memory holds at most ``window`` sub-tasks.  The executor is
-    borrowed: whoever created it shuts it down.
+    and memory holds at most ``window`` sub-tasks — in bytes, ``window``
+    times the bound :func:`~repro.core.subtask.partition_subtasks` keeps on every sub-task,
+    whatever the shape of the inputs.  The executor is borrowed: whoever
+    created it shuts it down.
 
     ``remote`` says the executor's workers are other processes: the
     tracer stays here, and each sub-task's compute is recorded as one
@@ -189,9 +220,12 @@ def execute_subtasks(
         stats.stage_seconds["write"] += time.perf_counter() - t0
         stats.stage_seconds["compute"] += compute_s
         stats.n_subtasks += 1
-        stats.input_bytes += subtask.input_bytes()
         stats.output_bytes += written
         stats.entries_out += sum(b.num_entries for b in encoded)
+        for block in encoded:
+            if block.passthrough:
+                stats.passthrough_blocks += 1
+                stats.passthrough_bytes += len(block.stored)
 
     t_start = time.perf_counter()
     try:
@@ -218,4 +252,5 @@ def execute_subtasks(
                 pass
         raise
     stats.wall_seconds = time.perf_counter() - t_start
+    stats.input_bytes = distinct_input_bytes(subtasks)
     return stats

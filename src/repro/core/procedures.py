@@ -174,7 +174,9 @@ def compact_tables(
     diagram.
     """
     spec = spec or ProcedureSpec.scp()
-    subtasks = partition_subtasks(tables, spec.subtask_bytes, lower, upper)
+    subtasks = partition_subtasks(
+        tables, spec.subtask_bytes, lower, upper, smallest_snapshot
+    )
     sink = TableSink(storage, options, file_namer)
     workers = spec.compute_workers
     window = workers + spec.queue_capacity

@@ -39,7 +39,12 @@ from ..codec.varint import get_fixed32
 from ..devices.vfs import ReadableFile
 from ..lsm.blockfmt import Block, BlockBuilder
 from ..lsm.bloom import bloom_hash
-from ..lsm.ikey import KIND_DELETE, decode_internal_key, internal_compare
+from ..lsm.ikey import (
+    KIND_DELETE,
+    MAX_SEQUENCE,
+    decode_internal_key,
+    internal_compare,
+)
 from ..lsm.iterators import merge_iterators
 from ..lsm.table_format import (
     BLOCK_TRAILER_SIZE,
@@ -60,6 +65,7 @@ __all__ = [
     "step_compress",
     "step_rechecksum",
     "step_write",
+    "passthrough_blocks",
 ]
 
 
@@ -165,9 +171,6 @@ def step_merge(
         source_blocks = [b for b in blocks if b.source == source]
         streams.append(_entries_of(source_blocks))
     merged = merge_iterators(streams)
-
-    from ..lsm.ikey import MAX_SEQUENCE
-
     if smallest_snapshot is None:
         smallest_snapshot = MAX_SEQUENCE
     out: list[MergedBlock] = []
@@ -266,6 +269,79 @@ def step_rechecksum(
                 num_entries=block.num_entries,
                 key_hashes=block.key_hashes,
                 uncompressed_bytes=len(block.raw),
+            )
+        )
+    return out
+
+
+def passthrough_blocks(
+    stored: Sequence[StoredBlock],
+    raw: Sequence[RawBlock],
+    lower_bound: Optional[bytes],
+    upper_bound: Optional[bytes],
+    codec: Codec,
+    drop_deletes: bool = False,
+    smallest_snapshot: Optional[int] = None,
+) -> list[Optional[EncodedBlock]]:
+    """Which blocks of one run S4–S6 would only reproduce, ready for S7.
+
+    ``stored``/``raw`` are consecutive blocks of a single run, after S2
+    and S3, with no other run holding keys in ``[lower, upper)``.  One
+    scan of a block's keys gives the sink its metadata and decides: the
+    block is handed on as stored — an :class:`EncodedBlock` around the
+    very bytes S1 read — when the merge would keep every entry of it and
+    nothing else, and S5 would store it under the same tag:
+
+    * every key lies inside ``[lower, upper)``;
+    * no user key occurs twice, in the block or across its edge into a
+      neighbour — with one version per key the merge has nothing to
+      shadow (and a neighbour sharing a key is held back with it, so the
+      merge that does see both sees all versions);
+    * no tombstone that ``drop_deletes`` would drop from under every
+      snapshot;
+    * the trailer carries ``codec``'s own tag — not ``null`` for a block
+      that did not shrink, nor a codec the table was written under
+      before the option changed.
+
+    Every other position holds None: that block takes S4–S6.
+    """
+    if smallest_snapshot is None:
+        smallest_snapshot = MAX_SEQUENCE
+    tag = COMPRESSION_TAGS[codec.name]
+    keys = [[ikey for ikey, _ in Block(b.raw, compare=internal_compare)] for b in raw]
+    edges = [(k[0][:-8], k[-1][:-8]) if k else (None, None) for k in keys]
+    out: list[Optional[EncodedBlock]] = []
+    for i, (block, ikeys) in enumerate(zip(stored, keys)):
+        first, last = edges[i]
+        users = [ikey[:-8] for ikey in ikeys]
+        if (
+            not ikeys
+            or block.data[-BLOCK_TRAILER_SIZE] != tag
+            or (lower_bound is not None and first < lower_bound)
+            or (upper_bound is not None and last >= upper_bound)
+            or len(set(users)) != len(users)
+            or (i > 0 and edges[i - 1][1] == first)
+            or (i + 1 < len(edges) and edges[i + 1][0] == last)
+            or (
+                drop_deletes
+                and any(
+                    ikey[-8] == KIND_DELETE
+                    and decode_internal_key(ikey)[1] <= smallest_snapshot
+                    for ikey in ikeys
+                )
+            )
+        ):
+            out.append(None)
+            continue
+        out.append(
+            EncodedBlock(
+                stored=block.data,
+                first_key=ikeys[0],
+                last_key=ikeys[-1],
+                num_entries=len(ikeys),
+                key_hashes=tuple(map(bloom_hash, users)),
+                uncompressed_bytes=len(raw[i].raw),
+                passthrough=True,
             )
         )
     return out

@@ -6,12 +6,17 @@ Each sub-key range consists of one or more data blocks."  A
 every input run that overlap one sub-key range, plus the user-key
 bounds ``[lower, upper)`` that make sub-tasks disjoint.
 
-Boundaries are drawn from the *upper component's* block separators so
-each sub-task covers whole upper-level blocks; lower-level blocks that
-straddle a boundary are read by both neighbouring sub-tasks and
-filtered by the bounds (a small, documented I/O duplication — the
-price of unaligned block grids, which the paper's LevelDB
-implementation pays the same way).
+Boundaries sit on block grids: in each stretch of key space the newest
+run that has keys there draws them, behind its own blocks, so those go
+whole to one sub-task; blocks of the other runs that straddle a
+boundary are read by both neighbouring sub-tasks and filtered by the
+bounds (a small, documented I/O duplication — the price of unaligned
+block grids, which the paper's LevelDB implementation pays the same
+way).  A long stretch that only one run has keys in is fenced off on
+that run's grid: its sub-tasks merge nothing, and the compute job can
+hand their blocks on as stored.  Every sub-task reads at most twice
+``subtask_bytes`` plus a block per run, which is what makes the
+executor's ``window`` a bound in bytes.
 
 Because sub-key ranges are disjoint *user-key* ranges, every version of
 a user key lands in exactly one sub-task, so newest-wins deduplication
@@ -22,13 +27,22 @@ pipelining.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import groupby
+from typing import Iterable, Optional, Sequence
 
+from ..lsm.ikey import decode_internal_key
 from ..lsm.table_format import BLOCK_TRAILER_SIZE, BlockHandle
 from ..lsm.table_reader import Table
 
-__all__ = ["InputRun", "SubTask", "partition_subtasks", "SubTaskSizes"]
+__all__ = [
+    "InputRun",
+    "SubTask",
+    "SubTaskSizes",
+    "distinct_input_bytes",
+    "partition_subtasks",
+]
 
 
 @dataclass(frozen=True)
@@ -70,117 +84,190 @@ class SubTaskSizes:
     min_bytes: int
 
 
+def distinct_input_bytes(subtasks: Iterable[SubTask]) -> int:
+    """Stored bytes of the blocks ``subtasks`` read, each block once.
+
+    A block that straddles a boundary is read by both neighbours;
+    summing :meth:`SubTask.input_bytes` would count it twice.
+    """
+    blocks = {
+        (run.source, h.offset): h.size + BLOCK_TRAILER_SIZE
+        for subtask in subtasks
+        for run in subtask.runs
+        for h in run.handles
+    }
+    return sum(blocks.values())
+
+
+class _Grid:
+    """One table's block grid in user keys, on its real key range.
+
+    Block ``b`` holds user keys in ``[starts[b], ends[b]]``.  ``ends``
+    are the index separators, except the last: a ``TableBuilder`` table
+    closes its index with a successor of the whole table, so the real
+    largest key stands in.  ``starts[b]`` is the key after
+    ``ends[b-1]``, unless the block may open with *more versions of*
+    ``ends[b-1]`` that a merge would keep: then it is that key itself,
+    so a cut right behind block ``b-1`` still hands block ``b`` to the
+    sub-task that owns the key.  Versions older than the one closing
+    block ``b-1`` survive a merge only if that one is invisible to some
+    snapshot, which its sequence number, kept in the separator, tells.
+    """
+
+    def __init__(self, table: Table, smallest_snapshot: Optional[int]) -> None:
+        self.handles = table.block_handles()
+        self.sizes = [h.size + BLOCK_TRAILER_SIZE for h in self.handles]
+        self.starts: list[bytes] = []
+        self.ends: list[bytes] = []
+        key_range = table.key_range()
+        if key_range is None:
+            return
+        separators = table.block_separators()
+        self.ends = [sep[:-8] for sep in separators]
+        self.ends[-1] = key_range[1][:-8]
+        self.starts = [key_range[0][:-8]]
+        for sep, end in zip(separators, self.ends[:-1]):
+            kept = (
+                smallest_snapshot is not None
+                and decode_internal_key(sep)[1] > smallest_snapshot
+            )
+            self.starts.append(end if kept else end + b"\x00")
+
+    @property
+    def smallest(self) -> bytes:
+        return self.starts[0]
+
+    @property
+    def largest(self) -> bytes:
+        return self.ends[-1]
+
+    def floor(self, b: int) -> bytes:
+        """A key no key of block ``b`` sorts before, whatever the snapshot."""
+        return self.ends[b - 1] if b else self.smallest
+
+    def split_by(self, cut: bytes) -> bool:
+        """Does the table hold keys on both sides of ``cut``?"""
+        return bool(self.ends) and self.smallest < cut <= self.largest
+
+    def overlapping(
+        self, lo: Optional[bytes], hi: Optional[bytes]
+    ) -> tuple[BlockHandle, ...]:
+        """Data blocks that may hold user keys in ``[lo, hi)``."""
+        first = 0 if lo is None else bisect_left(self.ends, lo)
+        stop = len(self.starts) if hi is None else bisect_left(self.starts, hi)
+        return tuple(self.handles[first:stop])
+
+
 def partition_subtasks(
     tables: Sequence[Table],
     subtask_bytes: int,
     lower: Optional[bytes] = None,
     upper: Optional[bytes] = None,
+    smallest_snapshot: Optional[int] = None,
 ) -> list[SubTask]:
     """Split a compaction over ``tables`` into ~``subtask_bytes`` units.
 
-    ``tables`` are ordered newest-first (upper component first); the
-    first table drives boundary selection.  ``lower``/``upper`` clamp
-    the whole compaction to a user-key window (None = unbounded).
+    ``tables`` are ordered newest-first (upper component first).
+    ``lower``/``upper`` clamp the whole compaction to a user-key window
+    (None = unbounded).  ``smallest_snapshot`` is the one the merge will
+    run under (None = no snapshot is live); see :class:`_Grid` for the
+    one block it can add to a sub-task.
+
+    No sub-task reads more than ``2 * subtask_bytes`` plus one block per
+    run, whatever the shape of the inputs.
     """
     if subtask_bytes < 1:
         raise ValueError(f"subtask_bytes must be >= 1, got {subtask_bytes}")
-    if not tables:
-        return []
-
-    # ``subtask_bytes`` budgets the *total* input of a sub-task, but
-    # boundaries can only sit on the driver's block grid; scale the
-    # driver-side target by the driver's share of the total input so
-    # each sub-task carries ~subtask_bytes across all runs.
-    def _table_bytes(t: Table) -> int:
-        return sum(h.size + BLOCK_TRAILER_SIZE for h in t.block_handles())
-
-    driver_bytes = _table_bytes(tables[0])
-    total_bytes = sum(_table_bytes(t) for t in tables)
-    if total_bytes > 0 and driver_bytes > 0:
-        driver_target = max(1, subtask_bytes * driver_bytes // total_bytes)
-    else:
-        driver_target = subtask_bytes
-    boundaries = _choose_boundaries(tables[0], driver_target, lower, upper)
-    # boundaries = [lower, b1, b2, ..., upper]; len >= 2
+    grids = [_Grid(table, smallest_snapshot) for table in tables]
+    boundaries = [lower, *_choose_cuts(grids, subtask_bytes, lower, upper), upper]
     subtasks: list[SubTask] = []
-    for i, (lo, hi) in enumerate(zip(boundaries, boundaries[1:])):
-        runs = []
-        for source, table in enumerate(tables):
-            handles = _overlapping_handles(table, lo, hi)
-            runs.append(InputRun(source, table, tuple(handles)))
+    for lo, hi in zip(boundaries, boundaries[1:]):
+        runs = tuple(
+            InputRun(source, table, grid.overlapping(lo, hi))
+            for source, (table, grid) in enumerate(zip(tables, grids))
+        )
         if any(run.handles for run in runs):
-            subtasks.append(
-                SubTask(index=len(subtasks), lower=lo, upper=hi, runs=tuple(runs))
-            )
+            subtasks.append(SubTask(index=len(subtasks), lower=lo, upper=hi, runs=runs))
     return subtasks
 
 
-def _choose_boundaries(
-    driver: Table,
+def _choose_cuts(
+    grids: Sequence[_Grid],
     subtask_bytes: int,
     lower: Optional[bytes],
     upper: Optional[bytes],
-) -> list[Optional[bytes]]:
-    """Cut points: user keys of the driver's block separators."""
-    boundaries: list[Optional[bytes]] = [lower]
+) -> list[bytes]:
+    """Cut points, ascending: each the key right behind some block.
+
+    Walk every run's blocks in key order, adding up their bytes, and
+    cut behind a block once the sum reaches ``subtask_bytes`` — if that
+    block's run *draws* there: no newer run is split by the cut, so in
+    each stretch of key space the newest run present is cut on its own
+    grid and its blocks go whole to one sub-task.  A run does not draw
+    behind its last block while another run continues past it; that
+    run's next separator, just ahead, keeps its blocks whole instead.
+    Where the drawing run's blocks are so sparse that the sum doubles
+    with no cut of theirs in reach, any run's grid will do: the size
+    bound outranks a whole block.
+
+    Cuts around single-run stretches (:func:`_stretch_cuts`) are taken
+    whatever the sum.
+    """
+    forced = _stretch_cuts(grids, subtask_bytes)
+    block_ends = sorted(
+        (end + b"\x00", source, size, b == len(grid.ends) - 1)
+        for source, grid in enumerate(grids)
+        for b, (end, size) in enumerate(zip(grid.ends, grid.sizes))
+    )
+    cuts: list[bytes] = []
     acc = 0
-    handles = driver.block_handles()
-    separators = driver.block_separators()
-    # Never cut after the final block: its separator is a successor of
-    # the whole table and would leave an empty (or driverless) tail.
-    handles = handles[:-1]
-    separators = separators[:-1]
-    for handle, sep in zip(handles, separators):
-        acc += handle.size + BLOCK_TRAILER_SIZE
-        if acc >= subtask_bytes:
-            # The separator bounds this block's largest user key from
-            # above; cutting at its immediate successor keeps the whole
-            # block (including entries whose user key equals the
-            # separator's) in the left sub-task.
-            user = sep[:-8] + b"\x00"
-            if _in_window(user, lower, upper) and user != boundaries[-1]:
-                boundaries.append(user)
-                acc = 0
-    if len(boundaries) > 1 and boundaries[-1] == upper:
-        boundaries.pop()
-    boundaries.append(upper)
-    return boundaries
-
-
-def _in_window(
-    user: bytes, lower: Optional[bytes], upper: Optional[bytes]
-) -> bool:
-    if lower is not None and user <= lower:
-        return False
-    if upper is not None and user >= upper:
-        return False
-    return True
-
-
-def _overlapping_handles(
-    table: Table, lo: Optional[bytes], hi: Optional[bytes]
-) -> list[BlockHandle]:
-    """Data blocks of ``table`` that may hold user keys in [lo, hi)."""
-    out = []
-    separators = table.block_separators()
-    handles = table.block_handles()
-    prev_sep_user: Optional[bytes] = None
-    for sep, handle in zip(separators, handles):
-        sep_user = sep[:-8]
-        # Block key span is (prev_sep_user, sep_user].
-        if lo is not None and sep_user < lo:
-            prev_sep_user = sep_user
+    for cut, source, size, closes_run in block_ends:
+        if lower is not None and cut <= lower:
+            continue  # the block lies below the window
+        acc += size
+        if cut == block_ends[-1][0] or (upper is not None and cut >= upper):
+            break  # nothing in the window lies behind this cut
+        if cuts and cut == cuts[-1]:
             continue
-        if (
-            hi is not None
-            and prev_sep_user is not None
-            and prev_sep_user + b"\x00" >= hi
-        ):
-            # Every user key in this block is >= prev separator; the only
-            # candidate inside [lo, hi) would be prev_sep_user itself, and
-            # any of its versions here are shadowed by the newer version
-            # in the preceding (included) block, so skipping is lossless.
-            break
-        out.append(handle)
-        prev_sep_user = sep_user
-    return out
+        draws = acc >= subtask_bytes and not any(
+            other.split_by(cut)
+            for other in (grids if closes_run else grids[:source])
+        )
+        if draws or cut in forced or acc >= 2 * subtask_bytes:
+            cuts.append(cut)
+            acc = 0
+    return cuts
+
+
+def _stretch_cuts(grids: Sequence[_Grid], subtask_bytes: int) -> set[bytes]:
+    """Cuts that fence off each long stretch only one run has keys in.
+
+    A sub-task whose blocks all come from one run can hand them to the
+    output as stored (see ``run_subtask_compute``), so such a stretch
+    gets sub-tasks of its own, opened and closed on that run's block
+    grid so every block of it falls wholly inside one.  A stretch
+    shorter than an eighth of ``subtask_bytes`` is left to its
+    neighbours: fencing it costs up to two extra sub-tasks, and below
+    that size their fixed cost (a submit and a hand-back; a pickle round
+    trip under the process backend) is no longer small beside the S4–S6
+    it would save.
+    """
+    cuts: set[bytes] = set()
+    for grid in grids:
+        others = [g for g in grids if g is not grid and g.ends]
+        alone = [  # per block: no other run has a key anywhere near it
+            not any(g.smallest <= end and g.largest >= grid.floor(b) for g in others)
+            for b, end in enumerate(grid.ends)
+        ]
+        for is_alone, stretch in groupby(range(len(alone)), key=alone.__getitem__):
+            blocks = list(stretch)
+            first, last = blocks[0], blocks[-1]
+            if not is_alone or 8 * sum(grid.sizes[first : last + 1]) < subtask_bytes:
+                continue
+            before = [g.largest for g in others if g.largest < grid.smallest]
+            if first > 0:
+                cuts.add(grid.ends[first - 1] + b"\x00")
+            elif before:
+                cuts.add(max(before) + b"\x00")
+            cuts.add(grid.ends[last] + b"\x00")
+    return cuts

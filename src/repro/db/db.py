@@ -348,6 +348,7 @@ class DB:
                 self.options,
                 cache=self._cache,
                 table_id=meta.number,
+                key_range=(meta.smallest, meta.largest),
             )
             self._tables[meta.number] = table
         return table
@@ -860,6 +861,8 @@ class DB:
         metrics.counter("compaction.count").inc()
         metrics.counter("compaction.input_bytes").inc(stats.input_bytes)
         metrics.counter("compaction.output_bytes").inc(stats.output_bytes)
+        metrics.counter("compaction.passthrough_blocks").inc(stats.passthrough_blocks)
+        metrics.counter("compaction.passthrough_bytes").inc(stats.passthrough_bytes)
         metrics.histogram("compaction.seconds").record(elapsed)
         if events.enabled:
             events.emit(
@@ -869,6 +872,7 @@ class DB:
                 outputs=len(outputs),
                 output_bytes=stats.output_bytes,
                 seconds=round(elapsed, 6),
+                **{"pass": stats.passthrough_blocks},
             )
         self._record_compaction(
             {
@@ -880,6 +884,7 @@ class DB:
                 "subtasks": stats.n_subtasks,
                 "input_bytes": stats.input_bytes,
                 "output_bytes": stats.output_bytes,
+                "pass": stats.passthrough_blocks,
                 "seconds": elapsed,
                 "procedure": self.compaction_spec.kind,
                 "policy": self.policy.spec(),
@@ -1247,6 +1252,7 @@ class DB:
                     f"inputs={r['inputs']} "
                     f"subtasks={r['subtasks']} "
                     f"in={r['input_bytes']} out={r['output_bytes']} "
+                    f"pass={r['pass']} "
                     f"{r['seconds'] * 1e3:.1f}ms"
                     for r in self.compaction_log
                 ]

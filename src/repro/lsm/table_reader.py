@@ -50,10 +50,15 @@ class Table:
         options: Optional[Options] = None,
         cache: Optional[LRUCache] = None,
         table_id: object = None,
+        key_range: Optional[tuple[bytes, bytes]] = None,
     ) -> None:
+        """``key_range`` is the table's (smallest, largest) internal key
+        where the opener already knows it (the DB's ``FileMetaData``);
+        without it :meth:`key_range` reads the two edge blocks."""
         self.options = options or Options()
         self._file = file
         self._cache = cache
+        self._key_range = key_range
         self._table_id = table_id if table_id is not None else id(self)
         self._checksummer = get_checksummer(self.options.checksum)
 
@@ -114,6 +119,24 @@ class Table:
     def block_separators(self) -> list[bytes]:
         """Index separator keys, aligned with :meth:`block_handles`."""
         return [k for k, _ in self._index_entries]
+
+    def key_range(self) -> Optional[tuple[bytes, bytes]]:
+        """(smallest, largest) internal key; None if there is no data block.
+
+        The index cannot answer this: it does not hold the first key,
+        and a ``TableBuilder`` table's final index key is a successor
+        that over-covers.  Not handed the range, read the edge blocks —
+        once per ``Table``, and past the block cache, which belongs to
+        readers.
+        """
+        if self._key_range is None and self._index_entries:
+            first, last = (
+                Block(self._load_block(handle, cacheable=False))
+                for handle in (self._index_entries[0][1], self._index_entries[-1][1])
+            )
+            *_, (largest, _value) = last
+            self._key_range = (first.first_key(), largest)
+        return self._key_range
 
     # -- lookups -----------------------------------------------------
     def _find_block_index(self, ikey: bytes) -> Optional[int]:

@@ -39,6 +39,8 @@ class EncodedBlock:
     ``key_hashes`` are :func:`repro.lsm.bloom.bloom_hash` values of the
     block's user keys (for the output table's filter).
     ``uncompressed_bytes`` feeds compaction-bandwidth accounting.
+    ``passthrough`` marks a compaction input block handed on as stored
+    (no S4–S6); the sink treats it like any other.
     """
 
     stored: bytes
@@ -47,6 +49,7 @@ class EncodedBlock:
     num_entries: int
     key_hashes: tuple[int, ...] = ()
     uncompressed_bytes: int = 0
+    passthrough: bool = False
 
 
 class TableSink:

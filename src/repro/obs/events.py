@@ -10,7 +10,8 @@ event                       emitted by
 ``flush``                   DB memtable flush (bytes, seconds, L0 depth)
 ``stall.enter`` / ``.exit`` DB write-stall boundary (L0 backlog)
 ``compaction.start``        background compaction picked inputs
-``compaction.end``          compaction finished (outputs, seconds)
+``compaction.end``          compaction finished (outputs, seconds, ``pass`` =
+                            input blocks written out as stored)
 ``compaction.retry``        transient I/O error, backing off
 ``compaction.quarantine``   corrupt input sidelined
 ``fence``                   replication epoch bumped (failover fencing)

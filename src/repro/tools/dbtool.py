@@ -534,6 +534,7 @@ def cmd_compact(args) -> int:
         n = db.compact_range()
         print(f"ran {n} compactions")
         print(f"policy: {db.get_property('compaction-policy')}")
+        print(db.get_property("compaction-log"))
         print(db.get_property("sstables"))
     finally:
         db.close()

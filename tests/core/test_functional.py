@@ -196,6 +196,60 @@ class TestProcedureEquivalence:
             assert stages["read"] + stages["write"] <= stats.wall_seconds
             assert stages["compute"] > 0
 
+    @pytest.mark.parametrize("shape", ["sequential-insert", "tiered-last-level"])
+    def test_output_identical_where_blocks_pass_through(self, shape):
+        """Inputs where some sub-tasks hold one run only, so blocks go
+        to the output as stored: still SCP's bytes under every spec,
+        and still the newest-wins merge."""
+        storage = MemStorage()
+        options = Options(block_bytes=512, sstable_bytes=2 * 1024, compression="lz77")
+
+        def run(keys, seq, kind=KIND_VALUE):
+            return [(_ik(b"key-%05d" % i, seq, kind), b"value-%d-%d" % (seq, i)) for i in keys]
+
+        if shape == "sequential-insert":  # flushes of ascending keys: disjoint runs
+            runs = [run(range(r * 200, r * 200 + 200), 9 - r) for r in range(4)]
+            drop_deletes = False
+        else:  # small new runs over the middle of one big old run, nothing below
+            newest = run(range(250, 400), 9)
+            newest[10] = (_ik(b"key-00260", 9, KIND_DELETE), b"")
+            oldest = run(range(0, 1000), 1)
+            oldest[700] = (_ik(b"key-00700", 1, KIND_DELETE), b"")  # dropped here
+            runs = [newest, run(range(200, 300), 5), oldest]
+            drop_deletes = True
+        tables = [
+            make_table(storage, f"in-{i}.sst", entries, options)
+            for i, entries in enumerate(runs)
+        ]
+        specs = {
+            "scp": ProcedureSpec.scp(subtask_bytes=2048),
+            "pcp": ProcedureSpec.pcp(subtask_bytes=2048),
+            "cppcp2": ProcedureSpec.cppcp(k=2, subtask_bytes=2048),
+            "cppcp2-process": ProcedureSpec.cppcp(
+                k=2, subtask_bytes=2048, backend="process"
+            ),
+        }
+        written = {}
+        for name, spec in specs.items():
+            numbers = itertools.count(100)
+            outputs, stats, _ = compact_tables(
+                tables, storage, options,
+                file_namer=lambda: f"{name}-{next(numbers):06d}.sst",
+                spec=spec, drop_deletes=drop_deletes,
+            )
+            written[name] = [storage.open(m.name).read_all() for m in outputs]
+            assert stats.passthrough_blocks > 0
+            assert 0 < stats.passthrough_bytes <= stats.input_bytes
+            if name == "scp":
+                expected = [
+                    e for e in _expected_merge(*runs[:1], itertools.chain(*runs[1:]))
+                    if not (drop_deletes and decode_internal_key(e[0])[2] == KIND_DELETE)
+                ]
+                assert _read_outputs(storage, options, outputs) == expected
+                if shape == "sequential-insert":
+                    assert stats.passthrough_bytes == stats.input_bytes
+        assert all(blobs == written["scp"] for blobs in written.values())
+
     def test_stats_account_input_bytes(self, setup):
         storage, options, upper, lower, *_ = setup
         counter = itertools.count(100)
@@ -204,7 +258,15 @@ class TestProcedureEquivalence:
             file_namer=lambda: f"{next(counter):06d}.sst",
             spec=ProcedureSpec.pcp(subtask_bytes=2048),
         )
-        assert stats.input_bytes == sum(s.input_bytes() for s in subtasks)
+        # Each input block once, however many sub-tasks read it.
+        from repro.lsm.table_format import BLOCK_TRAILER_SIZE
+
+        assert stats.input_bytes == sum(
+            h.size + BLOCK_TRAILER_SIZE
+            for table in (upper, lower)
+            for h in table.block_handles()
+        )
+        assert stats.input_bytes <= sum(s.input_bytes() for s in subtasks)
         assert stats.output_bytes > 0
         assert stats.wall_seconds > 0
         assert stats.bandwidth() > 0

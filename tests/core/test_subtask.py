@@ -152,3 +152,176 @@ class TestPartition:
         assert all(len(s.runs) == 1 for s in subtasks)
         covered = sum(len(s.runs[0].handles) for s in subtasks)
         assert covered == upper.num_blocks()
+
+
+def _shape(name):
+    """Three input shapes whose runs do not span the same keys."""
+    storage = MemStorage()
+    options = Options(block_bytes=256, compression="null")
+
+    def run(table_name, keys, seq):
+        return make_table(
+            storage, table_name,
+            [(_ik(b"key-%05d" % i, seq), b"%c" % (65 + seq) * 40) for i in keys],
+            options,
+        )
+
+    n = 600
+    if name == "compact":  # perf's input: the lower run's second half is alone
+        return [run("u.sst", range(n), 2), run("l.sst", range(0, 2 * n, 2), 1)]
+    if name == "middle-third":  # the lower run has a head and a tail of its own
+        return [run("u.sst", range(n, 2 * n), 2), run("l.sst", range(0, 3 * n, 2), 1)]
+    # L0-like: four overlapping tables over an L1 run wider than all of them
+    return [
+        run("a.sst", range(900, 1500, 3), 5),
+        run("b.sst", range(600, 1800, 5), 4),
+        run("c.sst", range(1000, 1300), 3),
+        run("d.sst", range(700, 1700, 4), 2),
+        run("l.sst", range(0, 2400, 2), 1),
+    ]
+
+
+@pytest.mark.parametrize("shape", ["compact", "middle-third", "l0-over-l1"])
+class TestSizeBound:
+    """Every sub-task fits the executor's ``window x sub-task`` budget,
+    wherever the newest run's keys happen to lie."""
+
+    SUBTASK_BYTES = 4096
+
+    def test_no_subtask_exceeds_the_bound(self, shape):
+        tables = _shape(shape)
+        subtasks = partition_subtasks(tables, self.SUBTASK_BYTES)
+        one_block_per_run = sum(
+            max(h.size + 5 for h in t.block_handles()) for t in tables
+        )
+        assert len(subtasks) > 3
+        for sub in subtasks:
+            assert sub.input_bytes() <= 2 * self.SUBTASK_BYTES + one_block_per_run, (
+                f"sub-task {sub.index} reads {sub.num_blocks()} blocks"
+            )
+
+    def test_every_entry_lands_in_exactly_one_subtask(self, shape):
+        tables = _shape(shape)
+        subtasks = partition_subtasks(tables, self.SUBTASK_BYTES)
+        assert subtasks[0].lower is None and subtasks[-1].upper is None
+        for a, b in zip(subtasks, subtasks[1:]):
+            assert a.upper == b.lower
+        from repro.lsm.blockfmt import Block
+
+        for source, table in enumerate(tables):
+            for handle in table.block_handles():
+                for ikey, _ in Block(table._load_block(handle)):
+                    user = decode_internal_key(ikey)[0]
+                    owners = [
+                        s for s in subtasks
+                        if (s.lower is None or user >= s.lower)
+                        and (s.upper is None or user < s.upper)
+                    ]
+                    assert len(owners) == 1
+                    # ... and that sub-task reads the block holding it
+                    assert handle in owners[0].runs[source].handles
+
+    def test_window_clamping_unchanged(self, shape):
+        tables = _shape(shape)
+        subtasks = partition_subtasks(
+            tables, self.SUBTASK_BYTES, lower=b"key-00650", upper=b"key-01150"
+        )
+        assert subtasks[0].lower == b"key-00650"
+        assert subtasks[-1].upper == b"key-01150"
+        for a, b in zip(subtasks, subtasks[1:]):
+            assert a.upper == b.lower
+
+    def test_newest_run_blocks_are_never_split(self, shape):
+        tables = _shape(shape)
+        subtasks = partition_subtasks(tables, self.SUBTASK_BYTES)
+        seen = [h.offset for s in subtasks for h in s.runs[0].handles]
+        assert sorted(seen) == [h.offset for h in tables[0].block_handles()]
+
+    def test_stretches_of_one_run_get_subtasks_of_their_own(self, shape):
+        """Blocks no other run overlaps sit in single-run sub-tasks, on
+        that run's block grid: all but the one block per edge that also
+        holds keys of the shared stretch."""
+        tables = _shape(shape)
+        subtasks = partition_subtasks(tables, self.SUBTASK_BYTES)
+        oldest = tables[-1]
+        others = [t.key_range() for t in tables[:-1]]
+        lo = min(r[0][:-8] for r in others)
+        hi = max(r[1][:-8] for r in others)
+        seps = [s[:-8] for s in oldest.block_separators()]
+        handles = oldest.block_handles()
+        alone = {
+            h.offset for prev, sep, h in zip([b""] + seps, seps, handles)
+            if sep < lo or prev > hi
+        }
+        in_single = {
+            h.offset
+            for s in subtasks
+            if sum(1 for run in s.runs if run.handles) == 1
+            for h in s.runs[-1].handles
+        }
+        assert len(alone) > 20
+        assert len(alone - in_single) <= 2
+        # Each such block is read once: it straddles no boundary.
+        reads = [h.offset for s in subtasks for h in s.runs[-1].handles]
+        assert all(reads.count(offset) == 1 for offset in alone & in_single)
+
+
+class TestSparseDriver:
+    def test_size_bound_outranks_a_whole_driver_block(self):
+        """One driver block spanning the whole lower run: the parent rule
+        (never split a driver block) would make one giant sub-task."""
+        storage = MemStorage()
+        options = Options(block_bytes=256, compression="null")
+        upper = make_table(
+            storage, "u.sst",
+            [(_ik(b"key-00000", 2), b"U"), (_ik(b"key-01999", 2), b"U")], options,
+        )
+        lower = make_table(
+            storage, "l.sst",
+            [(_ik(b"key-%05d" % i, 1), b"L" * 40) for i in range(1, 1999)], options,
+        )
+        subtasks = partition_subtasks([upper, lower], 4096)
+        assert len(subtasks) > 10
+        for sub in subtasks:
+            assert sub.input_bytes() <= 2 * 4096 + 2 * (256 + 64)
+
+
+class TestSnapshotKeepsBlockBehindACut:
+    def test_older_versions_in_the_next_block_stay_with_their_key(self):
+        """Several versions of one user key can straddle a block edge.
+        When a live snapshot makes the merge keep the older ones, the
+        sub-task that owns the key must read the block they are in —
+        even if its boundary is that very edge."""
+        storage = MemStorage()
+        options = Options(block_bytes=256, compression="null")
+        entries = []
+        for i in range(400):
+            user = b"key-%05d" % i
+            entries.append((_ik(user, 1000 + i), b"new" * (3 + i % 7)))
+            entries.append((_ik(user, 10 + i), b"old" * 10))
+        table = make_table(storage, "t.sst", entries, options)
+        from repro.lsm.blockfmt import Block
+
+        def owned(subtasks):
+            """(user, seq) pairs each sub-task reads inside its own window."""
+            out = []
+            for sub in subtasks:
+                for handle in sub.runs[0].handles:
+                    for ikey, _ in Block(table._load_block(handle)):
+                        user, seq, _kind = decode_internal_key(ikey)
+                        if (sub.lower is None or user >= sub.lower) and (
+                            sub.upper is None or user < sub.upper
+                        ):
+                            out.append((user, seq))
+            return out
+
+        everything = [decode_internal_key(k)[:2] for k, _ in entries]
+        kept = partition_subtasks([table], 1024, smallest_snapshot=5)
+        assert sorted(owned(kept)) == sorted(everything)
+        # No snapshot: the older versions are shadowed, the merge drops
+        # them wherever they are, and no block is read twice for them.
+        plain = partition_subtasks([table], 1024)
+        assert sum(s.num_blocks() for s in plain) == table.num_blocks()
+        assert sum(s.num_blocks() for s in kept) > table.num_blocks()
+        newest = {(user, seq) for user, seq in everything if seq >= 1000}
+        assert newest <= set(owned(plain))

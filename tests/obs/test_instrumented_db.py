@@ -132,3 +132,64 @@ class TestMetricsProperties:
             json.dumps(stats)  # whole payload stays JSON-serialisable
         finally:
             db.close()
+
+
+class TestPassThroughIsVisible:
+    """How much compaction input was moved rather than rewritten shows
+    in the counters, the compaction log, the event stream and STATS."""
+
+    def _db(self, events):
+        from repro.obs import EventLog
+
+        options = Options(
+            memtable_bytes=16 * 1024, sstable_bytes=8 * 1024, block_bytes=1024,
+            level1_bytes=32 * 1024, compaction_policy="tiered:runs=4",
+        )
+        db = DB(
+            MemStorage(), options,
+            compaction_spec=ProcedureSpec.pcp(subtask_bytes=4 * 1024),
+            obs=Observability(events=EventLog(events.append)),
+        )
+        for i in range(1500):  # ascending keys: key-disjoint runs
+            db.put(b"key-%05d" % i, b"v-%d" % i)
+        db.compact_range()
+        return db
+
+    def test_counters_log_event_and_stats_agree(self):
+        events = []
+        db = self._db(events)
+        try:
+            counters = db.obs.metrics.snapshot()["counters"]
+            blocks = counters["compaction.passthrough_blocks"]
+            assert blocks > 0
+            assert 0 < counters["compaction.passthrough_bytes"] <= (
+                counters["compaction.input_bytes"]
+            )
+            ends = [e for e in events if e["event"] == "compaction.end"]
+            assert ends and sum(e["pass"] for e in ends) == blocks
+            log = db.get_property("compaction-log").splitlines()[1:]
+            assert sum(int(line.split(" pass=")[1].split()[0]) for line in log) == blocks
+            stats = KVServer(db)._stats_dict()
+            assert stats["engine"]["counters"]["compaction.passthrough_blocks"] == blocks
+        finally:
+            db.close()
+
+    def test_overlapping_runs_report_zero(self):
+        db = DB(
+            MemStorage(), small_options(),
+            compaction_spec=ProcedureSpec.pcp(subtask_bytes=4 * 1024),
+        )
+        try:
+            load(db)
+            db.compact_range()
+            counters = db.obs.metrics.snapshot()["counters"]
+            assert counters["compaction.count"] > 0
+            # Always-on counters: present, and zero where every sub-task
+            # merges several runs.
+            assert counters["compaction.passthrough_blocks"] == 0
+            assert all(
+                " pass=0 " in line
+                for line in db.get_property("compaction-log").splitlines()[1:]
+            )
+        finally:
+            db.close()
