@@ -70,6 +70,10 @@ class ExecutionStats:
     #: input blocks written out as stored (verified, never re-encoded)
     passthrough_blocks: int = 0
     passthrough_bytes: int = 0
+    #: rebuilt blocks that equalled an input block and took its stored
+    #: payload (merged, never re-compressed); none is also a pass-through
+    reused_blocks: int = 0
+    reused_bytes: int = 0
     stage_seconds: dict[str, float] = field(
         default_factory=lambda: {"read": 0.0, "compute": 0.0, "write": 0.0}
     )
@@ -121,6 +125,10 @@ def run_subtask_compute(
     rest — consecutive ones together, order kept — are merged and
     re-encoded.  A sub-task with two runs or more has no such blocks.
 
+    Either way S5 is told what every input block looked like stored
+    (:func:`step_compress`, ``stored_as``): a rebuilt block equal to
+    one of them is not compressed again.
+
     Returns the finished blocks and the seconds spent producing them.
     Arguments and result are picklable — codec and checksum by name,
     the sub-task as its bounds and run count rather than the
@@ -141,6 +149,7 @@ def run_subtask_compute(
         )
     else:
         kept = [None] * len(raw)
+    stored_as = {plain.raw: block.data for block, plain in zip(stored, raw)}
 
     def reencode(blocks: list[RawBlock]) -> list[EncodedBlock]:
         with tracer.span("S4:merge", cat="compute", subtask=index):
@@ -149,7 +158,7 @@ def run_subtask_compute(
                 n_sources=n_sources, smallest_snapshot=smallest_snapshot,
             )
         with tracer.span("S5:compress", cat="compute", subtask=index):
-            compressed = step_compress(merged, codec)
+            compressed = step_compress(merged, codec, stored_as)
         with tracer.span("S6:rechecksum", cat="compute", subtask=index):
             return step_rechecksum(compressed, checksummer)
 
@@ -226,6 +235,9 @@ def execute_subtasks(
             if block.passthrough:
                 stats.passthrough_blocks += 1
                 stats.passthrough_bytes += len(block.stored)
+            elif block.reused:
+                stats.reused_blocks += 1
+                stats.reused_bytes += len(block.stored)
 
     t_start = time.perf_counter()
     try:

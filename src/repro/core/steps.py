@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from ..codec.checksum import Checksummer
 from ..codec.compress import Codec
@@ -233,32 +233,49 @@ def _entries_of(blocks: Sequence[RawBlock]) -> Iterator[tuple[bytes, bytes]]:
     return chain.from_iterable(Block(b.raw, compare=internal_compare) for b in blocks)
 
 
-def step_compress(blocks: Sequence[MergedBlock], codec: Codec) -> list[tuple[MergedBlock, bytes, int]]:
+def step_compress(
+    blocks: Sequence[MergedBlock],
+    codec: Codec,
+    stored_as: Optional[Mapping[bytes, bytes]] = None,
+) -> list[tuple[MergedBlock, bytes, int, bool]]:
     """S5 COMPRESS: compress each rebuilt block.
 
-    Returns ``(merged, payload, tag)`` triples; incompressible blocks
-    fall back to the ``null`` tag (same heuristic as the table
+    Returns ``(merged, payload, tag, reused)`` tuples; incompressible
+    blocks fall back to the ``null`` tag (same heuristic as the table
     builder).
+
+    ``stored_as`` maps the decompressed bytes of input blocks to those
+    blocks as stored, after S2 verified and S3 decompressed them.  A
+    rebuilt block found there — an overwrite of equal size moves no
+    block boundary, so S4 often rebuilds what S3 just produced — takes
+    the stored payload instead of compressing again (``reused``): those
+    bytes decompress to exactly this block.  As for pass-through, only
+    under ``codec``'s own tag, so the output never mixes codecs.
     """
+    tag = COMPRESSION_TAGS[codec.name]
     out = []
     for block in blocks:
+        stored = stored_as.get(block.raw) if stored_as else None
+        if stored is not None and stored[-BLOCK_TRAILER_SIZE] == tag:
+            out.append((block, stored[:-BLOCK_TRAILER_SIZE], tag, True))
+            continue
         compressed = codec.compress(block.raw)
         if codec.name != "null" and len(compressed) < len(block.raw):
-            out.append((block, compressed, COMPRESSION_TAGS[codec.name]))
+            out.append((block, compressed, tag, False))
         else:
-            out.append((block, block.raw, COMPRESSION_TAGS["null"]))
+            out.append((block, block.raw, COMPRESSION_TAGS["null"], False))
     return out
 
 
 def step_rechecksum(
-    compressed: Sequence[tuple[MergedBlock, bytes, int]],
+    compressed: Sequence[tuple[MergedBlock, bytes, int, bool]],
     checksummer: Checksummer,
 ) -> list[EncodedBlock]:
     """S6 RE-CHECKSUM: frame each compressed block with trailer CRC."""
     from ..codec.varint import put_fixed32
 
     out: list[EncodedBlock] = []
-    for block, payload, tag in compressed:
+    for block, payload, tag, reused in compressed:
         crc = checksummer.masked(payload + bytes([tag]))
         stored = payload + bytes([tag]) + put_fixed32(crc)
         out.append(
@@ -269,6 +286,7 @@ def step_rechecksum(
                 num_entries=block.num_entries,
                 key_hashes=block.key_hashes,
                 uncompressed_bytes=len(block.raw),
+                reused=reused,
             )
         )
     return out

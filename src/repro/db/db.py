@@ -863,6 +863,8 @@ class DB:
         metrics.counter("compaction.output_bytes").inc(stats.output_bytes)
         metrics.counter("compaction.passthrough_blocks").inc(stats.passthrough_blocks)
         metrics.counter("compaction.passthrough_bytes").inc(stats.passthrough_bytes)
+        metrics.counter("compaction.reused_blocks").inc(stats.reused_blocks)
+        metrics.counter("compaction.reused_bytes").inc(stats.reused_bytes)
         metrics.histogram("compaction.seconds").record(elapsed)
         if events.enabled:
             events.emit(
@@ -873,6 +875,7 @@ class DB:
                 output_bytes=stats.output_bytes,
                 seconds=round(elapsed, 6),
                 **{"pass": stats.passthrough_blocks},
+                reuse=stats.reused_blocks,
             )
         self._record_compaction(
             {
@@ -885,6 +888,7 @@ class DB:
                 "input_bytes": stats.input_bytes,
                 "output_bytes": stats.output_bytes,
                 "pass": stats.passthrough_blocks,
+                "reuse": stats.reused_blocks,
                 "seconds": elapsed,
                 "procedure": self.compaction_spec.kind,
                 "policy": self.policy.spec(),
@@ -1252,7 +1256,7 @@ class DB:
                     f"inputs={r['inputs']} "
                     f"subtasks={r['subtasks']} "
                     f"in={r['input_bytes']} out={r['output_bytes']} "
-                    f"pass={r['pass']} "
+                    f"pass={r['pass']} reuse={r['reuse']} "
                     f"{r['seconds'] * 1e3:.1f}ms"
                     for r in self.compaction_log
                 ]

@@ -20,7 +20,7 @@ from ..devices.vfs import Storage
 from ..lsm.ikey import internal_compare
 from ..lsm.options import Options
 from ..lsm.table_reader import Table
-from ..lsm.version import FileMetaData, Version
+from ..lsm.version import FileMetaData, Version, sstable_number
 from .manifest import (
     ManifestWriter,
     VersionEdit,
@@ -203,10 +203,7 @@ def repair_db(storage: Storage, options: Optional[Options] = None) -> dict:
         except Exception:
             dropped.append(name)
             continue
-        try:
-            number = int(name.split(".")[0])
-        except ValueError:
-            number = abs(hash(name)) % (1 << 31)
+        number = sstable_number(name)
         max_number = max(max_number, number)
         version.add_file(
             0,

@@ -112,19 +112,20 @@ class Storage(ABC):
 
 # ----------------------------------------------------------------- mem
 class _MemWritable(WritableFile):
-    def __init__(self, store: "MemStorage", name: str) -> None:
-        self._store = store
+    """Appends to the buffer :meth:`MemStorage.create` published: readers
+    hold the same buffer, so one opened mid-write (the WAL case) observes
+    later appends, like a page-cache read would, and an append costs its
+    own bytes, not the file's."""
+
+    def __init__(self, buf: bytearray, name: str) -> None:
+        self._buf = buf
         self._name = name
-        self._buf = bytearray()
         self._closed = False
 
     def append(self, data: bytes) -> None:
         if self._closed:
             raise StorageError(f"append to closed file {self._name!r}")
         self._buf += data
-        # Publish eagerly so readers opened mid-write (the WAL case)
-        # observe appended data, like a page-cache read would.
-        self._store._files[self._name] = bytes(self._buf)
 
     def flush(self) -> None:
         pass
@@ -136,20 +137,20 @@ class _MemWritable(WritableFile):
         return len(self._buf)
 
     def close(self) -> None:
-        if not self._closed:
-            self._store._files[self._name] = bytes(self._buf)
-            self._closed = True
+        self._closed = True
 
 
 class _MemReadable(ReadableFile):
-    def __init__(self, data: bytes, name: str) -> None:
+    def __init__(self, data: bytearray, name: str) -> None:
         self._data = data
         self._name = name
 
     def pread(self, offset: int, length: int) -> bytes:
         if offset < 0 or length < 0:
             raise ValueError("negative offset/length")
-        return self._data[offset : offset + length]
+        # A copy of the slice only: the caller's bytes stay as read
+        # whatever is appended later.
+        return bytes(self._data[offset : offset + length])
 
     def size(self) -> int:
         return len(self._data)
@@ -162,13 +163,14 @@ class MemStorage(Storage):
     """In-memory storage; thread-safe for the engine's usage pattern."""
 
     def __init__(self) -> None:
-        self._files: dict[str, bytes] = {}
+        self._files: dict[str, bytearray] = {}
         self._lock = make_lock("vfs.memstorage")
 
     def create(self, name: str) -> WritableFile:
+        buf = bytearray()
         with self._lock:
-            self._files[name] = b""
-        return _MemWritable(self, name)
+            self._files[name] = buf
+        return _MemWritable(buf, name)
 
     def open(self, name: str) -> ReadableFile:
         with self._lock:

@@ -26,7 +26,7 @@ from .bloom import BloomFilterBuilder
 from .ikey import internal_compare
 from .options import Options
 from .table_format import BlockHandle, Footer, encode_block_contents
-from .version import FileMetaData
+from .version import FileMetaData, sstable_number
 
 __all__ = ["EncodedBlock", "TableSink"]
 
@@ -39,8 +39,10 @@ class EncodedBlock:
     ``key_hashes`` are :func:`repro.lsm.bloom.bloom_hash` values of the
     block's user keys (for the output table's filter).
     ``uncompressed_bytes`` feeds compaction-bandwidth accounting.
-    ``passthrough`` marks a compaction input block handed on as stored
-    (no S4–S6); the sink treats it like any other.
+    How a compaction made the block, for its accounting (the sink treats
+    all alike): ``passthrough`` marks an input block handed on as stored
+    (no S4–S6), ``reused`` a rebuilt block that equalled an input block
+    and took that block's stored payload (no S5).
     """
 
     stored: bytes
@@ -50,6 +52,7 @@ class EncodedBlock:
     key_hashes: tuple[int, ...] = ()
     uncompressed_bytes: int = 0
     passthrough: bool = False
+    reused: bool = False
 
 
 class TableSink:
@@ -149,10 +152,9 @@ class TableSink:
         # reference to a vanished table.
         self._file.sync()
         self._file.close()
-        number = _parse_file_number(self._name)
         self.outputs.append(
             FileMetaData(
-                number=number,
+                number=sstable_number(self._name),
                 file_size=self._offset,
                 smallest=self._smallest,
                 largest=self._largest,
@@ -167,12 +169,3 @@ class TableSink:
         """Seal the current file (if any) and return all outputs."""
         self._finish_file()
         return self.outputs
-
-
-def _parse_file_number(name: str) -> int:
-    """Extract the numeric id from names like ``000123.sst``."""
-    stem = name.split("/")[-1].split(".")[0]
-    try:
-        return int(stem)
-    except ValueError:
-        return abs(hash(name)) % (1 << 31)

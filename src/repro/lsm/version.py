@@ -17,6 +17,7 @@ by run id, and a higher run id strictly shadows lower ones per key
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,6 +62,17 @@ class FileMetaData:
 
 def sstable_name(number: int) -> str:
     return f"{number:06d}.sst"
+
+
+def sstable_number(name: str) -> int:
+    """The number in names like ``000123.sst``; for any other name one
+    derived from it that every process agrees on (``hash()`` is salted
+    per interpreter, and the number goes into the MANIFEST)."""
+    stem = name.split("/")[-1].split(".")[0]
+    try:
+        return int(stem)
+    except ValueError:
+        return zlib.crc32(name.encode()) % (1 << 31)
 
 
 class Version:

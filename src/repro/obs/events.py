@@ -11,7 +11,8 @@ event                       emitted by
 ``stall.enter`` / ``.exit`` DB write-stall boundary (L0 backlog)
 ``compaction.start``        background compaction picked inputs
 ``compaction.end``          compaction finished (outputs, seconds, ``pass`` =
-                            input blocks written out as stored)
+                            input blocks written out as stored, ``reuse`` =
+                            rebuilt blocks that took an input's payload)
 ``compaction.retry``        transient I/O error, backing off
 ``compaction.quarantine``   corrupt input sidelined
 ``fence``                   replication epoch bumped (failover fencing)

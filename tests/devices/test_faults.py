@@ -168,6 +168,17 @@ class TestFrozenImage:
         frozen = s.frozen_storage()
         assert frozen.open("a").read_all() == b"durable"
 
+    def test_image_is_a_copy_later_appends_do_not_reach(self):
+        s = FaultyStorage(MemStorage())
+        f = s.create("a")
+        f.append(b"durable")
+        f.sync()
+        frozen = s.frozen_storage()
+        f.append(b"-later")
+        f.sync()
+        assert frozen.open("a").read_all() == b"durable"
+        assert s.open("a").read_all() == b"durable-later"
+
     def test_created_never_synced_file_vanishes(self):
         s = FaultyStorage(MemStorage())
         f = s.create("ghost")

@@ -5,7 +5,7 @@ import pytest
 from repro.compaction import LeveledPolicy
 from repro.lsm.ikey import KIND_VALUE, encode_internal_key
 from repro.lsm.options import Options
-from repro.lsm.version import FileMetaData, Version
+from repro.lsm.version import FileMetaData, Version, sstable_number
 
 
 def _ik(user: bytes, seq: int = 1) -> bytes:
@@ -93,6 +93,33 @@ class TestVersion:
         assert v.describe() == "(empty)"
         v.add_file(1, _meta(7, b"a", b"b"))
         assert "L1" in v.describe() and "#7" in v.describe()
+
+
+class TestFileNumbers:
+    def test_unnumbered_name_gets_one_number_in_every_interpreter(self):
+        """The number lands in the MANIFEST (repair) and in
+        ``next_file_number``: it must not hang on PYTHONHASHSEED."""
+        import os
+        import subprocess
+        import sys
+
+        assert sstable_number("000123.sst") == sstable_number("dir/000123.sst") == 123
+        script = (
+            "from repro.lsm.version import sstable_number;"
+            "print(sstable_number('out-0001.sst'))"
+        )
+        numbers = set()
+        for seed in ("1", "2"):
+            env = dict(
+                os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED=seed
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script], check=True, env=env, timeout=60,
+                capture_output=True, text=True,
+            )
+            numbers.add(int(done.stdout))
+        assert numbers == {sstable_number("out-0001.sst")}
+        assert 0 <= min(numbers) < 1 << 31
 
 
 class TestPickerL0:

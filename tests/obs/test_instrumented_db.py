@@ -193,3 +193,39 @@ class TestPassThroughIsVisible:
             )
         finally:
             db.close()
+
+    def test_uniform_overwrites_report_reuse_not_passthrough(self):
+        """Same-size overwrites of uniformly drawn keys: every sub-task
+        merges several runs, yet the blocks no newer run touched come
+        out of S4 as they went in and keep their stored payload."""
+        import random
+
+        from repro.obs import EventLog
+
+        events = []
+        db = DB(
+            MemStorage(), small_options(),
+            compaction_spec=ProcedureSpec.pcp(subtask_bytes=32 * 1024),
+            obs=Observability(events=EventLog(events.append)),
+        )
+        try:
+            rng = random.Random(3)
+            for i in range(3000):
+                db.put(b"key%08d" % rng.randrange(300), b"%06d" % i * 60)
+            db.compact_range()
+            counters = db.obs.metrics.snapshot()["counters"]
+            assert counters["compaction.passthrough_blocks"] == 0
+            blocks = counters["compaction.reused_blocks"]
+            assert blocks > 100
+            assert 0 < counters["compaction.reused_bytes"] < (
+                counters["compaction.output_bytes"]
+            )
+            ends = [e for e in events if e["event"] == "compaction.end"]
+            assert sum(e["reuse"] for e in ends) == blocks
+            log = db.get_property("compaction-log").splitlines()[1:]
+            assert all(" pass=0 reuse=" in line for line in log)
+            assert sum(int(line.split(" reuse=")[1].split()[0]) for line in log) == blocks
+            stats = KVServer(db)._stats_dict()
+            assert stats["engine"]["counters"]["compaction.reused_blocks"] == blocks
+        finally:
+            db.close()

@@ -282,6 +282,43 @@ class TestProtocolRobustness:
             raise ServerError(P.ST_BAD_REQUEST, "for coverage of the type")
 
 
+class TestReceiveBuffer:
+    """Requests are received into one buffer per connection.
+
+    A plain ``Protocol`` costs a 256 KB allocation per socket read, and
+    whether glibc then trims and re-grows the heap on every request is
+    decided by heap layout: ``read-cached`` ran at two speeds.
+    """
+
+    def test_no_large_allocation_per_request(self, client):
+        import tracemalloc
+
+        client.put(b"k", b"v" * 100)
+        tracemalloc.start()
+        try:
+            client.get(b"k")
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            for _ in range(50):
+                assert client.get(b"k") == b"v" * 100
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The client in this process still does recv(64 KB) per reply.
+        assert peak - before < 128 * 1024
+
+    def test_frame_longer_than_the_buffer_and_two_in_one_read(self, client):
+        from repro.server.server import _RECV_BYTES
+
+        blob = bytes(range(256)) * (3 * _RECV_BYTES // 256) + b"tail"
+        with client.pipeline() as pipe:
+            pipe.put(b"long", blob)
+            pipe.put(b"a", b"1")
+            pipe.get(b"a")
+            pipe.get(b"long")
+        assert pipe.results[2:] == [b"1", blob]
+
+
 class TestServeParser:
     def test_dbtool_accepts_serve(self):
         from repro.tools.dbtool import build_parser
