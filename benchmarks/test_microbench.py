@@ -17,9 +17,11 @@ from repro.lsm import (
     KIND_VALUE,
     Block,
     BlockBuilder,
+    BloomFilterBuilder,
     MemTable,
     Options,
     bloom_hash,
+    bloom_hashes,
     encode_internal_key,
     internal_compare,
     merge_iterators,
@@ -194,6 +196,56 @@ def test_bench_bloom_hash_16B_key(benchmark):
     keys = [format_key(i) for i in range(1000)]
     assert len(keys[0]) == 16
     benchmark(lambda: [bloom_hash(k) for k in keys])
+
+
+# The per-key work every compaction and flush pays whatever the key
+# shape, each kernel beside the plain loop it replaced (report only;
+# divide by the row's key or entry count for per-key figures).  One data
+# block's user keys: 36 of them with 100 B values, 5 with 1 KB values.
+def test_bench_bloom_hash_block_scalar(benchmark, block_entries):
+    users = [ikey[:-8] for ikey, _ in block_entries]
+    benchmark(lambda: [bloom_hash(k) for k in users])
+
+
+def test_bench_bloom_hashes_block(benchmark, block_entries):
+    users = [ikey[:-8] for ikey, _ in block_entries]
+    assert benchmark(bloom_hashes, users) == [bloom_hash(k) for k in users]
+
+
+# One output table's filter: 640 keys at 10 bits per key.
+@pytest.fixture(scope="module")
+def table_hashes():
+    return bloom_hashes([format_key(i) for i in range(640)])
+
+
+def test_bench_bloom_filter_640_reference(benchmark, table_hashes):
+    from tests.lsm.bloom_reference import filter_reference
+
+    benchmark(filter_reference, table_hashes, 10)
+
+
+def test_bench_bloom_filter_640(benchmark, table_hashes):
+    from tests.lsm.bloom_reference import filter_reference
+
+    def build():
+        builder = BloomFilterBuilder(10)
+        builder.add_hashes(table_hashes)
+        return builder.finish()
+
+    assert benchmark(build) == filter_reference(table_hashes, 10)
+
+
+# One ~4 KB block decoded whole, entry by entry and in one loop.
+def test_bench_block_decode_entry_by_entry(benchmark, block_entries):
+    raw = _build_block(block_entries)
+    entries = benchmark(lambda: list(Block(raw, compare=internal_compare)._iter_from(0, b"")))
+    assert entries == block_entries
+
+
+def test_bench_block_entries(benchmark, block_entries):
+    raw = _build_block(block_entries)
+    entries = benchmark(lambda: Block(raw, compare=internal_compare).entries())
+    assert entries == block_entries
 
 
 def test_bench_merge_two_sources(benchmark):

@@ -214,18 +214,26 @@ def lz77_decompress(blob: bytes) -> bytes:
                     raise CompressionError("truncated literal")
                 out += blob[pos : pos + length]
                 pos += length
-            elif kind == 0x01:  # 1-byte-offset copy
+                continue
+            if kind == 0x01:  # 1-byte-offset copy
                 length = ((tag >> 2) & 0x07) + 4
                 offset = ((tag >> 5) << 8) | blob[pos]
                 pos += 1
-                _copy_back(out, offset, length)
             elif kind == 0x02:  # 2-byte-offset copy
                 length = (tag >> 2) + 1
                 offset = blob[pos] | blob[pos + 1] << 8
                 pos += 2
-                _copy_back(out, offset, length)
             else:
                 raise CompressionError(f"bad element tag {tag:#x}")
+            # The copy, in place: one per element, so no call.
+            start = len(out) - offset
+            if offset == 0 or start < 0:
+                raise CompressionError(f"copy offset {offset} out of window")
+            if offset >= length:
+                out += out[start : start + length]
+            else:
+                # Overlapping copy (RLE-style): the last ``offset`` bytes repeat.
+                out += (out[start:] * (length // offset + 1))[:length]
     except IndexError:
         raise CompressionError("truncated input") from None
     if len(out) != expected:
@@ -233,18 +241,6 @@ def lz77_decompress(blob: bytes) -> bytes:
             f"length mismatch: header says {expected}, decoded {len(out)}"
         )
     return bytes(out)
-
-
-def _copy_back(out: bytearray, offset: int, length: int) -> None:
-    if offset == 0 or offset > len(out):
-        raise CompressionError(f"copy offset {offset} out of window")
-    start = len(out) - offset
-    if offset >= length:
-        out += out[start : start + length]
-    else:
-        # Overlapping copy (RLE-style): the last ``offset`` bytes repeat.
-        period = out[start:]
-        out += (period * (length // offset + 1))[:length]
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from ..codec.compress import Codec
 from ..codec.varint import get_fixed32
 from ..devices.vfs import ReadableFile
 from ..lsm.blockfmt import Block, BlockBuilder
-from ..lsm.bloom import bloom_hash
+from ..lsm.bloom import bloom_hashes
 from ..lsm.ikey import (
     KIND_DELETE,
     MAX_SEQUENCE,
@@ -177,12 +177,12 @@ def step_merge(
     builder = BlockBuilder(restart_interval, compare=internal_compare)
     first_key: Optional[bytes] = None
     last_key: Optional[bytes] = None
-    hashes: list[int] = []
+    users: list[bytes] = []  # the open block's user keys, hashed when it closes
     prev_user: Optional[bytes] = None
     last_seq_for_key = MAX_SEQUENCE + 1
 
     def _flush() -> None:
-        nonlocal builder, first_key, last_key, hashes
+        nonlocal builder, first_key, last_key, users
         if builder.empty:
             return
         out.append(
@@ -191,13 +191,13 @@ def step_merge(
                 first_key=first_key,
                 last_key=last_key,
                 num_entries=builder.num_entries,
-                key_hashes=tuple(hashes),
+                key_hashes=tuple(bloom_hashes(users)),
             )
         )
         builder = BlockBuilder(restart_interval, compare=internal_compare)
         first_key = None
         last_key = None
-        hashes = []
+        users = []
 
     for ikey, value in merged:
         user, seq, kind = decode_internal_key(ikey)
@@ -221,7 +221,7 @@ def step_merge(
             first_key = ikey
         builder.add(ikey, value)
         last_key = ikey
-        hashes.append(bloom_hash(user))
+        users.append(user)
         if builder.current_size_estimate() >= block_bytes:
             _flush()
     _flush()
@@ -229,8 +229,10 @@ def step_merge(
 
 
 def _entries_of(blocks: Sequence[RawBlock]) -> Iterator[tuple[bytes, bytes]]:
-    # chain: the merge pulls entries straight from each block's iterator.
-    return chain.from_iterable(Block(b.raw, compare=internal_compare) for b in blocks)
+    # chain: the merge pulls entries straight from each decoded block.
+    return chain.from_iterable(
+        Block(b.raw, compare=internal_compare).entries() for b in blocks
+    )
 
 
 def step_compress(
@@ -326,7 +328,7 @@ def passthrough_blocks(
     if smallest_snapshot is None:
         smallest_snapshot = MAX_SEQUENCE
     tag = COMPRESSION_TAGS[codec.name]
-    keys = [[ikey for ikey, _ in Block(b.raw, compare=internal_compare)] for b in raw]
+    keys = [[ikey for ikey, _ in Block(b.raw, compare=internal_compare).entries()] for b in raw]
     edges = [(k[0][:-8], k[-1][:-8]) if k else (None, None) for k in keys]
     out: list[Optional[EncodedBlock]] = []
     for i, (block, ikeys) in enumerate(zip(stored, keys)):
@@ -357,7 +359,7 @@ def passthrough_blocks(
                 first_key=ikeys[0],
                 last_key=ikeys[-1],
                 num_entries=len(ikeys),
-                key_hashes=tuple(map(bloom_hash, users)),
+                key_hashes=tuple(bloom_hashes(users)),
                 uncompressed_bytes=len(raw[i].raw),
                 passthrough=True,
             )

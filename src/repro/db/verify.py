@@ -20,7 +20,7 @@ from ..devices.vfs import Storage
 from ..lsm.ikey import internal_compare
 from ..lsm.options import Options
 from ..lsm.table_reader import Table
-from ..lsm.version import FileMetaData, Version, sstable_number
+from ..lsm.version import FileMetaData, Version, sstable_name, sstable_number
 from .manifest import (
     ManifestWriter,
     VersionEdit,
@@ -140,6 +140,11 @@ def _table_verifies(storage: Storage, name: str, options: Options) -> bool:
     return True
 
 
+def _numbered(name: str) -> bool:
+    """Is ``name`` what a MANIFEST entry's number opens?"""
+    return sstable_name(sstable_number(name)) == name
+
+
 def repair_db(storage: Storage, options: Optional[Options] = None) -> dict:
     """Rebuild CURRENT/MANIFEST from salvageable SSTables.
 
@@ -149,7 +154,9 @@ def repair_db(storage: Storage, options: Optional[Options] = None) -> dict:
     (``*.sst.quarantined``, renamed aside by the self-healing
     compaction path) get a second chance: one that now verifies
     cleanly is renamed back and salvaged; one that does not stays
-    aside and is listed in ``dropped``.
+    aside and is listed in ``dropped``.  A table salvaged under a name
+    that is not a table number's is renamed to a fresh number and listed
+    under that name.
     """
     options = options or Options()
     salvaged: list[str] = []
@@ -183,12 +190,15 @@ def repair_db(storage: Storage, options: Optional[Options] = None) -> dict:
         else:
             dropped.append(name)
 
-    for name in storage.list():
-        if not name.endswith(".sst"):
-            continue
+    tables = sorted(name for name in storage.list() if name.endswith(".sst"))
+    fresh = 1 + max(
+        (sstable_number(name) for name in tables if _numbered(name)), default=0
+    )
+    for name in tables:
         try:
             table = Table(storage.open(name), options)
             entries = list(table)  # verifies every block checksum
+            table.close()
             if not entries:
                 dropped.append(name)
                 continue
@@ -203,6 +213,15 @@ def repair_db(storage: Storage, options: Optional[Options] = None) -> dict:
         except Exception:
             dropped.append(name)
             continue
+        if not _numbered(name):
+            # The MANIFEST records a table by number only, and a reopen
+            # looks it up as sstable_name(number): under any other name
+            # (``backup.sst``, ``12.sst``) it would be gone at the next
+            # open.  It takes a fresh number above every numbered table.
+            while storage.exists(sstable_name(fresh)):
+                fresh += 1
+            storage.rename(name, sstable_name(fresh))
+            name = sstable_name(fresh)
         number = sstable_number(name)
         max_number = max(max_number, number)
         version.add_file(

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional
 
 from ..codec.varint import (
+    VarintError,
     decode_varint32,
     encode_varint32,
     get_fixed32,
@@ -197,8 +198,71 @@ class Block:
             key, value, pos = self._parse_entry(pos, key)
             yield key, value
 
+    def entries(self) -> list[tuple[bytes, bytes]]:
+        """Every entry, decoded in one loop.
+
+        :meth:`_parse_entry` inlined — no call or generator step per
+        entry — with one- and two-byte varints read in place (a 1 KB
+        value's length takes two); longer ones, and every error, go the
+        same way as there, so a damaged block raises the same
+        :class:`BlockCorruption`.  A run of keys sharing the same number
+        of leading bytes shares one prefix object, sliced once.
+        Compaction, scans and ``iter`` decode whole blocks; :meth:`seek`
+        stays lazy.
+        """
+        data = self._data
+        end = self._entries_end
+        out: list[tuple[bytes, bytes]] = []
+        append = out.append
+        pos = prefix_len = 0
+        key = prefix = b""
+        try:
+            while pos < end:
+                shared = data[pos]
+                if shared < 0x80:
+                    pos += 1
+                elif data[pos + 1] < 0x80:
+                    shared = (shared & 0x7F) | data[pos + 1] << 7
+                    pos += 2
+                else:
+                    shared, pos = decode_varint32(data, pos)
+                non_shared = data[pos]
+                if non_shared < 0x80:
+                    pos += 1
+                elif data[pos + 1] < 0x80:
+                    non_shared = (non_shared & 0x7F) | data[pos + 1] << 7
+                    pos += 2
+                else:
+                    non_shared, pos = decode_varint32(data, pos)
+                value_len = data[pos]
+                if value_len < 0x80:
+                    pos += 1
+                elif data[pos + 1] < 0x80:
+                    value_len = (value_len & 0x7F) | data[pos + 1] << 7
+                    pos += 2
+                else:
+                    value_len, pos = decode_varint32(data, pos)
+                if shared != prefix_len:
+                    # Otherwise the previous key was built on ``prefix``
+                    # itself, and is at least that long.
+                    if shared > len(key):
+                        raise BlockCorruption("shared prefix longer than previous key")
+                    prefix = key[:shared]
+                    prefix_len = shared
+                key_end = pos + non_shared
+                key = prefix + data[pos:key_end]
+                pos = key_end + value_len
+                if pos > end:
+                    raise BlockCorruption("entry overruns block")
+                append((key, data[key_end:pos]))
+        except IndexError:
+            raise BlockCorruption("truncated varint") from None
+        except VarintError as exc:
+            raise BlockCorruption(str(exc)) from None
+        return out
+
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
-        return self._iter_from(0, b"")
+        return iter(self.entries())
 
     def _restart_key(self, index: int) -> bytes:
         key, _, _ = self._parse_entry(self._restarts[index], b"")
@@ -231,8 +295,7 @@ class Block:
         so the straightforward materialise-and-reverse is cheaper and
         simpler than restart-hopping backward cursors.
         """
-        entries = list(self)
-        return reversed(entries)
+        return reversed(self.entries())
 
     def seek_reverse(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Entries with key <= ``target``, in descending order."""

@@ -16,7 +16,7 @@ from ..codec.checksum import get_checksummer
 from ..codec.compress import get_codec
 from ..devices.vfs import WritableFile
 from .blockfmt import BlockBuilder
-from .bloom import BloomFilterBuilder
+from .bloom import BloomFilterBuilder, bloom_hashes
 from .ikey import internal_compare
 from .options import Options
 from .table_format import BlockHandle, Footer, encode_block_contents
@@ -70,6 +70,7 @@ class TableBuilder:
         )
         self._index_block = BlockBuilder(1, compare=internal_compare)
         self._bloom = BloomFilterBuilder(self.options.bloom_bits_per_key)
+        self._block_users: list[bytes] = []  # hashed when the block is cut
         self._offset = 0
         self._num_entries = 0
         self._pending_handle: Optional[BlockHandle] = None
@@ -98,7 +99,7 @@ class TableBuilder:
             self.smallest = ikey
         self.largest = ikey
         self._data_block.add(ikey, value)
-        self._bloom.add(ikey[:-8])
+        self._block_users.append(ikey[:-8])
         self._last_key = ikey
         self._num_entries += 1
         if self._data_block.current_size_estimate() >= self.options.block_bytes:
@@ -121,6 +122,8 @@ class TableBuilder:
         self._pending_handle = self._write_block(raw)
         self._pending_last_key = self._data_block.last_key
         self._data_block.reset()
+        self._bloom.add_hashes(bloom_hashes(self._block_users))
+        self._block_users = []
 
     def _write_block(self, raw: bytes) -> BlockHandle:
         stored = encode_block_contents(raw, self._codec, self._checksummer)

@@ -172,7 +172,7 @@ class Table:
         # The target sorts after everything in this block; try the next.
         if idx + 1 < len(self._index_entries):
             block = self._block_at(self._index_entries[idx + 1][1], wait)
-            for key, value in block:
+            for key, value in block.seek(ikey):  # its first entry, lazily
                 return key, value
         return None
 

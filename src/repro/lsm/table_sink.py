@@ -113,8 +113,7 @@ class TableSink:
         # Index key: the block's own last key (a valid upper bound; we
         # cannot shorten toward an unknown next block here).
         self._index.add(block.last_key, handle.encode())
-        for h in block.key_hashes:
-            self._bloom.add_hash(h)
+        self._bloom.add_hashes(block.key_hashes)
         if self._smallest is None:
             self._smallest = block.first_key
         self._largest = block.last_key

@@ -317,7 +317,8 @@ class KVServer:
         # Mutable per-connection state: the hello handshake stores the
         # connection's negotiated write ack level here; "inflight" is
         # the number of requests handed to the writer task whose frames
-        # are not on the socket yet.
+        # are not on the socket yet; "last_task" the newest of them, which
+        # the next one waits for before it runs.
         state: dict = {"inflight": 0}
         writer_task = asyncio.create_task(
             self._write_responses(queue, writer, state)
@@ -397,15 +398,19 @@ class KVServer:
                     continue
             inline_run = 0
             state["inflight"] += 1
-            # Bounded queue: blocks when the pipeline is full, which
-            # stops reading this socket until responses drain.
-            await queue.put(
-                asyncio.create_task(
-                    self._handle_request(
-                        request, bytes_in, state, t0, wait=True
-                    )
+            # Chained behind this connection's previous pool request: a
+            # GET pipelined behind a PUT must not overtake it on another
+            # worker thread.
+            task = asyncio.create_task(
+                self._handle_request(
+                    request, bytes_in, state, t0, wait=True,
+                    after=state.get("last_task"),
                 )
             )
+            state["last_task"] = task
+            # Bounded queue: blocks when the pipeline is full, which
+            # stops reading this socket until responses drain.
+            await queue.put(task)
 
     async def _write_responses(
         self, queue: asyncio.Queue, writer: asyncio.StreamWriter, state: dict
@@ -439,17 +444,22 @@ class KVServer:
         state: dict,
         t0: float,
         wait: bool,
+        after: Optional[asyncio.Task] = None,
     ) -> bytes:
         """Execute one request; returns the encoded response frame.
 
         The one handler behind both entries.  ``wait=True`` runs the
-        opcode on a pool thread.  ``wait=False`` runs it right here on
-        the loop thread in non-waiting mode and never suspends; when the
-        opcode would have to wait, :class:`WouldBlock` propagates with
-        nothing recorded and the caller comes back with ``wait=True``.
-        ``t0`` is when the request was decoded, so a request that came
-        back is timed from its first attempt.
+        opcode on a pool thread, once ``after`` — the connection's
+        previous pool request — has finished, so a connection's requests
+        execute in the order they arrived.  ``wait=False`` runs it right
+        here on the loop thread in non-waiting mode and never suspends;
+        when the opcode would have to wait, :class:`WouldBlock`
+        propagates with nothing recorded and the caller comes back with
+        ``wait=True``.  ``t0`` is when the request was decoded, so a
+        request that came back is timed from its first attempt.
         """
+        if after is not None and not after.done():
+            await asyncio.wait((after,))  # its outcome is its own reply
         status = P.ST_SERVER_ERROR
         body = b""
         try:

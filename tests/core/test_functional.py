@@ -6,6 +6,7 @@ real tables with SCP, PCP, and C-PPCP and assert bit-identical results.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -248,6 +249,68 @@ class TestProcedureEquivalence:
                 assert _read_outputs(storage, options, outputs) == expected
                 if shape == "sequential-insert":
                     assert stats.passthrough_bytes == stats.input_bytes
+        assert all(blobs == written["scp"] for blobs in written.values())
+
+    def test_output_identical_with_long_values_and_mixed_key_lengths(self):
+        """The kernel-shaped sibling of the tests above: 1 KB values (a
+        two-byte ``value_len`` in every entry header), user keys of
+        several lengths on both sides of the 16-byte hash lane (some
+        blocks hashed in lanes, some key by key).  Every spec writes
+        SCP's bytes, the newest-wins merge, and in every table — inputs
+        from the flush path, outputs from S4/S7 — the filter the
+        per-key reference build gives."""
+        from repro.codec.checksum import get_checksummer
+        from repro.lsm.table_format import (
+            FOOTER_SIZE, Footer, decode_block_contents, read_block,
+        )
+        from tests.lsm.bloom_reference import filter_of_keys
+
+        storage = MemStorage()
+        options = Options(block_bytes=4096, sstable_bytes=16 * 1024, compression="lz77")
+
+        def user(i):
+            return b"k%d" % i if i % 50 < 25 else b"long-user-key-%012d" % i
+
+        def value(tag, i):  # half repetitive, half noise: lz77 keeps ~60 %
+            return tag + random.Random(i).randbytes(500) + bytes([i % 7]) * 500
+
+        upper = [(_ik(user(i), 20), value(b"u", i)) for i in range(0, 300, 2)]
+        lower = [(_ik(user(i), 10), value(b"l", i)) for i in range(0, 300, 3)]
+        upper.sort(key=lambda e: e[0][:-8])
+        lower.sort(key=lambda e: e[0][:-8])
+        tables = [
+            make_table(storage, "in-0.sst", upper, options),
+            make_table(storage, "in-1.sst", lower, options),
+        ]
+
+        def filter_ok(name):
+            with storage.open(name) as f:
+                footer = Footer.decode(f.pread(f.size() - FOOTER_SIZE, FOOTER_SIZE))
+                blob = decode_block_contents(
+                    read_block(f, footer.filter_handle), get_checksummer(options.checksum)
+                )
+            users = [ikey[:-8] for ikey, _ in Table(storage.open(name), options)]
+            return blob == filter_of_keys(users, options.bloom_bits_per_key)
+
+        assert filter_ok("in-0.sst") and filter_ok("in-1.sst")
+        specs = {
+            "scp": ProcedureSpec.scp(subtask_bytes=8192),
+            "pcp": ProcedureSpec.pcp(subtask_bytes=8192),
+            "cppcp2": ProcedureSpec.cppcp(k=2, subtask_bytes=8192),
+            "cppcp2-process": ProcedureSpec.cppcp(k=2, subtask_bytes=8192, backend="process"),
+        }
+        written = {}
+        for name, spec in specs.items():
+            numbers = itertools.count(100)
+            outputs, _, _ = compact_tables(
+                tables, storage, options,
+                file_namer=lambda: f"{name}-{next(numbers):06d}.sst", spec=spec,
+            )
+            written[name] = [storage.open(m.name).read_all() for m in outputs]
+            assert all(filter_ok(m.name) for m in outputs)
+            if name == "scp":
+                assert len(outputs) > 1
+                assert _read_outputs(storage, options, outputs) == _expected_merge(upper, lower)
         assert all(blobs == written["scp"] for blobs in written.values())
 
     def test_stats_account_input_bytes(self, setup):

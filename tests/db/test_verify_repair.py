@@ -4,6 +4,7 @@
 from repro.db import DB, repair_db, verify_db
 from repro.db.manifest import CURRENT_NAME
 from repro.devices import MemStorage
+from repro.lsm import sstable_name
 
 from tests.helpers import corrupt_file, small_options
 
@@ -176,6 +177,41 @@ class TestRepair:
         assert "900000.sst" in result["salvaged"]
         with DB(storage, small_options()) as db:
             assert sum(1 for _ in db.items()) == 800  # dup keys collapse
+
+    def test_repair_renames_unnumbered_table_so_reopen_finds_it(self):
+        """A table salvaged under a name the MANIFEST cannot record
+        (it stores numbers) takes a fresh number; reopened, its keys
+        read back."""
+        storage = MemStorage()
+        options = small_options()
+        with DB(storage, options) as db:
+            db.put(b"numbered", b"1")
+            db.flush()
+        # A second store's table, copied in under names of no number.
+        other = MemStorage()
+        with DB(other, options) as db:
+            for i in range(50):
+                db.put(b"backup-%03d" % i, b"value-%d" % i)
+            db.flush()
+        donor = next(n for n in other.list() if n.endswith(".sst"))
+        blob = other.open(donor).read_all()
+        for name in ("backup.sst", "7.sst"):
+            with storage.create(name) as f:
+                f.append(blob)
+                f.sync()
+        before = [n for n in storage.list() if n.endswith(".sst")]
+        highest = max(int(n[:-4]) for n in before if n not in ("backup.sst", "7.sst"))
+        result = repair_db(storage, options)
+        assert not storage.exists("backup.sst") and not storage.exists("7.sst")
+        salvaged = result["salvaged"]
+        assert len(salvaged) == len(before)
+        assert all(n == sstable_name(int(n[:-4])) for n in salvaged)
+        assert len([n for n in salvaged if int(n[:-4]) > highest]) == 2
+        assert verify_db(storage, options).ok
+        with DB(storage, options) as db:
+            assert db.get(b"numbered") == b"1"
+            assert db.get(b"backup-017") == b"value-17"
+            assert sum(1 for _ in db.items()) == 51
 
     def test_repair_readmits_clean_quarantined_table(self):
         """Quarantine replay: a renamed-aside table that verifies

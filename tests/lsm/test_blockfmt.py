@@ -202,3 +202,111 @@ class TestCorruption:
         block = Block(builder.finish(), compare=rev)
         assert [k for k, _ in block] == keys
         assert [k for k, _ in block.seek(b"b")] == [b"b", b"a"]
+
+
+def _decode_reference(block):
+    """Entry by entry through ``_parse_entry``: the decoder that
+    ``Block.entries`` inlines.  Returns the entries, or the error."""
+    out, pos, key = [], 0, b""
+    try:
+        while pos < block._entries_end:
+            key, value, pos = block._parse_entry(pos, key)
+            out.append((key, value))
+    except BlockCorruption as exc:
+        return ("error", str(exc))
+    return out
+
+
+def _decode_bulk(block):
+    try:
+        return block.entries()
+    except BlockCorruption as exc:
+        return ("error", str(exc))
+
+
+_ENTRY_SHAPES = {
+    # (key prefix length, value length): one-byte headers; a 1 KB value
+    # (two-byte value_len); shared and non_shared >= 128 (two bytes);
+    # a 20 KB value (three bytes).
+    "short": (0, 100),
+    "1KB-values": (0, 1000),
+    "long-keys": (150, 20),
+    "long-keys-1KB": (150, 1000),
+    "20KB-values": (0, 20_000),
+}
+
+
+def _shaped_entries(prefix, value_len, n=40):
+    return [
+        (b"p" * prefix + b"key-%05d" % (i * 7), bytes([i % 251]) * value_len)
+        for i in range(n)
+    ]
+
+
+class TestBulkDecodeMatchesReference:
+    @pytest.mark.parametrize("restart_interval", [1, 3, 16])
+    @pytest.mark.parametrize("shape", sorted(_ENTRY_SHAPES))
+    def test_entries_equal_entry_by_entry(self, shape, restart_interval):
+        entries = _shaped_entries(*_ENTRY_SHAPES[shape])
+        block = Block(_build(entries, restart_interval))
+        assert block.entries() == _decode_reference(block) == entries
+        assert list(block) == entries
+        assert list(block.iter_reverse()) == entries[::-1]
+
+    @given(
+        st.lists(
+            st.tuples(st.binary(min_size=1, max_size=200), st.binary(max_size=300)),
+            max_size=40,
+            unique_by=lambda e: e[0],
+        ),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_entries_property(self, pairs, restart_interval):
+        entries = sorted(pairs)
+        block = Block(_build(entries, restart_interval))
+        assert block.entries() == _decode_reference(block) == entries
+
+    def test_empty_block(self):
+        block = Block(BlockBuilder().finish())
+        assert block.entries() == _decode_reference(block) == []
+
+    @pytest.mark.parametrize("shape", sorted(_ENTRY_SHAPES))
+    def test_truncated_entries_raise_the_same(self, shape):
+        # Cut the entry region anywhere, keep one restart at 0: a header
+        # or a key or value runs past the end.
+        entries = _shaped_entries(*_ENTRY_SHAPES[shape], n=6)
+        block = Block(_build(entries, 2))
+        region = block._data[: block._entries_end]
+        tail = put_fixed32(0) + put_fixed32(1)
+        outcomes = set()
+        for cut in range(len(region)):
+            damaged = Block(region[:cut] + tail)
+            expected = _decode_reference(damaged)
+            assert _decode_bulk(damaged) == expected, cut
+            outcomes.add(expected[0] if isinstance(expected, tuple) else "ok")
+        assert "error" in outcomes
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(sorted(_ENTRY_SHAPES)),
+        st.integers(min_value=0),
+        st.integers(min_value=0, max_value=255),
+    )
+    def test_damaged_byte_raises_the_same(self, shape, where, byte):
+        # Any byte of the entry region overwritten: the same entries, or
+        # the same BlockCorruption with the same message.
+        entries = _shaped_entries(*_ENTRY_SHAPES[shape], n=5)
+        data = bytearray(_build(entries, 2))
+        end = Block(bytes(data))._entries_end
+        data[where % end] = byte
+        block = Block(bytes(data))
+        assert _decode_bulk(block) == _decode_reference(block)
+
+    def test_overrun_and_overlong_varint_messages(self):
+        data = bytearray(_build([(b"abcdef", b"payload")]))
+        data[2] = 100  # value_len past the entry region
+        assert _decode_bulk(Block(bytes(data))) == ("error", "entry overruns block")
+        # A six-byte varint in the first header field.
+        bad = b"\x80\x80\x80\x80\x80\x01" + put_fixed32(0) + put_fixed32(1)
+        assert _decode_bulk(Block(bad)) == _decode_reference(Block(bad))
+        assert _decode_bulk(Block(bad))[0] == "error"

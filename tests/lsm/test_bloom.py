@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm.bloom import BloomFilter, BloomFilterBuilder, bloom_hash
+from repro.lsm.bloom import BloomFilter, BloomFilterBuilder, bloom_hash, bloom_hashes
+
+from tests.lsm.bloom_reference import filter_of_keys, filter_reference
 
 
 def _bloom_hash_reference(key: bytes, seed: int = 0xBC9F1D34) -> int:
@@ -125,3 +127,64 @@ class TestFilter:
         bf = self._filter(sorted(keys))
         for k in keys:
             assert bf.may_contain(k)
+
+
+class TestKernelsMatchReference:
+    """The lane kernels against the plain loops they replace: the scalar
+    ``bloom_hash`` per key, and the per-probe filter build of
+    ``tests/lsm/bloom_reference.py``."""
+
+    def test_batch_hash_every_length_and_count(self):
+        rng = random.Random(41)
+        for length in range(41):
+            for count in (0, 1, 2, 3, 4, 35, 100):
+                keys = [rng.randbytes(length) for _ in range(count)]
+                assert bloom_hashes(keys) == [bloom_hash(k) for k in keys]
+
+    @given(st.lists(st.binary(max_size=40), max_size=60))
+    def test_batch_hash_mixed_lengths(self, keys):
+        assert bloom_hashes(keys) == [bloom_hash(k) for k in keys]
+
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda n: st.lists(st.binary(min_size=n, max_size=n), max_size=60)
+        )
+    )
+    def test_batch_hash_equal_lengths(self, keys):
+        # One length per list: the lane path, whatever the length.
+        assert bloom_hashes(keys) == [bloom_hash(k) for k in keys]
+
+    def test_batch_hash_extreme_words(self):
+        # All-ones words make every intermediate sum and product as large
+        # as it gets: nothing may carry into the next lane.
+        for length in (4, 15, 16, 17, 24, 40):
+            keys = [b"\xff" * length, bytes(length), b"\xff" * length] * 5
+            assert bloom_hashes(keys) == [bloom_hash(k) for k in keys]
+
+    @pytest.mark.parametrize("bits_per_key", [1, 10, 20])
+    @pytest.mark.parametrize("n", [0, 1, 7, 640, 5000])
+    def test_filter_bytes_equal_reference(self, n, bits_per_key):
+        rng = random.Random(n * 31 + bits_per_key)
+        hashes = [rng.getrandbits(32) for _ in range(n)]
+        # The edges of the hash range, where Barrett's quotient is tightest.
+        hashes[: min(n, 3)] = [0xFFFFFFFF, 0, 0xFFFFFFFE][: min(n, 3)]
+        builder = BloomFilterBuilder(bits_per_key)
+        builder.add_hashes(hashes)
+        assert builder.finish() == filter_reference(hashes, bits_per_key)
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.integers(0, 0xFFFFFFFF), max_size=300),
+        st.integers(0, 24),
+    )
+    def test_filter_property(self, hashes, bits_per_key):
+        builder = BloomFilterBuilder(bits_per_key)
+        builder.add_hashes(hashes)
+        assert builder.finish() == filter_reference(hashes, bits_per_key)
+
+    def test_filter_of_added_keys(self):
+        keys = [b"user-%d" % i for i in range(700)]  # four key lengths
+        builder = BloomFilterBuilder(10)
+        for key in keys:
+            builder.add(key)
+        assert builder.finish() == filter_of_keys(keys, 10)

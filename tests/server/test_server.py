@@ -11,6 +11,7 @@ import asyncio
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -136,6 +137,31 @@ class TestPipelining:
             pipe.delete(b"p1")
             pipe.get(b"p1")
         assert pipe.results == [None, b"v1", None, b"x", None, None]
+
+    def test_pipelined_get_waits_for_a_slow_put(self, mem_server, client):
+        # The PUT is held up on its worker thread before it reaches the
+        # engine; a GET of the same key pipelined behind it must not
+        # run on a second worker meanwhile and miss it.
+        db = mem_server.server.db
+        real_put = db.put
+        started = threading.Event()
+
+        def slow_put(key, value):
+            started.set()
+            time.sleep(0.3)
+            real_put(key, value)
+
+        db.put = slow_put
+        try:
+            with client.pipeline() as pipe:
+                pipe.put(b"slow", b"v1")
+                pipe.get(b"slow")
+                pipe.put(b"slow", b"v2")
+                pipe.get(b"slow")
+        finally:
+            db.put = real_put
+        assert started.is_set()
+        assert pipe.results == [None, b"v1", None, b"v2"]
 
     def test_pipeline_deeper_than_inflight_window(self, mem_server):
         # 100 pipelined requests vs a window of 4: TCP backpressure
