@@ -154,6 +154,65 @@ def test_bench_block_passed_through(benchmark, block_entries):
     assert block.stored == stored[0].data
 
 
+# One two-run sub-task of the `compact` workload's shape, two ways (report
+# only): the upper run holds every key and the lower run the even ones,
+# so S4 splices each upper block and merges nothing; or the upper run
+# lacks one even key per block, whose older version every block's merge
+# must then take in, so all of it is merged and compressed again.
+SUBTASK_BLOCKS = 8
+KEYS_PER_BLOCK = 36  # 16 B keys, 100 B values: ~4 KB blocks
+
+
+def _compact_subtask(unshadowed: bool):
+    from repro.codec import get_checksummer, get_codec
+    from repro.core.steps import StoredBlock
+    from repro.lsm.table_format import encode_block_contents
+
+    codec, checksummer = get_codec("lz77"), get_checksummer("crc32")
+    values = ValueGenerator(100 - 24, seed=101)
+
+    def run(source, keys, seq):
+        entries = [
+            (
+                encode_internal_key(format_key(i), seq, KIND_VALUE),
+                b"%016d:%06d:" % (i, seq) + values.value_for(i * 1_000_003 + seq),
+            )
+            for i in keys
+        ]
+        return [
+            StoredBlock(source, encode_block_contents(
+                _build_block(entries[b : b + KEYS_PER_BLOCK]), codec, checksummer
+            ))
+            for b in range(0, len(entries), KEYS_PER_BLOCK)
+        ]
+
+    n = SUBTASK_BLOCKS * KEYS_PER_BLOCK
+    missing = {b + KEYS_PER_BLOCK // 2 for b in range(0, n, KEYS_PER_BLOCK)}
+    upper = [i for i in range(n) if not (unshadowed and i in missing)]
+    return run(0, upper, 2) + run(1, range(0, n, 2), 1)
+
+
+@pytest.mark.parametrize("shape", ["spliced", "merged"])
+def test_bench_two_run_subtask(benchmark, shape):
+    from repro.core.backends.threadbackend import run_subtask_compute
+
+    stored = _compact_subtask(unshadowed=shape == "merged")
+    encoded, _seconds = benchmark(
+        run_subtask_compute, stored, 0, None, None, 2, "lz77", "crc32", 4096, 16,
+        False, None,
+    )
+    upper_blocks = {block.data for block in stored if block.source == 0}
+    taken = [block for block in encoded if block.stored in upper_blocks]
+    if shape == "spliced":
+        assert len(taken) == len(encoded) == SUBTASK_BLOCKS
+        assert all(block.reused and not block.passthrough for block in encoded)
+    else:
+        assert not taken and not any(block.reused for block in encoded)
+    assert sum(block.num_entries for block in encoded) == (
+        SUBTASK_BLOCKS * KEYS_PER_BLOCK
+    )
+
+
 # S5+S6 for one rebuilt block, two ways (report only): compressed, or —
 # when S4 rebuilt what an input block held — given that block's payload.
 # A bytes object caches its hash, so the hit's two hashes of a 4 KB block

@@ -27,7 +27,6 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Optional, Sequence
 
 from ...codec.checksum import get_checksummer
@@ -35,15 +34,14 @@ from ...codec.compress import get_codec
 from ...lsm.table_sink import EncodedBlock, TableSink
 from ...obs.tracer import NULL_TRACER, Tracer
 from ..steps import (
-    RawBlock,
+    MergedBlock,
     StoredBlock,
-    passthrough_blocks,
     step_checksum,
     step_compress,
     step_decompress,
-    step_merge,
     step_read,
     step_rechecksum,
+    step_splice,
     step_write,
 )
 from ..subtask import SubTask, distinct_input_bytes
@@ -67,11 +65,13 @@ class ExecutionStats:
     input_bytes: int = 0  # stored bytes of the input blocks, each once
     output_bytes: int = 0
     entries_out: int = 0
-    #: input blocks written out as stored (verified, never re-encoded)
+    #: input blocks of single-run sub-tasks written out as stored
+    #: (verified, never re-encoded)
     passthrough_blocks: int = 0
     passthrough_bytes: int = 0
-    #: rebuilt blocks that equalled an input block and took its stored
-    #: payload (merged, never re-compressed); none is also a pass-through
+    #: blocks of multi-run sub-tasks that took an input block's stored
+    #: payload: spliced before S4 (no S4–S6), or rebuilt by S4 equal to
+    #: an input block (no S5); none is also a pass-through
     reused_blocks: int = 0
     reused_bytes: int = 0
     stage_seconds: dict[str, float] = field(
@@ -118,16 +118,12 @@ def run_subtask_compute(
 ) -> tuple[list[EncodedBlock], float]:
     """S2–S6 for one sub-task: verify, decompress, merge, re-encode.
 
-    Where a single run supplies every block, nothing else holds a key
-    of the sub-task's range, and most blocks would come out of S4–S6 as
-    they went in: those that :func:`passthrough_blocks` vouches for are
-    handed on as stored, after S2 and S3 like any other, and only the
-    rest — consecutive ones together, order kept — are merged and
-    re-encoded.  A sub-task with two runs or more has no such blocks.
-
-    Either way S5 is told what every input block looked like stored
-    (:func:`step_compress`, ``stored_as``): a rebuilt block equal to
-    one of them is not compressed again.
+    Every block takes S2 and S3.  S4 (:func:`step_splice`) then hands
+    on as stored each input block the merge would only reproduce, and
+    merges and rebuilds what lies between them; only those rebuilt
+    blocks take S5 and S6.  S5 is told what every input block looked
+    like stored (:func:`step_compress`, ``stored_as``): a rebuilt block
+    equal to one of them is not compressed again.
 
     Returns the finished blocks and the seconds spent producing them.
     Arguments and result are picklable — codec and checksum by name,
@@ -143,33 +139,23 @@ def run_subtask_compute(
         step_checksum(stored, checksummer)
     with tracer.span("S3:decompress", cat="compute", subtask=index):
         raw = step_decompress(stored)
-    if len({block.source for block in stored}) == 1:
-        kept = passthrough_blocks(
-            stored, raw, lower, upper, codec, drop_deletes, smallest_snapshot
+    with tracer.span("S4:merge", cat="compute", subtask=index):
+        blocks = step_splice(
+            stored, raw, lower, upper, codec, block_bytes, restart_interval,
+            drop_deletes, smallest_snapshot,
         )
-    else:
-        kept = [None] * len(raw)
+    rebuilt = [block for block in blocks if isinstance(block, MergedBlock)]
+    if not rebuilt:
+        return blocks, time.perf_counter() - t0
     stored_as = {plain.raw: block.data for block, plain in zip(stored, raw)}
-
-    def reencode(blocks: list[RawBlock]) -> list[EncodedBlock]:
-        with tracer.span("S4:merge", cat="compute", subtask=index):
-            merged = step_merge(
-                blocks, lower, upper, block_bytes, restart_interval, drop_deletes,
-                n_sources=n_sources, smallest_snapshot=smallest_snapshot,
-            )
-        with tracer.span("S5:compress", cat="compute", subtask=index):
-            compressed = step_compress(merged, codec, stored_as)
-        with tracer.span("S6:rechecksum", cat="compute", subtask=index):
-            return step_rechecksum(compressed, checksummer)
-
-    # Consecutive blocks that cannot pass through are merged together.
-    encoded: list[EncodedBlock] = []
-    for merges, group in groupby(zip(kept, raw), key=lambda pair: pair[0] is None):
-        if merges:
-            encoded += reencode([block for _, block in group])
-        else:
-            encoded += [keep for keep, _ in group]
-    return encoded, time.perf_counter() - t0
+    with tracer.span("S5:compress", cat="compute", subtask=index):
+        compressed = step_compress(rebuilt, codec, stored_as)
+    with tracer.span("S6:rechecksum", cat="compute", subtask=index):
+        encoded = iter(step_rechecksum(compressed, checksummer))
+    return (
+        [next(encoded) if isinstance(block, MergedBlock) else block for block in blocks],
+        time.perf_counter() - t0,
+    )
 
 
 def execute_subtasks(

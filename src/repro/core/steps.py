@@ -8,8 +8,10 @@ step   resource     function
 S1     I/O          :func:`step_read` — fetch stored blocks
 S2     CPU          :func:`step_checksum` — verify block integrity
 S3     CPU          :func:`step_decompress` — restore raw blocks
-S4     CPU          :func:`step_merge` — merge-sort the key range,
-                    build new data blocks
+S4     CPU          :func:`step_splice` — merge-sort the key range,
+                    build new data blocks; splice in as stored
+                    the input blocks the merge would reproduce
+                    (:func:`step_merge` is the merge alone)
 S5     CPU          :func:`step_compress` — compress new blocks
 S6     CPU          :func:`step_rechecksum` — checksum new blocks
 S7     I/O          :func:`step_write` — append to output tables
@@ -29,9 +31,10 @@ as distinct steps so profiling can attribute time per step (Figs 5,
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ..codec.checksum import Checksummer
 from ..codec.compress import Codec
@@ -62,10 +65,10 @@ __all__ = [
     "step_checksum",
     "step_decompress",
     "step_merge",
+    "step_splice",
     "step_compress",
     "step_rechecksum",
     "step_write",
-    "passthrough_blocks",
 ]
 
 
@@ -162,14 +165,33 @@ def step_merge(
     * Tombstones are dropped only when ``drop_deletes`` (no older data
       below the output level) *and* no snapshot can still see them.
     * Output is re-blocked into ``block_bytes``-sized data blocks.
+
+    :func:`step_splice` is the compaction's S4: this merge, run only
+    where it would change something.
     """
     n_sources = n_sources if n_sources is not None else (
         max((b.source for b in blocks), default=-1) + 1
     )
-    streams: list[Iterator[tuple[bytes, bytes]]] = []
-    for source in range(n_sources):
-        source_blocks = [b for b in blocks if b.source == source]
-        streams.append(_entries_of(source_blocks))
+    streams = [
+        _entries_of([b for b in blocks if b.source == source])
+        for source in range(n_sources)
+    ]
+    return _merge(
+        streams, lower_bound, upper_bound, block_bytes, restart_interval,
+        drop_deletes, smallest_snapshot,
+    )
+
+
+def _merge(
+    streams: Sequence[Iterable[tuple[bytes, bytes]]],
+    lower_bound: Optional[bytes],
+    upper_bound: Optional[bytes],
+    block_bytes: int,
+    restart_interval: int,
+    drop_deletes: bool,
+    smallest_snapshot: Optional[int],
+) -> list[MergedBlock]:
+    """:func:`step_merge` on entry streams, newest source first."""
     merged = merge_iterators(streams)
     if smallest_snapshot is None:
         smallest_snapshot = MAX_SEQUENCE
@@ -235,6 +257,155 @@ def _entries_of(blocks: Sequence[RawBlock]) -> Iterator[tuple[bytes, bytes]]:
     )
 
 
+def step_splice(
+    stored: Sequence[StoredBlock],
+    raw: Sequence[RawBlock],
+    lower_bound: Optional[bytes],
+    upper_bound: Optional[bytes],
+    codec: Codec,
+    block_bytes: int,
+    restart_interval: int = 16,
+    drop_deletes: bool = False,
+    smallest_snapshot: Optional[int] = None,
+) -> list[Union[EncodedBlock, MergedBlock]]:
+    """S4 for one sub-task: splice the blocks a merge would reproduce.
+
+    ``stored``/``raw`` are the sub-task's blocks after S2 and S3, run
+    by run (newest first), each run's in key order.  A block ``b`` of
+    run ``s`` comes out of :func:`step_merge` exactly as it went in,
+    and is handed on as stored — an :class:`EncodedBlock` around the
+    very bytes S1 read, ready for S7 — when:
+
+    * every key lies inside ``[lower, upper)``;
+    * its trailer carries ``codec``'s own tag — not ``null`` for a
+      block that did not shrink, nor a codec the table was written
+      under before the option changed — so S5 would store it the same;
+    * no user key occurs twice, in the block or across its edge into a
+      neighbour of its run — with one version per key there is nothing
+      to shadow inside the run (and a neighbour sharing a key is held
+      back with it, so the merge that does see both sees all versions);
+    * no tombstone that ``drop_deletes`` would drop from under every
+      snapshot;
+    * no newer run holds a key in ``b``'s user-key range;
+    * every key an older run holds in that range is shadowed by ``b``:
+      the user key is in ``b``, and ``b``'s version of it is visible to
+      every snapshot, so the merge drops the older one.  (A newer run
+      holds the newer versions — the LSM invariant the merge's source
+      order stands for.)
+
+    Everything else — the entries between spliced blocks, from every
+    run — is merged as :func:`step_merge` would, into blocks of its own:
+    a spliced block closes the builder's open block.  Returns the
+    sub-task's output blocks in key order, spliced ones final
+    (``passthrough`` where one run supplies every block, otherwise
+    ``reused``: an input block's stored payload, without S4 or S5) and
+    rebuilt ones as :class:`MergedBlock`, still to take S5 and S6.
+    """
+    snapshot = MAX_SEQUENCE if smallest_snapshot is None else smallest_snapshot
+    tag = COMPRESSION_TAGS[codec.name]
+    # Each block decoded once: the decision and the merge share these.
+    entries = [Block(b.raw, compare=internal_compare).entries() for b in raw]
+    users = [[ikey[:-8] for ikey, _ in block] for block in entries]
+    positions: dict[int, list[int]] = {}  # source -> its blocks, key order
+    for i, block in enumerate(stored):
+        positions.setdefault(block.source, []).append(i)
+    sources = sorted(positions)
+    run_users = {s: list(chain.from_iterable(users[i] for i in positions[s])) for s in sources}
+
+    def spliced(i: int, neighbours: Sequence[int], j: int) -> bool:
+        ukeys = users[i]
+        if not ukeys or stored[i].data[-BLOCK_TRAILER_SIZE] != tag:
+            return False
+        first, last = ukeys[0], ukeys[-1]
+        if (lower_bound is not None and first < lower_bound) or (
+            upper_bound is not None and last >= upper_bound
+        ):
+            return False
+        distinct = set(ukeys)
+        if (
+            len(distinct) != len(ukeys)
+            or (j > 0 and users[neighbours[j - 1]][-1:] == [first])
+            or (j + 1 < len(neighbours) and users[neighbours[j + 1]][:1] == [last])
+        ):
+            return False
+        if drop_deletes and any(
+            ikey[-8] == KIND_DELETE and decode_internal_key(ikey)[1] <= snapshot
+            for ikey, _ in entries[i]
+        ):
+            return False
+        source = stored[i].source
+        for other in sources:
+            if other == source:
+                continue
+            keys = run_users[other]
+            lo = bisect_left(keys, first)
+            hi = bisect_right(keys, last, lo)
+            if lo == hi:
+                continue
+            if other < source or not distinct.issuperset(keys[lo:hi]):
+                return False
+            if smallest_snapshot is not None:
+                shadowing = set(keys[lo:hi])
+                if any(
+                    decode_internal_key(ikey)[1] > snapshot
+                    for ikey, _ in entries[i] if ikey[:-8] in shadowing
+                ):
+                    return False
+        return True
+
+    splices = sorted(
+        (users[i][0], i)
+        for run in positions.values()
+        for j, i in enumerate(run)
+        if spliced(i, run, j)
+    )
+    single_run = len(sources) == 1
+    run_entries = {s: list(chain.from_iterable(entries[i] for i in positions[s])) for s in sources}
+    out: list[Union[EncodedBlock, MergedBlock]] = []
+
+    def merge_gap(after: Optional[bytes], before: Optional[bytes]) -> None:
+        """Merge every run's entries with user keys in (after, before),
+        ``lower``/``upper`` standing in for a missing end."""
+        streams = []
+        for s in sources:
+            keys = run_users[s]
+            if after is not None:
+                lo = bisect_right(keys, after)
+            elif lower_bound is not None:
+                lo = bisect_left(keys, lower_bound)
+            else:
+                lo = 0
+            end = before if before is not None else upper_bound
+            hi = len(keys) if end is None else bisect_left(keys, end, lo)
+            if lo < hi:
+                streams.append(run_entries[s][lo:hi])
+        if streams:
+            out.extend(_merge(
+                streams, None, None, block_bytes, restart_interval,
+                drop_deletes, smallest_snapshot,
+            ))
+
+    after: Optional[bytes] = None
+    for first, i in splices:
+        merge_gap(after, first)
+        block = entries[i]
+        out.append(
+            EncodedBlock(
+                stored=stored[i].data,
+                first_key=block[0][0],
+                last_key=block[-1][0],
+                num_entries=len(block),
+                key_hashes=tuple(bloom_hashes(users[i])),
+                uncompressed_bytes=len(raw[i].raw),
+                passthrough=single_run,
+                reused=not single_run,
+            )
+        )
+        after = users[i][-1]
+    merge_gap(after, None)
+    return out
+
+
 def step_compress(
     blocks: Sequence[MergedBlock],
     codec: Codec,
@@ -251,7 +422,7 @@ def step_compress(
     rebuilt block found there — an overwrite of equal size moves no
     block boundary, so S4 often rebuilds what S3 just produced — takes
     the stored payload instead of compressing again (``reused``): those
-    bytes decompress to exactly this block.  As for pass-through, only
+    bytes decompress to exactly this block.  As for the splice, only
     under ``codec``'s own tag, so the output never mixes codecs.
     """
     tag = COMPRESSION_TAGS[codec.name]
@@ -289,79 +460,6 @@ def step_rechecksum(
                 key_hashes=block.key_hashes,
                 uncompressed_bytes=len(block.raw),
                 reused=reused,
-            )
-        )
-    return out
-
-
-def passthrough_blocks(
-    stored: Sequence[StoredBlock],
-    raw: Sequence[RawBlock],
-    lower_bound: Optional[bytes],
-    upper_bound: Optional[bytes],
-    codec: Codec,
-    drop_deletes: bool = False,
-    smallest_snapshot: Optional[int] = None,
-) -> list[Optional[EncodedBlock]]:
-    """Which blocks of one run S4–S6 would only reproduce, ready for S7.
-
-    ``stored``/``raw`` are consecutive blocks of a single run, after S2
-    and S3, with no other run holding keys in ``[lower, upper)``.  One
-    scan of a block's keys gives the sink its metadata and decides: the
-    block is handed on as stored — an :class:`EncodedBlock` around the
-    very bytes S1 read — when the merge would keep every entry of it and
-    nothing else, and S5 would store it under the same tag:
-
-    * every key lies inside ``[lower, upper)``;
-    * no user key occurs twice, in the block or across its edge into a
-      neighbour — with one version per key the merge has nothing to
-      shadow (and a neighbour sharing a key is held back with it, so the
-      merge that does see both sees all versions);
-    * no tombstone that ``drop_deletes`` would drop from under every
-      snapshot;
-    * the trailer carries ``codec``'s own tag — not ``null`` for a block
-      that did not shrink, nor a codec the table was written under
-      before the option changed.
-
-    Every other position holds None: that block takes S4–S6.
-    """
-    if smallest_snapshot is None:
-        smallest_snapshot = MAX_SEQUENCE
-    tag = COMPRESSION_TAGS[codec.name]
-    keys = [[ikey for ikey, _ in Block(b.raw, compare=internal_compare).entries()] for b in raw]
-    edges = [(k[0][:-8], k[-1][:-8]) if k else (None, None) for k in keys]
-    out: list[Optional[EncodedBlock]] = []
-    for i, (block, ikeys) in enumerate(zip(stored, keys)):
-        first, last = edges[i]
-        users = [ikey[:-8] for ikey in ikeys]
-        if (
-            not ikeys
-            or block.data[-BLOCK_TRAILER_SIZE] != tag
-            or (lower_bound is not None and first < lower_bound)
-            or (upper_bound is not None and last >= upper_bound)
-            or len(set(users)) != len(users)
-            or (i > 0 and edges[i - 1][1] == first)
-            or (i + 1 < len(edges) and edges[i + 1][0] == last)
-            or (
-                drop_deletes
-                and any(
-                    ikey[-8] == KIND_DELETE
-                    and decode_internal_key(ikey)[1] <= smallest_snapshot
-                    for ikey in ikeys
-                )
-            )
-        ):
-            out.append(None)
-            continue
-        out.append(
-            EncodedBlock(
-                stored=block.data,
-                first_key=ikeys[0],
-                last_key=ikeys[-1],
-                num_entries=len(ikeys),
-                key_hashes=tuple(bloom_hashes(users)),
-                uncompressed_bytes=len(raw[i].raw),
-                passthrough=True,
             )
         )
     return out

@@ -17,10 +17,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.codec import get_checksummer, get_codec
+from repro.core.backends.threadbackend import run_subtask_read
 from repro.core.procedures import compact_tables
+from repro.core.steps import MergedBlock, step_decompress, step_splice
 from repro.core.subtask import partition_subtasks
 from repro.devices import MemStorage
 from repro.devices.faults import corrupt_file
+from repro.lsm.blockfmt import Block
 from repro.lsm.ikey import KIND_DELETE, KIND_VALUE
 from repro.lsm.options import Options
 from repro.lsm.table_format import (
@@ -31,6 +34,7 @@ from repro.lsm.table_format import (
     encode_block_contents,
 )
 from repro.lsm.table_reader import Table
+from repro.lsm.table_sink import EncodedBlock
 from tests.core.test_passthrough import (
     OPTIONS,
     SPECS,
@@ -260,3 +264,181 @@ class TestTraps:
                 file_namer=lambda: f"out-{next(numbers):04d}.sst", spec=SPECS[name],
             )
         assert storage.list() == ["l.sst", "u.sst"]
+
+
+# --- the splice: blocks S4 would only reproduce skip it ----------------
+
+def splice(tables, subtask=None, **kw):
+    """S1–S4 of one sub-task (by default the only one over ``tables``):
+    the stored input blocks S4 spliced, and the number it rebuilt."""
+    if subtask is None:
+        (subtask,) = partition_subtasks(
+            tables, 1 << 20, smallest_snapshot=kw.get("smallest_snapshot")
+        )
+    stored = run_subtask_read(subtask)
+    out = step_splice(
+        stored, step_decompress(stored), subtask.lower, subtask.upper,
+        get_codec(OPTIONS.compression), OPTIONS.block_bytes,
+        OPTIONS.block_restart_interval, kw.get("drop_deletes", False),
+        kw.get("smallest_snapshot"),
+    )
+    return (
+        {b.stored for b in out if isinstance(b, EncodedBlock)},
+        sum(isinstance(b, MergedBlock) for b in out),
+    )
+
+
+def block_ranges(table):
+    """(stored block, first user key, last user key) per data block."""
+    out = []
+    for handle, block in zip(table.block_handles(), stored_blocks(table)):
+        keys = [k[:-8] for k, _ in Block(table._load_block(handle))]
+        out.append((block, keys[0], keys[-1]))
+    return out
+
+
+def holder(table, user):
+    """The stored block of ``table`` whose user-key range holds ``user``."""
+    (block,) = [b for b, first, last in block_ranges(table) if first <= user <= last]
+    return block
+
+
+@st.composite
+def splice_cases(draw):
+    """An oldest run of even keys under one or two newer runs, each
+    newer run one of: shadowing every older key in its stretch, the same
+    but for one older key, a few keys inside older blocks, or tombstones
+    over older keys.  Small sub-tasks cut through the older blocks."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([160, 320]))
+    size = draw(st.integers(8, 60))
+    runs = [records(range(0, n, 2), 1000, size)]
+    for r in range(draw(st.integers(1, 2))):
+        seq = 2000 + 1000 * r
+        lo, hi = draw(st.sampled_from([(0, 4), (0, 2), (1, 3), (2, 4)]))
+        keys = list(range(lo * n // 4, hi * n // 4))
+        shape = draw(st.sampled_from(["shadows", "all-but-one", "inside", "tombstones"]))
+        if shape == "all-but-one":
+            keys.remove(rng.choice([i for i in keys if i % 2 == 0]))
+        elif shape == "inside":
+            keys = keys[rng.randrange(7) :: 7]
+        newer = records(keys, seq, size, salt=r + 1)
+        if shape == "tombstones":
+            newer = [
+                (user, seq, KIND_DELETE, b"") if rng.random() < 0.08 else (user, seq, kind, value)
+                for user, seq, kind, value in newer
+            ]
+        runs.insert(0, newer)
+    drop_deletes = draw(st.booleans())
+    snapshot = draw(st.sampled_from([None, 9999, 1500]))
+    return runs, drop_deletes, snapshot
+
+
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(case=splice_cases())
+def test_spliced_or_merged_every_procedure_writes_the_reference(case):
+    runs, drop_deletes, snapshot = case
+    storage = MemStorage()
+    tables = [build(storage, f"in-{r}.sst", run) for r, run in enumerate(runs)]
+    assert_every_procedure_agrees(
+        runs, tables, storage, drop_deletes=drop_deletes, smallest_snapshot=snapshot
+    )
+
+
+class TestSpliceTraps:
+    """Two runs over keys 0–59: the newer holds every key, the older the
+    even ones.  Every newer block shadows all the older keys in its
+    range, so S4 splices each and rebuilds nothing.  Each trap changes
+    one thing, and exactly the block it touches must be merged."""
+
+    def _tables(self, newer, older=None, newer_options=OPTIONS):
+        older = records(range(0, 60, 2), 1, 40) if older is None else older
+        storage = MemStorage()
+        tables = [
+            build(storage, "u.sst", newer, newer_options),
+            build(storage, "l.sst", older),
+        ]
+        return tables
+
+    def test_control_every_newer_block_is_spliced(self):
+        upper, lower = self._tables(records(range(60), 2, 40, salt=1))
+        assert splice([upper, lower]) == (set(stored_blocks(upper)), 0)
+        # Spliced in a sub-task of two runs: counted as reused.
+        (subtask,) = partition_subtasks([upper, lower], 1 << 20)
+        encoded = compute(subtask)
+        assert all(b.reused and not b.passthrough for b in encoded)
+
+    def test_older_key_the_newer_block_lacks(self):
+        newer = records(range(60), 2, 40, salt=1)
+        del newer[22]  # key 22, inside a block: the older version survives
+        upper, lower = self._tables(newer)
+        unshadowed = holder(upper, user_key(22))
+        spliced, rebuilt = splice([upper, lower])
+        assert spliced == set(stored_blocks(upper)) - {unshadowed}
+        assert rebuilt >= 1
+
+    def test_newer_key_inside_an_older_block(self):
+        # The older run reaches past the newer one: its blocks there
+        # overlap nothing newer and are spliced, until one holds a key
+        # the newer run also has.
+        older = records(range(0, 120, 2), 1, 40)
+        upper, lower = self._tables(records(range(30), 2, 40, salt=1), older)
+        past = {b for b, first, _ in block_ranges(lower) if first > user_key(29)}
+        assert len(past) >= 4
+        assert splice([upper, lower])[0] == set(stored_blocks(upper)) | past
+        # A newer version of key 80: the older block holding 80 is
+        # shadowed by nothing older, but must give way to it.
+        upper, lower = self._tables(
+            records(range(30), 2, 40, salt=1) + records([80], 2, 40, salt=1), older
+        )
+        overlapped = holder(lower, user_key(80))
+        assert overlapped in past
+        # The newer block of key 80 shadows the older 80: it is spliced.
+        spliced, rebuilt = splice([upper, lower])
+        assert spliced == set(stored_blocks(upper)) | past - {overlapped}
+        assert rebuilt >= 1
+
+    def test_newer_version_a_snapshot_cannot_see_past(self):
+        newer = records(range(60), 5, 40, salt=1)
+        newer[22] = (user_key(22), 50, KIND_VALUE, newer[22][3])  # above the snapshot
+        newer[41] = (user_key(41), 50, KIND_VALUE, newer[41][3])  # ... but shadows nothing
+        upper, lower = self._tables(newer)
+        assert splice([upper, lower], smallest_snapshot=None)[0] == set(stored_blocks(upper))
+        spliced, _ = splice([upper, lower], smallest_snapshot=10)
+        assert spliced == set(stored_blocks(upper)) - {holder(upper, user_key(22))}
+
+    def test_tombstone_under_drop_deletes(self):
+        newer = records(range(60), 2, 40, salt=1)
+        newer[22] = (user_key(22), 2, KIND_DELETE, b"")
+        upper, lower = self._tables(newer)
+        assert splice([upper, lower])[0] == set(stored_blocks(upper))
+        spliced, _ = splice([upper, lower], drop_deletes=True)
+        assert spliced == set(stored_blocks(upper)) - {holder(upper, user_key(22))}
+
+    def test_two_versions_in_the_newer_block(self):
+        newer = records(range(60), 3, 40, salt=1)
+        newer.insert(23, (user_key(22), 2, KIND_VALUE, b"x" * 40))
+        upper, lower = self._tables(newer)
+        # Without a snapshot the merge drops the older version of 22.
+        spliced, _ = splice([upper, lower])
+        assert spliced == set(stored_blocks(upper)) - {holder(upper, user_key(22))}
+
+    def test_block_straddling_the_upper_bound(self):
+        upper, lower = self._tables(records(range(60), 2, 40, salt=1))
+        (subtask,) = partition_subtasks([upper, lower], 1 << 20, upper=user_key(22))
+        spliced, rebuilt = splice([upper, lower], subtask)
+        straddler = holder(upper, user_key(22))
+        assert straddler not in spliced and rebuilt == 1
+        assert spliced == set(stored_blocks(upper)[: len(subtask.runs[0].handles) - 1])
+
+    def test_newer_block_under_another_codec(self):
+        zlib = Options(
+            block_bytes=OPTIONS.block_bytes, sstable_bytes=OPTIONS.sstable_bytes,
+            compression="zlib",
+        )
+        upper, lower = self._tables(records(range(60), 2, 40, salt=1), newer_options=zlib)
+        spliced, rebuilt = splice([upper, lower])
+        assert spliced == set() and rebuilt == upper.num_blocks()
