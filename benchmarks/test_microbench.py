@@ -213,10 +213,7 @@ def test_bench_two_run_subtask(benchmark, shape):
     )
 
 
-# S5+S6 for one rebuilt block, two ways (report only): compressed, or —
-# when S4 rebuilt what an input block held — given that block's payload.
-# A bytes object caches its hash, so the hit's two hashes of a 4 KB block
-# (≈ 1.4 µs each in a compaction) are paid in the first round only.
+# S5+S6 for one rebuilt block (report only).
 def test_bench_block_s5_s6_compressed(benchmark, block_entries):
     from repro.codec import get_checksummer, get_codec
     from repro.core import steps
@@ -229,26 +226,6 @@ def test_bench_block_s5_s6_compressed(benchmark, block_entries):
         lambda: steps.step_rechecksum(steps.step_compress(merged, codec), checksummer)
     )
     assert not block.reused
-
-
-def test_bench_block_s5_s6_payload_reused(benchmark, block_entries):
-    from repro.codec import get_checksummer, get_codec
-    from repro.core import steps
-
-    codec, checksummer = get_codec("lz77"), get_checksummer("crc32")
-    stored = _stored_block(block_entries)
-    raw = steps.step_decompress(stored)
-    merged = steps.step_merge(raw, None, None, 1 << 20)
-
-    def reuse():
-        # The mapping is built per sub-task: its share is in the cost.
-        stored_as = {raw[0].raw: stored[0].data}
-        return steps.step_rechecksum(
-            steps.step_compress(merged, codec, stored_as), checksummer
-        )
-
-    (block,) = benchmark(reuse)
-    assert block.reused and block.stored == stored[0].data
 
 
 def test_bench_bloom_hash_16B_key(benchmark):

@@ -69,9 +69,8 @@ class ExecutionStats:
     #: (verified, never re-encoded)
     passthrough_blocks: int = 0
     passthrough_bytes: int = 0
-    #: blocks of multi-run sub-tasks that took an input block's stored
-    #: payload: spliced before S4 (no S4–S6), or rebuilt by S4 equal to
-    #: an input block (no S5); none is also a pass-through
+    #: input blocks of multi-run sub-tasks spliced into the output as
+    #: stored (no S4–S6); none is also a pass-through
     reused_blocks: int = 0
     reused_bytes: int = 0
     stage_seconds: dict[str, float] = field(
@@ -121,9 +120,7 @@ def run_subtask_compute(
     Every block takes S2 and S3.  S4 (:func:`step_splice`) then hands
     on as stored each input block the merge would only reproduce, and
     merges and rebuilds what lies between them; only those rebuilt
-    blocks take S5 and S6.  S5 is told what every input block looked
-    like stored (:func:`step_compress`, ``stored_as``): a rebuilt block
-    equal to one of them is not compressed again.
+    blocks take S5 and S6.
 
     Returns the finished blocks and the seconds spent producing them.
     Arguments and result are picklable — codec and checksum by name,
@@ -147,9 +144,8 @@ def run_subtask_compute(
     rebuilt = [block for block in blocks if isinstance(block, MergedBlock)]
     if not rebuilt:
         return blocks, time.perf_counter() - t0
-    stored_as = {plain.raw: block.data for block, plain in zip(stored, raw)}
     with tracer.span("S5:compress", cat="compute", subtask=index):
-        compressed = step_compress(rebuilt, codec, stored_as)
+        compressed = step_compress(rebuilt, codec)
     with tracer.span("S6:rechecksum", cat="compute", subtask=index):
         encoded = iter(step_rechecksum(compressed, checksummer))
     return (

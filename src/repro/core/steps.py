@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ..codec.checksum import Checksummer
 from ..codec.compress import Codec
@@ -407,48 +407,33 @@ def step_splice(
 
 
 def step_compress(
-    blocks: Sequence[MergedBlock],
-    codec: Codec,
-    stored_as: Optional[Mapping[bytes, bytes]] = None,
-) -> list[tuple[MergedBlock, bytes, int, bool]]:
+    blocks: Sequence[MergedBlock], codec: Codec
+) -> list[tuple[MergedBlock, bytes, int]]:
     """S5 COMPRESS: compress each rebuilt block.
 
-    Returns ``(merged, payload, tag, reused)`` tuples; incompressible
-    blocks fall back to the ``null`` tag (same heuristic as the table
-    builder).
-
-    ``stored_as`` maps the decompressed bytes of input blocks to those
-    blocks as stored, after S2 verified and S3 decompressed them.  A
-    rebuilt block found there — an overwrite of equal size moves no
-    block boundary, so S4 often rebuilds what S3 just produced — takes
-    the stored payload instead of compressing again (``reused``): those
-    bytes decompress to exactly this block.  As for the splice, only
-    under ``codec``'s own tag, so the output never mixes codecs.
+    Returns ``(merged, payload, tag)`` tuples; incompressible blocks
+    fall back to the ``null`` tag (same heuristic as the table builder).
     """
     tag = COMPRESSION_TAGS[codec.name]
     out = []
     for block in blocks:
-        stored = stored_as.get(block.raw) if stored_as else None
-        if stored is not None and stored[-BLOCK_TRAILER_SIZE] == tag:
-            out.append((block, stored[:-BLOCK_TRAILER_SIZE], tag, True))
-            continue
         compressed = codec.compress(block.raw)
         if codec.name != "null" and len(compressed) < len(block.raw):
-            out.append((block, compressed, tag, False))
+            out.append((block, compressed, tag))
         else:
-            out.append((block, block.raw, COMPRESSION_TAGS["null"], False))
+            out.append((block, block.raw, COMPRESSION_TAGS["null"]))
     return out
 
 
 def step_rechecksum(
-    compressed: Sequence[tuple[MergedBlock, bytes, int, bool]],
+    compressed: Sequence[tuple[MergedBlock, bytes, int]],
     checksummer: Checksummer,
 ) -> list[EncodedBlock]:
     """S6 RE-CHECKSUM: frame each compressed block with trailer CRC."""
     from ..codec.varint import put_fixed32
 
     out: list[EncodedBlock] = []
-    for block, payload, tag, reused in compressed:
+    for block, payload, tag in compressed:
         crc = checksummer.masked(payload + bytes([tag]))
         stored = payload + bytes([tag]) + put_fixed32(crc)
         out.append(
@@ -459,7 +444,6 @@ def step_rechecksum(
                 num_entries=block.num_entries,
                 key_hashes=block.key_hashes,
                 uncompressed_bytes=len(block.raw),
-                reused=reused,
             )
         )
     return out

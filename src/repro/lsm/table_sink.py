@@ -41,10 +41,9 @@ class EncodedBlock:
     ``uncompressed_bytes`` feeds compaction-bandwidth accounting.
     How a compaction made the block, for its accounting (the sink treats
     all alike): ``passthrough`` marks an input block of a single-run
-    sub-task handed on as stored (no S4–S6); ``reused`` a block of a
-    multi-run sub-task that took an input block's stored payload —
-    spliced before S4 because the merge would only reproduce it (no
-    S4–S6), or rebuilt by S4 equal to an input block (no S5).
+    sub-task handed on as stored (no S4–S6); ``reused`` the same for an
+    input block of a multi-run sub-task, spliced before S4 because the
+    merge would only reproduce it.
     """
 
     stored: bytes

@@ -70,9 +70,9 @@ class Follower:
         install wipes and repopulates it, then calls ``db_factory()``
         to reopen; ``on_db_swap(new_db)`` lets an embedding server
         switch its serving handle.  ``max_silence_s`` is the partition
-        detector: against a >= 2.2 primary (which heartbeats an idle
-        stream) a connection silent that long is declared dead and
-        re-dialled instead of blocking forever."""
+        detector: the primary heartbeats an idle stream, so a connection
+        silent that long is declared dead and re-dialled instead of
+        blocking forever."""
         self.db = db
         self._storage = storage
         self._db_factory = db_factory
@@ -82,9 +82,7 @@ class Follower:
         self._on_db_swap = on_db_swap
         self._retry_s = retry_interval_s
         self.max_silence_s = max_silence_s
-        #: Set per connection once the hello learns the primary's
-        #: version; silence is only fatal when heartbeats are promised.
-        self._heartbeats_expected = False
+        self._frames: Optional[P.FrameReader] = None  # per connection
         self.heartbeats = 0
         #: Primary's last sequence as of the latest heartbeat.
         self.primary_seq: Optional[int] = None
@@ -113,11 +111,7 @@ class Follower:
     def stop(self) -> None:
         self._stop.set()
         with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
+            self._close_socket()
         if self._thread is not None:
             self._thread.join(timeout=5)
 
@@ -139,11 +133,16 @@ class Follower:
         with self._lock:
             self._host = host
             self._port = port
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
+            self._close_socket()
+
+    def _close_socket(self) -> None:
+        """Close the live connection (lock held): the run loop's next
+        read raises, after at most one socket timeout."""
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            except OSError:
+                pass
 
     def status(self) -> dict:
         return {
@@ -207,114 +206,62 @@ class Follower:
             self._stop.wait(self._retry_s)
 
     # -------------------------------------------------------- transport
-    def _open_socket(self) -> socket.socket:
-        sock = socket.create_connection(
-            (self._host, self._port), timeout=5.0
-        )
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(_RECV_TIMEOUT_S)
-        return sock
+    def _read(self, sock: socket.socket, within_s: float) -> bytes:
+        """The next frame's payload; a primary silent for ``within_s``
+        is declared dead (a closed socket raises sooner)."""
+        return self._frames.read_frame(sock, time.monotonic() + within_s)
 
-    def _send_frame(self, sock: socket.socket, frame: bytes) -> None:
-        sock.sendall(frame)
-
-    def _recv_exact(
-        self,
-        sock: socket.socket,
-        n: int,
-        deadline: Optional[float] = None,
-    ) -> bytes:
-        """``deadline`` (monotonic seconds) bounds total silence: a
-        black-holed connection raises instead of spinning on the short
-        recv timeout forever."""
-        buf = bytearray()
-        while len(buf) < n:
-            try:
-                chunk = sock.recv(min(65536, n - len(buf)))
-            except socket.timeout:
-                if self._stop.is_set():
-                    raise ConnectionError("follower stopping") from None
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise ConnectionError(
-                        f"primary silent past deadline "
-                        f"(partition?): {self._host}:{self._port}"
-                    ) from None
-                continue
-            if not chunk:
-                raise ConnectionError("primary closed the connection")
-            buf += chunk
-        return bytes(buf)
-
-    def _recv_payload(
-        self, sock: socket.socket, deadline: Optional[float] = None
-    ) -> bytes:
-        length = P.frame_length(self._recv_exact(sock, 4, deadline))
-        return P.decode_frame(
-            length, self._recv_exact(sock, length + 4, deadline)
-        )
-
-    def _recv_stream_payload(self, sock: socket.socket) -> bytes:
-        """One pushed frame with the per-frame silence deadline armed
-        (only when the primary promised heartbeats)."""
-        deadline = (
-            time.monotonic() + self.max_silence_s
-            if self._heartbeats_expected
-            else None
-        )
-        return self._recv_payload(sock, deadline)
+    def _next_ship(self, sock: socket.socket) -> tuple:
+        """The next pushed REPL_SHIP body, decoded.  An idle primary
+        heartbeats, so silence past ``max_silence_s`` is a partition."""
+        request = P.decode_request(self._read(sock, self.max_silence_s))
+        if request.opcode != P.OP_REPL_SHIP:
+            raise P.ProtocolError(
+                f"expected REPL_SHIP, got {request.opcode_name}"
+            )
+        return P.decode_ship_body(request.body)
 
     # --------------------------------------------------------- protocol
     def _connect_and_stream(self) -> None:
-        sock = self._open_socket()
+        sock = socket.create_connection((self._host, self._port), timeout=5.0)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(_RECV_TIMEOUT_S)
+        self._frames = P.FrameReader()
         with self._lock:
             self._sock = sock
         try:
+            if self._stop.is_set():  # stop() could not close this one
+                return
             self._handshake(sock)
             self._subscribe_and_apply(sock)
         finally:
             with self._lock:
+                self._close_socket()
                 self._sock = None
-            try:
-                sock.close()
-            except OSError:
-                pass
 
     def _handshake(self, sock: socket.socket) -> None:
-        deadline = time.monotonic() + _HANDSHAKE_DEADLINE_S
-        self._send_frame(
-            sock, P.encode_request(P.OP_PING, 1, P.encode_hello_body())
-        )
-        response = P.decode_response(self._recv_payload(sock, deadline))
+        sock.sendall(P.encode_request(P.OP_PING, 1, P.encode_hello_body()))
+        response = P.decode_response(self._read(sock, _HANDSHAKE_DEADLINE_S))
         if not response.ok:
             raise ConnectionError(
                 f"hello rejected: {response.status_name}"
             )
-        negotiated = P.decode_hello_ack(response.body)
-        if negotiated is None or negotiated[0] < 2:
+        # A primary that answers the hello heartbeats idle streams, so
+        # the ship loop's silence deadline holds; one that echoes it is
+        # protocol 1, from before replication.
+        if P.decode_hello_ack(response.body) is None:
             raise ProtocolTooOldError(
-                f"primary {self._host}:{self._port} speaks protocol "
-                f"{negotiated[0] if negotiated else 1}.x, which has no "
-                f"replication support (need major >= 2)"
+                f"primary {self._host}:{self._port} speaks protocol 1.x, "
+                f"which has no replication support (need major >= 2)"
             )
-        # A >= 2.2 primary heartbeats idle streams, which arms the
-        # silence deadline in the ship loop; older primaries stay on
-        # the legacy wait-forever behaviour (idle is indistinguishable
-        # from partitioned without heartbeats).
-        self._heartbeats_expected = negotiated >= (2, 2)
 
     def _subscribe_and_apply(self, sock: socket.socket) -> None:
         start_seq = self.db.last_sequence + 1
         body = P.encode_subscribe_body(
             start_seq, self.db.repl_epoch, self.follower_id.encode()
         )
-        self._send_frame(
-            sock, P.encode_request(P.OP_REPL_SUBSCRIBE, 2, body)
-        )
-        response = P.decode_response(
-            self._recv_payload(
-                sock, time.monotonic() + _HANDSHAKE_DEADLINE_S
-            )
-        )
+        sock.sendall(P.encode_request(P.OP_REPL_SUBSCRIBE, 2, body))
+        response = P.decode_response(self._read(sock, _HANDSHAKE_DEADLINE_S))
         if response.status == P.ST_FENCED:
             raise ReplicationError(
                 "primary refused subscription: our epoch is newer "
@@ -341,12 +288,7 @@ class Follower:
     def _ship_loop(self, sock: socket.socket) -> None:
         metrics = self.db.obs.metrics
         while not self._stop.is_set():
-            request = P.decode_request(self._recv_stream_payload(sock))
-            if request.opcode != P.OP_REPL_SHIP:
-                raise P.ProtocolError(
-                    f"expected REPL_SHIP, got {request.opcode_name}"
-                )
-            decoded = P.decode_ship_body(request.body)
+            decoded = self._next_ship(sock)
             kind = decoded[0]
             if kind == P.SHIP_RECORDS:
                 self._apply_records(sock, decoded[1], metrics)
@@ -363,6 +305,12 @@ class Follower:
                 raise P.ProtocolError(
                     f"unexpected ship kind {kind} outside a snapshot"
                 )
+
+    @staticmethod
+    def _ack(sock: socket.socket, seq: int) -> None:
+        sock.sendall(
+            P.encode_request(P.OP_REPL_ACK, 3, P.encode_repl_ack_body(seq))
+        )
 
     def _apply_records(self, sock, records, metrics) -> None:
         with self.db.obs.tracer.span("repl-apply", cat="repl"):
@@ -381,16 +329,15 @@ class Follower:
             # toward a client's ack level, so it must survive a
             # follower crash from here on.
             self.db.sync_wal()
-        self._send_frame(
-            sock,
-            P.encode_request(
-                P.OP_REPL_ACK,
-                3,
-                P.encode_repl_ack_body(self.db.last_sequence),
-            ),
-        )
+        self._ack(sock, self.db.last_sequence)
 
     # --------------------------------------------------------- snapshot
+    def _next_snap(self, sock, kind: int, name: str) -> tuple:
+        decoded = self._next_ship(sock)
+        if decoded[0] != kind:
+            raise P.ProtocolError(f"expected {name}")
+        return decoded
+
     def _receive_snapshot(self, sock, last_seq: int, n_files: int) -> None:
         """Receive a full SST snapshot and rebuild the local DB."""
         logger.info(
@@ -405,32 +352,25 @@ class Follower:
                 except OSError:
                     pass
             for _ in range(n_files):
-                request = P.decode_request(self._recv_stream_payload(sock))
-                decoded = P.decode_ship_body(request.body)
-                if decoded[0] != P.SHIP_SNAP_FILE:
-                    raise P.ProtocolError("expected SHIP_SNAP_FILE")
-                _, level, name, size, smallest, largest = decoded
+                _, level, name, size, smallest, largest = self._next_snap(
+                    sock, P.SHIP_SNAP_FILE, "SHIP_SNAP_FILE"
+                )
                 received = 0
                 with self._storage.create(name) as out:
                     while received < size:
-                        request = P.decode_request(
-                            self._recv_stream_payload(sock)
+                        _, chunk = self._next_snap(
+                            sock, P.SHIP_SNAP_CHUNK, "SHIP_SNAP_CHUNK"
                         )
-                        chunk_msg = P.decode_ship_body(request.body)
-                        if chunk_msg[0] != P.SHIP_SNAP_CHUNK:
-                            raise P.ProtocolError("expected SHIP_SNAP_CHUNK")
-                        out.append(chunk_msg[1])
-                        received += len(chunk_msg[1])
+                        out.append(chunk)
+                        received += len(chunk)
                     out.sync()
                 number = int(name.split(".")[0])
                 files.append(
                     (level, FileMetaData(number, size, smallest, largest))
                 )
-            request = P.decode_request(self._recv_stream_payload(sock))
-            end_msg = P.decode_ship_body(request.body)
-            if end_msg[0] != P.SHIP_SNAP_END:
-                raise P.ProtocolError("expected SHIP_SNAP_END")
-            install_seq = end_msg[1]
+            _, install_seq = self._next_snap(
+                sock, P.SHIP_SNAP_END, "SHIP_SNAP_END"
+            )
             self._install_manifest(files, install_seq)
             self.db = self._db_factory()
             if self._on_db_swap is not None:
@@ -445,12 +385,7 @@ class Follower:
                 files=n_files,
             )
         logger.info("snapshot installed at seq %d", install_seq)
-        self._send_frame(
-            sock,
-            P.encode_request(
-                P.OP_REPL_ACK, 3, P.encode_repl_ack_body(install_seq)
-            ),
-        )
+        self._ack(sock, install_seq)
 
     def _install_manifest(
         self, files: list[tuple[int, FileMetaData]], last_seq: int

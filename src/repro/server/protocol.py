@@ -22,18 +22,18 @@ Request payload::
 
     opcode:u8  request_id:varint64  body
 
-Protocol 2.1 adds optional *trace context*: a request whose opcode byte
-carries :data:`TRACE_FLAG` (the high bit — no real opcode uses it) is
-followed by two extra varints before the body::
+A request may carry *trace context*: when its opcode byte has
+:data:`TRACE_FLAG` set (the high bit — no real opcode uses it), two
+extra varints follow before the body::
 
     opcode|0x80:u8  request_id:varint64  trace_id:varint64
     span_id:varint64  body
 
-Clients only set the flag after a hello negotiated minor >= 1, so a 2.0
-server never sees it; a 2.1 server accepts both shapes on every
-connection.  The ids let the server stamp its dispatch/DB/replication
-spans with the client's trace id (:func:`repro.obs.trace_context`), so
-one merged Chrome trace links the request across processes.
+Clients set the flag only once the server has answered their hello; the
+server accepts both shapes on every connection.  The ids let the server
+stamp its dispatch/DB/replication spans with the client's trace id
+(:func:`repro.obs.trace_context`), so one merged Chrome trace links the
+request across processes.
 
 Response payload::
 
@@ -57,6 +57,7 @@ compaction pause explicitly and can back off.
 from __future__ import annotations
 
 import struct
+import time
 from typing import Iterator, Optional
 from zlib import crc32
 
@@ -118,6 +119,8 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "frame_length",
+    "FrameReader",
+    "read_frame",
     "encode_lp",
     "decode_lp",
     "encode_request",
@@ -174,8 +177,8 @@ OP_METRICS = 0x0D
 OP_TRACE = 0x0E
 OP_PROMOTE = 0x0F
 
-#: High bit of the request opcode byte: set (protocol >= 2.1) when the
-#: request head carries trace-context varints before the body.
+#: High bit of the request opcode byte: set when the request head
+#: carries trace-context varints before the body.
 TRACE_FLAG = 0x80
 
 OPCODE_NAMES = {
@@ -220,19 +223,11 @@ STATUS_NAMES = {
 }
 
 # ------------------------------------------------- protocol versioning
-#: Protocol 2 added replication (REPL_* opcodes, FLUSH, FENCED) and the
-#: PING hello handshake itself.  Servers reject a hello whose *major*
-#: they do not know; minor bumps are additive and ignored.  Minor 1
-#: (telemetry) added the METRICS/TRACE opcodes and the TRACE_FLAG
-#: request head extension — all additive: a 2.0 client never sends
-#: them, and a 2.1 client only after the hello ack announces >= 2.1.
-#: Minor 2 (failover) added the PROMOTE opcode and SHIP_HEARTBEAT idle
-#: frames on the replication stream — additive again: the primary only
-#: heartbeats subscribers whose hello announced >= 2.2, and PROMOTE on
-#: an older server fails loudly as an unknown opcode.
-#: Major 3 changed the frame trailer from CRC-32C to CRC-32 (IEEE) and
-#: nothing else: every 2.2 feature is in 3.0, and the two majors cannot
-#: exchange a single frame, so there is nothing to negotiate.
+#: The PING hello reports each side's version; a server rejects a hello
+#: whose *major* it does not know.  A peer that answers the hello at all
+#: speaks 3.0 (see above) and has every feature — trace context,
+#: METRICS/TRACE, PROMOTE, heartbeats on the replication stream; only a
+#: protocol-1 server echoes the hello instead of answering it.
 PROTOCOL_MAJOR = 3
 PROTOCOL_MINOR = 0
 
@@ -268,6 +263,9 @@ FRAME_OVERHEAD = 8
 #: responses); a peer that announces more is treated as corrupt.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
+#: Starting size of a :class:`FrameReader`'s buffer.
+_RECV_BYTES = 64 * 1024
+
 _BATCH_PUT = 0
 _BATCH_DELETE = 1
 
@@ -296,10 +294,7 @@ def frame_length(header: bytes, limit: int = MAX_FRAME_BYTES) -> int:
     """Payload length announced by a 4-byte frame header."""
     if len(header) != 4:
         raise ProtocolError(f"short frame header: {len(header)} bytes")
-    length = get_fixed32(header, 0)
-    if length > limit:
-        raise ProtocolError(f"frame of {length} bytes exceeds limit {limit}")
-    return length
+    return _admitted(get_fixed32(header, 0), limit)
 
 
 def decode_frame(length: int, rest: bytes) -> bytes:
@@ -308,10 +303,91 @@ def decode_frame(length: int, rest: bytes) -> bytes:
         raise ProtocolError(
             f"truncated frame: expected {length + 4} bytes, got {len(rest)}"
         )
-    payload = rest[:length]
-    if mask_crc(crc32(payload)) != get_fixed32(rest, length):
+    return _verified(rest[:length], get_fixed32(rest, length))
+
+
+def _admitted(length: int, limit: int) -> int:
+    if length > limit:
+        raise ProtocolError(f"frame of {length} bytes exceeds limit {limit}")
+    return length
+
+
+def _verified(payload, masked_crc: int):
+    if mask_crc(crc32(payload)) != masked_crc:
         raise ProtocolError("frame checksum mismatch")
     return payload
+
+
+class FrameReader:
+    """Frames off one blocking socket, received into one buffer.
+
+    The buffer lives as long as the connection and ``recv_into`` fills
+    it, so a read allocates only the payload it returns, and frames that
+    arrive together come out of one receive.  The sync client and the
+    replication follower read this way; :func:`read_frame` is the
+    asyncio counterpart.
+    """
+
+    __slots__ = ("limit", "buf", "_view", "_start", "_end")
+
+    def __init__(self, limit: int = MAX_FRAME_BYTES) -> None:
+        self.limit = limit
+        self.buf = bytearray(_RECV_BYTES)
+        self._view = memoryview(self.buf)
+        self._start = self._end = 0  # the unread bytes: buf[_start:_end]
+
+    def read_frame(self, sock, deadline: Optional[float] = None) -> bytes:
+        """The next frame's verified payload.
+
+        A socket timeout propagates, unless there is a ``deadline`` (a
+        ``time.monotonic()`` value): then the read waits through
+        timeouts until it passes.  The short timeout notices a socket
+        closed under the reader; the deadline bounds the peer's silence.
+        """
+        if self._end - self._start < 4:
+            self._fill(sock, 4, deadline)
+        length = _admitted(get_fixed32(self.buf, self._start), self.limit)
+        if self._end - self._start < length + 8:
+            self._fill(sock, length + 8, deadline)
+        start = self._start
+        end = self._start = start + length + 8
+        if end == self._end:
+            self._start = self._end = 0
+        payload = bytes(self._view[start + 4 : end - 4])
+        return _verified(payload, get_fixed32(self.buf, end - 4))
+
+    def _fill(self, sock, n: int, deadline: Optional[float]) -> None:
+        """Receive until at least ``n`` unread bytes are buffered."""
+        if self._start + n > len(self.buf):
+            # Move the unread tail (less than one frame) to the front,
+            # of a larger buffer when one frame needs more room.
+            tail = self.buf[self._start : self._end]
+            if n > len(self.buf):
+                self.buf = bytearray(n)
+                self._view = memoryview(self.buf)
+            self.buf[: len(tail)] = tail
+            self._start, self._end = 0, len(tail)
+        while self._end - self._start < n:
+            try:
+                got = sock.recv_into(self._view[self._end :])
+            except TimeoutError:
+                if deadline is None:
+                    raise
+                if time.monotonic() >= deadline:
+                    raise ConnectionError("peer silent past its deadline") from None
+                continue
+            if not got:
+                raise ConnectionError("peer closed the connection")
+            self._end += got
+
+
+async def read_frame(reader, limit: int = MAX_FRAME_BYTES) -> bytes:
+    """The next frame's verified payload off an asyncio ``StreamReader``."""
+    try:
+        length = frame_length(await reader.readexactly(4), limit)
+        return decode_frame(length, await reader.readexactly(length + 4))
+    except EOFError:  # asyncio.IncompleteReadError
+        raise ConnectionError("peer closed the connection") from None
 
 
 # ------------------------------------------------- length-prefixed str
@@ -336,9 +412,9 @@ def decode_lp(buf: bytes, offset: int = 0) -> tuple[bytes, int]:
 class Request:
     """One decoded request frame.
 
-    ``trace_id``/``span_id`` are the 2.1 trace context (None when the
-    frame carried none): the client's trace id and the id of the client
-    span that sent this request.
+    ``trace_id``/``span_id`` are the trace context (None when the frame
+    carried none): the client's trace id and the id of the client span
+    that sent this request.
     """
 
     __slots__ = ("opcode", "request_id", "body", "trace_id", "span_id")
@@ -438,9 +514,9 @@ def encode_request(
 ) -> bytes:
     """Full request frame (framing included).
 
-    Passing ``trace_id`` (protocol >= 2.1 only — callers must have
-    negotiated via hello) sets :data:`TRACE_FLAG` and puts the
-    trace-context varints between the head and the body.
+    Passing ``trace_id`` (only to a server that answered the hello)
+    sets :data:`TRACE_FLAG` and puts the trace-context varints between
+    the head and the body.
     """
     if opcode not in OPCODE_NAMES:
         raise ProtocolError(f"unknown opcode 0x{opcode:02x}")
@@ -794,9 +870,9 @@ def encode_ship_goodbye(reason: str) -> bytes:
 
 
 def encode_ship_heartbeat(last_seq: int) -> bytes:
-    """Idle heartbeat (protocol >= 2.2): proof of life plus the
-    primary's current last sequence, sent when the WAL has nothing to
-    ship so followers can tell "idle" from "black-holed"."""
+    """Idle heartbeat: proof of life plus the primary's current last
+    sequence, sent when the WAL has nothing to ship so followers can
+    tell "idle" from "black-holed"."""
     return bytes([SHIP_HEARTBEAT]) + encode_varint64(last_seq)
 
 

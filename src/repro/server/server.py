@@ -101,6 +101,17 @@ class _RecvIntoProtocol(asyncio.StreamReaderProtocol, asyncio.BufferedProtocol):
         self.data_received(self._recv_view[:nbytes])
 
 
+async def _send(writer: asyncio.StreamWriter, frame: bytes) -> None:
+    """Write one frame and wait until the socket takes it."""
+    writer.write(frame)
+    await writer.drain()
+
+
+def _ship(body: bytes) -> bytes:
+    """A REPL_SHIP frame; the primary's pushes all carry request id 0."""
+    return P.encode_request(P.OP_REPL_SHIP, 0, body)
+
+
 @dataclass
 class ServerConfig:
     """Tunables of one server instance."""
@@ -350,13 +361,9 @@ class KVServer:
         inline_run = 0  # consecutive replies written without yielding
         while True:
             try:
-                header = await reader.readexactly(4)
-                length = P.frame_length(header, self.config.max_frame_bytes)
-                payload = P.decode_frame(
-                    length, await reader.readexactly(length + 4)
-                )
+                payload = await P.read_frame(reader, self.config.max_frame_bytes)
                 request = P.decode_request(payload)
-            except (asyncio.IncompleteReadError, ConnectionError):
+            except ConnectionError:
                 return  # client went away
             except P.ProtocolError:
                 # The stream is unframed garbage from here on: there is
@@ -425,8 +432,7 @@ class KVServer:
             try:
                 frame = await task
                 if not broken:
-                    writer.write(frame)
-                    await writer.drain()
+                    await _send(writer, frame)
             except OSError:  # covers ConnectionError
                 broken = True
             except Exception:  # pragma: no cover - handler is total
@@ -474,9 +480,7 @@ class KVServer:
             elif self._stalled_for(request):
                 # The engine would park this write until compaction
                 # catches up; tell the client to back off instead.
-                self.metrics.record_stall_rejection()
-                status = P.ST_STALLED
-                body = P.encode_varint64(self.config.stall_retry_ms)
+                status, body = self._stalled()
             else:
                 loop = asyncio.get_running_loop()
                 status, body = await loop.run_in_executor(
@@ -490,9 +494,7 @@ class KVServer:
             # Retryable storage hiccup (the engine already exhausted
             # its own retries): tell the client to back off and retry
             # — same contract as a compaction stall, not a hard error.
-            self.metrics.record_stall_rejection()
-            status = P.ST_STALLED
-            body = P.encode_varint64(self.config.stall_retry_ms)
+            status, body = self._stalled()
         except Exception as exc:  # engine failure: report, keep serving
             status, body = P.ST_SERVER_ERROR, P.encode_lp(
                 f"{type(exc).__name__}: {exc}".encode()
@@ -545,7 +547,7 @@ class KVServer:
     ) -> tuple[int, bytes]:
         """Run one opcode against the DB, on the calling thread.
 
-        A request carrying 2.1 trace context binds it to this thread —
+        A request carrying trace context binds it to this thread —
         a pool worker, or the loop thread when ``wait`` is False — for
         the duration: the ``server:<OP>`` dispatch span and every engine
         span recorded underneath (``db:<OP>``, flush, write-stall,
@@ -571,15 +573,15 @@ class KVServer:
             hello = P.decode_hello_body(body)
             if hello is None:
                 return P.ST_OK, body  # pre-versioning client: pure echo
-            major, minor, ack_level = hello
+            major, _, ack_level = hello
             if major > P.PROTOCOL_MAJOR:
                 return P.ST_BAD_REQUEST, P.encode_lp(
                     f"unsupported protocol major {major} (this server "
                     f"speaks {P.PROTOCOL_MAJOR}.{P.PROTOCOL_MINOR})".encode()
                 )
-            # Remembered for feature gating: e.g. only >= 2.2 peers get
-            # SHIP_HEARTBEAT frames on a replication stream.
-            state["peer_version"] = (major, minor)
+            # Only a peer that sent a hello gets SHIP_HEARTBEAT frames
+            # on a replication stream.
+            state["hello"] = True
             if ack_level is not None:
                 state["ack_level"] = ack_level
             return P.ST_OK, P.encode_hello_ack()
@@ -690,6 +692,10 @@ class KVServer:
             )
         if acked:
             return P.ST_OK, ok_body
+        return self._stalled()
+
+    def _stalled(self) -> tuple[int, bytes]:
+        """Refuse with STALLED and the back-off a client should take."""
         self.metrics.record_stall_rejection()
         return P.ST_STALLED, P.encode_varint64(self.config.stall_retry_ms)
 
@@ -783,20 +789,16 @@ class KVServer:
 
         The server pushes ``REPL_SHIP`` request frames; the follower
         pushes ``REPL_ACK`` request frames back.  Neither direction
-        carries responses from here on.  Peers that negotiated >= 2.2
-        receive ``SHIP_HEARTBEAT`` frames whenever the WAL is idle, so
-        a quiet stream stays distinguishable from a black-holed one.
+        carries responses from here on.  Peers that sent a hello receive
+        ``SHIP_HEARTBEAT`` frames whenever the WAL is idle, so a quiet
+        stream stays distinguishable from a black-holed one.
         """
         from ..replication.errors import FencedError
 
         async def refuse(status: int, message: str) -> None:
-            writer.write(
-                P.encode_response(
-                    status, request.request_id,
-                    P.encode_lp(message.encode()),
-                )
-            )
-            await writer.drain()
+            await _send(writer, P.encode_response(
+                status, request.request_id, P.encode_lp(message.encode())
+            ))
 
         if self.hub is None:
             await refuse(
@@ -835,59 +837,39 @@ class KVServer:
         )
         ack_task = asyncio.create_task(self._read_acks(reader, sub))
         try:
-            writer.write(
-                P.encode_response(
-                    P.ST_OK,
-                    request.request_id,
-                    P.encode_subscribe_ack(
-                        mode_code, self.db.repl_epoch, self.db.last_sequence
-                    ),
-                )
-            )
-            await writer.drain()
+            await _send(writer, P.encode_response(
+                P.ST_OK,
+                request.request_id,
+                P.encode_subscribe_ack(
+                    mode_code, self.db.repl_epoch, self.db.last_sequence
+                ),
+            ))
             if mode == "snapshot" and not await self._stream_snapshot(
                 writer, sub
             ):
                 return
             # hub.pull returns "idle" about every 0.5 s of WAL silence,
             # which sets the heartbeat cadence.
-            heartbeats = state.get("peer_version", (2, 0)) >= (2, 2)
+            heartbeats = "hello" in state
             while True:
                 kind, payload = await loop.run_in_executor(
                     ship_pool, self.hub.pull, sub
                 )
                 if kind == "idle":
                     if heartbeats:
-                        writer.write(
-                            P.encode_request(
-                                P.OP_REPL_SHIP,
-                                0,
-                                P.encode_ship_heartbeat(self.db.last_sequence),
-                            )
-                        )
-                        await writer.drain()
+                        await _send(writer, _ship(
+                            P.encode_ship_heartbeat(self.db.last_sequence)
+                        ))
                     continue
                 if kind == "records":
-                    writer.write(
-                        P.encode_request(
-                            P.OP_REPL_SHIP, 0, P.encode_ship_records(payload)
-                        )
-                    )
-                    await writer.drain()
+                    await _send(writer, _ship(P.encode_ship_records(payload)))
                 elif kind == "gap":
                     # The buffer was evicted out from under this
                     # follower: restart it from a full snapshot.
                     if not await self._stream_snapshot(writer, sub):
                         return
                 else:  # goodbye
-                    writer.write(
-                        P.encode_request(
-                            P.OP_REPL_SHIP,
-                            0,
-                            P.encode_ship_goodbye(str(payload)),
-                        )
-                    )
-                    await writer.drain()
+                    await _send(writer, _ship(P.encode_ship_goodbye(str(payload))))
                     return
         except OSError:  # follower went away; reconnect catches up
             return
@@ -904,16 +886,12 @@ class KVServer:
         """Drain REPL_ACK frames pushed by the subscribed follower."""
         try:
             while True:
-                header = await reader.readexactly(4)
-                length = P.frame_length(header, self.config.max_frame_bytes)
-                payload = P.decode_frame(
-                    length, await reader.readexactly(length + 4)
-                )
+                payload = await P.read_frame(reader, self.config.max_frame_bytes)
                 ack = P.decode_request(payload)
                 if ack.opcode != P.OP_REPL_ACK:
                     return  # protocol violation: drop the stream
                 self.hub.record_ack(sub, P.decode_repl_ack_body(ack.body))
-        except (asyncio.IncompleteReadError, ConnectionError, P.ProtocolError):
+        except (ConnectionError, P.ProtocolError):
             return
 
     async def _stream_snapshot(self, writer, sub) -> bool:
@@ -923,27 +901,11 @@ class KVServer:
             self._pool, self.db.checkpoint_files
         )
         try:
-            writer.write(
-                P.encode_request(
-                    P.OP_REPL_SHIP,
-                    0,
-                    P.encode_ship_snap_begin(last_seq, len(files)),
-                )
-            )
+            writer.write(_ship(P.encode_ship_snap_begin(last_seq, len(files))))
             for level, meta, handle in files:
-                writer.write(
-                    P.encode_request(
-                        P.OP_REPL_SHIP,
-                        0,
-                        P.encode_ship_snap_file(
-                            level,
-                            meta.name,
-                            meta.file_size,
-                            meta.smallest,
-                            meta.largest,
-                        ),
-                    )
-                )
+                writer.write(_ship(P.encode_ship_snap_file(
+                    level, meta.name, meta.file_size, meta.smallest, meta.largest
+                )))
                 offset = 0
                 while offset < meta.file_size:
                     n = min(_SNAP_CHUNK_BYTES, meta.file_size - offset)
@@ -951,20 +913,8 @@ class KVServer:
                         self._pool, handle.pread, offset, n
                     )
                     offset += n
-                    writer.write(
-                        P.encode_request(
-                            P.OP_REPL_SHIP,
-                            0,
-                            P.encode_ship_snap_chunk(chunk),
-                        )
-                    )
-                    await writer.drain()
-            writer.write(
-                P.encode_request(
-                    P.OP_REPL_SHIP, 0, P.encode_ship_snap_end(last_seq)
-                )
-            )
-            await writer.drain()
+                    await _send(writer, _ship(P.encode_ship_snap_chunk(chunk)))
+            await _send(writer, _ship(P.encode_ship_snap_end(last_seq)))
         except OSError:
             return False
         finally:

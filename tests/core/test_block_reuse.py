@@ -1,9 +1,9 @@
-"""Payload reuse in S5: one oracle that does not care how a block got there.
+"""Reused blocks: one oracle that does not care how a block got there.
 
-A rebuilt block that equals an input block takes that block's stored
-payload instead of being compressed again.  Rebuilt and compressed,
-rebuilt and reused, or passed through as stored — the output must be
-what S5/S6 would have written: every data block, decompressed, then
+An input block of a multi-run sub-task that the merge would only
+reproduce is spliced into the output as stored (``reused``).  Rebuilt
+and compressed, spliced, or passed through as stored — the output must
+be what S5/S6 would have written: every data block, decompressed, then
 compressed by the output codec and framed, gives back its stored bytes.
 The entries are the reference merge of ``test_passthrough``, and every
 executor writes the same files.
@@ -241,8 +241,8 @@ class TestTraps:
 
     @pytest.mark.parametrize("name", list(SPECS))
     def test_corrupt_block_in_a_multi_run_subtask_is_caught_by_s2(self, name):
-        """The mapping holds only blocks S2 verified: a damaged block
-        stops the compaction before anything is written."""
+        """Only blocks S2 verified are spliced: a damaged block stops
+        the compaction before anything is written."""
         options = Options(
             block_bytes=256, sstable_bytes=4 * 1024, compression="lz77",
             paranoid_checks=False,  # opening the table must not trip first

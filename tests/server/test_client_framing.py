@@ -10,6 +10,7 @@ received however many responses arrive together.
 """
 
 import asyncio
+import gc
 import socket
 import threading
 
@@ -17,10 +18,14 @@ import pytest
 
 from repro.db import DB
 from repro.devices import FaultyProxy, MemStorage, NetFaultPlan
+from repro.replication import ReplicationHub
 from repro.server import (
     AsyncClient,
+    ClientError,
     ProtocolError,
     RetryPolicy,
+    ServerBusyError,
+    ServerConfig,
     ServerThread,
     SyncClient,
 )
@@ -173,9 +178,107 @@ class TestAsyncClient:
 
         asyncio.run(run())
 
+    def test_reconnect_replays_the_hello(self):
+        """The hello's ack level survives the new connection: with no
+        follower to ack, a write at ack level 1 stalls before the
+        reconnect and after it."""
+        primary = DB(MemStorage())
+        config = ServerConfig(repl_ack_timeout_s=0.05)
+        hub = ReplicationHub(primary)
+        with ServerThread(primary, config, hub=hub) as handle:
+            with FaultyProxy(handle.host, handle.port).start() as proxy:
+
+                async def run():
+                    client = await AsyncClient.connect(
+                        proxy.host, proxy.port, max_retries=0,
+                        retry_policy=RetryPolicy(base_delay_s=0.01, seed=1),
+                    )
+                    try:
+                        await client.hello(ack_level=1)
+                        with pytest.raises(ServerBusyError):
+                            await client.put(b"k", b"v")
+                        proxy.set_plan(NetFaultPlan(flip_nth={"s2c": 1}))
+                        with pytest.raises(ProtocolError):
+                            await client.ping()
+                        with pytest.raises(ServerBusyError):
+                            await client.put(b"k", b"v")
+                        assert client.retries == 1
+                    finally:
+                        await client.close()
+
+                asyncio.run(run())
+            assert handle.metrics.connections_opened == 2
+            # The hello, the ping, and the hello again.
+            assert handle.metrics.op(P.OP_PING).requests == 3
+
+    def test_a_request_whose_write_fails_leaves_no_future_behind(
+        self, proxied
+    ):
+        """Nobody waits for the response of a request that was never
+        written; failing its future at close must log nothing."""
+        handle, _ = proxied
+
+        class BrokenWriter:
+            def __init__(self, real) -> None:
+                self._real = real
+
+            def write(self, data) -> None:
+                pass
+
+            async def drain(self) -> None:
+                raise ConnectionResetError("Connection lost")
+
+            def __getattr__(self, name):
+                return getattr(self._real, name)
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            logged = []
+            loop.set_exception_handler(lambda loop, ctx: logged.append(ctx))
+            reader, writer = await asyncio.open_connection(
+                handle.host, handle.port
+            )
+            client = AsyncClient(reader, BrokenWriter(writer))
+            with pytest.raises(ConnectionResetError):
+                await client.get(b"k")
+            await client.close()
+            gc.collect()
+            await asyncio.sleep(0)
+            return logged
+
+        assert asyncio.run(run()) == []
+
+
+@pytest.mark.parametrize("kind", ["sync", "sync-retrying", "async"])
+def test_a_closed_client_raises_client_error(proxied, kind):
+    handle, proxy = proxied
+    policy = RetryPolicy(base_delay_s=0.01, seed=1)
+    if kind == "async":
+
+        async def run():
+            client = await AsyncClient.connect(
+                proxy.host, proxy.port, retry_policy=policy
+            )
+            await client.put(b"k", b"v")
+            await client.close()
+            with pytest.raises(ClientError, match="closed"):
+                await client.get(b"k")
+
+        asyncio.run(run())
+    else:
+        client = SyncClient(
+            proxy.host, proxy.port,
+            retry_policy=policy if kind == "sync-retrying" else None,
+        )
+        client.put(b"k", b"v")
+        client.close()
+        with pytest.raises(ClientError, match="closed"):
+            client.get(b"k")
+    assert handle.metrics.connections_opened == 1
+
 
 class _CannedSocket:
-    """Plays back ``data`` in ``recv``-sized pieces; swallows sends."""
+    """Plays back ``data`` in ``recv_into``-sized pieces; swallows sends."""
 
     def __init__(self, data: bytes) -> None:
         self._data = memoryview(data)
@@ -184,10 +287,11 @@ class _CannedSocket:
     def sendall(self, frame: bytes) -> None:
         pass
 
-    def recv(self, n: int) -> bytes:
+    def recv_into(self, buffer) -> int:
         self.recvs += 1
-        piece, self._data = self._data[:n], self._data[n:]
-        return bytes(piece)
+        n = min(len(buffer), len(self._data))
+        buffer[:n], self._data = self._data[:n], self._data[n:]
+        return n
 
     def close(self) -> None:
         pass
@@ -211,13 +315,13 @@ def test_receive_cost_is_linear_in_bytes_received():
             client._sock = sock = _CannedSocket(canned)
             # Every distinct buffer the client held, kept alive so that
             # identity means identity.
-            buffers = [client._recv_buf]
+            buffers = [client._recv_buf.buf]
             recv_response = client._recv_response
 
             def watching(expect_id):
                 response = recv_response(expect_id)
-                if client._recv_buf is not buffers[-1]:
-                    buffers.append(client._recv_buf)
+                if client._recv_buf.buf is not buffers[-1]:
+                    buffers.append(client._recv_buf.buf)
                 return response
 
             client._recv_response = watching

@@ -330,7 +330,7 @@ class TestReceiveBuffer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The client in this process still does recv(64 KB) per reply.
+        # The client in this process receives into a buffer it keeps.
         assert peak - before < 128 * 1024
 
     def test_frame_longer_than_the_buffer_and_two_in_one_read(self, client):
