@@ -71,11 +71,13 @@ def test_bench_lz77_decompress(benchmark, blob64k):
 PAYLOAD_SHAPES = {"100B-values": 100, "1KB-values": 1000}
 
 
-def _block_entries(value_bytes: int, start: int = 0, step: int = 1) -> list[tuple[bytes, bytes]]:
+def _block_entries(
+    value_bytes: int, start: int = 0, step: int = 1, total: int = 4096
+) -> list[tuple[bytes, bytes]]:
     values = ValueGenerator(value_bytes - 24, seed=101)
     entries, size = [], 0
     index = start
-    while size < 4096:
+    while size < total:
         value = b"%016d:%06d:" % (index, 0) + values.value_for(index * 1_000_003)
         entries.append((encode_internal_key(format_key(index), 1, KIND_VALUE), value))
         size += 24 + len(value)
@@ -291,6 +293,28 @@ def test_bench_merge_two_sources(benchmark):
     merged = benchmark(lambda: list(merge_iterators([iter(evens), iter(odds)])))
     assert len(merged) == len(evens) + len(odds)
     assert merged[:2] == [evens[0], odds[0]]
+
+
+# The flush: a 64 KB memtable built into one table by TableBuilder, the
+# block cutter, S5/S6 framing and the table writer compaction also uses.
+@pytest.mark.parametrize("shape", sorted(PAYLOAD_SHAPES))
+def test_bench_flush_memtable(benchmark, shape):
+    from repro.lsm import Table, TableBuilder
+
+    entries = _block_entries(PAYLOAD_SHAPES[shape], total=64 * 1024)
+    options = Options()
+
+    def flush():
+        storage = MemStorage()
+        with storage.create("t.sst") as f:
+            builder = TableBuilder(f, options)
+            for ikey, value in entries:
+                builder.add(ikey, value)
+            builder.finish()
+        return storage
+
+    storage = benchmark(flush)
+    assert list(Table(storage.open("t.sst"), options)) == entries
 
 
 def test_bench_memtable_insert(benchmark):

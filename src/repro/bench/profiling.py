@@ -12,6 +12,7 @@ Two profilers:
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from ..core.steps import (
     step_decompress,
     step_merge,
     step_rechecksum,
+    step_write,
 )
 from ..core.subtask import partition_subtasks
 from ..devices import MemStorage, make_device
@@ -32,6 +34,8 @@ from ..lsm.ikey import KIND_VALUE, encode_internal_key
 from ..lsm.options import Options
 from ..lsm.table_builder import TableBuilder
 from ..lsm.table_reader import Table
+from ..lsm.table_sink import TableSink
+from ..lsm.version import FileMetaData
 from ..workload.generators import ValueGenerator
 
 __all__ = ["profile_steps_model", "profile_steps_real", "breakdown3"]
@@ -62,11 +66,16 @@ def breakdown3(times: StepTimes) -> dict[str, float]:
 
 @dataclass
 class RealStepProfile:
-    """Wall-clock seconds per step over a real sub-task's data."""
+    """Wall-clock seconds per step over a real sub-task's data.
+
+    ``outputs`` are the last repeat's output tables, in ``storage``.
+    """
 
     times: StepTimes
     input_bytes: int
     entries: int
+    storage: MemStorage
+    outputs: list[FileMetaData]
 
     def fractions(self) -> dict[str, float]:
         total = self.times.total
@@ -129,10 +138,10 @@ def profile_steps_real(
         t5 = time.perf_counter()
         encoded = step_rechecksum(compressed, checksummer)
         t6 = time.perf_counter()
-        sink_file = storage.create("out.run")
-        for block in encoded:
-            sink_file.append(block.stored)
-        sink_file.close()
+        numbers = itertools.count(1)
+        sink = TableSink(storage, options, lambda: f"out-{next(numbers):06d}.sst")
+        step_write(encoded, sink)
+        outputs = sink.finish()
         t7 = time.perf_counter()
         acc["read"] += t1 - t0
         acc["checksum"] += t2 - t1
@@ -144,4 +153,7 @@ def profile_steps_real(
         out_entries = sum(b.num_entries for b in encoded)
     r = max(1, repeats)
     times = StepTimes(**{k: v / r for k, v in acc.items()})
-    return RealStepProfile(times=times, input_bytes=input_bytes, entries=out_entries)
+    return RealStepProfile(
+        times=times, input_bytes=input_bytes, entries=out_entries,
+        storage=storage, outputs=outputs,
+    )

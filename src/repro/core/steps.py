@@ -23,10 +23,11 @@ bit-identical regardless of scheduling — the property the paper relies
 on ("there is no data dependency among the data blocks") and that our
 equivalence tests assert.
 
-S2+S3 and S5+S6 are fused into the on-disk framing helpers of
-:mod:`repro.lsm.table_format` at the byte level, but are exposed here
-as distinct steps so profiling can attribute time per step (Figs 5,
-8, 9).
+A step's per-block work is the table format's own code, shared with
+the reader and the flush: S1, S2, S3, S5 and S6 are the framing
+functions of :mod:`repro.lsm.table_format`, and S4 cuts its output
+with :class:`repro.lsm.table_builder.BlockCutter`.  They are distinct
+steps here so profiling can attribute time per step (Figs 5, 8, 9).
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ..codec.checksum import Checksummer
 from ..codec.compress import Codec
-from ..codec.varint import get_fixed32
 from ..devices.vfs import ReadableFile
-from ..lsm.blockfmt import Block, BlockBuilder
+from ..lsm.blockfmt import Block
 from ..lsm.bloom import bloom_hashes
 from ..lsm.ikey import (
     KIND_DELETE,
@@ -49,13 +49,17 @@ from ..lsm.ikey import (
     internal_compare,
 )
 from ..lsm.iterators import merge_iterators
+from ..lsm.table_builder import BlockCutter, EncodedBlock, MergedBlock
 from ..lsm.table_format import (
     BLOCK_TRAILER_SIZE,
     COMPRESSION_TAGS,
-    TAG_TO_CODEC,
     TableCorruption,
+    block_checksum_ok,
+    compress_block,
+    decompress_block,
+    frame_block,
+    read_block,
 )
-from ..lsm.table_sink import EncodedBlock
 
 __all__ = [
     "StoredBlock",
@@ -88,40 +92,22 @@ class RawBlock:
     raw: bytes
 
 
-@dataclass(frozen=True)
-class MergedBlock:
-    """S4 output: a rebuilt (uncompressed) data block with metadata."""
-
-    raw: bytes
-    first_key: bytes
-    last_key: bytes
-    num_entries: int
-    key_hashes: tuple[int, ...]
-
-
 def step_read(
     files: Sequence[ReadableFile],
     handles_per_source: Sequence[Sequence["object"]],
 ) -> list[StoredBlock]:
     """S1 READ: fetch each input block (with its trailer) from disk."""
-    out: list[StoredBlock] = []
-    for source, (file, handles) in enumerate(zip(files, handles_per_source)):
-        for handle in handles:
-            stored = file.pread(handle.offset, handle.size + BLOCK_TRAILER_SIZE)
-            if len(stored) != handle.size + BLOCK_TRAILER_SIZE:
-                raise TableCorruption(
-                    f"short read: offset {handle.offset} in source {source}"
-                )
-            out.append(StoredBlock(source, stored))
-    return out
+    return [
+        StoredBlock(source, read_block(file, handle))
+        for source, (file, handles) in enumerate(zip(files, handles_per_source))
+        for handle in handles
+    ]
 
 
 def step_checksum(blocks: Sequence[StoredBlock], checksummer: Checksummer) -> None:
     """S2 CHECKSUM: verify each block against its stored trailer CRC."""
     for block in blocks:
-        payload_and_tag = block.data[:-4]
-        crc = get_fixed32(block.data, len(block.data) - 4)
-        if not checksummer.verify(payload_and_tag, crc):
+        if not block_checksum_ok(block.data, checksummer):
             raise TableCorruption(
                 f"compaction input checksum mismatch (source {block.source})"
             )
@@ -129,18 +115,7 @@ def step_checksum(blocks: Sequence[StoredBlock], checksummer: Checksummer) -> No
 
 def step_decompress(blocks: Sequence[StoredBlock]) -> list[RawBlock]:
     """S3 DECOMPRESS: restore the original block contents."""
-    from ..codec.compress import get_codec
-
-    out: list[RawBlock] = []
-    for block in blocks:
-        tag = block.data[-BLOCK_TRAILER_SIZE]
-        try:
-            codec_name = TAG_TO_CODEC[tag]
-        except KeyError:
-            raise TableCorruption(f"unknown compression tag {tag}") from None
-        payload = block.data[:-BLOCK_TRAILER_SIZE]
-        out.append(RawBlock(block.source, get_codec(codec_name).decompress(payload)))
-    return out
+    return [RawBlock(block.source, decompress_block(block.data)) for block in blocks]
 
 
 def step_merge(
@@ -192,36 +167,13 @@ def _merge(
     smallest_snapshot: Optional[int],
 ) -> list[MergedBlock]:
     """:func:`step_merge` on entry streams, newest source first."""
-    merged = merge_iterators(streams)
     if smallest_snapshot is None:
         smallest_snapshot = MAX_SEQUENCE
     out: list[MergedBlock] = []
-    builder = BlockBuilder(restart_interval, compare=internal_compare)
-    first_key: Optional[bytes] = None
-    last_key: Optional[bytes] = None
-    users: list[bytes] = []  # the open block's user keys, hashed when it closes
+    cutter = BlockCutter(block_bytes, restart_interval, out.append)
     prev_user: Optional[bytes] = None
     last_seq_for_key = MAX_SEQUENCE + 1
-
-    def _flush() -> None:
-        nonlocal builder, first_key, last_key, users
-        if builder.empty:
-            return
-        out.append(
-            MergedBlock(
-                raw=builder.finish(),
-                first_key=first_key,
-                last_key=last_key,
-                num_entries=builder.num_entries,
-                key_hashes=tuple(bloom_hashes(users)),
-            )
-        )
-        builder = BlockBuilder(restart_interval, compare=internal_compare)
-        first_key = None
-        last_key = None
-        users = []
-
-    for ikey, value in merged:
+    for ikey, value in merge_iterators(streams):
         user, seq, kind = decode_internal_key(ikey)
         if lower_bound is not None and user < lower_bound:
             continue
@@ -239,14 +191,8 @@ def _merge(
         last_seq_for_key = seq
         if drop:
             continue
-        if first_key is None:
-            first_key = ikey
-        builder.add(ikey, value)
-        last_key = ikey
-        users.append(user)
-        if builder.current_size_estimate() >= block_bytes:
-            _flush()
-    _flush()
+        cutter.add(ikey, value)
+    cutter.cut()
     return out
 
 
@@ -412,17 +358,9 @@ def step_compress(
     """S5 COMPRESS: compress each rebuilt block.
 
     Returns ``(merged, payload, tag)`` tuples; incompressible blocks
-    fall back to the ``null`` tag (same heuristic as the table builder).
+    fall back to the ``null`` tag (:func:`compress_block`).
     """
-    tag = COMPRESSION_TAGS[codec.name]
-    out = []
-    for block in blocks:
-        compressed = codec.compress(block.raw)
-        if codec.name != "null" and len(compressed) < len(block.raw):
-            out.append((block, compressed, tag))
-        else:
-            out.append((block, block.raw, COMPRESSION_TAGS["null"]))
-    return out
+    return [(block, *compress_block(block.raw, codec)) for block in blocks]
 
 
 def step_rechecksum(
@@ -430,23 +368,10 @@ def step_rechecksum(
     checksummer: Checksummer,
 ) -> list[EncodedBlock]:
     """S6 RE-CHECKSUM: frame each compressed block with trailer CRC."""
-    from ..codec.varint import put_fixed32
-
-    out: list[EncodedBlock] = []
-    for block, payload, tag in compressed:
-        crc = checksummer.masked(payload + bytes([tag]))
-        stored = payload + bytes([tag]) + put_fixed32(crc)
-        out.append(
-            EncodedBlock(
-                stored=stored,
-                first_key=block.first_key,
-                last_key=block.last_key,
-                num_entries=block.num_entries,
-                key_hashes=block.key_hashes,
-                uncompressed_bytes=len(block.raw),
-            )
-        )
-    return out
+    return [
+        block.encoded(frame_block(payload, tag, checksummer))
+        for block, payload, tag in compressed
+    ]
 
 
 def step_write(blocks: Sequence[EncodedBlock], sink) -> int:

@@ -103,9 +103,11 @@ class _Grid:
     """One table's block grid in user keys, on its real key range.
 
     Block ``b`` holds user keys in ``[starts[b], ends[b]]``.  ``ends``
-    are the index separators, except the last: a ``TableBuilder`` table
-    closes its index with a successor of the whole table, so the real
-    largest key stands in.  ``starts[b]`` is the key after
+    are the index keys — each block's own last key, as every table is
+    written now — except the last, where the real largest key stands
+    in: a table written before indexes each block by a shortened
+    separator, and closes its index with a successor of the whole
+    table that over-covers.  ``starts[b]`` is the key after
     ``ends[b-1]``, unless the block may open with *more versions of*
     ``ends[b-1]`` that a merge would keep: then it is that key itself,
     so a cut right behind block ``b-1`` still hands block ``b`` to the

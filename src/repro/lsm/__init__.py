@@ -21,7 +21,7 @@ from .iterators import (
 )
 from .memtable import GetResult, MemTable
 from .options import Options
-from .table_builder import TableBuilder, shortest_separator, shortest_successor
+from .table_builder import TableBuilder
 from .table_format import (
     BLOCK_TRAILER_SIZE,
     FOOTER_SIZE,
@@ -75,8 +75,6 @@ __all__ = [
     "lookup_key",
     "merge_iterators",
     "merge_iterators_reverse",
-    "shortest_separator",
-    "shortest_successor",
     "sstable_name",
     "visible_entries",
 ]

@@ -1,16 +1,23 @@
-"""SSTable writer.
+"""SSTable writing: one block cutter, one per-file writer, one format.
 
-Entries (internal key → value) arrive in internal-key order; the
-builder cuts a data block every ``options.block_bytes``, writes it with
-compression + checksum trailer (pipeline steps S5–S7 of a flush or
-compaction), and records an index entry whose key is a *short
-separator* — the smallest key >= the block's last key and < the next
-block's first key, which keeps the index compact.
+A memtable flush and every compaction sub-task end in the same steps
+(paper §II-A): sorted entries are cut into data blocks
+(:class:`BlockCutter`, S4's builder), each block is compressed and
+framed (S5, S6: :mod:`repro.lsm.table_format`), and
+:class:`TableWriter` appends the blocks and closes the file with its
+filter, index and footer (S7).  The index holds one entry per data
+block, keyed by the block's own last internal key; index and filter
+are stored under the ``null`` tag.
+
+:class:`TableBuilder` is the flush's push-style front over the three.
+:class:`repro.lsm.table_sink.TableSink` cuts a compaction's output into
+size-limited files, each one written by a :class:`TableWriter`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from ..codec.checksum import get_checksummer
 from ..codec.compress import get_codec
@@ -19,145 +26,195 @@ from .blockfmt import BlockBuilder
 from .bloom import BloomFilterBuilder, bloom_hashes
 from .ikey import internal_compare
 from .options import Options
-from .table_format import BlockHandle, Footer, encode_block_contents
+from .table_format import (
+    BLOCK_TRAILER_SIZE,
+    BlockHandle,
+    Footer,
+    encode_block_contents,
+)
 
-__all__ = ["TableBuilder", "shortest_separator", "shortest_successor"]
+__all__ = ["BlockCutter", "EncodedBlock", "MergedBlock", "TableBuilder", "TableWriter"]
 
 
-def shortest_separator(a_ikey: bytes, b_ikey: bytes) -> bytes:
-    """A short internal key k with a <= k < b (user-key part shortened).
+@dataclass(frozen=True)
+class EncodedBlock:
+    """A finished data block plus the metadata the writer needs.
 
-    Works on the user-key prefix; the 8-byte trailer of ``a`` is
-    preserved so internal ordering semantics hold.  Falls back to ``a``
-    when no shorter separator exists.
+    ``stored`` is payload + 5-byte trailer, exactly as written to disk.
+    ``key_hashes`` are :func:`repro.lsm.bloom.bloom_hash` values of the
+    block's user keys (for the output table's filter).
+    ``uncompressed_bytes`` feeds compaction-bandwidth accounting.
+    How a compaction made the block, for its accounting (the sink treats
+    all alike): ``passthrough`` marks an input block of a single-run
+    sub-task handed on as stored (no S4–S6); ``reused`` the same for an
+    input block of a multi-run sub-task, spliced before S4 because the
+    merge would only reproduce it.
     """
-    a_user, a_trailer = a_ikey[:-8], a_ikey[-8:]
-    b_user = b_ikey[:-8]
-    n = min(len(a_user), len(b_user))
-    i = 0
-    while i < n and a_user[i] == b_user[i]:
-        i += 1
-    if i >= n:
-        return a_ikey  # one is a prefix of the other: cannot shorten
-    byte = a_user[i]
-    if byte < 0xFF and byte + 1 < b_user[i]:
-        cand = a_user[:i] + bytes([byte + 1])
-        sep = cand + a_trailer
-        if internal_compare(a_ikey, sep) <= 0:
-            return sep
-    return a_ikey
+
+    stored: bytes
+    first_key: bytes
+    last_key: bytes
+    num_entries: int
+    key_hashes: tuple[int, ...] = ()
+    uncompressed_bytes: int = 0
+    passthrough: bool = False
+    reused: bool = False
 
 
-def shortest_successor(ikey: bytes) -> bytes:
-    """A short internal key >= ``ikey`` (used for the final index entry)."""
-    user, trailer = ikey[:-8], ikey[-8:]
-    for i, byte in enumerate(user):
-        if byte != 0xFF:
-            return user[: i + 1][:-1] + bytes([byte + 1]) + trailer
-    return ikey
+@dataclass(frozen=True)
+class MergedBlock:
+    """A data block as built (uncompressed), with its metadata."""
+
+    raw: bytes
+    first_key: bytes
+    last_key: bytes
+    num_entries: int
+    key_hashes: tuple[int, ...]
+
+    def encoded(self, stored: bytes) -> EncodedBlock:
+        """This block with ``stored``, its S5 + S6 output."""
+        return EncodedBlock(
+            stored, self.first_key, self.last_key, self.num_entries,
+            self.key_hashes, len(self.raw),
+        )
+
+
+class BlockCutter:
+    """Sorted entries in, :class:`MergedBlock` s out to ``emit``.
+
+    A block is cut once its size estimate reaches ``block_bytes``, and
+    by :meth:`cut`.  Entries must arrive in strictly increasing
+    internal-key order.
+    """
+
+    def __init__(
+        self,
+        block_bytes: int,
+        restart_interval: int,
+        emit: Callable[[MergedBlock], None],
+    ) -> None:
+        self._block_bytes = block_bytes
+        self._builder = BlockBuilder(restart_interval, compare=internal_compare)
+        self._emit = emit
+        self._first_key = b""
+        self._users: list[bytes] = []  # the open block's, hashed when it is cut
+
+    def add(self, ikey: bytes, value: bytes) -> None:
+        if not self._users:
+            self._first_key = ikey
+        self._builder.add(ikey, value)
+        self._users.append(ikey[:-8])
+        if self._builder.current_size_estimate() >= self._block_bytes:
+            self.cut()
+
+    def cut(self) -> None:
+        """Close the open block, if it holds an entry."""
+        if not self._users:
+            return
+        builder = self._builder
+        block = MergedBlock(
+            builder.finish(), self._first_key, builder.last_key,
+            builder.num_entries, tuple(bloom_hashes(self._users)),
+        )
+        builder.reset()
+        self._users = []
+        self._emit(block)
+
+
+class TableWriter:
+    """One SSTable file: data blocks as stored, then filter, index, footer.
+
+    ``size`` is the bytes written so far; ``smallest``/``largest`` the
+    first block's first key and the last block's last key.
+    """
+
+    def __init__(self, file: WritableFile, options: Options) -> None:
+        self.file = file
+        self.size = 0
+        self.num_entries = 0
+        self.smallest: Optional[bytes] = None
+        self.largest: Optional[bytes] = None
+        self._checksummer = get_checksummer(options.checksum)
+        self._bloom_bits_per_key = options.bloom_bits_per_key
+        self._bloom = BloomFilterBuilder(options.bloom_bits_per_key)
+        self._index = BlockBuilder(1, compare=internal_compare)
+
+    def append(self, block: EncodedBlock) -> None:
+        """Append one data block; blocks must arrive in key order."""
+        self._index.add(block.last_key, self._write(block.stored).encode())
+        self._bloom.add_hashes(block.key_hashes)
+        if self.smallest is None:
+            self.smallest = block.first_key
+        self.largest = block.last_key
+        self.num_entries += block.num_entries
+
+    def _write(self, stored: bytes) -> BlockHandle:
+        handle = BlockHandle(self.size, len(stored) - BLOCK_TRAILER_SIZE)
+        self.file.append(stored)
+        self.size += len(stored)
+        return handle
+
+    def finish(self) -> Footer:
+        """Write the filter, the index and the footer."""
+        if len(self._bloom) and self._bloom_bits_per_key > 0:
+            filter_blob = self._bloom.finish()
+        else:
+            filter_blob = b""
+        null = get_codec("null")
+        footer = Footer(
+            self._write(encode_block_contents(filter_blob, null, self._checksummer)),
+            self._write(encode_block_contents(self._index.finish(), null, self._checksummer)),
+            self.num_entries,
+        )
+        encoded = footer.encode()
+        self.file.append(encoded)
+        self.size += len(encoded)
+        return footer
 
 
 class TableBuilder:
-    """Streams sorted entries into an SSTable file."""
+    """Streams sorted entries into one SSTable (the memtable flush).
+
+    A push-style front over :class:`BlockCutter`, S5 + S6 and
+    :class:`TableWriter`.  ``smallest``/``largest`` are the first and
+    the last key added so far.
+    """
 
     def __init__(self, file: WritableFile, options: Optional[Options] = None) -> None:
         self.options = options or Options()
-        self._file = file
         self._codec = get_codec(self.options.compression)
         self._checksummer = get_checksummer(self.options.checksum)
-        self._data_block = BlockBuilder(
-            self.options.block_restart_interval, compare=internal_compare
+        self._writer = TableWriter(file, self.options)
+        self._cutter = BlockCutter(
+            self.options.block_bytes, self.options.block_restart_interval, self._write
         )
-        self._index_block = BlockBuilder(1, compare=internal_compare)
-        self._bloom = BloomFilterBuilder(self.options.bloom_bits_per_key)
-        self._block_users: list[bytes] = []  # hashed when the block is cut
-        self._offset = 0
-        self._num_entries = 0
-        self._pending_handle: Optional[BlockHandle] = None
-        self._pending_last_key = b""
-        self._last_key = b""
         self._finished = False
         self.smallest: Optional[bytes] = None
         self.largest: Optional[bytes] = None
 
     @property
-    def num_entries(self) -> int:
-        return self._num_entries
-
-    @property
     def file_size(self) -> int:
-        return self._offset
+        return self._writer.size
 
     def add(self, ikey: bytes, value: bytes) -> None:
         """Append one entry; internal keys must be strictly increasing."""
         if self._finished:
             raise RuntimeError("add() after finish()")
-        if self._num_entries and internal_compare(ikey, self._last_key) <= 0:
-            raise ValueError(f"keys out of order: {ikey!r} after {self._last_key!r}")
-        self._maybe_flush_pending_index(next_key=ikey)
+        if self.largest is not None and internal_compare(ikey, self.largest) <= 0:
+            raise ValueError(f"keys out of order: {ikey!r} after {self.largest!r}")
         if self.smallest is None:
             self.smallest = ikey
         self.largest = ikey
-        self._data_block.add(ikey, value)
-        self._block_users.append(ikey[:-8])
-        self._last_key = ikey
-        self._num_entries += 1
-        if self._data_block.current_size_estimate() >= self.options.block_bytes:
-            self._flush_data_block()
+        self._cutter.add(ikey, value)
 
-    def _maybe_flush_pending_index(self, next_key: Optional[bytes]) -> None:
-        if self._pending_handle is None:
-            return
-        if next_key is not None:
-            index_key = shortest_separator(self._pending_last_key, next_key)
-        else:
-            index_key = shortest_successor(self._pending_last_key)
-        self._index_block.add(index_key, self._pending_handle.encode())
-        self._pending_handle = None
-
-    def _flush_data_block(self) -> None:
-        if self._data_block.empty:
-            return
-        raw = self._data_block.finish()
-        self._pending_handle = self._write_block(raw)
-        self._pending_last_key = self._data_block.last_key
-        self._data_block.reset()
-        self._bloom.add_hashes(bloom_hashes(self._block_users))
-        self._block_users = []
-
-    def _write_block(self, raw: bytes) -> BlockHandle:
-        stored = encode_block_contents(raw, self._codec, self._checksummer)
-        handle = BlockHandle(self._offset, len(stored) - 5)
-        self._file.append(stored)
-        self._offset += len(stored)
-        return handle
+    def _write(self, block: MergedBlock) -> None:
+        stored = encode_block_contents(block.raw, self._codec, self._checksummer)
+        self._writer.append(block.encoded(stored))
 
     def finish(self) -> Footer:
-        """Flush remaining data, write filter/index/footer, return footer."""
+        """Cut the last data block, write filter/index/footer, return footer."""
         if self._finished:
             raise RuntimeError("finish() called twice")
-        self._flush_data_block()
-        self._maybe_flush_pending_index(next_key=None)
-        # Filter block (whole-table bloom), stored uncompressed so the
-        # reader need not decompress to probe it.
-        if len(self._bloom) and self.options.bloom_bits_per_key > 0:
-            filter_blob = self._bloom.finish()
-        else:
-            filter_blob = b""
-        null = get_codec("null")
-        stored = encode_block_contents(filter_blob, null, self._checksummer)
-        filter_handle = BlockHandle(self._offset, len(stored) - 5)
-        self._file.append(stored)
-        self._offset += len(stored)
-        # Index block.
-        index_raw = self._index_block.finish()
-        index_handle = self._write_block(index_raw)
-        footer = Footer(filter_handle, index_handle, self._num_entries)
-        self._file.append(footer.encode())
-        self._offset += len(footer.encode())
         self._finished = True
-        return footer
-
-    def abandon(self) -> None:
-        """Mark the builder unusable without writing a footer."""
-        self._finished = True
+        self._cutter.cut()
+        return self._writer.finish()

@@ -12,9 +12,11 @@ CRC of the stored payload *including* the type byte.  The footer is a
 fixed 48 bytes: filter handle + index handle (varint-encoded, zero
 padded to 40 bytes) followed by an 8-byte magic number.
 
-This framing is what the compaction pipeline's S1/S2/S3 (read,
-checksum, decompress) and S5/S6/S7 (compress, re-checksum, write)
-steps produce and consume.
+This module is the one place blocks are framed, in both directions:
+:func:`read_block` (S1), :func:`block_checksum_ok` (S2) and
+:func:`decompress_block` (S3) on the way in, :func:`compress_block`
+(S5) and :func:`frame_block` (S6) on the way out.  The reader, every
+writer and the compaction steps call these same functions.
 """
 
 from __future__ import annotations
@@ -42,8 +44,13 @@ __all__ = [
     "BlockHandle",
     "Footer",
     "TableCorruption",
-    "encode_block_contents",
+    "block_checksum_ok",
+    "compress_block",
     "decode_block_contents",
+    "decompress_block",
+    "encode_block_contents",
+    "frame_block",
+    "read_block",
 ]
 
 BLOCK_TRAILER_SIZE = 5
@@ -102,40 +109,56 @@ class Footer:
         return cls(filter_handle, index_handle, num_entries)
 
 
+def compress_block(raw: bytes, codec: Codec) -> tuple[bytes, int]:
+    """S5: ``(payload, tag)`` — ``raw`` compressed by ``codec``, or
+    ``raw`` itself under the ``null`` tag where compressing does not
+    shrink it (LevelDB's 12.5 %-savings heuristic simplified to "must
+    strictly shrink")."""
+    if codec.name != "null":
+        compressed = codec.compress(raw)
+        if len(compressed) < len(raw):
+            return compressed, COMPRESSION_TAGS[codec.name]
+    return raw, COMPRESSION_TAGS["null"]
+
+
+def frame_block(payload: bytes, tag: int, checksummer: Checksummer) -> bytes:
+    """S6: ``payload`` with its trailer, the tag and the masked CRC of
+    payload + tag."""
+    body = payload + bytes((tag,))
+    return body + put_fixed32(checksummer.masked(body))
+
+
 def encode_block_contents(
     raw: bytes, codec: Codec, checksummer: Checksummer
 ) -> bytes:
-    """Compress ``raw`` and attach the 5-byte trailer.
+    """S5 + S6: ``raw`` as stored, compressed or not, with its trailer."""
+    return frame_block(*compress_block(raw, codec), checksummer)
 
-    Compression is skipped (tag ``null``) when it does not shrink the
-    payload, mirroring LevelDB's 12.5 %-savings heuristic simplified to
-    "must strictly shrink".
-    """
-    compressed = codec.compress(raw)
-    if codec.name != "null" and len(compressed) < len(raw):
-        payload, tag = compressed, COMPRESSION_TAGS[codec.name]
-    else:
-        payload, tag = raw, COMPRESSION_TAGS["null"]
-    crc = checksummer.masked(payload + bytes([tag]))
-    return payload + bytes([tag]) + put_fixed32(crc)
+
+def block_checksum_ok(stored: bytes, checksummer: Checksummer) -> bool:
+    """S2: does the trailer's CRC match the payload and tag it covers?"""
+    return checksummer.verify(stored[:-4], get_fixed32(stored, len(stored) - 4))
+
+
+def decompress_block(stored: bytes) -> bytes:
+    """S3: the raw block inside ``stored``, decompressed by its tag."""
+    tag = stored[-BLOCK_TRAILER_SIZE]
+    try:
+        codec_name = TAG_TO_CODEC[tag]
+    except KeyError:
+        raise TableCorruption(f"unknown compression tag {tag}") from None
+    return get_codec(codec_name).decompress(stored[:-BLOCK_TRAILER_SIZE])
 
 
 def decode_block_contents(
     stored: bytes, checksummer: Checksummer, verify: bool = True
 ) -> bytes:
-    """Verify trailer checksum, strip it, and decompress (S2 + S3)."""
+    """S2 (when ``verify``) + S3: the raw block inside ``stored``."""
     if len(stored) < BLOCK_TRAILER_SIZE:
         raise TableCorruption("block shorter than trailer")
-    payload = stored[:-BLOCK_TRAILER_SIZE]
-    tag = stored[-BLOCK_TRAILER_SIZE]
-    crc = get_fixed32(stored, len(stored) - 4)
-    if verify and not checksummer.verify(payload + bytes([tag]), crc):
+    if verify and not block_checksum_ok(stored, checksummer):
         raise TableCorruption("block checksum mismatch")
-    try:
-        codec_name = TAG_TO_CODEC[tag]
-    except KeyError:
-        raise TableCorruption(f"unknown compression tag {tag}") from None
-    return get_codec(codec_name).decompress(payload)
+    return decompress_block(stored)
 
 
 def read_block(

@@ -124,10 +124,10 @@ class Table:
         """(smallest, largest) internal key; None if there is no data block.
 
         The index cannot answer this: it does not hold the first key,
-        and a ``TableBuilder`` table's final index key is a successor
-        that over-covers.  Not handed the range, read the edge blocks —
-        once per ``Table``, and past the block cache, which belongs to
-        readers.
+        and in a table written before each block was indexed by its own
+        last key, the final index key is a successor that over-covers.
+        Not handed the range, read the edge blocks — once per ``Table``,
+        and past the block cache, which belongs to readers.
         """
         if self._key_range is None and self._index_entries:
             first, last = (

@@ -47,6 +47,25 @@ class TestProfiling:
         assert max(cpu, key=cpu.get) in ("compress", "merge")
         assert t.decompress < t.compress
 
+    def test_real_profile_writes_the_merge_through_the_sink(self):
+        """S7 is the engine's: output tables, read back, hold the merge
+        of the two interleaved inputs (even keys upper, odd keys lower)."""
+        from repro.core.costmodel import DEFAULT_KV_BYTES
+        from repro.lsm import Options, Table
+        from repro.workload.generators import ValueGenerator
+
+        profile = profile_steps_real(subtask_bytes=32 * 1024, repeats=2)
+        rows = [
+            row for meta in profile.outputs
+            for row in Table(profile.storage.open(meta.name), Options())
+        ]
+        n = 2 * max(16, 32 * 1024 // DEFAULT_KV_BYTES)
+        values = ValueGenerator(DEFAULT_KV_BYTES - 16)
+        assert [(ikey[:-8], value) for ikey, value in rows] == [
+            (b"%016d" % i, values.value_for(i)) for i in range(n)
+        ]
+        assert len(rows) == profile.entries
+
     def test_real_profile_null_codec_cheapens_compress(self):
         lz = profile_steps_real(subtask_bytes=32 * 1024, compression="lz77")
         null = profile_steps_real(subtask_bytes=32 * 1024, compression="null")

@@ -14,11 +14,7 @@ from repro.lsm.ikey import (
     lookup_key,
 )
 from repro.lsm.options import Options
-from repro.lsm.table_builder import (
-    TableBuilder,
-    shortest_separator,
-    shortest_successor,
-)
+from repro.lsm.table_builder import TableBuilder
 from repro.lsm.table_format import TableCorruption
 from repro.lsm.table_reader import Table
 
@@ -196,44 +192,6 @@ class TestCorruptionDetection:
         with bad.create("t.sst") as f:
             f.append(bytes(data))
         list(Table(bad.open("t.sst"), options))  # should not raise
-
-
-class TestSeparators:
-    def test_separator_between_keys(self):
-        a, b = _ik(b"apple"), _ik(b"cherry")
-        sep = shortest_separator(a, b)
-        from repro.lsm.ikey import internal_compare
-
-        assert internal_compare(a, sep) <= 0
-        assert internal_compare(sep, b) < 0
-        assert len(sep) <= len(a)
-
-    def test_prefix_case_falls_back(self):
-        a, b = _ik(b"app"), _ik(b"apple")
-        assert shortest_separator(a, b) == a
-
-    def test_successor(self):
-        from repro.lsm.ikey import internal_compare
-
-        key = _ik(b"hello")
-        succ = shortest_successor(key)
-        assert internal_compare(key, succ) <= 0
-
-    @given(
-        st.binary(min_size=1, max_size=12),
-        st.binary(min_size=1, max_size=12),
-    )
-    def test_separator_property(self, ua, ub):
-        from repro.lsm.ikey import internal_compare
-
-        if ua >= ub:
-            ua, ub = ub, ua
-        if ua == ub:
-            return
-        a, b = _ik(ua), _ik(ub)
-        sep = shortest_separator(a, b)
-        assert internal_compare(a, sep) <= 0
-        assert internal_compare(sep, b) < 0
 
 
 class TestBuilderErrors:
