@@ -1,4 +1,4 @@
-"""Concurrency & durability verification: static passes + sanitizers.
+"""Concurrency & durability verification: static rules + sanitizers.
 
 The pipelined compaction design (Eq. 2: ``B_pcp = l / max(t1, Σt2..6,
 t7)``) moves every correctness property of this repo into threading
@@ -6,23 +6,21 @@ code: the PCP backends' queue handoffs, the DB's stall/flush locking,
 the asyncio server's backpressure.  Generic linters cannot see an
 un-context-managed ``Lock.acquire()``, a lock-order inversion against
 the DB mutex, or a rename that publishes unsynced bytes — so this
-package checks those invariants itself, four ways:
+package checks those invariants itself, three ways, one checker per
+property (docs/ANALYSIS.md holds the planted-defect table that chose
+them):
 
 * **Per-file static rules** (:mod:`repro.analysis.engine`,
   :mod:`repro.analysis.rules`, :mod:`repro.analysis.durability`) — an
   AST lint engine with repo-specific RA1xx concurrency and RA2xx
   durability/commit-protocol rules, ``# repro: noqa[CODE]``
-  suppression, baselines, and text/JSON/SARIF reporters.  Run it with
-  ``python -m repro.analysis <paths>`` or ``dbtool analyze``.
-* **Whole-program static deadlock detection**
-  (:mod:`repro.analysis.lockgraph`) — an interprocedural pass that
-  resolves ``make_lock``/``make_rlock`` sites to named lock
-  identities, propagates held-sets across call edges, and reports
-  acquisition-order cycles (RA110) and non-recursive re-acquires
-  (RA111) with both witness paths.
+  suppression, and text/JSON reporters.  Run it with
+  ``python -m repro.analysis <paths>``.
 * **Dynamic lock-order sanitizer** (:mod:`repro.analysis.locksan`) —
   an :class:`OrderedLock` wrapper feeding a process-wide lock-order
-  graph with cycle detection.  Enable with ``REPRO_LOCK_SANITIZER=1``.
+  graph with cycle detection; it also raises on a non-recursive
+  re-acquire.  This is the lock-order and re-acquire check.  Enable
+  with ``REPRO_LOCK_SANITIZER=1``.
 * **Dynamic happens-before race sanitizer**
   (:mod:`repro.analysis.racesan`) — per-thread vector clocks
   synchronized through the lock factories, queues, and thread
@@ -34,7 +32,6 @@ See ``docs/ANALYSIS.md`` for the rule catalogue and workflows.
 """
 
 from .engine import Finding, check_paths, check_source, iter_python_files
-from .lockgraph import LockGraphReport, analyze_lock_graph
 from .locksan import (
     LOCK_SANITIZER_ENV,
     LockGraph,
@@ -54,7 +51,7 @@ from .racesan import (
     race_sanitizer_enabled,
     shared_state,
 )
-from .report import render_json, render_sarif, render_text
+from .report import render_json, render_text
 from .rules import SEVERITIES, Rule, all_rules, get_rule, severity_for
 
 __all__ = [
@@ -63,14 +60,12 @@ __all__ = [
     "GuardViolation",
     "LOCK_SANITIZER_ENV",
     "LockGraph",
-    "LockGraphReport",
     "LockOrderViolation",
     "OrderedLock",
     "RACE_SANITIZER_ENV",
     "Rule",
     "SEVERITIES",
     "all_rules",
-    "analyze_lock_graph",
     "check_paths",
     "check_source",
     "get_rule",
@@ -82,7 +77,6 @@ __all__ = [
     "make_rlock",
     "race_sanitizer_enabled",
     "render_json",
-    "render_sarif",
     "render_text",
     "sanitizer_enabled",
     "severity_for",

@@ -1,24 +1,19 @@
 """``python -m repro.analysis <paths>`` — run the RA verifier suite.
 
-Mirrored by ``dbtool analyze``.  One invocation runs the per-file
-RA1xx/RA2xx rules *and* the whole-program RA11x lock-graph pass over
-the same paths.  ``--select`` narrows to specific codes, ``--format
-text|json|sarif`` picks the report, ``--list-rules`` prints the
-catalogue, ``--lock-graph dot|json`` dumps the static acquisition-
-order graph instead of linting.
+One invocation runs the per-file RA1xx/RA2xx rules over the given
+paths.  ``--select`` narrows to specific codes, ``--format text|json``
+picks the report, ``--list-rules`` prints the catalogue.  Lock order
+and re-acquire are not checked here: the lock-order sanitizer
+(``REPRO_LOCK_SANITIZER=1``, :mod:`repro.analysis.locksan`) checks them
+while the test suite runs (docs/ANALYSIS.md says why).
 
 Exit codes (CI contract):
 
 * ``0`` — clean (warning-tier findings may still be reported; they
   never fail the gate)
 * ``1`` — at least one error-severity finding survived suppression
-  and baseline
 * ``2`` — a file could not be parsed (RA001): the analysis is
   incomplete, which is worse than findings
-
-Baselines: ``--write-baseline findings.json`` adopts the current
-findings, ``--baseline findings.json`` fails only on findings not in
-the file (see :mod:`repro.analysis.baseline`).
 """
 
 from __future__ import annotations
@@ -26,22 +21,11 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .engine import PARSE_ERROR_CODE, Finding, check_paths
-from .lockgraph import (
-    CYCLE_CODE,
-    CYCLE_SUMMARY,
-    SELF_DEADLOCK_CODE,
-    SELF_DEADLOCK_SUMMARY,
-    analyze_lock_graph,
-)
-from .report import render_json, render_sarif, render_text
+from .report import render_json, render_text
 from .rules import all_rules
 
 __all__ = ["main", "build_parser", "run_analysis"]
-
-#: Whole-program codes: not in the per-file registry, selectable anyway.
-_GRAPH_CODES = {CYCLE_CODE, SELF_DEADLOCK_CODE}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Concurrency-invariant and durability static analysis for "
-            "the pipelined-compaction stack (RA1xx/RA11x/RA2xx rules; "
-            "see docs/ANALYSIS.md)."
+            "the pipelined-compaction stack (RA1xx/RA2xx rules; see "
+            "docs/ANALYSIS.md)."
         ),
     )
     parser.add_argument(
@@ -58,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
         help="report format (default text)",
     )
@@ -71,57 +55,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
     )
-    parser.add_argument(
-        "--lock-graph",
-        choices=["dot", "json"],
-        default=None,
-        help=(
-            "dump the whole-program lock acquisition-order graph in "
-            "the given format instead of linting"
-        ),
-    )
-    parser.add_argument(
-        "--no-lock-graph",
-        action="store_true",
-        help=(
-            "skip the interprocedural RA110/RA111 pass (for trees "
-            "that deliberately seed inversions, e.g. test fixtures)"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="suppress findings whose fingerprints are in FILE",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="adopt the current findings into FILE and exit 0",
-    )
     return parser
 
 
 def run_analysis(
-    paths: Sequence[str],
-    select: Optional[set[str]] = None,
-    lock_graph: bool = True,
+    paths: Sequence[str], select: Optional[set[str]] = None
 ) -> list[Finding]:
-    """Per-file rules + whole-program lock-graph pass, one sorted list."""
+    """The per-file rules over ``paths``, one sorted list."""
     rules = all_rules()
     if select is not None:
         rules = [rule for rule in rules if rule.code in select]
     findings = check_paths(paths, rules=rules)
-    if lock_graph and (select is None or select & _GRAPH_CODES):
-        graph_findings = analyze_lock_graph(paths).findings()
-        if select is not None:
-            graph_findings = [
-                finding
-                for finding in graph_findings
-                if finding.code in select
-            ]
-        findings.extend(graph_findings)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings
 
@@ -138,8 +82,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _main(argv)
     except BrokenPipeError:
-        # Output piped into head/dot and the reader closed early —
-        # not an analysis failure.
+        # Output piped into head and the reader closed early — not an
+        # analysis failure.
         return 0
 
 
@@ -147,57 +91,24 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list_rules:
-        catalogue = [(rule.code, rule.summary) for rule in all_rules()]
-        catalogue += [
-            (CYCLE_CODE, CYCLE_SUMMARY),
-            (SELF_DEADLOCK_CODE, SELF_DEADLOCK_SUMMARY),
-        ]
-        for code, summary in sorted(catalogue):
-            print(f"{code}  {summary}")
+        for rule in all_rules():
+            print(f"{rule.code}  {rule.summary}")
         return 0
     if not args.paths:
         parser.error("no paths given (or use --list-rules)")
-    if args.lock_graph is not None:
-        report = analyze_lock_graph(args.paths)
-        print(
-            report.to_dot()
-            if args.lock_graph == "dot"
-            else report.to_json()
-        )
-        return 0
 
     select: Optional[set[str]] = None
     if args.select:
         select = {code.strip().upper() for code in args.select.split(",")}
-        known = {rule.code for rule in all_rules()} | _GRAPH_CODES
-        unknown = select - known
+        unknown = select - {rule.code for rule in all_rules()}
         if unknown:
             parser.error(f"unknown rule code(s): {sorted(unknown)}")
-    findings = run_analysis(
-        args.paths, select=select, lock_graph=not args.no_lock_graph
-    )
-
-    if args.write_baseline:
-        write_baseline(findings, args.write_baseline)
-        print(
-            f"wrote {len(findings)} finding(s) to baseline "
-            f"{args.write_baseline}"
-        )
-        return 0
-    suppressed = 0
-    if args.baseline:
-        findings, suppressed = apply_baseline(
-            findings, load_baseline(args.baseline)
-        )
+    findings = run_analysis(args.paths, select=select)
 
     if args.format == "json":
         print(render_json(findings))
-    elif args.format == "sarif":
-        print(render_sarif(findings))
     else:
         print(render_text(findings))
-        if suppressed:
-            print(f"({suppressed} baselined finding(s) suppressed)")
     return _exit_code(findings)
 
 

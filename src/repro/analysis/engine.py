@@ -19,7 +19,6 @@ the reported line of the finding.
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
 import re
 from dataclasses import dataclass, replace
@@ -45,11 +44,8 @@ _NOQA_RE = re.compile(
 class Finding:
     """One rule violation at a source location.
 
-    ``detail`` carries multi-line supporting evidence (witness paths
-    for whole-program findings); it is rendered indented by the text
-    reporter and excluded from baseline fingerprints, so line churn in
-    the evidence never invalidates a suppression.  ``severity`` is
-    ``error`` or ``warning`` (see :data:`repro.analysis.rules.SEVERITIES`).
+    ``severity`` is ``error`` or ``warning`` (see
+    :data:`repro.analysis.rules.SEVERITIES`).
     """
 
     path: str
@@ -57,32 +53,20 @@ class Finding:
     col: int
     code: str
     message: str
-    detail: str = ""
     severity: str = "error"
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
 
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching: the file, the code,
-        and the message — deliberately not the line number, so findings
-        survive unrelated edits above them."""
-        blob = f"{self.path}|{self.code}|{self.message}".encode()
-        return hashlib.sha1(blob).hexdigest()[:16]
-
     def as_dict(self) -> dict:
-        out = {
+        return {
             "path": self.path,
             "line": self.line,
             "col": self.col,
             "code": self.code,
             "message": self.message,
             "severity": self.severity,
-            "fingerprint": self.fingerprint(),
         }
-        if self.detail:
-            out["detail"] = self.detail
-        return out
 
 
 def attach_parents(tree: ast.AST) -> ast.AST:

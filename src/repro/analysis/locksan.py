@@ -23,11 +23,21 @@ a deadlock detector::
 
     REPRO_LOCK_SANITIZER=1 python -m pytest -x -q
 
-Instrumented locks: the DB mutex (which also guards the version set)
-and its file-number lock, the block cache, the thread backend's stage/
-error locks, the in-memory storage, and the observability registry and
-tracer.  ``queue.Queue`` handoffs in the PCP backends need no edges:
-their internal mutex is a leaf (never held across another acquire).
+Instrumented locks: every ``make_lock``/``make_rlock`` site — the DB
+mutex (which also guards the version set) and its file-number and
+get-counter locks, the block cache, the in-memory and fault-injecting
+storages, the observability registry, metrics, event log and tracer,
+the replication hub, follower, failover and client locks, the server's
+promote and circuit-breaker locks, and the cluster compute pool.  The
+compaction executor takes no engine lock: the calling thread runs S1
+and S7 and hands S2–S6 to a pool through futures, so it adds no edges.
+
+This is the repo's one lock-order and re-acquire check.  Because edges
+are recorded where locks are actually taken, it sees orders a static
+call graph cannot: a callback (the DB's WAL listener takes the hub lock
+under ``db.mutex``), or a call through an attribute of unknown type
+(``self._db.snapshot()``).  docs/ANALYSIS.md has the planted defects
+that decided this.
 
 :class:`OrderedLock` also implements the private ``_release_save`` /
 ``_acquire_restore`` / ``_is_owned`` protocol, so it can back a
@@ -151,12 +161,37 @@ class LockGraph:
                 self._edges[(held_name, name)] = _capture_stack(skip=3)
                 self._succ.setdefault(held_name, set()).add(name)
 
+    def on_reacquire(self, name: str) -> None:
+        """The owner re-acquires a non-recursive lock: it would block on
+        itself forever, so record the violation and raise instead."""
+        record = {
+            "cycle": [name, name],
+            "acquiring": name,
+            "holding": name,
+            "stack_now": _capture_stack(skip=3),
+            "prior_stacks": [],
+        }
+        with self._mutex:
+            self.violations.append(record)
+        raise LockOrderViolation(self._format(record))
+
     @staticmethod
     def _format(record: dict) -> str:
+        if record["acquiring"] == record["holding"]:
+            headline = (
+                f"self-deadlock detected: non-recursive lock "
+                f"{record['acquiring']!r} re-acquired by the thread "
+                "that holds it"
+            )
+        else:
+            headline = (
+                "lock-order inversion detected: acquiring "
+                f"{record['acquiring']!r} while holding "
+                f"{record['holding']!r} closes the cycle "
+                f"{' -> '.join(record['cycle'])}"
+            )
         lines = [
-            "lock-order inversion detected: acquiring "
-            f"{record['acquiring']!r} while holding {record['holding']!r} "
-            f"closes the cycle {' -> '.join(record['cycle'])}",
+            headline,
             "",
             "conflicting acquisition (now):",
             record["stack_now"].rstrip(),
@@ -196,7 +231,8 @@ class OrderedLock:
     blocking/timeout ``acquire`` signature, and (in recursive mode) the
     private protocol ``threading.Condition`` needs.  Ordering edges are
     recorded *before* blocking on the underlying primitive, so a true
-    deadlock raises instead of hanging.
+    deadlock raises instead of hanging; so does a blocking re-acquire of
+    a non-recursive lock by the thread that holds it.
     """
 
     def __init__(
@@ -250,6 +286,8 @@ class OrderedLock:
     # ---------------------------------------------------------- lock API
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         outermost = self._depth() == 0
+        if not outermost and not self.recursive and blocking:
+            self._graph.on_reacquire(self.name)
         if outermost and self.track_order:
             self._graph.on_acquire(self.name, list(_HELD.names))
         ok = self._inner.acquire(blocking, timeout)

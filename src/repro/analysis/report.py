@@ -1,11 +1,4 @@
-"""Finding reporters: human text, machine JSON, and SARIF 2.1.0.
-
-SARIF is the interchange format CI forges ingest natively; the
-renderer emits one run with the full rule catalogue (so viewers can
-show summaries for rules that happened not to fire) and per-result
-``partialFingerprints`` matching the baseline fingerprints, letting
-SARIF-side dedup agree with ``--baseline``.
-"""
+"""Finding reporters: human text and machine JSON."""
 
 from __future__ import annotations
 
@@ -14,15 +7,18 @@ from typing import Sequence
 
 from .engine import Finding
 
-__all__ = ["render_json", "render_sarif", "render_text"]
+__all__ = ["render_json", "render_text"]
+
+
+def _counts(findings: Sequence[Finding]) -> dict[str, int]:
+    by_code: dict[str, int] = {}
+    for finding in findings:
+        by_code[finding.code] = by_code.get(finding.code, 0) + 1
+    return by_code
 
 
 def render_text(findings: Sequence[Finding]) -> str:
-    """One ``path:line:col CODE message`` line per finding + summary.
-
-    Multi-line ``detail`` blocks (witness paths from the whole-program
-    passes) render indented under their finding.
-    """
+    """One ``path:line:col CODE message`` line per finding + summary."""
     if not findings:
         return "no findings"
     lines = []
@@ -31,101 +27,21 @@ def render_text(findings: Sequence[Finding]) -> str:
         lines.append(
             f"{finding.location()} {finding.code}{tag} {finding.message}"
         )
-        if finding.detail:
-            lines.extend(
-                f"    {detail_line}"
-                for detail_line in finding.detail.rstrip().splitlines()
-            )
-    by_code: dict[str, int] = {}
-    for finding in findings:
-        by_code[finding.code] = by_code.get(finding.code, 0) + 1
-    summary = " ".join(f"{code}={n}" for code, n in sorted(by_code.items()))
+    summary = " ".join(
+        f"{code}={n}" for code, n in sorted(_counts(findings).items())
+    )
     lines.append(f"{len(findings)} finding(s): {summary}")
     return "\n".join(lines)
 
 
 def render_json(findings: Sequence[Finding]) -> str:
     """JSON document: finding list plus per-code counts."""
-    by_code: dict[str, int] = {}
-    for finding in findings:
-        by_code[finding.code] = by_code.get(finding.code, 0) + 1
     return json.dumps(
         {
             "findings": [finding.as_dict() for finding in findings],
-            "counts": by_code,
+            "counts": _counts(findings),
             "total": len(findings),
         },
         indent=2,
         sort_keys=True,
     )
-
-
-def _rule_catalogue() -> list[dict]:
-    from .lockgraph import CYCLE_CODE, CYCLE_SUMMARY, SELF_DEADLOCK_CODE, SELF_DEADLOCK_SUMMARY
-    from .rules import all_rules
-
-    catalogue = [
-        {"id": rule.code, "shortDescription": {"text": rule.summary}}
-        for rule in all_rules()
-    ]
-    catalogue += [
-        {"id": CYCLE_CODE, "shortDescription": {"text": CYCLE_SUMMARY}},
-        {
-            "id": SELF_DEADLOCK_CODE,
-            "shortDescription": {"text": SELF_DEADLOCK_SUMMARY},
-        },
-    ]
-    catalogue.sort(key=lambda entry: entry["id"])
-    return catalogue
-
-
-def render_sarif(findings: Sequence[Finding]) -> str:
-    """SARIF 2.1.0 document with one run over the analyzed tree."""
-    results = []
-    for finding in findings:
-        message = finding.message
-        if finding.detail:
-            message = f"{message}\n{finding.detail.rstrip()}"
-        results.append(
-            {
-                "ruleId": finding.code,
-                "level": finding.severity,
-                "message": {"text": message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": finding.path},
-                            "region": {
-                                "startLine": finding.line,
-                                "startColumn": finding.col + 1,
-                            },
-                        }
-                    }
-                ],
-                "partialFingerprints": {
-                    "reproAnalysis/v1": finding.fingerprint()
-                },
-            }
-        )
-    document = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-            "master/Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-analysis",
-                        "informationUri": (
-                            "https://example.invalid/docs/ANALYSIS.md"
-                        ),
-                        "rules": _rule_catalogue(),
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)

@@ -14,11 +14,10 @@ Catalogue (details + examples in docs/ANALYSIS.md):
 * RA104 — ``threading.Thread`` without a ``name=`` (tracer attribution)
 * RA105 — worker-loop ``except`` that swallows the exception
 * RA106 — blocking ``queue.get()`` under a stop-flag loop (shutdown hang)
-* RA107 — mutable default argument
 
-The RA2xx durability rules live in :mod:`repro.analysis.durability`
-and the RA11x whole-program lock-graph pass in
-:mod:`repro.analysis.lockgraph`; both register here.
+Mutable default arguments are ruff's B006, not a rule here.  The RA2xx
+durability rules live in :mod:`repro.analysis.durability` and register
+here.
 """
 
 from __future__ import annotations
@@ -42,9 +41,8 @@ __all__ = [
 _REGISTRY: dict[str, "Rule"] = {}
 
 #: Non-default severities; anything unlisted is an ``error``.  Warnings
-#: are reported and baselined but do not fail the CI gate's exit code.
+#: are reported but do not fail the CI gate's exit code.
 SEVERITIES: dict[str, str] = {
-    "RA107": "warning",
     "RA204": "warning",
 }
 
@@ -675,43 +673,6 @@ def _ra106_blocking_get(tree: ast.AST, source: str, path: str) -> list[Finding]:
                     ),
                 )
             )
-    return findings
-
-
-# ----------------------------------------------------------------- RA107
-_MUTABLE_CTORS = {"list", "dict", "set", "bytearray", "OrderedDict", "deque"}
-
-
-@rule("RA107", "mutable default argument")
-def _ra107_mutable_default(tree: ast.AST, source: str, path: str) -> list[Finding]:
-    """Default values are evaluated once at ``def`` time and shared by
-    every call — and, in this codebase, by every *thread*."""
-    findings = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            mutable = isinstance(default, (ast.List, ast.Dict, ast.Set)) or (
-                isinstance(default, ast.Call)
-                and _call_name(default) in _MUTABLE_CTORS
-            )
-            if mutable:
-                findings.append(
-                    Finding(
-                        path=path,
-                        line=default.lineno,
-                        col=default.col_offset,
-                        code="RA107",
-                        message=(
-                            "mutable default argument is shared across "
-                            "calls (and threads) — default to None and "
-                            "construct inside the function"
-                        ),
-                    )
-                )
     return findings
 
 

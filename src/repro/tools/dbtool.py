@@ -34,8 +34,6 @@ Commands (all take a database directory):
   (Prometheus text or JSON; ``--check`` validates the payload).
 * ``top HOST:PORT``  — live terminal dashboard (ops/s, tail latency,
   stall state, compaction backlog, replication lag per follower).
-* ``analyze [paths]`` — run the repo's concurrency-invariant static
-  rules (``repro.analysis``) over source paths; exit 1 on findings.
 
 ``stats``, ``fsck``, ``serve``, and ``trace`` are cluster-aware: pass
 ``--shards N`` (or let a ``CLUSTER`` manifest in the directory opt in
@@ -327,40 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--once", action="store_true",
         help="print a single frame and exit (no screen clearing)",
-    )
-
-    ana = sub.add_parser(
-        "analyze",
-        help="run the RA concurrency + durability static rules "
-             "(mirrors `python -m repro.analysis`)",
-    )
-    ana.add_argument(
-        "paths", nargs="*", default=["."],
-        help="files or directories to analyze (default: .)",
-    )
-    ana.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-        help="report format (default text)",
-    )
-    ana.add_argument(
-        "--select", metavar="CODES", default=None,
-        help="comma-separated rule codes to run (default: all)",
-    )
-    ana.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="suppress findings whose fingerprints are in FILE",
-    )
-    ana.add_argument(
-        "--write-baseline", metavar="FILE", default=None,
-        help="adopt the current findings into FILE and exit 0",
-    )
-    ana.add_argument(
-        "--lock-graph", choices=["dot", "json"], default=None,
-        help="dump the static lock acquisition-order graph instead",
-    )
-    ana.add_argument(
-        "--no-lock-graph", action="store_true",
-        help="skip the interprocedural RA110/RA111 pass",
     )
     return parser
 
@@ -1037,24 +1001,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    from ..analysis.cli import main as analysis_main
-
-    argv = list(args.paths)
-    argv += ["--format", args.format]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline:
-        argv += ["--write-baseline", args.write_baseline]
-    if args.lock_graph:
-        argv += ["--lock-graph", args.lock_graph]
-    if args.no_lock_graph:
-        argv += ["--no-lock-graph"]
-    return analysis_main(argv)
-
-
 _COMMANDS = {
     "stats": cmd_stats,
     "verify": cmd_verify,
@@ -1071,7 +1017,6 @@ _COMMANDS = {
     "trace": cmd_trace,
     "scrape": cmd_scrape,
     "top": cmd_top,
-    "analyze": cmd_analyze,
 }
 
 

@@ -210,6 +210,5 @@ class TestRealTree:
         findings = run_analysis(
             ["src/repro"],
             select={"RA201", "RA202", "RA203", "RA204"},
-            lock_graph=False,
         )
         assert findings == []

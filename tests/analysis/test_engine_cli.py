@@ -1,5 +1,5 @@
-"""Engine plumbing: noqa suppression, reporters, CLI, dbtool analyze,
-and the no-finding regression gate over the real tree."""
+"""Engine plumbing: noqa suppression, reporters, CLI, and the
+no-finding regression gate over the real tree."""
 
 import json
 import os
@@ -10,7 +10,6 @@ import pytest
 import repro
 from repro.analysis import check_paths, check_source
 from repro.analysis.cli import main as analysis_main
-from repro.tools.dbtool import main as dbtool_main
 
 BAD_THREAD = textwrap.dedent(
     """
@@ -82,7 +81,7 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert analysis_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ["RA101", "RA102", "RA103", "RA104", "RA105", "RA106", "RA107"]:
+        for code in ["RA101", "RA102", "RA103", "RA104", "RA105", "RA106"]:
             assert code in out
 
     def test_skips_pycache_and_dedups(self, tmp_path):
@@ -93,23 +92,6 @@ class TestCLI:
         (cache / "stale.py").write_text(BAD_THREAD)
         findings = check_paths([str(pkg), str(pkg / "mod.py")])
         assert len(findings) == 1
-
-
-class TestDbtoolAnalyze:
-    def test_mirrors_module_cli(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_THREAD)
-        assert dbtool_main(["analyze", str(bad)]) == 1
-        assert "RA104" in capsys.readouterr().out
-        good = tmp_path / "good.py"
-        good.write_text("x = 1\n")
-        assert dbtool_main(["analyze", str(good)]) == 0
-
-    def test_json_passthrough(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_THREAD)
-        assert dbtool_main(["analyze", "--format", "json", str(bad)]) == 1
-        assert json.loads(capsys.readouterr().out)["total"] == 1
 
 
 WARNING_ONLY = textwrap.dedent(
@@ -137,137 +119,6 @@ class TestExitCodes:
         assert analysis_main([str(warn)]) == 0
         out = capsys.readouterr().out
         assert "RA204" in out and "(warning)" in out
-
-
-class TestSarif:
-    def test_sarif_document_shape(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_THREAD)
-        assert analysis_main(["--format", "sarif", str(bad)]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-analysis"
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"RA104", "RA110", "RA201"} <= rule_ids
-        result = run["results"][0]
-        assert result["ruleId"] == "RA104"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("bad.py")
-        assert location["region"]["startLine"] == 4
-        assert "reproAnalysis/v1" in result["partialFingerprints"]
-
-    def test_sarif_levels_track_severity(self, tmp_path, capsys):
-        warn = tmp_path / "warn.py"
-        warn.write_text(WARNING_ONLY)
-        analysis_main(["--format", "sarif", str(warn)])
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["runs"][0]["results"][0]["level"] == "warning"
-
-
-class TestBaseline:
-    def test_write_then_apply_suppresses(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_THREAD)
-        baseline = tmp_path / "findings.json"
-        assert analysis_main(
-            ["--write-baseline", str(baseline), str(bad)]
-        ) == 0
-        assert "1 finding(s)" in capsys.readouterr().out
-        assert analysis_main(["--baseline", str(baseline), str(bad)]) == 0
-        out = capsys.readouterr().out
-        assert "no findings" in out
-        assert "1 baselined finding(s) suppressed" in out
-
-    def test_baseline_survives_line_drift(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_THREAD)
-        baseline = tmp_path / "findings.json"
-        analysis_main(["--write-baseline", str(baseline), str(bad)])
-        bad.write_text("# a comment pushes lines down\n" + BAD_THREAD)
-        assert analysis_main(["--baseline", str(baseline), str(bad)]) == 0
-
-    def test_new_findings_still_fail(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_THREAD)
-        baseline = tmp_path / "findings.json"
-        analysis_main(["--write-baseline", str(baseline), str(bad)])
-        (tmp_path / "fresh.py").write_text(BAD_THREAD.replace("print", "len"))
-        assert analysis_main(["--baseline", str(baseline), str(tmp_path)]) == 1
-
-
-class TestLockGraphCLI:
-    CYCLE = textwrap.dedent(
-        """
-        from repro.analysis.locksan import make_lock
-
-
-        class Pair:
-            def __init__(self):
-                self.a = make_lock("cli.a")
-                self.b = make_lock("cli.b")
-
-            def fwd(self):
-                with self.a:
-                    with self.b:
-                        pass
-
-            def rev(self):
-                with self.b:
-                    with self.a:
-                        pass
-        """
-    )
-
-    def test_cycle_fails_the_run(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text(self.CYCLE)
-        assert analysis_main([str(tmp_path)]) == 1
-        assert "RA110" in capsys.readouterr().out
-
-    def test_no_lock_graph_skips_the_pass(self, tmp_path):
-        (tmp_path / "mod.py").write_text(self.CYCLE)
-        assert analysis_main(["--no-lock-graph", str(tmp_path)]) == 0
-
-    def test_dot_dump_mode(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text(self.CYCLE)
-        assert analysis_main(["--lock-graph", "dot", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("digraph lock_order {")
-        assert "color=red" in out
-
-    def test_json_dump_mode(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text(self.CYCLE)
-        assert analysis_main(["--lock-graph", "json", str(tmp_path)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["cycles"] == [["cli.a", "cli.b"]]
-
-
-class TestDbtoolPassthrough:
-    def test_sarif_and_lock_graph_flags(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_THREAD)
-        assert dbtool_main(
-            ["analyze", "--format", "sarif", str(bad)]
-        ) == 1
-        assert json.loads(capsys.readouterr().out)["version"] == "2.1.0"
-        assert dbtool_main(
-            ["analyze", "--lock-graph", "json", str(bad)]
-        ) == 0
-        assert "nodes" in json.loads(capsys.readouterr().out)
-
-    def test_baseline_round_trip(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_THREAD)
-        baseline = tmp_path / "findings.json"
-        assert dbtool_main(
-            ["analyze", "--write-baseline", str(baseline), str(bad)]
-        ) == 0
-        capsys.readouterr()
-        assert dbtool_main(
-            ["analyze", "--baseline", str(baseline), str(bad)]
-        ) == 0
-        assert "suppressed" in capsys.readouterr().out
 
 
 class TestSelfClean:

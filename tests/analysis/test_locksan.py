@@ -85,6 +85,33 @@ class TestOrderedLockSemantics:
             release.set()
             t.join()
 
+    def test_owner_reacquire_of_plain_lock_raises_instead_of_hanging(self):
+        graph = LockGraph()
+        lock = OrderedLock("t.self", graph=graph)
+        outcome = []
+
+        def reacquire():
+            with lock:
+                # Non-blocking: a plain Lock says no, and so does this.
+                outcome.append(lock.acquire(blocking=False))  # repro: noqa[RA101]
+                try:
+                    with lock:
+                        outcome.append("re-acquired")
+                except LockOrderViolation as exc:
+                    outcome.append(exc)
+
+        t = threading.Thread(target=reacquire, name="t-reacquire", daemon=True)
+        t.start()
+        t.join(timeout=5)
+        assert not t.is_alive(), "blocking re-acquire hung instead of raising"
+        assert outcome[0] is False
+        assert isinstance(outcome[1], LockOrderViolation)
+        message = str(outcome[1])
+        assert "t.self" in message and "re-acquired" in message
+        assert "reacquire" in message  # the stack names the caller
+        assert [v["cycle"] for v in graph.violations] == [["t.self", "t.self"]]
+        assert not lock.locked()
+
     def test_nested_acquisition_records_edge(self):
         graph = LockGraph()
         a = OrderedLock("t.a", graph=graph)
@@ -321,3 +348,110 @@ class TestEngineUnderSanitizer:
             self._workload(db)
             assert db.get(b"key-00000") is not None
         assert sanitized.violations == []
+
+
+class TestEdgesOnlySeenDynamically:
+    """Lock orders a static call graph cannot see: a callback, and a
+    call through an attribute of unknown type.  These pin the two
+    edges that decided lock order belongs to the sanitizer alone
+    (docs/ANALYSIS.md, planted-defect table)."""
+
+    @pytest.fixture()
+    def sanitized(self, monkeypatch):
+        monkeypatch.setenv(LOCK_SANITIZER_ENV, "1")
+        graph = global_graph()
+        graph.reset()
+        yield graph
+        graph.reset()
+
+    def test_hub_callback_edge_and_snapshot_under_hub_lock(self, sanitized):
+        from repro.db.db import DB
+        from repro.devices.vfs import MemStorage
+        from repro.lsm.options import Options
+        from repro.replication.hub import ReplicationHub
+
+        with DB(MemStorage(), Options()) as db:
+            hub = ReplicationHub(db)
+            for i in range(3):
+                db.put(b"key-%d" % i, b"value")
+            # The WAL listener runs under db.mutex and takes repl.hub.
+            assert ("db.mutex", "repl.hub") in sanitized.edges()
+            # Pinning a snapshot under the hub lock (as an ack handler
+            # might) takes db.mutex the other way round.
+            with pytest.raises(LockOrderViolation) as excinfo:
+                with hub._cond:
+                    db.snapshot()
+        message = str(excinfo.value)
+        assert "repl.hub -> db.mutex -> repl.hub" in message
+        assert "_on_record" in message  # the establishing stack
+
+    def test_promote_to_primary_over_faulty_storage(self, sanitized):
+        from repro.db.db import DB
+        from repro.devices.faults import FaultyStorage
+        from repro.devices.vfs import MemStorage
+        from repro.lsm.options import Options
+        from repro.server.server import KVServer
+
+        db = DB(FaultyStorage(MemStorage()), Options())
+        server = KVServer(db)
+        try:
+            assert server.promote_to_primary() == 1
+        finally:
+            server.hub.shutdown()
+            db.close()
+        assert sanitized.violations == []
+        assert ("server.promote", "devices.faults") in sanitized.edges()
+
+    def test_snapshot_joined_follower_promotes_online(self, sanitized):
+        """A served follower installs a snapshot (the follower swaps
+        the server's DB) and is then promoted, which stops the follower
+        under ``server.promote``: both halves of that lock order run in
+        one process."""
+        import time
+
+        from repro.db.db import DB
+        from repro.devices.vfs import MemStorage
+        from repro.lsm.options import Options
+        from repro.replication import Follower, ReplicationHub
+        from repro.server.server import ServerConfig, ServerThread
+
+        from tests.helpers import small_options
+
+        primary = DB(MemStorage(), small_options())
+        for i in range(300):
+            primary.put(b"snap%04d" % i, b"v" * 40)
+        primary.flush()  # before the hub: only a snapshot covers these
+        storage = MemStorage()
+        joined = DB(storage, Options())
+        with ServerThread(
+            primary, own_db=False, hub=ReplicationHub(primary)
+        ) as upstream:
+            follower = Follower(
+                joined, storage, lambda: DB(storage, Options()),
+                upstream.host, upstream.port, "joiner",
+                retry_interval_s=0.05,
+            )
+            node = ServerThread(
+                joined, ServerConfig(read_only=True), own_db=False,
+                follower=follower,
+            ).start()
+            follower.bind_db_swap(node.server.swap_db)
+            follower.start()
+            try:
+                deadline = time.monotonic() + 10
+                while (
+                    follower.db is joined
+                    or follower.db.last_sequence < primary.last_sequence
+                ):
+                    assert time.monotonic() < deadline, "no snapshot install"
+                    time.sleep(0.01)
+                assert node.server.db is follower.db
+                assert node.server.promote_to_primary() == 1
+            finally:
+                follower.stop()
+                node.stop()
+                follower.db.close()
+        primary.close()
+        assert sanitized.violations == []
+        assert ("server.promote", "repl.follower") in sanitized.edges()
+

@@ -398,33 +398,3 @@ class TestRA106:
                     use(value)
             """
         )
-
-
-# ----------------------------------------------------------------- RA107
-class TestRA107:
-    def test_fires_on_mutable_default(self):
-        assert "RA107" in codes(
-            """
-            def collect(item, acc=[]):
-                acc.append(item)
-                return acc
-            """
-        )
-
-    def test_fires_on_dict_call_default(self):
-        assert "RA107" in codes(
-            """
-            def configure(*, overrides=dict()):
-                return overrides
-            """
-        )
-
-    def test_silent_on_none_default(self):
-        assert "RA107" not in codes(
-            """
-            def collect(item, acc=None):
-                acc = [] if acc is None else acc
-                acc.append(item)
-                return acc
-            """
-        )

@@ -91,7 +91,7 @@ def test_held_mutex_raises_instead_of_waiting(db):
             outcome.append(exc)
 
     with db._lock:
-        thread = threading.Thread(target=probe)
+        thread = threading.Thread(target=probe, name="nowait-probe")
         thread.start()
         thread.join(timeout=5)
         assert not thread.is_alive(), "wait=False waited for db.mutex"
@@ -168,9 +168,11 @@ def test_stress_nowait_readers_beside_writers_count_every_answer_once():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     threads = [
-        threading.Thread(target=reader, args=(slot, slot % 2 == 0))
+        threading.Thread(
+            target=reader, args=(slot, slot % 2 == 0), name=f"reader-{slot}"
+        )
         for slot in range(6)
-    ] + [threading.Thread(target=writer)]
+    ] + [threading.Thread(target=writer, name="writer")]
     try:
         for thread in threads:
             thread.start()

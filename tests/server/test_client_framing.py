@@ -110,7 +110,7 @@ class TestSyncClient:
                 )
                 conn.sendall(make_reply(request.request_id))
 
-        thread = threading.Thread(target=serve, daemon=True)
+        thread = threading.Thread(target=serve, name="fake-server", daemon=True)
         thread.start()
         try:
             port = listener.getsockname()[1]

@@ -242,7 +242,7 @@ class TestTheLoopNeverWaitsForTheMutex:
             got = []
             with db._lock:
                 reader = threading.Thread(
-                    target=lambda: got.append(c1.get(b"k"))
+                    target=lambda: got.append(c1.get(b"k")), name="reader"
                 )
                 reader.start()
                 # The GET found the mutex held and moved to a worker,
