@@ -6,7 +6,7 @@ the merge into sub-tasks, and runs every procedure both ways:
 
 * *functionally* (real threads, real bytes) — verifying all four
   produce bit-identical output, the property that legalises pipelining;
-* *in virtual time* (discrete-event simulation with the calibrated
+* *in virtual time* (the pipeline schedule loop with the calibrated
   HDD/SSD models) — showing the bandwidth ranking the paper measures.
 
 Run:  python examples/compaction_comparison.py

@@ -5,7 +5,7 @@ LSM-tree" (IPDPS 2014): an LSM key-value storage engine whose
 background compactions can run as the paper's Sequential (SCP),
 Pipelined (PCP), Storage-Parallel (S-PPCP), or Computation-Parallel
 (C-PPCP) procedures, plus the analytical bandwidth model (Eqs 1-7),
-calibrated HDD/SSD device models, a discrete-event scheduler for
+calibrated HDD/SSD device models, a pipeline schedule loop for
 deterministic quantitative experiments, and the benchmark harness that
 regenerates every figure of the paper's evaluation.
 
@@ -13,12 +13,12 @@ Package map
 ===========
 
 ``repro.db``        the key-value store facade (DB, snapshots, recovery)
-``repro.core``      the paper's contribution: compaction procedures,
-                    sub-task partitioning, cost model, Eqs 1-7
+``repro.core``      the paper's contribution: procedures, sub-tasks,
+                    cost model, Eqs 1-7, the schedule loop (ties in
+                    scheduling order, hand-offs as zero-delay events)
 ``repro.lsm``       engine substrate: memtable, WAL, SSTables, levels
 ``repro.codec``     varints, CRCs, block compression
 ``repro.devices``   HDD/SSD service-time models + virtual filesystem
-``repro.sim``       discrete-event simulation kernel
 ``repro.workload``  key distributions, insert streams, YCSB mixes
 ``repro.bench``     profilers, virtual-clock runner, figure drivers
 

@@ -16,7 +16,6 @@ from ...core.backends.simbackend import PipelineConfig, SimJob, simulate_pipelin
 from ...core.costmodel import CostModel
 from ...core.procedures import ProcedureSpec, simulate_compaction, uniform_subtasks
 from ...devices import make_device
-from ...sim import Resource, Simulator, Store, StoreClosed
 from .base import ExperimentResult
 
 __all__ = [
@@ -43,43 +42,29 @@ def _simulate_deep_pipeline(
     cost per sub-task; stages run on distinct workers connected by
     bounded queues — the §III-B alternative the paper rejects.
     Returns the makespan.
+
+    A line of one-worker stages (read, the sub-stages, write) with
+    bounded queues needs no event loop: sub-task *i* starts a stage once
+    it left the one before and the stage let go of *i - 1*; it leaves
+    once served and once the next stage has taken *i - queue_capacity*,
+    which frees its slot in the queue between them.
     """
-    sim = Simulator()
-    n_stages = len(compute_splits)
-    stores = [Store(sim, queue_capacity, f"q{i}") for i in range(n_stages + 1)]
-    read_res = Resource(sim, 1, "disk.read")
-    write_res = Resource(sim, 1, "disk.write")
-
-    def reader():
-        for job in jobs:
-            yield from read_res.acquire(job.times.t_read)
-            yield stores[0].put(job)
-        stores[0].close()
-
-    def compute_stage(i: int):
-        frac = compute_splits[i]
-        while True:
-            try:
-                job = yield stores[i].get()
-            except StoreClosed:
-                stores[i + 1].close()
-                return
-            yield sim.timeout(job.times.t_compute * frac + hop_overhead_s)
-            yield stores[i + 1].put(job)
-
-    def writer():
-        while True:
-            try:
-                job = yield stores[n_stages].get()
-            except StoreClosed:
-                return
-            yield from write_res.acquire(job.times.t_write)
-
-    sim.process(reader())
-    for i in range(n_stages):
-        sim.process(compute_stage(i))
-    sim.process(writer())
-    return sim.run()
+    starts: list[list[float]] = [[] for _ in range(len(compute_splits) + 2)]
+    free = [0.0] * len(starts)
+    for i, job in enumerate(jobs):
+        t = job.times
+        service = [t.t_read,
+                   *(t.t_compute * frac + hop_overhead_s for frac in compute_splits),
+                   t.t_write]
+        ready = 0.0
+        for s, seconds in enumerate(service):
+            start = max(ready, free[s])
+            leave = start + seconds
+            if s + 1 < len(starts) and i >= queue_capacity:
+                leave = max(leave, starts[s + 1][i - queue_capacity])
+            starts[s].append(start)
+            free[s] = ready = leave
+    return free[-1]
 
 
 def run_depth_ablation(

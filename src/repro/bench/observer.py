@@ -9,9 +9,10 @@ to every event:
 * foreground writes: WAL append (sequential device write) + per-entry
   memtable insertion CPU,
 * memtable dumps: table build CPU + sequential write,
-* compactions: the DES-simulated makespan of the configured procedure
-  over the compaction's actual sub-task sizes — this is where SCP vs
-  PCP vs PPCP differ,
+* compactions: the makespan of the configured procedure over the
+  compaction's actual sub-task sizes, from ``simbackend``'s schedule
+  loop (same-instant events in scheduling order, each hand-off a
+  zero-delay event) — this is where SCP vs PCP vs PPCP differ,
 * a fixed per-compaction maintenance overhead (the paper's "database
   consistence maintaining, garbage collecting and other operations
   which are not pipelined", the reason throughput gains trail

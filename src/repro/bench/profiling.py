@@ -12,6 +12,7 @@ Two profilers:
 
 from __future__ import annotations
 
+import gc
 import itertools
 import time
 from dataclasses import dataclass
@@ -123,34 +124,41 @@ def profile_steps_real(
     )
     input_bytes = subtask.input_bytes()
     out_entries = 0
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        stored = run_subtask_read(subtask)
-        t1 = time.perf_counter()
-        step_checksum(stored, checksummer)
-        t2 = time.perf_counter()
-        raw = step_decompress(stored)
-        t3 = time.perf_counter()
-        merged = step_merge(raw, None, None, options.block_bytes,
-                            n_sources=len(subtask.runs))
-        t4 = time.perf_counter()
-        compressed = step_compress(merged, codec)
-        t5 = time.perf_counter()
-        encoded = step_rechecksum(compressed, checksummer)
-        t6 = time.perf_counter()
-        numbers = itertools.count(1)
-        sink = TableSink(storage, options, lambda: f"out-{next(numbers):06d}.sst")
-        step_write(encoded, sink)
-        outputs = sink.finish()
-        t7 = time.perf_counter()
-        acc["read"] += t1 - t0
-        acc["checksum"] += t2 - t1
-        acc["decompress"] += t3 - t2
-        acc["merge"] += t4 - t3
-        acc["compress"] += t5 - t4
-        acc["rechecksum"] += t6 - t5
-        acc["write"] += t7 - t6
-        out_entries = sum(b.num_entries for b in encoded)
+    # As timeit does: no collector pause inside a timed step.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(max(1, repeats)):
+            t0 = time.perf_counter()
+            stored = run_subtask_read(subtask)
+            t1 = time.perf_counter()
+            step_checksum(stored, checksummer)
+            t2 = time.perf_counter()
+            raw = step_decompress(stored)
+            t3 = time.perf_counter()
+            merged = step_merge(raw, None, None, options.block_bytes,
+                                n_sources=len(subtask.runs))
+            t4 = time.perf_counter()
+            compressed = step_compress(merged, codec)
+            t5 = time.perf_counter()
+            encoded = step_rechecksum(compressed, checksummer)
+            t6 = time.perf_counter()
+            numbers = itertools.count(1)
+            sink = TableSink(storage, options, lambda: f"out-{next(numbers):06d}.sst")
+            step_write(encoded, sink)
+            outputs = sink.finish()
+            t7 = time.perf_counter()
+            acc["read"] += t1 - t0
+            acc["checksum"] += t2 - t1
+            acc["decompress"] += t3 - t2
+            acc["merge"] += t4 - t3
+            acc["compress"] += t5 - t4
+            acc["rechecksum"] += t6 - t5
+            acc["write"] += t7 - t6
+            out_entries = sum(b.num_entries for b in encoded)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     r = max(1, repeats)
     times = StepTimes(**{k: v / r for k, v in acc.items()})
     return RealStepProfile(

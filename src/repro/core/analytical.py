@@ -66,33 +66,28 @@ def scp_bandwidth(l: float, times: StepTimes | StageTimes) -> float:
 def pcp_bandwidth(l: float, times: StepTimes | StageTimes) -> float:
     """Eq 2: 3-stage pipelined bandwidth (bytes/s)."""
     st = _stages(times)
-    bottleneck = max(st.t_read, st.t_compute, st.t_write)
-    if bottleneck <= 0:
-        raise ValueError("stage times must be positive")
-    return l / bottleneck
+    return l / _bottleneck(st.t_read, st.t_compute, st.t_write)
 
 
 def pcp_speedup(times: StepTimes | StageTimes) -> float:
     """Eq 3: ideal PCP/SCP speedup (>= 1, <= 3 for three stages)."""
     st = _stages(times)
-    return st.total / max(st.t_read, st.t_compute, st.t_write)
+    return st.total / _bottleneck(st.t_read, st.t_compute, st.t_write)
 
 
 def sppcp_bandwidth(l: float, times: StepTimes | StageTimes, k: int) -> float:
     """Eq 4: PCP with k storage devices."""
     _check_k(k)
     st = _stages(times)
-    bottleneck = max(st.t_read / k, st.t_compute, st.t_write / k)
-    return l / bottleneck
+    return l / _bottleneck(st.t_read / k, st.t_compute, st.t_write / k)
 
 
 def sppcp_speedup(times: StepTimes | StageTimes, k: int) -> float:
     """Eq 5: S-PPCP bandwidth relative to plain PCP."""
     _check_k(k)
     st = _stages(times)
-    base = max(st.t_read, st.t_compute, st.t_write)
-    par = max(st.t_read / k, st.t_compute, st.t_write / k)
-    return base / par
+    base = _bottleneck(st.t_read, st.t_compute, st.t_write)
+    return base / _bottleneck(st.t_read / k, st.t_compute, st.t_write / k)
 
 
 def sppcp_max_speedup(times: StepTimes | StageTimes, k: int) -> float:
@@ -112,17 +107,15 @@ def cppcp_bandwidth(l: float, times: StepTimes | StageTimes, k: int) -> float:
     """Eq 6: PCP with k compute workers."""
     _check_k(k)
     st = _stages(times)
-    bottleneck = max(st.t_read, st.t_compute / k, st.t_write)
-    return l / bottleneck
+    return l / _bottleneck(st.t_read, st.t_compute / k, st.t_write)
 
 
 def cppcp_speedup(times: StepTimes | StageTimes, k: int) -> float:
     """Eq 7: C-PPCP bandwidth relative to plain PCP."""
     _check_k(k)
     st = _stages(times)
-    base = max(st.t_read, st.t_compute, st.t_write)
-    par = max(st.t_read, st.t_compute / k, st.t_write)
-    return base / par
+    base = _bottleneck(st.t_read, st.t_compute, st.t_write)
+    return base / _bottleneck(st.t_read, st.t_compute / k, st.t_write)
 
 
 def cppcp_max_speedup(times: StepTimes | StageTimes, k: int) -> float:
@@ -159,6 +152,14 @@ def cppcp_saturation_k(times: StepTimes | StageTimes) -> int:
     if io <= 0:
         raise ValueError("I/O time must be positive")
     return max(1, math.ceil(st.t_compute / io))
+
+
+def _bottleneck(t_read: float, t_compute: float, t_write: float) -> float:
+    """The slowest stage's time, which bounds every pipelined procedure."""
+    slowest = max(t_read, t_compute, t_write)
+    if slowest <= 0:
+        raise ValueError("stage times must be positive")
+    return slowest
 
 
 def _check_k(k: int) -> None:

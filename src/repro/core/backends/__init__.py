@@ -1,4 +1,4 @@
-"""Execution backends: virtual time (DES) and the functional executor."""
+"""Execution backends: virtual time (one schedule loop) and the functional executor."""
 
 from .simbackend import (
     PipelineConfig,

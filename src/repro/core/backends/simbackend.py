@@ -1,11 +1,10 @@
 """Virtual-time execution of the compaction procedures.
 
-This backend runs the *schedule* of SCP/PCP/S-PPCP/C-PPCP on the
-discrete-event kernel with per-sub-task stage service times from the
-cost model.  It produces deterministic makespans, stage busy times, and
-timelines — the quantities behind every figure of the paper — without
-depending on wall-clock behaviour (which the GIL would distort for a
-pure-Python threaded build; see DESIGN.md).
+This backend computes the *schedule* of SCP/PCP/S-PPCP/C-PPCP from
+the cost model's per-sub-task stage times: deterministic makespans,
+stage busy times and timelines — the quantities behind every figure of
+the paper — without depending on wall-clock behaviour (which the GIL
+would distort for a pure-Python threaded build; see DESIGN.md).
 
 Model choices, stated explicitly:
 
@@ -25,14 +24,25 @@ Model choices, stated explicitly:
   seconds, which is what makes throughput *decline* past the
   saturation point (paper Fig 12(d-f): "this is due to the overhead of
   creation and synchronization of multiple threads").
+
+The pipelined schedule is one event loop: a heap of ``(time, seq,
+continuation)``, FIFO servers (each device's read and write sides, one
+side under ``shared_io``, and the hand-off lock) and two bounded FIFO
+queues.  Tie rule: events due at one instant run in the order they were
+scheduled, and every hand-off (a server granted, an item put or got, a
+worker's exit, a queue's close) is a zero-delay event, so it runs
+behind the events already due at that instant, never inline.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
-from ...sim import Resource, Simulator, Store, StoreClosed
 from ..costmodel import StageTimes
 
 __all__ = ["SimJob", "PipelineConfig", "TimelineEvent", "ScheduleResult",
@@ -103,11 +113,6 @@ class ScheduleResult:
             return 0.0
         return self.total_bytes / self.makespan
 
-    def stage_utilization(self, stage: str, capacity: int = 1) -> float:
-        if self.makespan <= 0:
-            return 0.0
-        return self.stage_busy.get(stage, 0.0) / (self.makespan * capacity)
-
     def breakdown_fractions(self) -> dict[str, float]:
         """Busy-time share per stage (sums to 1 over busy time)."""
         total = sum(self.stage_busy.values())
@@ -127,17 +132,11 @@ def simulate_scp(jobs: Sequence[SimJob]) -> ScheduleResult:
     busy = {"read": 0.0, "compute": 0.0, "write": 0.0}
     for job in jobs:
         t = job.times
-        timeline.append(TimelineEvent(job.index, "read", now, now + t.t_read, 0))
-        now += t.t_read
-        timeline.append(
-            TimelineEvent(job.index, "compute", now, now + t.t_compute, 0)
-        )
-        now += t.t_compute
-        timeline.append(TimelineEvent(job.index, "write", now, now + t.t_write, 0))
-        now += t.t_write
-        busy["read"] += t.t_read
-        busy["compute"] += t.t_compute
-        busy["write"] += t.t_write
+        for stage, seconds in (("read", t.t_read), ("compute", t.t_compute),
+                               ("write", t.t_write)):
+            timeline.append(TimelineEvent(job.index, stage, now, now + seconds, 0))
+            now += seconds
+            busy[stage] += seconds
     return ScheduleResult(
         makespan=now,
         n_subtasks=len(jobs),
@@ -147,104 +146,177 @@ def simulate_scp(jobs: Sequence[SimJob]) -> ScheduleResult:
     )
 
 
+class _Loop:
+    """Virtual clock and the heap of ``(time, seq, continuation, args)``."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self._heap: list = []
+        self._seq = itertools.count()
+
+    def at(self, delay: float, fn: Callable, *args) -> None:
+        heapq.heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
+
+    def run(self) -> float:
+        while self._heap:
+            self.now, _, fn, args = heapq.heappop(self._heap)
+            fn(*args)
+        return self.now
+
+
+class _Server:
+    """One FIFO server: a device side or the hand-off lock."""
+
+    def __init__(self, loop: _Loop) -> None:
+        self._loop = loop
+        self._busy = False
+        self._waiting: deque = deque()
+
+    def hold(self, seconds: float, then: Callable[[float], None]) -> None:
+        """Once granted, hold the server ``seconds``, release it, ``then(start)``."""
+        loop = self._loop
+
+        def granted() -> None:
+            loop.at(seconds, done, loop.now)
+
+        def done(start: float) -> None:
+            if self._waiting:
+                loop.at(0.0, self._waiting.popleft())
+            else:
+                self._busy = False
+            then(start)
+
+        if self._busy:
+            self._waiting.append(granted)
+        else:
+            self._busy = True
+            loop.at(0.0, granted)
+
+
+class _Queue:
+    """Bounded FIFO between two stages; a getter gets ``None`` once the
+    queue is closed and drained."""
+
+    def __init__(self, loop: _Loop, capacity: int) -> None:
+        self._loop = loop
+        self._capacity = capacity
+        self._items, self._getters, self._putters = deque(), deque(), deque()
+        self._closed = False
+
+    def put(self, item: SimJob, then: Callable[[], None]) -> None:
+        """``then()`` once ``item`` is in the queue."""
+        if self._getters:
+            self._loop.at(0.0, self._getters.popleft(), item)
+            self._loop.at(0.0, then)
+        elif len(self._items) < self._capacity:
+            self._items.append(item)
+            self._loop.at(0.0, then)
+        else:
+            self._putters.append((item, then))
+
+    def get(self, then: Callable[[Optional[SimJob]], None]) -> None:
+        """``then(item)`` with the oldest item, or ``then(None)``."""
+        if self._items:
+            item = self._items.popleft()
+            if self._putters:
+                waiting, putter = self._putters.popleft()
+                self._items.append(waiting)
+                self._loop.at(0.0, putter)
+            self._loop.at(0.0, then, item)
+        elif self._closed:
+            self._loop.at(0.0, then, None)
+        else:
+            self._getters.append(then)
+
+    def close(self) -> None:
+        self._closed = True
+        while self._getters:  # only an empty queue has getters waiting
+            self._loop.at(0.0, self._getters.popleft(), None)
+
+
 def simulate_pipeline(
     jobs: Sequence[SimJob], config: Optional[PipelineConfig] = None
 ) -> ScheduleResult:
-    """Pipelined Compaction Procedure and its parallel variants."""
+    """Pipelined Compaction Procedure and its parallel variants.
+
+    ``n_devices`` readers (reader *d* reads sub-tasks *d*, *d + k*, ...
+    on device *d*), ``compute_workers`` compute workers and
+    ``n_devices`` writers (sub-task *i* is written on device *i mod
+    k*), joined by the two queues.  The last reader's exit closes the
+    compute queue, the last compute worker's the write queue.
+    """
     config = config or PipelineConfig()
     jobs = list(jobs)
-    if not jobs:
-        return ScheduleResult(0.0, 0, 0, {"read": 0.0, "compute": 0.0, "write": 0.0})
-
-    sim = Simulator()
-    k = config.n_devices
-    # One resource per device for reads; writes either share it
-    # (shared_io) or get their own server per device.
-    read_res = [Resource(sim, 1, f"disk{d}.read") for d in range(k)]
-    if config.shared_io:
-        write_res = read_res
-    else:
-        write_res = [Resource(sim, 1, f"disk{d}.write") for d in range(k)]
-
-    q1 = Store(sim, config.queue_capacity, "read->compute")
-    q2 = Store(sim, config.queue_capacity, "compute->write")
-    sync_lock = Resource(sim, 1, "handoff") if (
-        config.handoff_overhead_s > 0 and config.compute_workers > 1
-    ) else None
-    sync_cost = config.handoff_overhead_s * (config.compute_workers - 1)
-
     busy = {"read": 0.0, "compute": 0.0, "write": 0.0}
+    if not jobs:
+        return ScheduleResult(0.0, 0, 0, busy)
+
+    loop = _Loop()
+    k, workers = config.n_devices, config.compute_workers
+    reads = [_Server(loop) for _ in range(k)]
+    writes = reads if config.shared_io else [_Server(loop) for _ in range(k)]
+    to_compute = _Queue(loop, config.queue_capacity)
+    to_write = _Queue(loop, config.queue_capacity)
+    lock = _Server(loop) if config.handoff_overhead_s > 0 and workers > 1 else None
+    lock_s = config.handoff_overhead_s * (workers - 1)
+    feeders = {to_compute: k, to_write: workers}
     timeline: list[TimelineEvent] = []
 
-    def record(index: int, stage: str, start: float, worker: int) -> None:
-        end = sim.now
-        busy[stage] += end - start
-        timeline.append(TimelineEvent(index, stage, start, end, worker))
+    def record(job: SimJob, stage: str, start: float, worker: int) -> None:
+        busy[stage] += loop.now - start
+        timeline.append(TimelineEvent(job.index, stage, start, loop.now, worker))
 
-    # --- read stage: one worker per device, sub-task i -> device i%k.
-    def read_worker(worker_id: int):
-        for job in jobs[worker_id::k]:
-            res = read_res[worker_id]
-            req = res.request(f"read:{job.index}")
-            yield req
-            start = sim.now
-            try:
-                yield sim.timeout(job.times.t_read)
-            finally:
-                res.release(req)
-            record(job.index, "read", start, worker_id)
-            yield q1.put(job)
+    def exited(output: _Queue) -> None:
+        feeders[output] -= 1
+        if not feeders[output]:
+            loop.at(0.0, output.close)
 
-    # --- compute stage: compute_workers identical workers.
-    def compute_worker(worker_id: int):
-        while True:
-            try:
-                job = yield q1.get()
-            except StoreClosed:
-                return
-            if sync_lock is not None:
-                yield from sync_lock.acquire(sync_cost, f"in:{job.index}")
-            start = sim.now
-            yield sim.timeout(job.times.t_compute)
-            record(job.index, "compute", start, worker_id)
-            if sync_lock is not None:
-                yield from sync_lock.acquire(sync_cost, f"out:{job.index}")
-            yield q2.put(job)
+    def handoff(then: Callable[[], None]) -> None:
+        if lock is None:
+            then()
+        else:
+            lock.hold(lock_s, lambda _start: then())
 
-    # --- write stage: one worker per device.
-    def write_worker(worker_id: int):
-        while True:
-            try:
-                job = yield q2.get()
-            except StoreClosed:
-                return
-            res = write_res[job.index % k]
-            req = res.request(f"write:{job.index}")
-            yield req
-            start = sim.now
-            try:
-                yield sim.timeout(job.times.t_write)
-            finally:
-                res.release(req)
-            record(job.index, "write", start, worker_id)
+    def read(d: int, todo) -> None:
+        job = next(todo, None)
+        if job is None:
+            loop.at(0.0, exited, to_compute)
+            return
 
-    readers = [sim.process(read_worker(w), f"reader{w}") for w in range(k)]
-    computes = [
-        sim.process(compute_worker(w), f"compute{w}")
-        for w in range(config.compute_workers)
-    ]
+        def done(start: float) -> None:
+            record(job, "read", start, d)
+            to_compute.put(job, lambda: read(d, todo))
+
+        reads[d].hold(job.times.t_read, done)
+
+    def compute(c: int, job: Optional[SimJob]) -> None:
+        if job is None:
+            loop.at(0.0, exited, to_write)
+            return
+
+        def done(start: float) -> None:
+            record(job, "compute", start, c)
+            handoff(lambda: to_write.put(job, lambda: to_compute.get(partial(compute, c))))
+
+        handoff(lambda: loop.at(job.times.t_compute, done, loop.now))
+
+    def write(w: int, job: Optional[SimJob]) -> None:
+        if job is None:
+            return
+
+        def done(start: float) -> None:
+            record(job, "write", start, w)
+            to_write.get(partial(write, w))
+
+        writes[job.index % k].hold(job.times.t_write, done)
+
+    for d in range(k):
+        loop.at(0.0, read, d, iter(jobs[d::k]))
+    for c in range(workers):
+        loop.at(0.0, to_compute.get, partial(compute, c))
     for w in range(k):
-        sim.process(write_worker(w), f"writer{w}")
-
-    # Close q1 when all readers finish; close q2 when computes finish.
-    def closer(procs, store):
-        yield sim.all_of(procs)
-        store.close()
-
-    sim.process(closer(readers, q1), "close-q1")
-    sim.process(closer(computes, q2), "close-q2")
-
-    makespan = sim.run()
+        loop.at(0.0, to_write.get, partial(write, w))
+    makespan = loop.run()
     timeline.sort(key=lambda e: (e.start, e.index))
     return ScheduleResult(
         makespan=makespan,

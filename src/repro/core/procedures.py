@@ -12,9 +12,10 @@ Four procedures (paper §III):
 
 Each procedure can be *executed* (functionally, on real data, via the
 thread backend — the DB's compaction engine) or *simulated* (virtual
-time via the DES backend — the quantitative experiments).  Both
-consume the same :func:`repro.core.subtask.partition_subtasks` output,
-and execution output is bit-identical across procedures.
+time via the schedule loop in ``simbackend`` — the quantitative
+experiments).  Both consume the same
+:func:`repro.core.subtask.partition_subtasks` output, and execution
+output is bit-identical across procedures.
 """
 
 from __future__ import annotations
@@ -92,6 +93,9 @@ class ProcedureSpec:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == "process" and self.kind == SCP:
             raise ValueError("SCP is sequential; no process backend")
+        # The schedule's own checks, so a bad spec never reaches a DB.
+        PipelineConfig(queue_capacity=self.queue_capacity,
+                       handoff_overhead_s=self.handoff_overhead_s)
 
     # -- constructors --------------------------------------------------
     @classmethod

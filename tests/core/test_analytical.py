@@ -75,10 +75,18 @@ class TestEquations:
             cppcp_bandwidth(L, SSD, -1)
 
     def test_zero_times_rejected(self):
-        with pytest.raises(ValueError):
-            scp_bandwidth(L, StageTimes(0, 0, 0))
-        with pytest.raises(ValueError):
-            pcp_bandwidth(L, StageTimes(0, 0, 0))
+        """Eqs 1-7 all raise ValueError, none ZeroDivisionError."""
+        for eq in (
+            lambda t: scp_bandwidth(L, t),
+            lambda t: pcp_bandwidth(L, t),
+            pcp_speedup,
+            lambda t: sppcp_bandwidth(L, t, 2),
+            lambda t: sppcp_speedup(t, 2),
+            lambda t: cppcp_bandwidth(L, t, 2),
+            lambda t: cppcp_speedup(t, 2),
+        ):
+            with pytest.raises(ValueError):
+                eq(StageTimes(0, 0, 0))
 
 
 class TestBounds:

@@ -432,6 +432,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ProcedureSpec(kind="sppcp", k=0)
 
+    @pytest.mark.parametrize("kw", [
+        dict(kind="pcp", queue_capacity=-3),
+        dict(kind="pcp", queue_capacity=0),
+        dict(kind="cppcp", k=2, handoff_overhead_s=-1.0),
+        dict(kind="scp", queue_capacity=0),
+    ])
+    def test_bad_pipeline_fields_rejected_on_construction(self, kw):
+        """What the schedule would reject never reaches a DB."""
+        with pytest.raises(ValueError):
+            ProcedureSpec(**kw)
+
     def test_pipeline_config_for_scp_rejected(self):
         with pytest.raises(ValueError):
             ProcedureSpec.scp().pipeline_config()
