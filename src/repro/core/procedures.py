@@ -20,6 +20,7 @@ output is bit-identical across procedures.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -176,6 +177,12 @@ def compact_tables(
     S1–S7 step of every sub-task records a span (plus one ``compaction``
     umbrella span), so a PCP run renders as the paper's Fig 6/7 overlap
     diagram.
+
+    Every output is synced before this returns, in one group barrier
+    (:meth:`TableSink.finish`, traced as ``S7:sync``) that the stats
+    count in ``wall_seconds`` and ``stage_seconds["write"]``.  On any
+    exception the open outputs are closed unsynced and the error
+    propagates; deleting the partial files is the caller's job.
     """
     spec = spec or ProcedureSpec.scp()
     subtasks = partition_subtasks(
@@ -204,13 +211,25 @@ def compact_tables(
             executor = owned.enter_context(
                 ThreadPoolExecutor(workers, thread_name_prefix="pcp-compute")
             )
-        stats = execute_subtasks(
-            subtasks, sink, executor, window,
-            options.compression, options.checksum, options.block_bytes,
-            options.block_restart_interval, drop_deletes, smallest_snapshot,
-            tracer=tracer, remote=remote,
-        )
-        outputs = sink.finish()
+        try:
+            stats = execute_subtasks(
+                subtasks, sink, executor, window,
+                options.compression, options.checksum, options.block_bytes,
+                options.block_restart_interval, drop_deletes, smallest_snapshot,
+                tracer=tracer, remote=remote,
+            )
+            # The durability barrier is the end of S7: it counts as
+            # write time and as wall time.
+            t0 = time.perf_counter()
+            with tracer.span("S7:sync", cat="write",
+                             subtask=max(len(subtasks) - 1, 0)):
+                outputs = sink.finish()
+            barrier_s = time.perf_counter() - t0
+        except BaseException:
+            sink.abandon()
+            raise
+    stats.stage_seconds["write"] += barrier_s
+    stats.wall_seconds += barrier_s
     return outputs, stats, subtasks
 
 

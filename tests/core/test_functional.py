@@ -7,6 +7,7 @@ real tables with SCP, PCP, and C-PPCP and assert bit-identical results.
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +25,8 @@ from repro.lsm.ikey import (
 from repro.lsm.options import Options
 from repro.lsm.table_builder import TableBuilder
 from repro.lsm.table_reader import Table
+
+from tests.helpers import RecordingStorage
 
 
 def _ik(user, seq=1, kind=KIND_VALUE):
@@ -196,6 +199,26 @@ class TestProcedureEquivalence:
             stages = stats.stage_seconds
             assert stages["read"] + stages["write"] <= stats.wall_seconds
             assert stages["compute"] > 0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ProcedureSpec.scp(subtask_bytes=2048), ProcedureSpec.pcp(subtask_bytes=2048)],
+        ids=["scp", "pcp"],
+    )
+    def test_durability_barrier_counts_as_write(self, setup, spec):
+        """Output syncs are S7's, the group barrier at the end included:
+        a device whose sync is slow shows up in ``write`` and the wall."""
+        storage, options, upper, lower, *_ = setup
+        slow = RecordingStorage(storage, sync_sleep_s=0.02)
+        counter = itertools.count(100)
+        outputs, stats, _ = compact_tables(
+            [upper, lower], slow, replace(options, sstable_bytes=1 << 20),
+            file_namer=lambda: f"slow-{next(counter):06d}.sst", spec=spec,
+        )
+        assert len(outputs) == 1  # its one sync is the closing barrier
+        stages = stats.stage_seconds
+        assert stages["write"] >= 0.02
+        assert stages["read"] + stages["write"] <= stats.wall_seconds
 
     @pytest.mark.parametrize("shape", ["sequential-insert", "tiered-last-level"])
     def test_output_identical_where_blocks_pass_through(self, shape):

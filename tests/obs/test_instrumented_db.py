@@ -49,7 +49,7 @@ class TestTracedCompaction:
             db.close()
         for step in (
             "S1:read", "S2:checksum", "S3:decompress", "S4:merge",
-            "S5:compress", "S6:rechecksum", "S7:write",
+            "S5:compress", "S6:rechecksum", "S7:write", "S7:sync",
         ):
             assert step in names, f"missing {step} span"
         assert "flush" in names
