@@ -41,7 +41,7 @@ from ..lsm.cache import LRUCache
 from ..lsm.ikey import (
     KIND_DELETE,
     MAX_SEQUENCE,
-    decode_internal_key,
+    internal_order,
     lookup_key,
 )
 from ..lsm.memtable import MemTable
@@ -352,6 +352,15 @@ class DB:
             )
             self._tables[meta.number] = table
         return table
+
+    def _retire_table(self, number: int) -> None:
+        """Forget a table the version no longer holds: drop it from the
+        table cache and its blocks from the block cache.  Not closed: a
+        concurrent scan may still be streaming from the old file (POSIX
+        semantics: the open handle stays valid after deletion)."""
+        table = self._tables.pop(number, None)
+        if table is not None:
+            table.evict()
 
     @contextmanager
     def _unlocked(self):
@@ -849,10 +858,7 @@ class DB:
         self._apply_edit(edit)
         self._crash_point("compaction.installed")
         for meta in task.all_inputs():
-            # Drop from the table cache but do NOT close: a concurrent
-            # scan may still be streaming from the old file (POSIX
-            # semantics: the open handle stays valid after deletion).
-            self._tables.pop(meta.number, None)
+            self._retire_table(meta.number)
             self.storage.delete(meta.name)
         self.stats.compaction_input_bytes += stats.input_bytes
         self.stats.compaction_output_bytes += stats.output_bytes
@@ -911,7 +917,7 @@ class DB:
             if number in referenced:
                 continue
             name = sstable_name(number)
-            self._tables.pop(number, None)
+            self._retire_table(number)
             if self.storage.exists(name):
                 self._safe_delete(name)
 
@@ -946,12 +952,11 @@ class DB:
         )
         for level, meta in corrupt:
             quarantine_name = meta.name + ".quarantined"
-            self._tables.pop(meta.number, None)
+            self._retire_table(meta.number)
             self.storage.rename(meta.name, quarantine_name)
             edit.delete_file(level, meta.number)
             self._quarantined.append(quarantine_name)
             self.obs.metrics.counter("compaction.quarantined").inc()
-        self._cache.clear()  # drop any cached blocks of the bad tables
         self._apply_edit(edit)
         return True
 
@@ -1013,11 +1018,15 @@ class DB:
         with nothing counted; repeat the call with ``wait=True``.
         """
         seq = snapshot.sequence if snapshot is not None else MAX_SEQUENCE
+        # One probe per GET: the memtable seeks with it, each table
+        # bisects with its sort key.
+        probe = lookup_key(key, seq)
+        order = internal_order(probe)
         if not self._lock.acquire(wait):
             raise WouldBlock("db.mutex is held")
         try:
             self._check_open()
-            result = self.memtable.get(key, seq)
+            result = self.memtable.get(key, seq, probe)
             tables = (
                 ()
                 if result.found
@@ -1029,16 +1038,15 @@ class DB:
         finally:
             self._lock.release()
         value = None if result.deleted else result.value
-        probe = lookup_key(key, seq)
         for table in tables:
-            hit = table.get(probe, wait)
+            hit = table.get(probe, wait, order)
             if hit is None:
                 continue
             ikey, found = hit
-            user, _s, kind = decode_internal_key(ikey)
-            if user != key:
+            if ikey[:-8] != key:
                 continue
-            value = None if kind == KIND_DELETE else found
+            # The trailer is little-endian: its first byte is the kind.
+            value = None if ikey[-8] == KIND_DELETE else found
             break
         # Counted once the answer is known, so a WouldBlock probe and
         # its wait=True repeat are one get; outside the mutex, hence

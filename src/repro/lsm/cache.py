@@ -1,10 +1,16 @@
 """LRU block cache.
 
 Caches *decoded* data blocks keyed by ``(table_id, block_offset)`` so
-repeated point lookups skip S1–S3 (read, checksum, decompress).  The
-capacity is entry-counted; with the default 4 KiB blocks that makes
-sizing predictable.  Thread-safe: the DB's read path may race with the
-background compaction thread.
+repeated point lookups skip S1–S3 (read, checksum, decompress) and the
+parse: each value is a :data:`repro.lsm.table_reader.DecodedBlock`, the
+block's entries and their sort keys.  The capacity counts blocks, not
+bytes.  What one block costs depends on how many entries it holds;
+measured with ``sys.getsizeof`` over every object of a 4 KiB block of
+16-byte user keys (CPython 3.11, 64-bit): 14.1 KiB for 36 entries of
+100 B values (3.5× the block), 6.5 KiB for 5 entries of 1 KB values
+(1.3×).  The default 1,024 blocks of 100 B values take about 14 MiB.
+Thread-safe: the DB's read path may race with the background compaction
+thread, and the cached blocks are shared read-only between threads.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ __all__ = [
     "encode_internal_key",
     "decode_internal_key",
     "internal_compare",
+    "internal_order",
     "lookup_key",
 ]
 
@@ -79,6 +80,18 @@ def internal_compare(a: bytes, b: bytes) -> int:
     if ta < tb:
         return 1
     return 0
+
+
+def internal_order(ikey: bytes) -> tuple[bytes, int]:
+    """Sort key of an internal key: ``(user_key, -trailer)``.
+
+    Tuples of these compare in C exactly as :func:`internal_compare`
+    orders the keys (a user key that is a prefix of another sorts
+    first, as bytewise), so ``bisect`` over a list of them finds an
+    entry without a Python comparison per step.  :func:`repro.lsm.
+    iterators.merge_iterators` orders its heap the same way.
+    """
+    return ikey[:-8], -int.from_bytes(ikey[-8:], "little")
 
 
 class InternalKey:

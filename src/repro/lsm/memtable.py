@@ -121,9 +121,19 @@ class MemTable:
         """Insert a tombstone."""
         self.add(sequence, KIND_DELETE, user_key, b"")
 
-    def get(self, user_key: bytes, snapshot: int = MAX_SEQUENCE) -> GetResult:
-        """Newest entry for ``user_key`` visible at ``snapshot``."""
-        probe = encode_internal_key(user_key, snapshot, KIND_VALUE)
+    def get(
+        self,
+        user_key: bytes,
+        snapshot: int = MAX_SEQUENCE,
+        probe: Optional[bytes] = None,
+    ) -> GetResult:
+        """Newest entry for ``user_key`` visible at ``snapshot``.
+
+        ``probe`` is ``lookup_key(user_key, snapshot)`` where the caller
+        already holds it (the DB read path encodes it once per GET).
+        """
+        if probe is None:
+            probe = encode_internal_key(user_key, snapshot, KIND_VALUE)
         node = self._find_greater_or_equal(probe)
         if node is None:
             return GetResult.NOT_FOUND

@@ -1,13 +1,17 @@
 """SSTable reader: point lookups and ordered iteration.
 
 ``Table.get`` is the read path the paper's background compactions keep
-short: bloom probe → index binary search → one data-block read (S1) →
-checksum verify (S2) → decompress (S3) → in-block binary search.
-``Table.__iter__``/``iter_from`` drive both scans and compaction input.
+short: bloom probe → index bisect → the data block, from the block
+cache or read (S1), checksum-verified (S2), decompressed (S3) and
+decoded → a bisect for the entry.  Both bisects compare
+:func:`repro.lsm.ikey.internal_order` tuples, so they run in C: a
+cached GET re-parses nothing.  ``Table.__iter__``/``iter_from`` drive
+scans.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterator, Optional
 
 from ..codec.checksum import get_checksummer
@@ -15,7 +19,7 @@ from ..devices.vfs import ReadableFile
 from .blockfmt import Block
 from .bloom import BloomFilter
 from .cache import LRUCache
-from .ikey import internal_compare
+from .ikey import internal_order
 from .options import Options
 from .table_format import (
     FOOTER_SIZE,
@@ -26,7 +30,20 @@ from .table_format import (
     read_block,
 )
 
-__all__ = ["Table", "WouldBlock"]
+__all__ = ["DecodedBlock", "Table", "WouldBlock", "decode_block"]
+
+#: A data block as the table hands it out, and as the block cache holds
+#: it: the entries in key order, and aligned with them each key's
+#: :func:`~repro.lsm.ikey.internal_order`, the list ``bisect`` searches.
+DecodedBlock = tuple[list[tuple[bytes, bytes]], list[tuple[bytes, int]]]
+
+
+def decode_block(raw: bytes) -> DecodedBlock:
+    """Decode a data block's entries and their sort keys, once
+    (:func:`~repro.lsm.ikey.internal_order`, inlined)."""
+    entries = Block(raw).entries()
+    trailer = int.from_bytes
+    return entries, [(k[:-8], -trailer(k[-8:], "little")) for k, _ in entries]
 
 
 class WouldBlock(Exception):
@@ -67,16 +84,14 @@ class Table:
             raise TableCorruption(f"file too small for a footer: {size} bytes")
         footer = Footer.decode(file.pread(size - FOOTER_SIZE, FOOTER_SIZE))
         self.num_entries = footer.num_entries
-        self._index = Block(
-            self._load_block(footer.index_handle, cacheable=False),
-            compare=internal_compare,
-        )
-        filter_blob = self._load_block(footer.filter_handle, cacheable=False)
+        # The index in file order: each data block's separator key, its
+        # location, and the separators' sort keys for the bisect.
+        index = Block(self._load_block(footer.index_handle)).entries()
+        self._separators = [k for k, _ in index]
+        self._handles = [BlockHandle.decode(v)[0] for _, v in index]
+        self._index_order = [internal_order(k) for k in self._separators]
+        filter_blob = self._load_block(footer.filter_handle)
         self._bloom = BloomFilter(filter_blob) if filter_blob else None
-        # Index entries in file order: (separator_key, handle).
-        self._index_entries = [
-            (k, BlockHandle.decode(v)[0]) for k, v in self._index
-        ]
 
     @property
     def file(self) -> ReadableFile:
@@ -84,41 +99,49 @@ class Table:
         return self._file
 
     # -- block access ------------------------------------------------
-    def _load_block(
-        self, handle: BlockHandle, cacheable: bool = True, wait: bool = True
-    ) -> bytes:
-        if cacheable and self._cache is not None:
+    def _load_block(self, handle: BlockHandle) -> bytes:
+        """One block's payload from the device, verified and
+        decompressed, past the cache."""
+        stored = read_block(self._file, handle)
+        return decode_block_contents(
+            stored, self._checksummer, verify=self.options.paranoid_checks
+        )
+
+    def _block_at(self, handle: BlockHandle, wait: bool = True) -> DecodedBlock:
+        cache = self._cache
+        if cache is not None:
             key = (self._table_id, handle.offset)
             # A non-waiting miss is not a lookup: the caller repeats the
             # read with wait=True and that one counts.
-            cached = self._cache.get(key, count_miss=wait)
-            if cached is not None:
-                return cached
+            block = cache.get(key, count_miss=wait)
+            if block is not None:
+                return block
         if not wait:
             raise WouldBlock("block is not in the cache")
-        stored = read_block(self._file, handle)
-        raw = decode_block_contents(
-            stored, self._checksummer, verify=self.options.paranoid_checks
-        )
-        if cacheable and self._cache is not None:
-            self._cache.put((self._table_id, handle.offset), raw)
-        return raw
+        block = decode_block(self._load_block(handle))
+        if cache is not None:
+            cache.put(key, block)
+        return block
 
-    def _block_at(self, handle: BlockHandle, wait: bool = True) -> Block:
-        return Block(
-            self._load_block(handle, wait=wait), compare=internal_compare
-        )
+    def evict(self) -> None:
+        """Drop this table's blocks from the block cache and cache no
+        more of them.  Called when the version drops the table; a reader
+        that still holds it (a cursor mid-scan) reads on, uncached."""
+        cache, self._cache = self._cache, None
+        if cache is not None:
+            for handle in self._handles:
+                cache.invalidate((self._table_id, handle.offset))
 
     def num_blocks(self) -> int:
-        return len(self._index_entries)
+        return len(self._handles)
 
     def block_handles(self) -> list[BlockHandle]:
         """Data-block locations in key order (compaction input)."""
-        return [h for _, h in self._index_entries]
+        return list(self._handles)
 
     def block_separators(self) -> list[bytes]:
         """Index separator keys, aligned with :meth:`block_handles`."""
-        return [k for k, _ in self._index_entries]
+        return list(self._separators)
 
     def key_range(self) -> Optional[tuple[bytes, bytes]]:
         """(smallest, largest) internal key; None if there is no data block.
@@ -129,84 +152,78 @@ class Table:
         Not handed the range, read the edge blocks — once per ``Table``,
         and past the block cache, which belongs to readers.
         """
-        if self._key_range is None and self._index_entries:
+        if self._key_range is None and self._handles:
             first, last = (
-                Block(self._load_block(handle, cacheable=False))
-                for handle in (self._index_entries[0][1], self._index_entries[-1][1])
+                Block(self._load_block(handle))
+                for handle in (self._handles[0], self._handles[-1])
             )
             *_, (largest, _value) = last
             self._key_range = (first.first_key(), largest)
         return self._key_range
 
     # -- lookups -----------------------------------------------------
-    def _find_block_index(self, ikey: bytes) -> Optional[int]:
-        """First block whose separator >= ikey (may contain ikey)."""
-        entries = self._index_entries
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if internal_compare(entries[mid][0], ikey) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo if lo < len(entries) else None
-
     def get(
-        self, ikey: bytes, wait: bool = True
+        self,
+        ikey: bytes,
+        wait: bool = True,
+        order: Optional[tuple[bytes, int]] = None,
     ) -> Optional[tuple[bytes, bytes]]:
         """First entry with internal key >= ``ikey``, or None.
 
         The caller (DB read path) checks whether the returned entry's
-        user key actually matches.  With ``wait=False`` only the block
-        cache is consulted: a block that would need a device read raises
+        user key actually matches, and may pass ``order``, the probe's
+        :func:`~repro.lsm.ikey.internal_order`, computed once for every
+        table it asks.  With ``wait=False`` only the block cache is
+        consulted: a block that would need a device read raises
         :class:`WouldBlock`.
         """
-        if self._bloom is not None and not self._bloom.may_contain(ikey[:-8]):
+        if order is None:
+            order = internal_order(ikey)
+        if self._bloom is not None and not self._bloom.may_contain(order[0]):
             return None
-        idx = self._find_block_index(ikey)
-        if idx is None:
-            return None
-        block = self._block_at(self._index_entries[idx][1], wait)
-        for key, value in block.seek(ikey):
-            return key, value
-        # The target sorts after everything in this block; try the next.
-        if idx + 1 < len(self._index_entries):
-            block = self._block_at(self._index_entries[idx + 1][1], wait)
-            for key, value in block.seek(ikey):  # its first entry, lazily
-                return key, value
+        idx = bisect_left(self._index_order, order)
+        # The next block answers only where this one's separator
+        # over-covers: the target sorts after every key it holds.
+        for handle in self._handles[idx : idx + 2]:
+            entries, orders = self._block_at(handle, wait)
+            pos = bisect_left(orders, order)
+            if pos < len(entries):
+                return entries[pos]
         return None
 
     # -- iteration ---------------------------------------------------
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
-        for _, handle in self._index_entries:
-            yield from self._block_at(handle)
+        for handle in self._handles:
+            yield from self._block_at(handle)[0]
 
     def iter_from(self, ikey: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Entries with internal key >= ``ikey``, in order."""
-        idx = self._find_block_index(ikey)
-        if idx is None:
+        order = internal_order(ikey)
+        idx = bisect_left(self._index_order, order)
+        if idx == len(self._handles):
             return
-        block = self._block_at(self._index_entries[idx][1])
-        yield from block.seek(ikey)
-        for _, handle in self._index_entries[idx + 1 :]:
-            yield from self._block_at(handle)
+        entries, orders = self._block_at(self._handles[idx])
+        yield from entries[bisect_left(orders, order) :]
+        for handle in self._handles[idx + 1 :]:
+            yield from self._block_at(handle)[0]
 
     def iter_reverse(self) -> Iterator[tuple[bytes, bytes]]:
         """All entries in descending internal-key order."""
-        for _, handle in reversed(self._index_entries):
-            yield from self._block_at(handle).iter_reverse()
+        for handle in reversed(self._handles):
+            yield from reversed(self._block_at(handle)[0])
 
     def iter_reverse_from(self, ikey: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Entries with internal key <= ``ikey``, descending."""
-        idx = self._find_block_index(ikey)
-        if idx is None:
+        order = internal_order(ikey)
+        idx = bisect_left(self._index_order, order)
+        if idx == len(self._handles):
             # Everything sorts before ikey: full reverse stream.
             yield from self.iter_reverse()
             return
-        block = self._block_at(self._index_entries[idx][1])
-        yield from block.seek_reverse(ikey)
-        for _, handle in reversed(self._index_entries[:idx]):
-            yield from self._block_at(handle).iter_reverse()
+        entries, orders = self._block_at(self._handles[idx])
+        yield from reversed(entries[: bisect_right(orders, order)])
+        for handle in reversed(self._handles[:idx]):
+            yield from reversed(self._block_at(handle)[0])
 
     def close(self) -> None:
         self._file.close()

@@ -18,6 +18,7 @@ by run id, and a higher run id strictly shadows lower ones per key
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,6 +76,12 @@ def sstable_number(name: str) -> int:
         return zlib.crc32(name.encode()) % (1 << 31)
 
 
+_SearchPlan = tuple[
+    list[tuple[bytes, bytes, FileMetaData]],
+    list[tuple[int, list[bytes], list[bytes], list[FileMetaData]]],
+]
+
+
 class Version:
     """Tree shape: files per level plus invariant checking."""
 
@@ -90,6 +97,9 @@ class Version:
         #: with (persisted via the manifest's POLICY edit tag); None
         #: on legacy manifests, which means classic leveled.
         self.policy_spec: Optional[str] = None
+        # files_for_get's search plan, built on first use and dropped by
+        # every mutation (both go through add_file / remove_file).
+        self._plan: Optional[_SearchPlan] = None
 
     # -- mutation (the DB applies edits under its own lock) ----------
     def add_file(self, level: int, meta: FileMetaData) -> None:
@@ -111,12 +121,15 @@ class Version:
             ):
                 idx += 1
             lst.insert(idx, meta)
+        self._plan = None
 
     def remove_file(self, level: int, number: int) -> FileMetaData:
         lst = self.files[level]
         for i, meta in enumerate(lst):
             if meta.number == number:
-                return lst.pop(i)
+                del lst[i]
+                self._plan = None
+                return meta
         raise KeyError(f"file {number} not at level {level}")
 
     # -- queries ------------------------------------------------------
@@ -164,36 +177,36 @@ class Version:
 
         L0 newest→oldest (all overlapping candidates), then per deeper
         level at most one file per sorted run, newest run first (newer
-        runs shadow older ones, same argument as L0 files).
+        runs shadow older ones, same argument as L0 files): a bisect
+        over the run's largest user keys.
         """
-        out: list[tuple[int, FileMetaData]] = []
-        for meta in reversed(self.files[0]):
-            if meta.overlaps(user_key, user_key):
-                out.append((0, meta))
-        for level in range(1, self.options.num_levels):
-            lst = self.files[level]
-            if not lst:
-                continue
-            for _run_id, run_files in reversed(self.runs(level)):
-                meta = self._find_in_run(run_files, user_key)
-                if meta is not None:
-                    out.append((level, meta))
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = self._search_plan()
+        l0, runs = plan
+        out = [(0, meta) for small, large, meta in l0 if small <= user_key <= large]
+        for level, largest, smallest, run_files in runs:
+            i = bisect_left(largest, user_key)
+            if i < len(run_files) and smallest[i] <= user_key:
+                out.append((level, run_files[i]))
         return out
 
-    @staticmethod
-    def _find_in_run(
-        run_files: list[FileMetaData], user_key: bytes
-    ) -> Optional[FileMetaData]:
-        lo, hi = 0, len(run_files)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if run_files[mid].largest[:-8] < user_key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(run_files) and run_files[lo].overlaps(user_key, user_key):
-            return run_files[lo]
-        return None
+    def _search_plan(self) -> "_SearchPlan":
+        """Per L0 file (newest first) its user-key bounds; per deeper
+        run (newest first within a level) its files and their smallest
+        and largest user keys, in key order."""
+        l0 = [(m.smallest[:-8], m.largest[:-8], m) for m in reversed(self.files[0])]
+        runs = [
+            (
+                level,
+                [m.largest[:-8] for m in run_files],
+                [m.smallest[:-8] for m in run_files],
+                run_files,
+            )
+            for level in range(1, self.options.num_levels)
+            for _run_id, run_files in reversed(self.runs(level))
+        ]
+        return l0, runs
 
     def overlapping_files(
         self,
