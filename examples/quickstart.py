@@ -57,13 +57,20 @@ def main() -> None:
 
         print("\ntree shape after load:")
         print(db.describe())
+        # Every count the engine keeps is in its metrics registry; a
+        # counter appears once it has counted something.
+        metrics = db.metrics_snapshot()
+        count = metrics["counters"].get
         print(
-            f"\nflushes={db.stats.flushes}  compactions={db.stats.compactions} "
-            f"(trivial moves={db.stats.trivial_moves})"
+            f"\nflushes={count('db.flushes', 0)}  "
+            f"compactions={count('db.compactions', 0)} "
+            f"(trivial moves={count('compaction.trivial_moves', 0)})"
         )
+        busy = metrics["histograms"].get("compaction.seconds", {}).get("sum")
+        bandwidth = count("compaction.input_bytes", 0) / busy if busy else 0.0
         print(
             "compaction bandwidth (functional, wall-clock): "
-            f"{db.stats.compaction_bandwidth() / 1e6:.1f} MB/s"
+            f"{bandwidth / 1e6:.1f} MB/s"
         )
 
         # -- ordered scans ------------------------------------------------

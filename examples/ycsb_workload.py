@@ -50,7 +50,8 @@ def main() -> None:
         counts = workload.apply_to(db)
         elapsed = time.perf_counter() - t0
 
-        cache = db._cache.stats
+        counters = db.metrics_snapshot()["counters"]
+        hits, misses = counters["cache.hits"], counters["cache.misses"]
         rows.append(
             [
                 mix.upper(),
@@ -59,8 +60,8 @@ def main() -> None:
                 counts.get("insert", 0),
                 counts.get("rmw", 0),
                 ops_per_mix / elapsed,
-                f"{cache.hit_rate() * 100:.0f}%",
-                db.stats.compactions,
+                f"{hits / (hits + misses) * 100:.0f}%",
+                counters["db.compactions"],
             ]
         )
         db.close()

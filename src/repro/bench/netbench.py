@@ -104,7 +104,7 @@ class NetBenchResult:
             f"p50={self.percentile_ms(50):.3f}ms "
             f"p95={self.percentile_ms(95):.3f}ms "
             f"p99={self.percentile_ms(99):.3f}ms "
-            f"max={self.latency.max_s * 1e3:.1f}ms | "
+            f"max={self.latency.vmax * 1e3:.1f}ms | "
             f"stall_retries={self.stall_retries}"
             + (
                 f" | client_retries={self.client_retries} "

@@ -162,7 +162,7 @@ def run_insert_workload(
         workload.apply_to(db)
         db.flush()
         levels = [db.num_files(lv) for lv in range(options.num_levels)]
-        n_flushes = db.stats.flushes
+        n_flushes = db.obs.metrics.counter("db.flushes").value
     finally:
         db.close()
     return SystemRunResult(

@@ -17,15 +17,14 @@ it, they just satisfy it (checked by the conformance test in
   :meth:`ShardedDB.scan` falls back to a heap merge of per-shard scans
   when any shard cannot produce a cursor;
 * ``obs`` — every implementation happens to carry an
-  :class:`repro.obs.Observability` bundle, but it is a metrics
-  affordance, not part of the data contract.
+  :class:`repro.obs.Observability` bundle, but a remote shard's holds
+  its client's counters, not the remote engine's; the engine's counts
+  are what ``metrics_snapshot`` returns.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Protocol, runtime_checkable
-
-from ..db.db import DBStats
 
 __all__ = ["ShardLike"]
 
@@ -45,8 +44,8 @@ class ShardLike(Protocol):
       ``[start, end)`` in key order (descending for reverse);
     * ``write_stalled`` is advisory backpressure — True means a write
       issued now would block or be rejected;
-    * ``stats`` returns cumulative counters (a
-      :class:`repro.db.db.DBStats`);
+    * ``metrics_snapshot`` returns the shard engine's cumulative
+      metrics, shaped like :meth:`repro.obs.MetricsRegistry.snapshot`;
     * ``close`` is idempotent.
     """
 
@@ -90,8 +89,7 @@ class ShardLike(Protocol):
     # ------------------------------------------------------------- admin
     def write_stalled(self, keys=None) -> bool: ...
 
-    @property
-    def stats(self) -> DBStats: ...
+    def metrics_snapshot(self) -> dict: ...
 
     def num_files(self, level: int) -> int: ...
 

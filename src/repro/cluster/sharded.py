@@ -15,7 +15,7 @@ Facade contract: ``ShardedDB`` is duck-compatible with the ``DB``
 surface the network server (:mod:`repro.server`), the bench harness,
 and ``dbtool`` consume — ``put``/``get``/``delete``/``write``/
 ``multi_get``/``scan``/``scan_reverse``/``cursor``/``snapshot``/
-``flush``/``compact_range``/``stats``/``close`` — so the whole stack
+``flush``/``compact_range``/``metrics_snapshot``/``close`` — so the whole stack
 gains a cluster mode without forking code paths.
 
 Consistency model (documented, not hidden):
@@ -42,7 +42,7 @@ from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from ..core.procedures import ProcedureSpec
-from ..db.db import DB, DBStats, Snapshot
+from ..db.db import DB, Snapshot, db_counts
 from ..devices.vfs import Storage
 from ..lsm.options import Options
 from ..lsm.wal import WriteBatch
@@ -89,7 +89,6 @@ class ShardedDB:
         options: Optional[Options] = None,
         compaction_spec: Optional[ProcedureSpec] = None,
         background: bool = False,
-        sync_every: Optional[int] = None,
         pool_workers: Optional[int] = None,
         obs: Optional[Observability] = None,
     ) -> None:
@@ -164,7 +163,6 @@ class ShardedDB:
                         self.options,
                         compaction_spec=self.compaction_spec,
                         background=background,
-                        sync_every=sync_every,
                         obs=Observability(
                             metrics=MetricsRegistry(),
                             tracer=self.obs.tracer,
@@ -470,42 +468,20 @@ class ShardedDB:
             i for i, shard in enumerate(self.shards) if shard.write_stalled()
         ]
 
-    @property
-    def stats(self) -> DBStats:
-        """Aggregated operational counters across shards (a fresh
-        DBStats; mutate per-shard ``shards[i].stats`` instead)."""
-        total = DBStats()
-        for shard in self.shards:
-            s = shard.stats
-            total.writes += s.writes
-            total.gets += s.gets
-            total.flushes += s.flushes
-            total.compactions += s.compactions
-            total.trivial_moves += s.trivial_moves
-            total.compaction_input_bytes += s.compaction_input_bytes
-            total.compaction_output_bytes += s.compaction_output_bytes
-            total.compaction_seconds += s.compaction_seconds
-            total.write_stalls += s.write_stalls
-            for level, n in s.per_level_compactions.items():
-                total.per_level_compactions[level] = (
-                    total.per_level_compactions.get(level, 0) + n
-                )
-        return total
-
     def shard_stats(self) -> list[dict]:
         """Per-shard operational summary (the STATS ``cluster.shards``
         payload and ``dbtool stats --shards``)."""
         out = []
         for i, shard in enumerate(self.shards):
-            s = shard.stats
+            s = db_counts(shard.metrics_snapshot())
             out.append(
                 {
                     "shard": i,
-                    "writes": s.writes,
-                    "gets": s.gets,
-                    "flushes": s.flushes,
-                    "compactions": s.compactions,
-                    "write_stalls": s.write_stalls,
+                    "writes": s["writes"],
+                    "gets": s["gets"],
+                    "flushes": s["flushes"],
+                    "compactions": s["compactions"],
+                    "write_stalls": s["write_stalls"],
                     "l0_files": shard.num_files(0),
                     "total_bytes": shard.total_bytes(),
                     "write_stalled_now": shard.write_stalled(),
@@ -516,19 +492,15 @@ class ShardedDB:
     def metrics_snapshot(self) -> dict:
         """Cluster metrics with a shard dimension.
 
-        Per-shard registries appear as ``cluster.shard<N>.<name>``,
+        Each shard's ``metrics_snapshot()`` (a remote shard's is its
+        server's engine section) appears as ``cluster.shard<N>.<name>``,
         counters/gauges additionally roll up under their bare names,
         and the cluster's own registry (``cluster.pool.*``) rides
         along unprefixed.  See :func:`repro.obs.merge_shard_snapshots`.
         """
         return merge_shard_snapshots(
             self.obs.metrics.snapshot(),
-            [
-                shard.obs.metrics.snapshot()
-                if getattr(shard, "obs", None) is not None
-                else {}
-                for shard in self.shards
-            ],
+            [shard.metrics_snapshot() for shard in self.shards],
         )
 
     def num_files(self, level: int) -> int:
@@ -598,11 +570,11 @@ class ShardedDB:
                 return None
             return str(self.num_files(level))
         if name == "stats":
-            s = self.stats
+            s = db_counts(self.metrics_snapshot())
             return (
-                f"shards={self.n_shards} writes={s.writes} gets={s.gets} "
-                f"flushes={s.flushes} compactions={s.compactions} "
-                f"stalls={s.write_stalls}"
+                f"shards={self.n_shards} writes={s['writes']} "
+                f"gets={s['gets']} flushes={s['flushes']} "
+                f"compactions={s['compactions']} stalls={s['write_stalls']}"
             )
         if name == "quarantine":
             lines = []

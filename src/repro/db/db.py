@@ -14,8 +14,13 @@ on a background thread (``background=True``) with the paper's
 write-pause behaviour: the foreground stalls only when L0 backs up.
 
 Durability: every write batch is appended to the WAL before touching
-the memtable; ``sync_every`` batches force an fsync.  Recovery replays
-MANIFEST then the live WAL.
+the memtable; every ``Options.wal_sync_interval`` batches force an
+fsync.  Recovery replays MANIFEST then the live WAL.
+
+Counts (writes, gets, flushes, compactions, cache hits, I/O) live only
+in the ``obs`` bundle's :class:`repro.obs.MetricsRegistry`;
+:meth:`DB.metrics_snapshot` reads them all and :func:`db_counts` picks
+out the ones STATS and the ``stats`` property report.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import json
 import threading
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Iterator, Optional
 
 from ..analysis.locksan import make_lock, make_rlock
@@ -54,29 +59,28 @@ from ..lsm.wal import LogReader, LogWriter, WalRetention, WriteBatch
 from ..obs import Observability
 from .manifest import ManifestWriter, VersionEdit, recover_version, set_current
 
-__all__ = ["DB", "DBStats", "Snapshot", "WouldBlock"]
+__all__ = ["DB", "DB_COUNTERS", "Snapshot", "WouldBlock", "db_counts"]
+
+#: The counts STATS' ``db`` section reports, each read from one
+#: registry counter.  ``compactions`` counts every task run (trivial
+#: moves and aborted tasks included); ``compaction.count`` counts only
+#: the merges that completed.
+DB_COUNTERS = {
+    "writes": "db.writes",
+    "gets": "db.gets",
+    "flushes": "db.flushes",
+    "compactions": "db.compactions",
+    "trivial_moves": "compaction.trivial_moves",
+    "write_stalls": "db.write_stalls",
+    "compaction_input_bytes": "compaction.input_bytes",
+    "compaction_output_bytes": "compaction.output_bytes",
+}
 
 
-@dataclass
-class DBStats:
-    """Operational counters."""
-
-    writes: int = 0
-    gets: int = 0
-    flushes: int = 0
-    compactions: int = 0
-    trivial_moves: int = 0
-    compaction_input_bytes: int = 0
-    compaction_output_bytes: int = 0
-    compaction_seconds: float = 0.0
-    write_stalls: int = 0
-    per_level_compactions: dict[int, int] = field(default_factory=dict)
-
-    def compaction_bandwidth(self) -> float:
-        """Bytes of compaction input processed per second of compaction."""
-        if self.compaction_seconds <= 0:
-            return 0.0
-        return self.compaction_input_bytes / self.compaction_seconds
+def db_counts(snapshot: dict) -> dict[str, int]:
+    """The :data:`DB_COUNTERS` of a metrics snapshot (0 if never counted)."""
+    counters = snapshot["counters"]
+    return {field: counters.get(name, 0) for field, name in DB_COUNTERS.items()}
 
 
 class Snapshot:
@@ -110,7 +114,6 @@ class DB:
         options: Optional[Options] = None,
         compaction_spec: Optional[ProcedureSpec] = None,
         background: bool = False,
-        sync_every: Optional[int] = None,
         observer=None,
         obs: Optional[Observability] = None,
         compute_pool=None,
@@ -151,7 +154,8 @@ class DB:
         self.compaction_spec = compaction_spec or ProcedureSpec.scp()
         self.compute_pool = compute_pool
         self.observer = observer
-        self.stats = DBStats()
+        self._m_writes = self.obs.metrics.counter("db.writes")
+        self._m_gets = self.obs.metrics.counter("db.gets")
         #: ring of recent compaction records (dicts); see _record_compaction.
         self.compaction_log: list[dict] = []
         self._compaction_log_cap = 64
@@ -160,7 +164,6 @@ class DB:
         # The mutex also guards the version set and manifest.
         self._lock = make_rlock("db.mutex")
         self._file_number_lock = make_lock("db.file_number")
-        self._gets_lock = make_lock("db.gets")
         # Race-sanitizer marker for the version set + manifest state the
         # mutex guards; inert (NULL_STATE) outside REPRO_RACE_SANITIZER.
         self._version_state = shared_state("db.version")
@@ -170,9 +173,7 @@ class DB:
         self._tables: dict[int, Table] = {}
         self._snapshots: list[Snapshot] = []
         self._closed = False
-        self._sync_every = (
-            sync_every if sync_every is not None else self.options.wal_sync_interval
-        )
+        self._sync_every = self.options.wal_sync_interval
         self._batches_since_sync = 0
         # Replication hooks: listeners observe every durable write
         # batch (``fn(base_seq, last_seq, record)`` under the DB lock);
@@ -211,8 +212,6 @@ class DB:
             spec = canonical_spec(None, self.options)  # legacy => leveled
         self.policy = make_policy(spec, self.options)
         self.version.policy_spec = self.policy.spec()
-        #: Back-compat alias (the pre-policy engine called it a picker).
-        self.picker = self.policy
         self.memtable = MemTable(seed=0)
         self._replay_wal(log_number)
         if len(self.memtable):
@@ -409,7 +408,7 @@ class DB:
                 self._batches_since_sync = 0
             for offset, (kind, key, value) in enumerate(batch):
                 self.memtable.add(base_seq + offset, kind, key, value)
-            self.stats.writes += len(batch)
+            self._m_writes.inc(len(batch))
             if self.observer is not None:
                 self.observer.on_write(batch, len(encoded))
             self._notify_wal_listeners(
@@ -421,10 +420,9 @@ class DB:
 
     def _maybe_stall(self) -> None:
         """Paper §I: slow compaction causes write pauses."""
-        if self.picker.write_stall(self.version):
+        if self.policy.write_stall(self.version):
             import time
 
-            self.stats.write_stalls += 1
             self.obs.metrics.counter("db.write_stalls").inc()
             events = self.obs.events
             if events.enabled:
@@ -435,7 +433,7 @@ class DB:
             with self.obs.tracer.span("write-stall", cat="stall"):
                 if self._background:
                     while (
-                        self.picker.write_stall(self.version)
+                        self.policy.write_stall(self.version)
                         and not self._closed
                     ):
                         self._bg_wake.notify_all()
@@ -517,7 +515,6 @@ class DB:
             else:
                 self.storage.delete(old_wal_name)
             self.memtable = MemTable(seed=number)
-        self.stats.flushes += 1
         self.obs.metrics.counter("db.flushes").inc()
         self.obs.metrics.counter("db.flush_bytes").inc(meta.file_size)
         flush_s = time.perf_counter() - t0
@@ -620,7 +617,7 @@ class DB:
             for offset, (kind, key, value) in enumerate(batch):
                 self.memtable.add(base_seq + offset, kind, key, value)
             self._sequence = last_seq
-            self.stats.writes += len(batch)
+            self._m_writes.inc(len(batch))
             self._notify_wal_listeners(base_seq, last_seq, record)
             if self.memtable.approximate_bytes >= self.options.memtable_bytes:
                 self._flush_memtable()
@@ -676,7 +673,7 @@ class DB:
     # ------------------------------------------------------ compaction
     def _compact_until_quiet(self) -> None:
         while True:
-            task = self.picker.pick(self.version)
+            task = self.policy.pick(self.version)
             if task is None:
                 return
             self._run_compaction(task)
@@ -694,7 +691,7 @@ class DB:
             )
         with self._lock:
             self._check_open()
-            task = self.picker.pick(self.version)
+            task = self.policy.pick(self.version)
             if task is None:
                 return False
             self._run_compaction(task)
@@ -742,10 +739,7 @@ class DB:
         """
         import time
 
-        self.stats.compactions += 1
-        self.stats.per_level_compactions[task.level] = (
-            self.stats.per_level_compactions.get(task.level, 0) + 1
-        )
+        self.obs.metrics.counter("db.compactions").inc()
         self.obs.metrics.counter(f"compaction.policy.{self.policy.name}").inc()
         if task.is_trivial_move():
             meta = task.inputs_upper[0]
@@ -753,7 +747,6 @@ class DB:
             edit.delete_file(task.level, meta.number)
             edit.add_file(task.output_level, replace(meta, run=task.output_run))
             self._apply_edit(edit)
-            self.stats.trivial_moves += 1
             self.obs.metrics.counter("compaction.trivial_moves").inc()
             if self.observer is not None:
                 self.observer.on_trivial_move(task)
@@ -860,9 +853,6 @@ class DB:
         for meta in task.all_inputs():
             self._retire_table(meta.number)
             self.storage.delete(meta.name)
-        self.stats.compaction_input_bytes += stats.input_bytes
-        self.stats.compaction_output_bytes += stats.output_bytes
-        self.stats.compaction_seconds += elapsed
         metrics = self.obs.metrics
         metrics.counter("compaction.count").inc()
         metrics.counter("compaction.input_bytes").inc(stats.input_bytes)
@@ -965,12 +955,12 @@ class DB:
             with self._lock:
                 while (
                     not self._closed
-                    and not self.picker.needs_compaction(self.version)
+                    and not self.policy.needs_compaction(self.version)
                 ):
                     self._bg_wake.wait(timeout=0.1)
                 if self._closed:
                     return
-                task = self.picker.pick(self.version)
+                task = self.policy.pick(self.version)
                 if task is None:
                     continue
                 self._compacting = True
@@ -992,7 +982,7 @@ class DB:
         """Block until no compaction is due (background mode helper)."""
         with self._lock:
             while (
-                self.picker.needs_compaction(self.version)
+                self.policy.needs_compaction(self.version)
                 and self._bg_error is None
                 and not self._closed
             ):
@@ -1049,10 +1039,8 @@ class DB:
             value = None if ikey[-8] == KIND_DELETE else found
             break
         # Counted once the answer is known, so a WouldBlock probe and
-        # its wait=True repeat are one get; outside the mutex, hence
-        # the counter's own lock.
-        with self._gets_lock:
-            self.stats.gets += 1
+        # its wait=True repeat are one get.
+        self._m_gets.inc()
         return value
 
     def multi_get(
@@ -1159,7 +1147,7 @@ class DB:
         with ``ShardedDB.write_stalled`` and ignored: a single DB owns
         every key.
         """
-        return self.picker.write_stall(self.version)
+        return self.policy.write_stall(self.version)
 
     def num_files(self, level: int) -> int:
         with self._lock:
@@ -1215,6 +1203,10 @@ class DB:
         if len(self.compaction_log) > self._compaction_log_cap:
             del self.compaction_log[0]
 
+    def metrics_snapshot(self) -> dict:
+        """Every count this DB keeps: its registry's snapshot."""
+        return self.obs.metrics.snapshot()
+
     def get_property(self, name: str) -> Optional[str]:
         """LevelDB-style introspection properties.
 
@@ -1242,13 +1234,14 @@ class DB:
                     return None
                 return str(self.version.num_files(level))
             if name == "stats":
-                s = self.stats
+                s = db_counts(self.metrics_snapshot())
                 return (
-                    f"writes={s.writes} gets={s.gets} flushes={s.flushes} "
-                    f"compactions={s.compactions} "
-                    f"trivial_moves={s.trivial_moves} "
-                    f"stalls={s.write_stalls} "
-                    f"compacted_mb={s.compaction_input_bytes / 1e6:.2f}"
+                    f"writes={s['writes']} gets={s['gets']} "
+                    f"flushes={s['flushes']} "
+                    f"compactions={s['compactions']} "
+                    f"trivial_moves={s['trivial_moves']} "
+                    f"stalls={s['write_stalls']} "
+                    f"compacted_mb={s['compaction_input_bytes'] / 1e6:.2f}"
                 )
             if name == "sstables":
                 return self.version.describe()
@@ -1283,7 +1276,7 @@ class DB:
             if name == "compaction-policy":
                 return self.policy.spec()
             if name == "metrics":
-                return json.dumps(self.obs.metrics.snapshot(), sort_keys=True)
+                return json.dumps(self.metrics_snapshot(), sort_keys=True)
             if name == "io-stats":
                 items = self.obs.metrics.items_with_prefix("io.")
                 lines = [f"{key}={metric.value}" for key, metric in items]
@@ -1291,11 +1284,13 @@ class DB:
             if name == "quarantine":
                 return "\n".join(self._quarantined) if self._quarantined else "(none)"
             if name == "cache-stats":
-                cs = self._cache.stats
+                counters = self.metrics_snapshot()["counters"]
+                hits, misses = counters["cache.hits"], counters["cache.misses"]
+                lookups = hits + misses
                 return (
-                    f"hits={cs.hits} misses={cs.misses} "
-                    f"evictions={cs.evictions} "
-                    f"hit_rate={cs.hit_rate():.4f}"
+                    f"hits={hits} misses={misses} "
+                    f"evictions={counters['cache.evictions']} "
+                    f"hit_rate={hits / lookups if lookups else 0.0:.4f}"
                 )
             return None
 

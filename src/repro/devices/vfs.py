@@ -439,15 +439,13 @@ class MeteredStorage(Storage):
 
     def __init__(self, inner: Storage, metrics, device: Optional[str] = None):
         self.inner = inner
-        self.device = device or type(inner).__name__.removesuffix(
-            "Storage"
-        ).lower()
-        prefix = f"io.{self.device}"
-        self._m_read_ops = metrics.counter(f"{prefix}.read.ops")
-        self._m_read_bytes = metrics.counter(f"{prefix}.read.bytes")
-        self._m_write_ops = metrics.counter(f"{prefix}.write.ops")
-        self._m_write_bytes = metrics.counter(f"{prefix}.write.bytes")
-        self._m_sync_ops = metrics.counter(f"{prefix}.sync.ops")
+        device = device or type(inner).__name__.removesuffix("Storage").lower()
+        self.device = device
+        self._m_read_ops = metrics.counter(f"io.{device}.read.ops")
+        self._m_read_bytes = metrics.counter(f"io.{device}.read.bytes")
+        self._m_write_ops = metrics.counter(f"io.{device}.write.ops")
+        self._m_write_bytes = metrics.counter(f"io.{device}.write.bytes")
+        self._m_sync_ops = metrics.counter(f"io.{device}.sync.ops")
 
     def create(self, name: str) -> WritableFile:
         return _MeteredWritable(self.inner.create(name), self)

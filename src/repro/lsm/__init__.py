@@ -2,7 +2,7 @@
 
 from .blockfmt import Block, BlockBuilder, BlockCorruption, bytewise_compare
 from .bloom import BloomFilter, BloomFilterBuilder, bloom_hash, bloom_hashes
-from .cache import CacheStats, LRUCache
+from .cache import LRUCache
 from .ikey import (
     KIND_DELETE,
     KIND_VALUE,
@@ -43,7 +43,6 @@ __all__ = [
     "BlockHandle",
     "BloomFilter",
     "BloomFilterBuilder",
-    "CacheStats",
     "FOOTER_SIZE",
     "FileMetaData",
     "Footer",

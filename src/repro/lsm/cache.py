@@ -19,46 +19,33 @@ from collections import OrderedDict
 from typing import Any, Hashable, Optional
 
 from ..analysis.locksan import make_lock
+from ..obs.registry import MetricsRegistry
 
-__all__ = ["LRUCache", "CacheStats"]
-
-
-class CacheStats:
-    """Hit/miss counters."""
-
-    __slots__ = ("hits", "misses", "evictions")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
+__all__ = ["LRUCache"]
 
 
 class LRUCache:
-    """A plain LRU map with statistics.
+    """A plain LRU map that counts its hits, misses and evictions.
 
-    ``metrics`` (an optional :class:`repro.obs.MetricsRegistry`) mirrors
-    the hit/miss/eviction counters under ``cache.*`` so cache behaviour
-    shows up in the engine-wide metrics snapshot.
+    The counts are ``cache.hits`` / ``cache.misses`` /
+    ``cache.evictions`` in ``metrics`` (a
+    :class:`repro.obs.MetricsRegistry`; the DB passes its own, so the
+    cache shows up in the engine-wide snapshot), or in a registry of
+    the cache's own when none is given.
     """
 
-    def __init__(self, capacity: int, metrics=None) -> None:
+    def __init__(
+        self, capacity: int, metrics: Optional[MetricsRegistry] = None
+    ) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self._map: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = make_lock("lsm.cache")
-        self.stats = CacheStats()
-        self._m_hits = metrics.counter("cache.hits") if metrics else None
-        self._m_misses = metrics.counter("cache.misses") if metrics else None
-        self._m_evict = metrics.counter("cache.evictions") if metrics else None
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._hits = self.metrics.counter("cache.hits")
+        self._misses = self.metrics.counter("cache.misses")
+        self._evictions = self.metrics.counter("cache.evictions")
 
     def __len__(self) -> int:
         with self._lock:
@@ -72,14 +59,10 @@ class LRUCache:
                 value = self._map[key]
             except KeyError:
                 if count_miss:
-                    self.stats.misses += 1
-                    if self._m_misses is not None:
-                        self._m_misses.inc()
+                    self._misses.inc()
                 return None
             self._map.move_to_end(key)
-            self.stats.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
+            self._hits.inc()
             return value
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -91,9 +74,7 @@ class LRUCache:
             self._map[key] = value
             while len(self._map) > self.capacity:
                 self._map.popitem(last=False)
-                self.stats.evictions += 1
-                if self._m_evict is not None:
-                    self._m_evict.inc()
+                self._evictions.inc()
 
     def invalidate(self, key: Hashable) -> None:
         with self._lock:

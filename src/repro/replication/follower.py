@@ -136,9 +136,15 @@ class Follower:
             self._close_socket()
 
     def _close_socket(self) -> None:
-        """Close the live connection (lock held): the run loop's next
-        read raises, after at most one socket timeout."""
+        """Close the live connection (lock held).  Shutting it down first
+        wakes a run loop blocked reading it at once; a bare close would
+        leave it waiting out its receive timeout, and ``stop()`` (which
+        a promotion runs inside its request) with it."""
         if self._sock is not None:
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # never connected, or already shut down
+                pass
             try:
                 self._sock.close()
             except OSError:

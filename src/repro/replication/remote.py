@@ -18,7 +18,7 @@ import threading
 from typing import Iterator, Optional
 
 from ..analysis.locksan import make_lock
-from ..db.db import DBStats, WouldBlock
+from ..db.db import WouldBlock
 from ..lsm.ikey import KIND_VALUE
 from ..obs import Observability
 from ..server.client import CircuitBreaker, RetryPolicy, SyncClient
@@ -189,20 +189,9 @@ class RemoteShard:
         with self._lock:
             return self._client.stats()
 
-    @property
-    def stats(self) -> DBStats:
-        """Engine counters of the remote DB, DBStats-shaped."""
-        db = self.remote_stats().get("db", {})
-        return DBStats(
-            writes=db.get("writes", 0),
-            gets=db.get("gets", 0),
-            flushes=db.get("flushes", 0),
-            compactions=db.get("compactions", 0),
-            trivial_moves=db.get("trivial_moves", 0),
-            compaction_input_bytes=db.get("compaction_input_bytes", 0),
-            compaction_output_bytes=db.get("compaction_output_bytes", 0),
-            write_stalls=db.get("write_stalls", 0),
-        )
+    def metrics_snapshot(self) -> dict:
+        """The remote engine's metrics: the STATS ``engine`` section."""
+        return self.remote_stats()["engine"]
 
     def write_stalled(self, keys=None) -> bool:
         return bool(

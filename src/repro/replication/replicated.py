@@ -262,9 +262,8 @@ class ReplicatedShard:
         pass
 
     # ------------------------------------------------------------ admin
-    @property
-    def stats(self):
-        return self._read(lambda c: c.stats)
+    def metrics_snapshot(self) -> dict:
+        return self._read(lambda c: c.metrics_snapshot())
 
     def write_stalled(self, keys=None) -> bool:
         try:

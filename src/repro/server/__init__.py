@@ -12,13 +12,13 @@ Modules
 ``protocol``  length-prefixed, CRC-32C-framed binary wire format
 ``server``    asyncio TCP server with thread-pool dispatch, bounded
               per-connection pipelining, and explicit ``STALLED``
-              backpressure when the engine's L0 backs up
+              backpressure when the engine's L0 backs up; it counts
+              requests, bytes and latency per opcode in its
+              ``metrics`` registry, read over the wire by STATS
 ``client``    blocking and asyncio clients with pipelining and
               bounded stall retry
 ``retry``     client resilience policy: jittered-backoff retries and
               per-endpoint circuit breakers
-``metrics``   per-opcode counters + latency histograms (p50/p95/p99),
-              queryable over the wire via the STATS opcode
 
 Quick start
 ===========
@@ -42,7 +42,6 @@ from .client import (
     ServerError,
     SyncClient,
 )
-from .metrics import ServerMetrics
 from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy
 from .server import KVServer, ServerConfig, ServerThread, serve_forever
 
@@ -57,7 +56,6 @@ __all__ = [
     "ServerBusyError",
     "ServerConfig",
     "ServerError",
-    "ServerMetrics",
     "ServerThread",
     "SyncClient",
     "serve_forever",

@@ -57,15 +57,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..analysis.locksan import make_lock
-from ..db.db import DB, WouldBlock
+from ..db.db import DB, WouldBlock, db_counts
 from ..devices.faults import TransientIOError
 from ..lsm.wal import WriteBatch
-from ..obs import NULL_EVENTS, NULL_TRACER, trace_context
+from ..obs import NULL_EVENTS, NULL_TRACER, MetricsRegistry, trace_context
 from ..obs.export import render_json, render_prometheus
-from .metrics import ServerMetrics
 from . import protocol as P
 
-__all__ = ["ServerConfig", "KVServer", "ServerThread", "serve_forever"]
+__all__ = [
+    "ServerConfig",
+    "KVServer",
+    "ServerThread",
+    "serve_forever",
+    "server_section",
+]
 
 _log = logging.getLogger("repro.server")
 
@@ -152,6 +157,33 @@ class ServerConfig:
             raise ValueError("repl_ack_timeout_s must be > 0")
 
 
+def server_section(snapshot: dict) -> dict:
+    """STATS' ``server`` section, read from a server registry's snapshot.
+
+    Opcodes that served no request are left out.
+    """
+    counters, histograms = snapshot["counters"], snapshot["histograms"]
+    ops = {}
+    for name in P.OPCODE_NAMES.values():
+        prefix = f"server.op.{name}."
+        if counters.get(prefix + "requests"):
+            ops[name] = {
+                field: counters[prefix + field]
+                for field in ("requests", "errors", "bytes_in", "bytes_out")
+            }
+            ops[name]["latency"] = histograms[prefix + "latency"]
+    opened = counters["server.connections_opened"]
+    closed = counters["server.connections_closed"]
+    return {
+        "ops": ops,
+        "stall_rejections": counters["server.stall_rejections"],
+        "protocol_errors": counters["server.protocol_errors"],
+        "connections_opened": opened,
+        "connections_closed": closed,
+        "active_connections": opened - closed,
+    }
+
+
 class KVServer:
     """The networked KV service; one instance wraps one open engine.
 
@@ -165,7 +197,6 @@ class KVServer:
         self,
         db: DB,
         config: Optional[ServerConfig] = None,
-        metrics: Optional[ServerMetrics] = None,
         own_db: bool = True,
         hub=None,
         follower=None,
@@ -179,7 +210,23 @@ class KVServer:
         self.db = db
         self.config = config or ServerConfig()
         self.config.validate()
-        self.metrics = metrics or ServerMetrics()
+        #: The server's own counts (``server.*``); the engine's stay in
+        #: the DB's registry.  Recording metrics are fetched once here.
+        self.metrics = MetricsRegistry()
+        self._op_metrics = {
+            opcode: (
+                self.metrics.counter(f"server.op.{name}.requests"),
+                self.metrics.counter(f"server.op.{name}.errors"),
+                self.metrics.counter(f"server.op.{name}.bytes_in"),
+                self.metrics.counter(f"server.op.{name}.bytes_out"),
+                self.metrics.latency_histogram(f"server.op.{name}.latency"),
+            )
+            for opcode, name in P.OPCODE_NAMES.items()
+        }
+        self._stall_rejections = self.metrics.counter("server.stall_rejections")
+        self._protocol_errors = self.metrics.counter("server.protocol_errors")
+        self._conns_opened = self.metrics.counter("server.connections_opened")
+        self._conns_closed = self.metrics.counter("server.connections_closed")
         self.own_db = own_db
         self.hub = hub
         self.follower = follower
@@ -321,7 +368,7 @@ class KVServer:
         task = asyncio.current_task()
         assert task is not None
         self._conn_tasks.add(task)
-        self.metrics.connection_opened()
+        self._conns_opened.inc()
         queue: asyncio.Queue = asyncio.Queue(
             maxsize=self.config.max_inflight_per_conn
         )
@@ -348,7 +395,7 @@ class KVServer:
                 await writer.wait_closed()
             except OSError:  # covers ConnectionError
                 pass
-            self.metrics.connection_closed()
+            self._conns_closed.inc()
             self._conn_tasks.discard(task)
 
     async def _read_requests(
@@ -368,7 +415,7 @@ class KVServer:
             except P.ProtocolError:
                 # The stream is unframed garbage from here on: there is
                 # no way to resynchronise, so drop the connection.
-                self.metrics.record_protocol_error()
+                self._protocol_errors.inc()
                 return
             if request.opcode == P.OP_REPL_SUBSCRIBE:
                 # The connection inverts into a push stream: flush the
@@ -501,7 +548,7 @@ class KVServer:
             )
         frame = P.encode_response(status, request.request_id, body)
         duration = time.perf_counter() - t0
-        self.metrics.record(
+        self.record(
             request.opcode,
             duration,
             bytes_in,
@@ -696,26 +743,32 @@ class KVServer:
 
     def _stalled(self) -> tuple[int, bytes]:
         """Refuse with STALLED and the back-off a client should take."""
-        self.metrics.record_stall_rejection()
+        self._stall_rejections.inc()
         return P.ST_STALLED, P.encode_varint64(self.config.stall_retry_ms)
 
+    def record(
+        self,
+        opcode: int,
+        seconds: float,
+        bytes_in: int,
+        bytes_out: int,
+        error: bool = False,
+    ) -> None:
+        """Count one answered request: the one place requests are counted."""
+        requests, errors, n_in, n_out, latency = self._op_metrics[opcode]
+        requests.inc()
+        n_in.inc(bytes_in)
+        n_out.inc(bytes_out)
+        latency.record(seconds)
+        if error:
+            errors.inc()
+
     def _stats_dict(self) -> dict:
-        db_stats = self.db.stats
-        if getattr(self.db, "metrics_snapshot", None) is not None:
-            engine = self.db.metrics_snapshot()
-        else:
-            engine = self.db.obs.metrics.snapshot()
+        engine = self.db.metrics_snapshot()
         out = {
-            "server": self.metrics.snapshot(),
+            "server": server_section(self.metrics.snapshot()),
             "db": {
-                "writes": db_stats.writes,
-                "gets": db_stats.gets,
-                "flushes": db_stats.flushes,
-                "compactions": db_stats.compactions,
-                "trivial_moves": db_stats.trivial_moves,
-                "write_stalls": db_stats.write_stalls,
-                "compaction_input_bytes": db_stats.compaction_input_bytes,
-                "compaction_output_bytes": db_stats.compaction_output_bytes,
+                **db_counts(engine),
                 "l0_files": self.db.num_files(0),
                 "total_bytes": self.db.total_bytes(),
                 "write_stalled_now": self.db.write_stalled(),
@@ -758,15 +811,12 @@ class KVServer:
         """
         if self.hub is not None:
             self.hub.refresh_gauges()
-        if getattr(self.db, "metrics_snapshot", None) is not None:
-            snap = self.db.metrics_snapshot()
-        else:
-            snap = self.db.obs.metrics.snapshot()
+        snap = self.db.metrics_snapshot()
         merged = {
             kind: dict(snap.get(kind, {}))
             for kind in ("counters", "gauges", "histograms")
         }
-        for kind, values in self.metrics.registry.snapshot().items():
+        for kind, values in self.metrics.snapshot().items():
             merged.setdefault(kind, {}).update(values)
         return merged
 
@@ -943,13 +993,12 @@ class ServerThread:
         self,
         db: DB,
         config: Optional[ServerConfig] = None,
-        metrics: Optional[ServerMetrics] = None,
         own_db: bool = True,
         hub=None,
         follower=None,
     ) -> None:
         self.server = KVServer(
-            db, config, metrics, own_db=own_db, hub=hub, follower=follower
+            db, config, own_db=own_db, hub=hub, follower=follower
         )
         self._thread = threading.Thread(
             target=self._run, name="kv-server", daemon=True
@@ -991,7 +1040,7 @@ class ServerThread:
         return self.server.port
 
     @property
-    def metrics(self) -> ServerMetrics:
+    def metrics(self) -> MetricsRegistry:
         return self.server.metrics
 
     def stop(self, timeout: float = 30.0) -> None:
@@ -1013,7 +1062,6 @@ class ServerThread:
 def serve_forever(
     db: DB,
     config: Optional[ServerConfig] = None,
-    metrics: Optional[ServerMetrics] = None,
     hub=None,
     follower=None,
 ) -> None:
@@ -1022,7 +1070,7 @@ def serve_forever(
     async def _main() -> None:
         import signal
 
-        server = KVServer(db, config, metrics, hub=hub, follower=follower)
+        server = KVServer(db, config, hub=hub, follower=follower)
         if follower is not None:
             # Snapshot install replaces the follower's DB; the server
             # must serve the replacement.

@@ -54,8 +54,7 @@ def _open_cluster(root, shard_storages):
         root,
         shard_storages,
         partitioner=PARTITIONER,
-        options=crash_options(),
-        sync_every=1,
+        options=crash_options(wal_sync_interval=1),
     )
 
 

@@ -53,7 +53,10 @@ class TestRouting:
     def test_every_shard_receives_some_keys(self, cluster):
         for i in range(400):
             cluster.put(b"key%04d" % i, b"v")
-        assert all(shard.stats.writes > 0 for shard in cluster.shards)
+        assert all(
+            shard.obs.metrics.counter("db.writes").value > 0
+            for shard in cluster.shards
+        )
 
     def test_batch_split_per_shard(self, cluster):
         cluster.put(b"stale", b"old")
@@ -85,7 +88,9 @@ class TestRouting:
 
     def test_empty_batch_is_noop(self, cluster):
         cluster.write(WriteBatch())
-        assert sum(s.stats.writes for s in cluster.shards) == 0
+        assert not any(
+            s.obs.metrics.counter("db.writes").value for s in cluster.shards
+        )
 
     def test_multi_get_order_preserved(self, cluster):
         for i in range(64):
@@ -215,10 +220,12 @@ class TestAggregation:
         for i in range(120):
             cluster.put(b"agg%03d" % i, b"v")
         cluster.flush()
-        total = cluster.stats
-        assert total.writes == 120
-        assert total.writes == sum(s.stats.writes for s in cluster.shards)
-        assert total.flushes == sum(s.stats.flushes for s in cluster.shards)
+        total = cluster.metrics_snapshot()["counters"]
+        assert total["db.writes"] == 120
+        for name in ("db.writes", "db.flushes"):
+            assert total[name] == sum(
+                s.obs.metrics.counter(name).value for s in cluster.shards
+            )
         assert cluster.num_files(0) == sum(
             s.num_files(0) for s in cluster.shards
         )
@@ -283,7 +290,7 @@ class TestStallRouting:
             assert db.write_stalled() is False
             assert db.stalled_shards() == []
             # Force shard 1 (keys in [h, p)) to report a stall.
-            db.shards[1].picker.write_stall = lambda version: True
+            db.shards[1].policy.write_stall = lambda version: True
             assert db.stalled_shards() == [1]
             assert db.write_stalled() is True
             assert db.write_stalled(keys=[b"aaa"]) is False

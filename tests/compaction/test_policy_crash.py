@@ -5,7 +5,7 @@ seed a baseline, arm one crash point, write a shuffled acknowledged
 workload until the power cut, reopen from the frozen disk image — but
 the store runs tiered / lazy-leveled, so flushes stack sorted runs and
 compactions are whole-tier merges.  The contract is identical: with
-``sync_every=1`` every acked write survives every crash point, and
+``wal_sync_interval=1`` every acked write survives every crash point, and
 ``verify_db`` comes back clean over the stacked-run layout.
 
 The reopen passes ``compaction_policy=None`` on purpose: recovery must
@@ -55,7 +55,7 @@ def run_until_crash(policy, point, seed=0, baseline=100, workload=600):
     storage = FaultyStorage(MemStorage(), FaultPlan())
     acked = {}
 
-    db = DB(storage, crash_options(policy), sync_every=1)
+    db = DB(storage, crash_options(policy, wal_sync_interval=1))
     assert db.policy.spec() == policy
     for i in range(baseline):
         k, v = b"base-%04d" % i, b"b-%d" % i
@@ -66,7 +66,7 @@ def run_until_crash(policy, point, seed=0, baseline=100, workload=600):
     storage.arm(FaultPlan(seed=seed, crash_at=point))
     crashed = False
     try:
-        db = DB(storage, crash_options(policy), sync_every=1)
+        db = DB(storage, crash_options(policy, wal_sync_interval=1))
         order = list(range(workload))
         random.Random(seed).shuffle(order)
         for i in order:
@@ -89,7 +89,7 @@ class TestPolicyCrashMatrix:
         if point in ALWAYS_REACHED:
             assert crashed, f"workload never reached crash point {point}"
 
-        db = DB(frozen, crash_options(), sync_every=1)
+        db = DB(frozen, crash_options(wal_sync_interval=1))
         try:
             # Recovery adopted the spec the crashed store persisted.
             assert db.policy.spec() == policy
@@ -105,7 +105,7 @@ class TestPolicyCrashMatrix:
         """Tier merges genuinely run under the crash plan — the matrix
         would be vacuous if whole-level merges never happened."""
         storage = FaultyStorage(MemStorage(), FaultPlan())
-        db = DB(storage, crash_options(policy), sync_every=1)
+        db = DB(storage, crash_options(policy, wal_sync_interval=1))
         order = list(range(600))
         random.Random(0).shuffle(order)
         for i in order:

@@ -139,7 +139,7 @@ class TestTieredReads:
         assert db.policy.write_stall(db.version)
 
         db.put(b"key-final", b"v")  # must stall, drain, then complete
-        assert db.stats.write_stalls >= 1
+        assert db.obs.metrics.counter("db.write_stalls").value >= 1
         assert not db.policy.write_stall(db.version)
         assert db.get(b"key-final") == b"v"
         for j in range(i):

@@ -134,8 +134,9 @@ def test_db_retries_a_sync_failed_inside_the_barrier(procedure):
     storage = RecordingStorage(faulty)
     opts = small_options(
         sstable_bytes=2048, l0_compaction_trigger=100, l0_stop_writes_trigger=200,
+        wal_sync_interval=1,
     )
-    db = DB(storage, opts, sync_every=1, compaction_spec=PROCEDURES[procedure])
+    db = DB(storage, opts, compaction_spec=PROCEDURES[procedure])
     order = list(range(700))
     random.Random(5).shuffle(order)
     for i in order:

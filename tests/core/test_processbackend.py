@@ -135,6 +135,6 @@ def test_db_with_process_backend():
         random.Random(4).shuffle(order)
         for i in order:
             db.put(b"key-%05d" % i, b"value-%d" % i)
-        assert db.stats.compactions > 0
+        assert db.obs.metrics.counter("db.compactions").value > 0
         for i in range(0, 1200, 111):
             assert db.get(b"key-%05d" % i) == b"value-%d" % i

@@ -13,7 +13,7 @@ state a real machine would reboot to — and the test reopens from it,
 asserting every acknowledged key survives and ``verify_db`` comes back
 clean.
 
-With ``sync_every=1`` every ``put`` is durable before it is
+With ``wal_sync_interval=1`` every ``put`` is durable before it is
 acknowledged, so the correctness contract is exact: acked ⟹ present.
 """
 
@@ -65,7 +65,7 @@ def run_until_crash(point, seed=0, baseline=100, workload=600, spec=None):
     storage = FaultyStorage(MemStorage(), FaultPlan())
     acked = {}
 
-    db = DB(storage, crash_options(), sync_every=1, compaction_spec=spec)
+    db = DB(storage, crash_options(wal_sync_interval=1), compaction_spec=spec)
     for i in range(baseline):
         k, v = b"base-%04d" % i, b"b-%d" % i
         db.put(k, v)
@@ -75,7 +75,7 @@ def run_until_crash(point, seed=0, baseline=100, workload=600, spec=None):
     storage.arm(FaultPlan(seed=seed, crash_at=point))
     crashed = False
     try:
-        db = DB(storage, crash_options(), sync_every=1, compaction_spec=spec)
+        db = DB(storage, crash_options(wal_sync_interval=1), compaction_spec=spec)
         order = list(range(workload))
         random.Random(seed).shuffle(order)
         for i in order:
@@ -154,7 +154,7 @@ class TestCurrentSwapAtomicity:
         rename must leave the *old* CURRENT intact and the orphan tmp
         GC'd on reopen — never a dangling or empty CURRENT."""
         storage = FaultyStorage(MemStorage(), FaultPlan())
-        db = DB(storage, crash_options(), sync_every=1)
+        db = DB(storage, crash_options(wal_sync_interval=1))
         acked = {}
         for i in range(80):
             k, v = b"k-%03d" % i, b"v-%d" % i
@@ -166,7 +166,7 @@ class TestCurrentSwapAtomicity:
         # and the atomic rename.
         storage.arm(FaultPlan(crash_at="current.tmp_written"))
         with pytest.raises(SimulatedCrash):
-            DB(storage, crash_options(), sync_every=1)
+            DB(storage, crash_options(wal_sync_interval=1))
 
         frozen = storage.frozen_storage()
         current = frozen.open("CURRENT").read_all()
@@ -181,14 +181,14 @@ class TestCurrentSwapAtomicity:
 
     def test_power_cut_right_after_rename(self):
         storage = FaultyStorage(MemStorage(), FaultPlan())
-        db = DB(storage, crash_options(), sync_every=1)
+        db = DB(storage, crash_options(wal_sync_interval=1))
         for i in range(80):
             db.put(b"k-%03d" % i, b"v-%d" % i)
         db.close()
 
         storage.arm(FaultPlan(crash_at="current.renamed"))
         with pytest.raises(SimulatedCrash):
-            DB(storage, crash_options(), sync_every=1)
+            DB(storage, crash_options(wal_sync_interval=1))
 
         frozen = storage.frozen_storage()
         db = DB(frozen, crash_options())
@@ -214,7 +214,7 @@ class TestReproducibility:
         """The workload genuinely reaches ≥8 distinct crash points
         (the acceptance bar for the matrix)."""
         storage = FaultyStorage(MemStorage(), FaultPlan())
-        db = DB(storage, crash_options(), sync_every=1)
+        db = DB(storage, crash_options(wal_sync_interval=1))
         order = list(range(600))
         random.Random(0).shuffle(order)
         for i in order:
@@ -320,7 +320,7 @@ class TestTornTail:
         prefix; recovery drops the torn record, counts it, and keeps
         every synced write."""
         storage = FaultyStorage(MemStorage(), FaultPlan())
-        db = DB(storage, crash_options(), sync_every=1)
+        db = DB(storage, crash_options(wal_sync_interval=1))
         acked = {}
         for i in range(60):
             k, v = b"k-%03d" % i, b"v-%d" % i
@@ -331,7 +331,7 @@ class TestTornTail:
         storage.arm(FaultPlan(seed=11, crash_at="wal.sync", torn_tail=True))
         crashed = False
         try:
-            db = DB(storage, crash_options(), sync_every=1)
+            db = DB(storage, crash_options(wal_sync_interval=1))
             for i in range(60, 200):
                 k, v = b"k-%03d" % i, b"v-%d" % i
                 db.put(k, v)

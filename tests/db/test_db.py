@@ -75,7 +75,7 @@ class TestBasicOps:
     def test_empty_batch_noop(self):
         with DB(MemStorage(), small_options()) as db:
             db.write(WriteBatch())
-            assert db.stats.writes == 0
+            assert db.obs.metrics.counter("db.writes").value == 0
 
     def test_get_survives_flush(self):
         with DB(MemStorage(), small_options()) as db:
@@ -111,7 +111,7 @@ class TestCompactionIntegration:
     def test_heavy_insert_then_read_everything(self, spec):
         with DB(MemStorage(), small_options(), compaction_spec=spec) as db:
             fill(db, 3000)
-            assert db.stats.compactions > 0
+            assert db.obs.metrics.counter("db.compactions").value > 0
             for i in range(0, 3000, 97):
                 expected = (b"v%d-" % i) * 8
                 assert db.get(b"key-%08d" % i) == expected
@@ -121,19 +121,20 @@ class TestCompactionIntegration:
             fill_shuffled(db, 5000)
             deep_files = sum(db.num_files(lv) for lv in range(1, 7))
             assert deep_files > 0
-            assert db.stats.compaction_input_bytes > 0
-            assert db.stats.compaction_bandwidth() > 0
+            assert db.obs.metrics.counter("compaction.input_bytes").value > 0
+            assert db.obs.metrics.histogram("compaction.seconds").total > 0
 
     def test_sequential_fill_uses_trivial_moves(self):
         """Non-overlapping L0 files just move down, as in LevelDB."""
         with DB(MemStorage(), small_options()) as db:
             fill(db, 4000)
-            assert db.stats.trivial_moves > 0
+            assert db.obs.metrics.counter("compaction.trivial_moves").value > 0
 
     def test_shuffled_fill_does_real_merges(self):
         with DB(MemStorage(), small_options()) as db:
             fill_shuffled(db, 4000)
-            assert db.stats.compactions > db.stats.trivial_moves
+            counters = db.metrics_snapshot()["counters"]
+            assert counters["db.compactions"] > counters["compaction.trivial_moves"]
 
     def test_levels_respect_invariants(self):
         with DB(MemStorage(), small_options()) as db:
@@ -173,11 +174,11 @@ class TestCompactionIntegration:
             def fake_stall(version):
                 return next(stall_once, False)
 
-            monkeypatch.setattr(db.picker, "write_stall", fake_stall)
+            monkeypatch.setattr(db.policy, "write_stall", fake_stall)
             db.put(b"k", b"v")
-            assert db.stats.write_stalls == 1
+            assert db.obs.metrics.counter("db.write_stalls").value == 1
             # Sync mode resolved the stall by compacting until quiet.
-            assert not db.picker.needs_compaction(db.version)
+            assert not db.policy.needs_compaction(db.version)
 
 
 class TestScan:
@@ -305,7 +306,7 @@ class TestBackgroundMode:
                 compaction_spec=ProcedureSpec.pcp(subtask_bytes=8 * 1024)) as db:
             fill(db, 3000)
             db.wait_for_compactions()
-            assert db.stats.compactions > 0
+            assert db.obs.metrics.counter("db.compactions").value > 0
             for i in range(0, 3000, 97):
                 assert db.get(b"key-%08d" % i) == (b"v%d-" % i) * 8
 
@@ -429,8 +430,9 @@ with DB(MemStorage(), options, compaction_spec=ProcedureSpec.pcp(subtask_bytes=4
         db.put(b"key-%06d" % ((i * 7919) % 600), b"value-%06d-" % i * 8)
     db.flush()
     db.compact_all()
-    assert db.stats.flushes > 0
-    assert db.stats.compactions > db.stats.trivial_moves
+    assert db.obs.metrics.counter("db.flushes").value > 0
+    counters = db.metrics_snapshot()["counters"]
+    assert counters["db.compactions"] > counters["compaction.trivial_moves"]
     assert db.get(b"key-000001") is not None
 assert "numpy" not in sys.modules, "numpy was imported by the engine"
 """

@@ -19,6 +19,16 @@ def _read_ops(db: DB) -> int:
     return db.obs.metrics.counter("io.mem.read.ops").value
 
 
+def _gets(db: DB) -> int:
+    return db.obs.metrics.counter("db.gets").value
+
+
+def _lookups(db: DB) -> int:
+    """Block-cache lookups: hits plus counted misses."""
+    counters = db.obs.metrics
+    return counters.counter("cache.hits").value + counters.counter("cache.misses").value
+
+
 @pytest.fixture
 def db():
     db = DB(MemStorage(), small_options(block_cache_entries=64))
@@ -102,21 +112,21 @@ def test_held_mutex_raises_instead_of_waiting(db):
 def test_a_would_block_probe_counts_nothing(db):
     data = _flushed(db)
     key, value = next(iter(data.items()))
-    gets = db.stats.gets
+    gets = _gets(db)
     with pytest.raises(WouldBlock):
         db.get(key, wait=False)  # table not open
-    assert db.stats.gets == gets
+    assert _gets(db) == gets
     assert db.get(key) == value
     db._cache.clear()
-    lookups = db._cache.stats.lookups
+    lookups = _lookups(db)
     with pytest.raises(WouldBlock):
         db.get(key, wait=False)  # block not cached
-    assert db.stats.gets == gets + 1
-    assert db._cache.stats.lookups == lookups
+    assert _gets(db) == gets + 1
+    assert _lookups(db) == lookups
     assert db.get(key) == value
     assert db.get(key, wait=False) == value
-    assert db.stats.gets == gets + 3
-    assert db._cache.stats.lookups == lookups + 2
+    assert _gets(db) == gets + 3
+    assert _lookups(db) == lookups + 2
 
 
 def test_wait_false_sees_the_same_snapshot_view(db):
@@ -132,7 +142,7 @@ def test_stress_nowait_readers_beside_writers_count_every_answer_once():
     """More threads than cores, a short switch interval: non-waiting
     and waiting readers race a writer that keeps flushing (so tables
     close and open and the mutex is often held).  Every answer is the
-    key's value, and ``stats.gets`` equals the number of answers — a
+    key's value, and the ``db.gets`` counter equals the number of answers — a
     lost update on the counter, or a probe counted twice, breaks it."""
     import sys
 
@@ -164,7 +174,7 @@ def test_stress_nowait_readers_beside_writers_count_every_answer_once():
             db.flush()
         stop.set()
 
-    gets_before = db.stats.gets
+    gets_before = _gets(db)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     threads = [
@@ -187,6 +197,6 @@ def test_stress_nowait_readers_beside_writers_count_every_answer_once():
         # How often a non-waiting read gets through is the scheduler's
         # business; that the waiting ones did is enough to have raced.
         assert all(answers[0::2]), answers
-        assert db.stats.gets - gets_before == sum(answers)
+        assert _gets(db) - gets_before == sum(answers)
     finally:
         db.close()

@@ -47,7 +47,7 @@ class TestMultiGet:
         for i in range(300):
             db.put(b"key-%04d" % i, b"val-%d" % i)
         db.flush()
-        assert db.stats.flushes >= 1
+        assert db.obs.metrics.counter("db.flushes").value >= 1
         keys = [b"key-0000", b"key-0123", b"key-9999"]
         assert db.multi_get(keys) == [b"val-0", b"val-123", None]
 
@@ -105,7 +105,8 @@ class TestGetProperty:
             db.put(b"key-%05d" % i, b"w" * 32)
         db.flush()
         db.compact_all()
-        if db.stats.compactions - db.stats.trivial_moves > 0:
+        count = db.metrics_snapshot()["counters"].get
+        if count("db.compactions", 0) - count("compaction.trivial_moves", 0) > 0:
             assert "L0" in db.get_property("compaction-log") or "L1" in (
                 db.get_property("compaction-log")
             )

@@ -18,7 +18,7 @@ class TestLRU:
     def test_miss_returns_none(self):
         c = LRUCache(4)
         assert c.get("missing") is None
-        assert c.stats.misses == 1
+        assert c.metrics.counter("cache.misses").value == 1
 
     def test_eviction_order(self):
         c = LRUCache(2)
@@ -28,7 +28,7 @@ class TestLRU:
         assert c.get("a") is None
         assert c.get("b") == 2
         assert c.get("c") == 3
-        assert c.stats.evictions == 1
+        assert c.metrics.counter("cache.evictions").value == 1
 
     def test_get_refreshes_recency(self):
         c = LRUCache(2)
@@ -74,8 +74,11 @@ class TestLRU:
         c.put("a", 1)
         c.get("a")
         c.get("b")
-        assert c.stats.hit_rate() == 0.5
-        assert LRUCache(4).stats.hit_rate() == 0.0
+        counters = c.metrics.snapshot()["counters"]
+        assert counters["cache.hits"] == counters["cache.misses"] == 1
+        assert LRUCache(4).metrics.snapshot()["counters"] == {
+            "cache.evictions": 0, "cache.hits": 0, "cache.misses": 0,
+        }
 
     @given(
         st.lists(

@@ -146,10 +146,10 @@ class TestCacheIntegration:
         storage, _ = _build_table(entries, options)
         table = _open(storage, options, cache=cache)
         table.get(lookup_key(b"key-0100", MAX_SEQUENCE))
-        misses_after_first = cache.stats.misses
+        misses_after_first = cache.metrics.counter("cache.misses").value
         table.get(lookup_key(b"key-0100", MAX_SEQUENCE))
-        assert cache.stats.misses == misses_after_first
-        assert cache.stats.hits >= 1
+        assert cache.metrics.counter("cache.misses").value == misses_after_first
+        assert cache.metrics.counter("cache.hits").value >= 1
 
 
 class TestCorruptionDetection:

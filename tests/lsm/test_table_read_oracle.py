@@ -127,10 +127,10 @@ def test_cached_table_matches_the_model_on_miss_and_hit(entries, block_bytes, ca
         table = Table(storage.open("t.sst"), options, cache=cache)
         got = table.get(probe)  # a miss: read, decode, cache
         _assert_get(got, entries, probe)
-        if cache.stats.misses and capacity >= 2:
-            hits = cache.stats.hits
+        if cache.metrics.counter("cache.misses").value and capacity >= 2:
+            hits = cache.metrics.counter("cache.hits").value
             assert table.get(probe, wait=False) == got  # a hit
-            assert cache.stats.hits > hits
+            assert cache.metrics.counter("cache.hits").value > hits
         _check_table(table, entries, probe)  # mixes hits and misses
         _check_table(table, entries, probe)
 
@@ -142,10 +142,11 @@ def test_wait_false_miss_raises_and_counts_nothing(entries, block_bytes):
     cache = LRUCache(1024)
     table = Table(storage.open("t.sst"), options, cache=cache)
     for probe in _probes(entries):
-        misses, cached = cache.stats.misses, len(cache)
+        misses = cache.metrics.counter("cache.misses")
+        before = misses.value, len(cache)
         try:
             got = table.get(probe, wait=False)
         except WouldBlock:
-            assert (cache.stats.misses, len(cache)) == (misses, cached)
+            assert (misses.value, len(cache)) == before
             got = table.get(probe)
         _assert_get(got, entries, probe)

@@ -110,7 +110,7 @@ class TestMetricsProperties:
                 db.get(b"key00000007")
             snap = json.loads(db.get_property("metrics"))
             cache_hits = snap["counters"].get("cache.hits", 0)
-            assert cache_hits == db._cache.stats.hits
+            assert cache_hits == db._cache.metrics.counter("cache.hits").value
             assert cache_hits > 0
         finally:
             db.close()

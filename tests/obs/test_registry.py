@@ -58,8 +58,8 @@ class TestHistogram:
         snap = histogram.snapshot()
         assert snap["count"] == 1
         assert snap["min_ms"] == pytest.approx(2.0)
-        assert histogram.min_s == histogram.max_s == 0.002
-        assert histogram.sum_s == pytest.approx(0.002)
+        assert histogram.vmin == histogram.vmax == 0.002
+        assert histogram.total == pytest.approx(0.002)
 
 
 class TestMetricsRegistry:

@@ -266,3 +266,31 @@ def _recv_exact(sock, n):
             raise AssertionError("connection closed early")
         buf += chunk
     return buf
+
+
+def test_stop_wakes_a_follower_blocked_on_a_silent_primary():
+    """A promotion stops the follower inside its request, so stop() must
+    not wait out the follower's socket receive timeout: a primary that
+    accepted the connection and never answers must not delay it."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    db = DB(MemStorage(), Options())
+    follower = Follower(
+        db, db.storage, lambda: db, "127.0.0.1", listener.getsockname()[1],
+        "silent-primary", retry_interval_s=0.05,
+    ).start()
+    conn = None
+    try:
+        listener.settimeout(10)
+        conn, _ = listener.accept()
+        conn.settimeout(10)
+        assert conn.recv(1)  # the hello arrived; the follower now waits
+        time.sleep(0.05)
+        t0 = time.monotonic()
+        follower.stop()
+        assert time.monotonic() - t0 < 0.25
+    finally:
+        follower.stop()
+        if conn is not None:
+            conn.close()
+        listener.close()
+        db.close()

@@ -81,7 +81,7 @@ def test_db_retention_populated_on_flush():
         for i in range(500):
             db.put(f"key{i:04d}".encode(), b"v" * 64)
         # small_options' 16 KiB memtable guarantees flushes happened.
-        assert db.stats.flushes > 0
+        assert db.obs.metrics.counter("db.flushes").value > 0
         names = db.wal_retention.file_names()
         assert names, "retired WALs should be retained, not deleted"
         assert db.wal_retention.covers(db.wal_retention.floor_seq)
@@ -102,7 +102,7 @@ def test_db_without_retention_deletes_retired_wals():
         assert db.wal_retention is None
         for i in range(500):
             db.put(f"key{i:04d}".encode(), b"v" * 64)
-        assert db.stats.flushes > 0
+        assert db.obs.metrics.counter("db.flushes").value > 0
         logs = [n for n in db.storage.list() if n.endswith(".log")]
         assert len(logs) == 1, f"only the live WAL should remain: {logs}"
     finally:
@@ -151,7 +151,7 @@ def test_apply_replicated_skips_duplicates():
         for record in records:
             assert follower.apply_replicated(record) is False
         assert follower.last_sequence == primary.last_sequence
-        assert follower.stats.writes == 2
+        assert follower.obs.metrics.counter("db.writes").value == 2
     finally:
         primary.close()
         follower.close()

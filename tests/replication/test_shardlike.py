@@ -34,6 +34,15 @@ def served_db():
         yield handle
 
 
+def _total_requests(handle) -> int:
+    """Requests the server behind ``handle`` has answered, every opcode."""
+    counters = handle.metrics.snapshot()["counters"]
+    return sum(
+        n for name, n in counters.items()
+        if name.startswith("server.op.") and name.endswith(".requests")
+    )
+
+
 def _assert_conforms(shard) -> None:
     assert isinstance(shard, ShardLike)
     for name in _PROTOCOL_MEMBERS:
@@ -42,7 +51,7 @@ def _assert_conforms(shard) -> None:
 
 def test_protocol_members_are_nonempty():
     # Guard against the Protocol silently degenerating to object().
-    for expected in ("put", "get", "scan", "write_stalled", "stats"):
+    for expected in ("put", "get", "scan", "write_stalled", "metrics_snapshot"):
         assert expected in _PROTOCOL_MEMBERS
 
 
@@ -95,11 +104,11 @@ def test_network_shards_refuse_a_non_waiting_get_at_once(served_db):
     )
     try:
         remote.put(b"k", b"v")
-        requests = served_db.metrics.total_requests()
+        requests = _total_requests(served_db)
         for shard in (remote, replicated):
             with pytest.raises(WouldBlock):
                 shard.get(b"k", wait=False)
-        assert served_db.metrics.total_requests() == requests
+        assert _total_requests(served_db) == requests
         assert remote.get(b"k") == b"v"
     finally:
         remote.close()
@@ -117,7 +126,7 @@ def test_mixed_cluster_from_shards(served_db, tmp_path):
             assert cluster.get(f"key{i:03d}".encode()) == f"val{i:03d}".encode()
 
         # Both shards actually received data (hash routing split it).
-        assert local.stats.writes > 0
+        assert local.obs.metrics.counter("db.writes").value > 0
 
         got = [k for k, _ in cluster.scan()]
         assert got == sorted(f"key{i:03d}".encode() for i in range(60))
@@ -132,8 +141,8 @@ def test_mixed_cluster_from_shards(served_db, tmp_path):
         with pytest.raises(NotImplementedError):
             cluster.snapshot()
 
-        stats = cluster.stats
-        assert stats.writes >= 60
+        counters = cluster.metrics_snapshot()["counters"]
+        assert counters["db.writes"] >= 60
     finally:
         cluster.close()
 
@@ -146,3 +155,31 @@ def test_from_shards_partitioner_mismatch():
         ShardedDB.from_shards([a, b], partitioner=HashPartitioner(3))
     a.close()
     b.close()
+
+
+@pytest.mark.parametrize("kind", ["remote", "replicated"])
+def test_network_shards_roll_up_their_engines_counters(kind):
+    """A cluster over network shards reports the remote engines' counts:
+    its rolled-up ``wal.records`` and ``db.flushes`` are the sums over
+    the servers, not the (empty) registries of the shards' clients."""
+    handles = [
+        ServerThread(DB(MemStorage(), Options(memtable_bytes=4096))).start()
+        for _ in range(2)
+    ]
+    if kind == "remote":
+        shards = [RemoteShard(h.host, h.port) for h in handles]
+    else:
+        shards = [ReplicatedShard([(h.host, h.port)], ack_level=0) for h in handles]
+    cluster = ShardedDB.from_shards(shards)
+    try:
+        for i in range(300):
+            cluster.put(b"key%04d" % i, b"value%04d" % i * 4)
+        counters = cluster.metrics_snapshot()["counters"]
+        for name in ("wal.records", "db.flushes"):
+            served = [h.server.db.obs.metrics.counter(name).value for h in handles]
+            assert all(served), (name, served)
+            assert counters[name] == sum(served), name
+    finally:
+        cluster.close()
+        for handle in handles:
+            handle.stop()

@@ -54,7 +54,7 @@ class TestSyncClient:
             assert proxy.injected == {"flip": 1}
             assert client._sock is None
             assert client.get(b"k") == b"v"
-            assert handle.metrics.connections_opened == 2
+            assert handle.metrics.counter("server.connections_opened").value == 2
 
     def test_hello_is_replayed_on_the_fresh_connection(self, proxied):
         _, proxy = proxied
@@ -158,7 +158,7 @@ class TestAsyncClient:
                 await client.close()
 
         asyncio.run(run())
-        assert handle.metrics.connections_opened == 2
+        assert handle.metrics.counter("server.connections_opened").value == 2
 
     def test_without_a_policy_the_next_call_fails_instead_of_hanging(
         self, proxied
@@ -207,9 +207,9 @@ class TestAsyncClient:
                         await client.close()
 
                 asyncio.run(run())
-            assert handle.metrics.connections_opened == 2
+            assert handle.metrics.counter("server.connections_opened").value == 2
             # The hello, the ping, and the hello again.
-            assert handle.metrics.op(P.OP_PING).requests == 3
+            assert handle.metrics.counter("server.op.PING.requests").value == 3
 
     def test_a_request_whose_write_fails_leaves_no_future_behind(
         self, proxied
@@ -274,7 +274,7 @@ def test_a_closed_client_raises_client_error(proxied, kind):
         client.close()
         with pytest.raises(ClientError, match="closed"):
             client.get(b"k")
-    assert handle.metrics.connections_opened == 1
+    assert handle.metrics.counter("server.connections_opened").value == 1
 
 
 class _CannedSocket:

@@ -100,7 +100,7 @@ class TestShardAwareStall:
         handle = ServerThread(db).start()
         try:
             # Shard 1 owns [h, p): force it to report a write stall.
-            db.shards[1].picker.write_stall = lambda version: True
+            db.shards[1].policy.write_stall = lambda version: True
             with SyncClient(
                 handle.host, handle.port, max_retries=0
             ) as c:
@@ -114,9 +114,9 @@ class TestShardAwareStall:
                 assert c.get(b"mmm") is None
                 assert c.stats()["cluster"]["stalled_shards"] == [1]
         finally:
-            db.shards[1].picker.write_stall = (
-                type(db.shards[1].picker).write_stall.__get__(
-                    db.shards[1].picker
+            db.shards[1].policy.write_stall = (
+                type(db.shards[1].policy).write_stall.__get__(
+                    db.shards[1].policy
                 )
             )
             handle.stop()

@@ -27,6 +27,7 @@ from repro.server import (
     SyncClient,
 )
 from repro.server import protocol as P
+from repro.server.server import server_section
 
 from tests.helpers import small_options
 
@@ -82,7 +83,7 @@ class TestWhichRequestsReachThePool:
         assert client.get(b"missing") is None
         assert calls == []
         # ...and are still counted and timed like any other request.
-        ops = handle.metrics.snapshot()["ops"]
+        ops = server_section(handle.metrics.snapshot())["ops"]
         assert ops["PING"]["requests"] == 2
         assert ops["GET"]["requests"] == 2
         assert ops["GET"]["latency"]["count"] == 2
@@ -121,7 +122,7 @@ class TestWhichRequestsReachThePool:
         assert client.get(key) == value
         assert calls == ["GET", "GET"]
         # One answered GET is one engine get, whichever way it went.
-        assert db.stats.gets == 4
+        assert db.obs.metrics.counter("db.gets").value == 4
         for key, value in data.items():
             assert client.get(key) == value
 
@@ -171,7 +172,7 @@ class TestOrder:
         config = ServerConfig(max_inflight_per_conn=window)
         with ServerThread(db, config) as handle:
             served: list[str] = []
-            record = handle.metrics.record
+            record = handle.server.record
 
             def recording(opcode, *args, **kwargs):
                 served.append(P.OPCODE_NAMES[opcode])
@@ -185,7 +186,7 @@ class TestOrder:
                 for sock in (a, b):  # both accepted and idle
                     sock.sendall(P.encode_request(P.OP_PING, 1))
                     assert _read_frames(sock, 1)[0].ok
-                handle.metrics.record = recording
+                handle.server.record = recording
                 # Park the loop so both bursts are waiting when it looks.
                 parked, go = threading.Event(), threading.Event()
                 handle._loop.call_soon_threadsafe(
@@ -274,7 +275,7 @@ class TestBothEntriesShareOneHandler:
                 with pytest.raises(ServerBusyError):
                     client.get(b"key0001")
                 assert calls == ["GET"]
-                assert handle.metrics.stall_rejections == 1
+                assert handle.metrics.counter("server.stall_rejections").value == 1
                 assert client.get(b"key0001") == b"v" * 40
                 assert client.get(b"key0001") == b"v" * 40  # inline now
                 assert calls == ["GET", "GET"]
@@ -293,8 +294,8 @@ class TestBothEntriesShareOneHandler:
                     client.get(b"key0001")
                 del db.get
                 assert calls == ["GET", "GET"]
-                assert handle.metrics.stall_rejections == 2
-                assert handle.metrics.op(P.OP_GET).errors == 0
+                assert handle.metrics.counter("server.stall_rejections").value == 2
+                assert handle.metrics.counter("server.op.GET.errors").value == 0
 
     def test_engine_failure_on_the_reader_is_a_server_error(
         self, handle, client
@@ -312,7 +313,7 @@ class TestBothEntriesShareOneHandler:
         finally:
             del db.get
         assert calls == []
-        assert handle.metrics.op(P.OP_GET).errors == 1
+        assert handle.metrics.counter("server.op.GET.errors").value == 1
         assert client.ping() == b""  # the connection survived
 
     def test_closing_server_answers_shutting_down_inline(self, handle, client):
@@ -389,6 +390,6 @@ class TestMajor2PeersFailAtFraming:
             sock.sendall(old_frame)
             assert sock.recv(1) == b""  # dropped without a reply
         _wait(
-            lambda: handle.metrics.protocol_errors == 1,
+            lambda: handle.metrics.counter("server.protocol_errors").value == 1,
             what="protocol error to be counted",
         )

@@ -2,9 +2,11 @@
 
 import random
 
+from repro.db import DB
+from repro.devices import MemStorage
 from repro.obs import LatencyHistogram
 from repro.server import protocol as P
-from repro.server.metrics import ServerMetrics
+from repro.server.server import KVServer, server_section
 
 
 class TestLatencyHistogram:
@@ -21,7 +23,7 @@ class TestLatencyHistogram:
         # Log-bucketing: the estimate lands in the right bucket
         # (~10 % wide) and is clamped to the observed min/max.
         assert histogram.percentile(50) == 0.010
-        assert histogram.min_s == histogram.max_s == 0.010
+        assert histogram.vmin == histogram.vmax == 0.010
 
     def test_percentiles_are_ordered_and_bracketed(self):
         histogram = LatencyHistogram()
@@ -45,8 +47,8 @@ class TestLatencyHistogram:
         # Estimates stay inside the bucket range; raw extremes are
         # preserved in min/max.
         assert histogram.percentile(100) >= 1e3
-        assert histogram.max_s == 1e6
-        assert histogram.min_s == 1e-9
+        assert histogram.vmax == 1e6
+        assert histogram.vmin == 1e-9
 
     def test_snapshot_fields(self):
         histogram = LatencyHistogram()
@@ -59,26 +61,41 @@ class TestLatencyHistogram:
 
 
 class TestServerMetrics:
+    """The server's counts, kept in its registry (never started here)."""
+
     def test_record_and_snapshot(self):
-        metrics = ServerMetrics()
-        metrics.record(P.OP_PUT, 0.001, bytes_in=100, bytes_out=20)
-        metrics.record(P.OP_PUT, 0.002, bytes_in=120, bytes_out=20)
-        metrics.record(P.OP_GET, 0.003, bytes_in=30, bytes_out=500, error=True)
-        metrics.record_stall_rejection()
-        metrics.connection_opened()
-        snap = metrics.snapshot()
-        assert snap["ops"]["PUT"]["requests"] == 2
-        assert snap["ops"]["PUT"]["bytes_in"] == 220
-        assert snap["ops"]["GET"]["errors"] == 1
-        assert snap["stall_rejections"] == 1
-        assert snap["active_connections"] == 1
-        assert "DELETE" not in snap["ops"]  # untouched opcodes elided
-        assert metrics.total_requests() == 3
+        server = KVServer(DB(MemStorage()))
+        try:
+            server.record(P.OP_PUT, 0.001, bytes_in=100, bytes_out=20)
+            server.record(P.OP_PUT, 0.002, bytes_in=120, bytes_out=20)
+            server.record(
+                P.OP_GET, 0.003, bytes_in=30, bytes_out=500, error=True
+            )
+            server.metrics.counter("server.stall_rejections").inc()
+            server.metrics.counter("server.connections_opened").inc()
+            registry = server.metrics.snapshot()
+            snap = server_section(registry)
+            assert snap["ops"]["PUT"]["requests"] == 2
+            assert snap["ops"]["PUT"]["bytes_in"] == 220
+            assert snap["ops"]["GET"]["errors"] == 1
+            assert snap["stall_rejections"] == 1
+            assert snap["active_connections"] == 1
+            assert "DELETE" not in snap["ops"]  # untouched opcodes elided
+            requests = [
+                n for name, n in registry["counters"].items()
+                if name.endswith(".requests")
+            ]
+            assert sum(requests) == 3
+        finally:
+            server.db.close()
 
     def test_render_mentions_every_active_opcode(self):
-        metrics = ServerMetrics()
-        metrics.record(P.OP_SCAN, 0.004, bytes_in=10, bytes_out=9000)
-        text = metrics.render()
-        assert "SCAN" in text
-        assert "p99" in text
-        assert "stall_rejections" in text
+        server = KVServer(DB(MemStorage()))
+        try:
+            server.record(P.OP_SCAN, 0.004, bytes_in=10, bytes_out=9000)
+            text = server.metrics.render()
+            assert "server.op.SCAN.requests" in text
+            assert "p99" in text
+            assert "stall_rejections" in text
+        finally:
+            server.db.close()

@@ -17,6 +17,7 @@ EXAMPLES = [
     "examples/pipeline_visualizer.py",
     "examples/server_quickstart.py",
     "examples/cluster_quickstart.py",
+    "examples/ycsb_workload.py",
 ]
 
 
