@@ -175,6 +175,11 @@ class DB:
         self._closed = False
         self._sync_every = self.options.wal_sync_interval
         self._batches_since_sync = 0
+        # A writer appending and syncing its WAL record owns the WAL
+        # with db.mutex released (LevelDB's writer queue, one slot);
+        # everything else that touches the WAL waits on _wal_idle.
+        self._wal_owned = False
+        self._wal_idle = threading.Condition(self._lock)
         # Replication hooks: listeners observe every durable write
         # batch (``fn(base_seq, last_seq, record)`` under the DB lock);
         # retention keeps retired WALs around for follower catch-up.
@@ -366,13 +371,19 @@ class DB:
         """Release the DB mutex around a region, re-acquiring after.
 
         Used by the background compactor so foreground writes proceed
-        during the merge; the caller must hold the lock exactly once.
+        during the merge, and by a writer around its WAL append and
+        sync; the caller must hold the lock exactly once.
         """
         self._lock.release()
         try:
             yield
         finally:
             self._lock.acquire()
+
+    def _await_wal(self) -> None:
+        """Wait, under the mutex, until no writer owns the WAL."""
+        while self._wal_owned:
+            self._wal_idle.wait()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -390,30 +401,53 @@ class DB:
         self.write(WriteBatch().delete(key))
 
     def write(self, batch: WriteBatch) -> None:
-        """Apply a batch atomically: WAL first, then memtable."""
+        """Apply a batch atomically: WAL first, then memtable.
+
+        The WAL append and sync run with the mutex released, while this
+        writer owns the WAL: a read meanwhile sees the state from before
+        the batch.  The batch gets its sequence and enters the memtable
+        under the mutex once the record is in the WAL.
+        """
         if len(batch) == 0:
             return
         with self._lock:
-            self._check_open()
-            self._maybe_stall()
+            # Both must hold at once under the mutex: the WAL is free
+            # and no stall is due (either wait may release the mutex).
+            while True:
+                self._check_open()
+                self._maybe_stall()
+                if not self._wal_owned:
+                    break
+                self._wal_idle.wait()
             base_seq = self._sequence + 1
-            self._sequence += len(batch)
+            last_seq = base_seq + len(batch) - 1
             encoded = batch.encode(base_seq)
-            self._crash_point("wal.append")
-            self._wal.add_record(encoded)
-            self._batches_since_sync += 1
-            if self._sync_every and self._batches_since_sync >= self._sync_every:
-                self._crash_point("wal.sync")
-                self._wal.sync()
-                self._batches_since_sync = 0
+            wal = self._wal
+            sync = bool(self._sync_every) and (
+                self._batches_since_sync + 1 >= self._sync_every
+            )
+            self._wal_owned = True
+            try:
+                with self._unlocked():
+                    self._crash_point("wal.append")
+                    wal.add_record(encoded)
+                    if sync:
+                        self._crash_point("wal.sync")
+                        wal.sync()
+                        self._crash_point("wal.synced")
+            finally:
+                # A failed record spends its sequence numbers too, so a
+                # retry never reuses those of a record the log may hold.
+                self._sequence = last_seq
+                self._wal_owned = False
+                self._wal_idle.notify_all()
+            self._batches_since_sync = 0 if sync else self._batches_since_sync + 1
             for offset, (kind, key, value) in enumerate(batch):
                 self.memtable.add(base_seq + offset, kind, key, value)
             self._m_writes.inc(len(batch))
             if self.observer is not None:
                 self.observer.on_write(batch, len(encoded))
-            self._notify_wal_listeners(
-                base_seq, base_seq + len(batch) - 1, encoded
-            )
+            self._notify_wal_listeners(base_seq, last_seq, encoded)
             if self.memtable.approximate_bytes >= self.options.memtable_bytes:
                 self._flush_memtable()
                 self._after_shape_change()
@@ -534,6 +568,7 @@ class DB:
         """Force the memtable to disk (mainly for tests/benchmarks)."""
         with self._lock:
             self._check_open()
+            self._await_wal()
             self._flush_memtable()
             self._after_shape_change()
 
@@ -588,6 +623,7 @@ class DB:
         """Force the live WAL durable (follower ack barrier)."""
         with self._lock:
             self._check_open()
+            self._await_wal()
             self._wal.sync()
             self._batches_since_sync = 0
 
@@ -603,6 +639,7 @@ class DB:
         batch, base_seq = WriteBatch.decode(record)
         with self._lock:
             self._check_open()
+            self._await_wal()
             last_seq = base_seq + len(batch) - 1
             if last_seq <= self._sequence:
                 return False  # duplicate redelivery
@@ -635,6 +672,7 @@ class DB:
         """
         with self._lock:
             self._check_open()
+            self._await_wal()
             self._flush_memtable()
             self._version_state.read()
             last_seq = self._sequence
@@ -1000,12 +1038,16 @@ class DB:
         """Newest visible value for ``key``, or None.
 
         ``wait=False`` is the non-waiting read (RocksDB's
-        ``kBlockCacheTier``) for callers that must not block, such as
-        the server's event loop: it try-acquires the DB mutex and
-        answers from the memtable, already-open tables and the block
-        cache only.  The moment it would have to wait for the mutex,
-        open a table or read the device it raises :class:`WouldBlock`
-        with nothing counted; repeat the call with ``wait=True``.
+        ``kBlockCacheTier``, widened to the page cache) for callers
+        that must not block, such as the server's event loop: it
+        try-acquires the DB mutex and answers from the memtable,
+        already-open tables, the block cache and blocks the kernel
+        already holds.  It never waits for the device: the moment it
+        would have to wait for the mutex, open a table or read a block
+        from the device it raises :class:`WouldBlock` with nothing
+        counted; repeat the call with ``wait=True``.  A writer syncing
+        its WAL record does not hold the mutex: the read sees the state
+        from before that write.
         """
         seq = snapshot.sequence if snapshot is not None else MAX_SEQUENCE
         # One probe per GET: the memtable seeks with it, each table
@@ -1181,6 +1223,7 @@ class DB:
         n = 0
         with self._lock:
             self._check_open()
+            self._await_wal()
             self._flush_memtable()
         for level in range(0, self.options.num_levels - 1):
             while True:
@@ -1304,6 +1347,7 @@ class DB:
         if self._bg_thread is not None:
             self._bg_thread.join(timeout=5)
         with self._lock:
+            self._await_wal()
             self._wal.sync()
             self._wal.close()
             self._manifest.append(

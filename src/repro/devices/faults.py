@@ -83,6 +83,7 @@ class SimulatedCrash(BaseException):
 CRASH_POINTS = (
     "wal.append",              # before the WAL record is appended
     "wal.sync",                # after append, before the durability barrier
+    "wal.synced",              # record durable, db.mutex not yet re-taken
     "flush.table_written",     # L0 table synced, manifest not yet updated
     "flush.installed",         # manifest edit durable, old WAL not deleted
     "compaction.outputs_written",  # outputs synced, version edit not applied

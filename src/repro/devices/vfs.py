@@ -11,6 +11,7 @@ account virtual time).
 
 from __future__ import annotations
 
+import errno
 import os
 from abc import ABC, abstractmethod
 from typing import Optional
@@ -67,6 +68,13 @@ class ReadableFile(ABC):
     @abstractmethod
     def pread(self, offset: int, length: int) -> bytes:
         """Read exactly up to ``length`` bytes at ``offset``."""
+
+    def try_pread(self, offset: int, length: int) -> Optional[bytes]:
+        """The ``length`` bytes at ``offset`` if the OS can hand them
+        over without waiting for the device, else None (the caller
+        repeats the read with :meth:`pread` where it may wait).  A file
+        that cannot tell says None."""
+        return None
 
     @abstractmethod
     def size(self) -> int: ...
@@ -232,6 +240,10 @@ class _OSWritable(WritableFile):
 
 
 class _OSReadable(ReadableFile):
+    #: ``preadv`` flag for "only what the page cache holds"; 0 where the
+    #: platform lacks it or the kernel refused it once (no retry per read).
+    _nowait = getattr(os, "RWF_NOWAIT", 0) if hasattr(os, "preadv") else 0
+
     def __init__(self, path: str) -> None:
         # ``_closed`` must exist before os.open so that __del__ of a
         # half-constructed instance (open() raised) stays silent.
@@ -242,6 +254,23 @@ class _OSReadable(ReadableFile):
 
     def pread(self, offset: int, length: int) -> bytes:
         return os.pread(self._fd, length, offset)
+
+    def try_pread(self, offset: int, length: int) -> Optional[bytes]:
+        if not _OSReadable._nowait:
+            return None
+        buf = bytearray(length)
+        try:
+            n = os.preadv(self._fd, [buf], offset, _OSReadable._nowait)
+        except BlockingIOError:  # EAGAIN: not (all) in the page cache
+            return None
+        except OSError as exc:
+            if exc.errno not in (errno.EOPNOTSUPP, errno.EINVAL):
+                raise
+            _OSReadable._nowait = 0
+            return None
+        # A short read is a range only partly cached (or past EOF):
+        # the waiting read tells the two apart.
+        return bytes(buf) if n == length else None
 
     def size(self) -> int:
         return self._size
@@ -419,6 +448,13 @@ class _MeteredReadable(ReadableFile):
         self._storage._m_read_bytes.inc(len(data))
         return data
 
+    def try_pread(self, offset: int, length: int) -> Optional[bytes]:
+        data = self._inner.try_pread(offset, length)
+        if data is not None:
+            self._storage._m_read_ops.inc()
+            self._storage._m_read_bytes.inc(len(data))
+        return data
+
     def size(self) -> int:
         return self._inner.size()
 
@@ -429,9 +465,10 @@ class _MeteredReadable(ReadableFile):
 class MeteredStorage(Storage):
     """Forward to an inner storage while counting I/O into a registry.
 
-    The accounting sibling of :class:`TimedStorage`: every pread /
-    append / sync increments ``io.<device>.{read,write}.{ops,bytes}``
-    and ``io.<device>.sync.ops`` counters in a
+    The accounting sibling of :class:`TimedStorage`: every pread (and
+    every ``try_pread`` that returned bytes) / append / sync increments
+    ``io.<device>.{read,write}.{ops,bytes}`` and ``io.<device>.sync.ops``
+    counters in a
     :class:`repro.obs.MetricsRegistry`.  ``device`` defaults to the
     inner storage's class name (``mem``, ``os``, ``timed``), so two
     devices metered into one registry stay distinguishable.

@@ -65,6 +65,11 @@ class LRUCache:
             self._hits.inc()
             return value
 
+    def count_miss(self) -> None:
+        """Count a miss a ``get(count_miss=False)`` left out, once the
+        caller knows it was one."""
+        self._misses.inc()
+
     def put(self, key: Hashable, value: Any) -> None:
         if self.capacity == 0:
             return

@@ -22,6 +22,7 @@ writer and the compaction steps call these same functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from ..codec.checksum import Checksummer
 from ..codec.compress import Codec, get_codec
@@ -162,13 +163,23 @@ def decode_block_contents(
 
 
 def read_block(
-    file: ReadableFile, handle: BlockHandle
-) -> bytes:
-    """Read a block's stored bytes (payload + trailer) from a file (S1)."""
-    stored = file.pread(handle.offset, handle.size + BLOCK_TRAILER_SIZE)
-    if len(stored) != handle.size + BLOCK_TRAILER_SIZE:
+    file: ReadableFile, handle: BlockHandle, wait: bool = True
+) -> Optional[bytes]:
+    """Read a block's stored bytes (payload + trailer) from a file (S1).
+
+    ``wait=False`` reads only what the OS holds without waiting for the
+    device (:meth:`ReadableFile.try_pread`) and returns None otherwise.
+    """
+    length = handle.size + BLOCK_TRAILER_SIZE
+    if wait:
+        stored = file.pread(handle.offset, length)
+    else:
+        stored = file.try_pread(handle.offset, length)
+        if stored is None:
+            return None
+    if len(stored) != length:
         raise TableCorruption(
             f"short block read at offset {handle.offset}: "
-            f"wanted {handle.size + BLOCK_TRAILER_SIZE}, got {len(stored)}"
+            f"wanted {length}, got {len(stored)}"
         )
     return stored

@@ -49,8 +49,8 @@ def decode_block(raw: bytes) -> DecodedBlock:
 class WouldBlock(Exception):
     """A non-waiting read (``wait=False``) would have had to wait.
 
-    Raised instead of waiting for a lock, opening a file or reading the
-    device; the caller repeats the read with ``wait=True`` on a thread
+    Raised instead of waiting for a lock, opening a file or waiting for
+    the device; the caller repeats the read with ``wait=True`` on a thread
     that may block.  Spans the exception unwinds through are not
     recorded (see :class:`repro.obs.Tracer`): the repeat is the read.
     """
@@ -99,10 +99,14 @@ class Table:
         return self._file
 
     # -- block access ------------------------------------------------
-    def _load_block(self, handle: BlockHandle) -> bytes:
+    def _load_block(self, handle: BlockHandle, wait: bool = True) -> bytes:
         """One block's payload from the device, verified and
-        decompressed, past the cache."""
-        stored = read_block(self._file, handle)
+        decompressed, past the cache.  ``wait=False`` takes only what
+        the OS holds without waiting for the device, and raises
+        :class:`WouldBlock` otherwise."""
+        stored = read_block(self._file, handle, wait)
+        if stored is None:
+            raise WouldBlock("block is not in the page cache")
         return decode_block_contents(
             stored, self._checksummer, verify=self.options.paranoid_checks
         )
@@ -111,16 +115,19 @@ class Table:
         cache = self._cache
         if cache is not None:
             key = (self._table_id, handle.offset)
-            # A non-waiting miss is not a lookup: the caller repeats the
-            # read with wait=True and that one counts.
-            block = cache.get(key, count_miss=wait)
+            block = cache.get(key, count_miss=False)
             if block is not None:
                 return block
-        if not wait:
-            raise WouldBlock("block is not in the cache")
-        block = decode_block(self._load_block(handle))
+        block = decode_block(self._load_block(handle, wait))
         if cache is not None:
+            # A miss counts once the block is read: a non-waiting read
+            # that raised is repeated with wait=True, and that one counts.
+            cache.count_miss()
             cache.put(key, block)
+            if self._cache is None:
+                # evict() ran during the read, perhaps after its own
+                # invalidate of this key: drop what was just inserted.
+                cache.invalidate(key)
         return block
 
     def evict(self) -> None:
@@ -173,9 +180,9 @@ class Table:
         The caller (DB read path) checks whether the returned entry's
         user key actually matches, and may pass ``order``, the probe's
         :func:`~repro.lsm.ikey.internal_order`, computed once for every
-        table it asks.  With ``wait=False`` only the block cache is
-        consulted: a block that would need a device read raises
-        :class:`WouldBlock`.
+        table it asks.  With ``wait=False`` a block is taken from the
+        block cache or from what the OS holds; one that would have to
+        wait for the device raises :class:`WouldBlock`.
         """
         if order is None:
             order = internal_order(ikey)

@@ -15,11 +15,13 @@ What cannot wait skips the pool.  When a connection has nothing in
 flight, its reader first runs the request in non-waiting mode on the
 loop thread itself — ``PING`` touches no engine state, and ``GET`` goes
 through ``DB.get(wait=False)``, which never waits for the DB mutex,
-opens a table or reads the device — and writes the reply directly:
-no task, no queue, no executor round trip.  Anything that would wait
-raises :class:`repro.db.WouldBlock` (a held mutex, an uncached block,
-every other opcode) and takes the pool path above.  Both entries are
-one function, :meth:`KVServer._handle_request`.
+opens a table or waits for the device (a block the kernel already
+holds is read) — and writes the reply directly: no task, no queue, no
+executor round trip; ``server.inline`` counts these.  Anything that
+would wait raises :class:`repro.db.WouldBlock` (a held mutex, an
+unopened table, a block the device must read, every other opcode) and
+takes the pool path above.  Both entries are one function,
+:meth:`KVServer._handle_request`.
 
 Backpressure, two layers
 ========================
@@ -227,6 +229,7 @@ class KVServer:
         self._protocol_errors = self.metrics.counter("server.protocol_errors")
         self._conns_opened = self.metrics.counter("server.connections_opened")
         self._conns_closed = self.metrics.counter("server.connections_closed")
+        self._inline = self.metrics.counter("server.inline")
         self.own_db = own_db
         self.hub = hub
         self.follower = follower
@@ -438,6 +441,7 @@ class KVServer:
                 except WouldBlock:
                     pass
                 else:
+                    self._inline.inc()
                     try:
                         writer.write(frame)
                         await writer.drain()
@@ -614,7 +618,8 @@ class KVServer:
         self, request: P.Request, state: dict, wait: bool
     ) -> tuple[int, bytes]:
         """``wait=False`` must return without waiting on anything — a
-        lock, a file, the device, a follower — or raise WouldBlock."""
+        lock, a file open, the device, a follower — or raise WouldBlock.
+        It may read what the OS already holds (``DB.get(wait=False)``)."""
         op, body = request.opcode, request.body
         if op == P.OP_PING:
             hello = P.decode_hello_body(body)
