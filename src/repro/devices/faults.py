@@ -34,7 +34,6 @@ the same bytes.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -43,6 +42,7 @@ from .vfs import (
     ReadableFile,
     Storage,
     StorageError,
+    StorageWrapper,
     WritableFile,
 )
 
@@ -183,53 +183,14 @@ class _DeterministicRNG:
         return self.next_u64() % n if n > 0 else 0
 
 
-class _FaultyWritable(WritableFile):
-    def __init__(self, inner: WritableFile, storage: "FaultyStorage", name: str):
-        self._inner = inner
-        self._storage = storage
-        self._name = name
-
-    def append(self, data: bytes) -> None:
-        self._storage._before_op("write", self._name)
-        self._inner.append(data)
-
-    def flush(self) -> None:
-        self._inner.flush()
-
-    def sync(self) -> None:
-        self._storage._before_op("sync", self._name)
-        self._inner.sync()
-        self._storage._mark_durable(self._name, self._inner.tell())
-
-    def tell(self) -> int:
-        return self._inner.tell()
-
-    def close(self) -> None:
-        # Close never raises: it runs while exceptions unwind.  A
-        # close without sync leaves the unsynced tail volatile.
-        self._inner.close()
-
-
-class _FaultyReadable(ReadableFile):
-    def __init__(self, inner: ReadableFile, storage: "FaultyStorage", name: str):
-        self._inner = inner
-        self._storage = storage
-        self._name = name
-
-    def pread(self, offset: int, length: int) -> bytes:
-        self._storage._before_op("read", self._name)
-        data = self._inner.pread(offset, length)
-        return self._storage._maybe_bitflip(data)
-
-    def size(self) -> int:
-        return self._inner.size()
-
-    def close(self) -> None:
-        self._inner.close()
-
-
-class FaultyStorage(Storage):
+class FaultyStorage(StorageWrapper):
     """Wrap ``inner``, injecting the faults a :class:`FaultPlan` asks for.
+
+    Every append, sync, pread and rename first asks the plan whether to
+    fail; a pread may come back bit-flipped; a sync marks the file's
+    length durable for :meth:`frozen_storage`, and a close (which never
+    fails: it runs while exceptions unwind) marks nothing.  ``try_pread``
+    answers None, so the plan sees every read.
 
     Thread-safe: fault decisions and durability bookkeeping happen
     under one lock, so the background compactor and foreground writer
@@ -244,7 +205,7 @@ class FaultyStorage(Storage):
     def __init__(self, inner: Storage, plan: Optional[FaultPlan] = None) -> None:
         from ..analysis.locksan import make_lock
 
-        self.inner = inner
+        super().__init__(inner)
         self._lock = make_lock("devices.faults")
         self.injected: dict[str, int] = {}
         self.points_seen: list[str] = []
@@ -375,22 +336,32 @@ class FaultyStorage(Storage):
             return image
 
     # ------------------------------------------------------- storage API
+    def _append(self, f: WritableFile, name: str, data: bytes) -> None:
+        self._before_op("write", name)
+        f.append(data)
+
+    def _sync(self, f: WritableFile, name: str) -> None:
+        self._before_op("sync", name)
+        f.sync()
+        self._mark_durable(name, f.tell())
+
+    def _pread(self, f: ReadableFile, name: str, offset: int, length: int) -> bytes:
+        self._before_op("read", name)
+        return self._maybe_bitflip(f.pread(offset, length))
+
     def create(self, name: str) -> WritableFile:
         with self._lock:
             if self.crashed:
                 raise StorageError("storage frozen after simulated crash")
             self._durable[name] = 0
             self._created.add(name)
-        return _FaultyWritable(self.inner.create(name), self, name)
+        return super().create(name)
 
     def open(self, name: str) -> ReadableFile:
         with self._lock:
             if self.crashed:
                 raise StorageError("storage frozen after simulated crash")
-        return _FaultyReadable(self.inner.open(name), self, name)
-
-    def exists(self, name: str) -> bool:
-        return self.inner.exists(name)
+        return super().open(name)
 
     def delete(self, name: str) -> None:
         with self._lock:
@@ -398,11 +369,11 @@ class FaultyStorage(Storage):
                 raise StorageError("storage frozen after simulated crash")
             self._durable.pop(name, None)
             self._created.discard(name)
-        self.inner.delete(name)
+        super().delete(name)
 
     def rename(self, old: str, new: str) -> None:
         self._before_op("rename", old)
-        self.inner.rename(old, new)
+        super().rename(old, new)
         with self._lock:
             # The rename itself is atomic+durable (journalled metadata);
             # the *content* keeps whatever durability it had.
@@ -414,16 +385,13 @@ class FaultyStorage(Storage):
                 self._created.discard(old)
                 self._created.add(new)
 
-    def list(self) -> list[str]:
-        return self.inner.list()
-
 
 def find_faulty(storage) -> Optional[FaultyStorage]:
     """The :class:`FaultyStorage` in a wrapper chain, if any.
 
-    Walks ``.inner`` links (Metered/Timed/Faulty wrappers all expose
-    one), so the engine finds its fault injector no matter how the
-    storage stack is composed.
+    Walks ``.inner`` links (every :class:`StorageWrapper` exposes one),
+    so the engine finds its fault injector no matter how the storage
+    stack is composed.
     """
     seen = 0
     while storage is not None and seen < 16:

@@ -2,11 +2,16 @@
 
 The engine never touches ``open()`` directly; it goes through a
 :class:`Storage`, so the same code runs against real files
-(:class:`OSStorage`), an in-memory store (:class:`MemStorage`, used by
-tests and by the simulated experiments), or a timing-charging wrapper
-(:class:`TimedStorage`, which forwards to an inner storage and charges
-a device model for every I/O — how the Fig 10 system-level experiments
-account virtual time).
+(:class:`OSStorage`) or an in-memory store (:class:`MemStorage`, used by
+tests and by the simulated experiments).
+
+A :class:`StorageWrapper` forwards to an inner storage and lets a
+subclass interpose on each append, sync and read.  Three do:
+:class:`MeteredStorage` counts I/O into a metrics registry (every
+``DB`` wraps its storage in one), :class:`TimedStorage` charges a
+device model and books the seconds to a ledger, and
+:class:`repro.devices.faults.FaultyStorage` injects the faults of a
+plan.  They stack: each one's :attr:`~StorageWrapper.inner` is the next.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "Storage",
     "MemStorage",
     "OSStorage",
+    "StorageWrapper",
     "TimedStorage",
     "MeteredStorage",
 ]
@@ -325,25 +331,21 @@ class OSStorage(Storage):
         return sorted(os.listdir(self.root))
 
 
-# --------------------------------------------------------------- timed
-class _TimedWritable(WritableFile):
-    def __init__(self, inner: WritableFile, storage: "TimedStorage", name: str):
+# ------------------------------------------------------------- wrapper
+class _WrappedWritable(WritableFile):
+    def __init__(self, inner: WritableFile, storage: "StorageWrapper", name: str):
         self._inner = inner
         self._storage = storage
         self._name = name
-        self._offset = 0
 
     def append(self, data: bytes) -> None:
-        self._inner.append(data)
-        self._storage._charge_write(len(data), self._name, self._offset)
-        self._offset += len(data)
+        self._storage._append(self._inner, self._name, data)
 
     def flush(self) -> None:
         self._inner.flush()
 
     def sync(self) -> None:
-        self._inner.sync()
-        self._storage._charge_sync()
+        self._storage._sync(self._inner, self._name)
 
     def tell(self) -> int:
         return self._inner.tell()
@@ -352,16 +354,17 @@ class _TimedWritable(WritableFile):
         self._inner.close()
 
 
-class _TimedReadable(ReadableFile):
-    def __init__(self, inner: ReadableFile, storage: "TimedStorage", name: str):
+class _WrappedReadable(ReadableFile):
+    def __init__(self, inner: ReadableFile, storage: "StorageWrapper", name: str):
         self._inner = inner
         self._storage = storage
         self._name = name
 
     def pread(self, offset: int, length: int) -> bytes:
-        data = self._inner.pread(offset, length)
-        self._storage._charge_read(len(data), self._name, offset)
-        return data
+        return self._storage._pread(self._inner, self._name, offset, length)
+
+    def try_pread(self, offset: int, length: int) -> Optional[bytes]:
+        return self._storage._try_pread(self._inner, self._name, offset, length)
 
     def size(self) -> int:
         return self._inner.size()
@@ -370,34 +373,38 @@ class _TimedReadable(ReadableFile):
         self._inner.close()
 
 
-class TimedStorage(Storage):
-    """Forward to an inner storage while charging a device model.
+class StorageWrapper(Storage):
+    """Forward every operation to the storage :attr:`inner`.
 
-    Charged seconds accumulate in :attr:`io_seconds`; experiments fold
-    them into a virtual-time ledger.  ``sync_s`` is a fixed durability
-    cost per :meth:`WritableFile.sync`.
+    A subclass interposes on file I/O by overriding the per-op hooks
+    below; each is handed the inner file and the file's name, and makes
+    the inner call itself.  Name operations forward unchanged unless a
+    subclass overrides them.  ``_try_pread`` answers None by default: a
+    wrapper that must see every read keeps reads on the waiting path.
     """
 
-    def __init__(self, inner: Storage, device: Device, sync_s: float = 0.0) -> None:
+    def __init__(self, inner: Storage) -> None:
         self.inner = inner
-        self.device = device
-        self.sync_s = sync_s
-        self.io_seconds = 0.0
 
-    def _charge_read(self, size: int, name: str, offset: int) -> None:
-        self.io_seconds += self.device.read_time(size, stream=name, offset=offset)
+    def _append(self, f: WritableFile, name: str, data: bytes) -> None:
+        f.append(data)
 
-    def _charge_write(self, size: int, name: str, offset: int) -> None:
-        self.io_seconds += self.device.write_time(size, stream=name, offset=offset)
+    def _sync(self, f: WritableFile, name: str) -> None:
+        f.sync()
 
-    def _charge_sync(self) -> None:
-        self.io_seconds += self.sync_s
+    def _pread(self, f: ReadableFile, name: str, offset: int, length: int) -> bytes:
+        return f.pread(offset, length)
+
+    def _try_pread(
+        self, f: ReadableFile, name: str, offset: int, length: int
+    ) -> Optional[bytes]:
+        return None
 
     def create(self, name: str) -> WritableFile:
-        return _TimedWritable(self.inner.create(name), self, name)
+        return _WrappedWritable(self.inner.create(name), self, name)
 
     def open(self, name: str) -> ReadableFile:
-        return _TimedReadable(self.inner.open(name), self, name)
+        return _WrappedReadable(self.inner.open(name), self, name)
 
     def exists(self, name: str) -> bool:
         return self.inner.exists(name)
@@ -412,70 +419,49 @@ class TimedStorage(Storage):
         return self.inner.list()
 
 
-# ------------------------------------------------------------- metered
-class _MeteredWritable(WritableFile):
-    def __init__(self, inner: WritableFile, storage: "MeteredStorage"):
-        self._inner = inner
-        self._storage = storage
+class TimedStorage(StorageWrapper):
+    """Forward to an inner storage while charging a device model.
 
-    def append(self, data: bytes) -> None:
-        self._inner.append(data)
-        self._storage._m_write_ops.inc()
-        self._storage._m_write_bytes.inc(len(data))
+    Each append and pread is charged to ``device`` as an access of its
+    size at its offset, in a stream named after the file, and each sync
+    costs the fixed ``sync_s``.  The charged seconds accumulate in
+    :attr:`io_seconds`, a ledger only: nothing waits for them.
+    """
 
-    def flush(self) -> None:
-        self._inner.flush()
+    def __init__(self, inner: Storage, device: Device, sync_s: float = 0.0) -> None:
+        super().__init__(inner)
+        self.device = device
+        self.sync_s = sync_s
+        self.io_seconds = 0.0
 
-    def sync(self) -> None:
-        self._inner.sync()
-        self._storage._m_sync_ops.inc()
+    def _append(self, f: WritableFile, name: str, data: bytes) -> None:
+        offset = f.tell()
+        f.append(data)
+        self.io_seconds += self.device.write_time(len(data), stream=name, offset=offset)
 
-    def tell(self) -> int:
-        return self._inner.tell()
+    def _sync(self, f: WritableFile, name: str) -> None:
+        f.sync()
+        self.io_seconds += self.sync_s
 
-    def close(self) -> None:
-        self._inner.close()
-
-
-class _MeteredReadable(ReadableFile):
-    def __init__(self, inner: ReadableFile, storage: "MeteredStorage"):
-        self._inner = inner
-        self._storage = storage
-
-    def pread(self, offset: int, length: int) -> bytes:
-        data = self._inner.pread(offset, length)
-        self._storage._m_read_ops.inc()
-        self._storage._m_read_bytes.inc(len(data))
+    def _pread(self, f: ReadableFile, name: str, offset: int, length: int) -> bytes:
+        data = f.pread(offset, length)
+        self.io_seconds += self.device.read_time(len(data), stream=name, offset=offset)
         return data
 
-    def try_pread(self, offset: int, length: int) -> Optional[bytes]:
-        data = self._inner.try_pread(offset, length)
-        if data is not None:
-            self._storage._m_read_ops.inc()
-            self._storage._m_read_bytes.inc(len(data))
-        return data
 
-    def size(self) -> int:
-        return self._inner.size()
-
-    def close(self) -> None:
-        self._inner.close()
-
-
-class MeteredStorage(Storage):
+class MeteredStorage(StorageWrapper):
     """Forward to an inner storage while counting I/O into a registry.
 
-    The accounting sibling of :class:`TimedStorage`: every pread (and
-    every ``try_pread`` that returned bytes) / append / sync increments
-    ``io.<device>.{read,write}.{ops,bytes}`` and ``io.<device>.sync.ops``
-    counters in a
+    Every pread (and every ``try_pread`` that returned bytes) / append /
+    sync increments ``io.<device>.{read,write}.{ops,bytes}`` and
+    ``io.<device>.sync.ops`` counters in a
     :class:`repro.obs.MetricsRegistry`.  ``device`` defaults to the
-    inner storage's class name (``mem``, ``os``, ``timed``), so two
-    devices metered into one registry stay distinguishable.
+    inner storage's class name (``mem``, ``os``, ``faulty``, ``timed``),
+    so two devices metered into one registry stay distinguishable.
     """
 
     def __init__(self, inner: Storage, metrics, device: Optional[str] = None):
-        self.inner = inner
+        super().__init__(inner)
         device = device or type(inner).__name__.removesuffix("Storage").lower()
         self.device = device
         self._m_read_ops = metrics.counter(f"io.{device}.read.ops")
@@ -484,20 +470,26 @@ class MeteredStorage(Storage):
         self._m_write_bytes = metrics.counter(f"io.{device}.write.bytes")
         self._m_sync_ops = metrics.counter(f"io.{device}.sync.ops")
 
-    def create(self, name: str) -> WritableFile:
-        return _MeteredWritable(self.inner.create(name), self)
+    def _append(self, f: WritableFile, name: str, data: bytes) -> None:
+        f.append(data)
+        self._m_write_ops.inc()
+        self._m_write_bytes.inc(len(data))
 
-    def open(self, name: str) -> ReadableFile:
-        return _MeteredReadable(self.inner.open(name), self)
+    def _sync(self, f: WritableFile, name: str) -> None:
+        f.sync()
+        self._m_sync_ops.inc()
 
-    def exists(self, name: str) -> bool:
-        return self.inner.exists(name)
+    def _pread(self, f: ReadableFile, name: str, offset: int, length: int) -> bytes:
+        data = f.pread(offset, length)
+        self._m_read_ops.inc()
+        self._m_read_bytes.inc(len(data))
+        return data
 
-    def delete(self, name: str) -> None:
-        self.inner.delete(name)
-
-    def rename(self, old: str, new: str) -> None:
-        self.inner.rename(old, new)
-
-    def list(self) -> list[str]:
-        return self.inner.list()
+    def _try_pread(
+        self, f: ReadableFile, name: str, offset: int, length: int
+    ) -> Optional[bytes]:
+        data = f.try_pread(offset, length)
+        if data is not None:
+            self._m_read_ops.inc()
+            self._m_read_bytes.inc(len(data))
+        return data

@@ -1,0 +1,146 @@
+"""Python calls per engine operation, pinned to a golden.
+
+Wall clock drifts between runs and machines; the number of Python calls
+an operation makes does not.  Each row counts ``call`` and ``c_call``
+events under ``sys.setprofile`` (a generator resuming is a ``call``)
+while a synchronous ``DB`` on ``MemStorage`` serves one kind of
+operation, 1 KB values, fixed seed:
+
+* ``put`` — PUTs into an empty store, flushes and compactions included;
+* ``get_cached`` — GETs whose block is in the block cache;
+* ``get_uncached`` — GETs that each miss the block cache, on a fully
+  compacted store whose tables are already open.
+
+Counts miss work done in C (zlib, CRC, bisect) and waits; they are a
+second yardstick beside ``perf/run.py``, not a replacement.  The golden
+is keyed by Python minor version, since the interpreter changes what a
+call is; on a minor version it lacks, the test is skipped.  So is a run
+under either sanitizer, whose instrumented locks add calls.
+
+Re-record (only when a change is meant to move a count, and list each
+row's old and new value with the change) with
+``PYTHONPATH=src python -m tests.cost.test_cost_golden``.
+"""
+
+import gc
+import json
+import random
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from repro.analysis import race_sanitizer_enabled, sanitizer_enabled
+from repro.db import DB
+from repro.devices import MemStorage
+from repro.lsm import Options
+
+GOLDEN = Path(__file__).with_name("cost_golden.json")
+PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
+
+SEED = 1
+KEYS = 1000
+GETS = 200
+
+
+def _options() -> Options:
+    return Options(
+        memtable_bytes=64 * 1024, compression="lz77", block_cache_entries=16
+    )
+
+
+def _calls(fn) -> int:
+    """Python and C calls made while ``fn()`` runs (collector off)."""
+    n = 0
+
+    def profile(frame, event, arg):
+        nonlocal n
+        if event == "call" or event == "c_call":
+            n += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return n
+
+
+def _misses(db: DB) -> int:
+    return db.obs.metrics.counter("cache.misses").value
+
+
+def measure() -> dict:
+    """One fresh store, each row as ``{"ops": n, "calls": total}``."""
+    rng = random.Random(SEED)
+    keys = [b"key%06d" % i for i in range(KEYS)]
+    order = keys[:]
+    rng.shuffle(order)
+    values = {key: rng.randbytes(256) * 4 for key in keys}
+    db = DB(MemStorage(), _options())
+    try:
+        def puts():
+            for key in order:
+                db.put(key, values[key])
+
+        rows = {"put": {"ops": KEYS, "calls": _calls(puts)}}
+        assert db.obs.metrics.counter("db.compactions").value > 0
+
+        db.compact_range()
+        for key in keys:  # open every table; the cache ends cold
+            assert db.get(key) == values[key]
+        # Strided through sorted keys, consecutive GETs land in
+        # different blocks, cycling through more than the cache holds.
+        stride = keys[::5][:GETS]
+        misses = _misses(db)
+
+        def uncached():
+            for key in stride:
+                db.get(key)
+
+        rows["get_uncached"] = {"ops": GETS, "calls": _calls(uncached)}
+        assert _misses(db) - misses == GETS
+
+        hot = keys[0]
+        db.get(hot)
+        misses = _misses(db)
+
+        def cached():
+            for _ in range(GETS):
+                db.get(hot)
+
+        rows["get_cached"] = {"ops": GETS, "calls": _calls(cached)}
+        assert _misses(db) == misses
+    finally:
+        db.close()
+    return rows
+
+
+@pytest.mark.skipif(
+    race_sanitizer_enabled() or sanitizer_enabled(),
+    reason="instrumented locks add calls",
+)
+def test_calls_per_operation_match_the_golden():
+    golden = json.loads(GOLDEN.read_text())
+    if PYTHON not in golden:
+        pytest.skip(f"no golden for Python {PYTHON}")
+    t0 = time.perf_counter()
+    runs = [measure() for _ in range(3)]
+    elapsed = time.perf_counter() - t0
+    assert runs[0] == runs[1] == runs[2], "counts differ between runs"
+    assert runs[0] == golden[PYTHON]
+    assert elapsed < 10.0, f"cost golden took {elapsed:.1f} s"
+
+
+if __name__ == "__main__":
+    rows = measure()
+    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    golden[PYTHON] = rows
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    for name, row in sorted(rows.items()):
+        print(f"{name}: {row['calls'] / row['ops']:.1f} calls/op", file=sys.stderr)
+    print(f"wrote {GOLDEN}", file=sys.stderr)

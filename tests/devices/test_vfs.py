@@ -1,15 +1,20 @@
-"""Tests for the virtual filesystem (Mem/OS/Timed storage)."""
+"""Tests for the virtual filesystem: Mem/OS storage and the wrappers
+(Timed, Metered, Faulty) that forward to an inner storage."""
 
 import pytest
 
 from repro.devices import (
     HDD,
+    FaultyStorage,
     MemStorage,
+    MeteredStorage,
     OSStorage,
     SSD,
     StorageError,
     TimedStorage,
 )
+from repro.devices.base import Device
+from repro.obs import MetricsRegistry
 
 
 def _roundtrip(storage):
@@ -195,3 +200,162 @@ class TestTimedStorage:
             f.append(b"a" * 1024)
             f.append(b"b" * 1024)
         assert hdd.stats.seeks <= 1  # only the first write repositions
+
+    def test_second_append_is_charged_at_the_first_ones_length(self):
+        device = _RecordingDevice()
+        ts = TimedStorage(MemStorage(), device)
+        with ts.create("log") as f:
+            f.append(b"first")
+            f.append(b"second!")
+        ts.open("log").pread(5, 7)
+        assert device.log == [
+            ("write", 5, "log", 0),
+            ("write", 7, "log", 5),
+            ("read", 7, "log", 5),
+        ]
+        assert ts.io_seconds == pytest.approx(0.003)
+
+
+class _RecordingDevice(Device):
+    """Charges 1 ms per access and logs ``(kind, size, stream, offset)``."""
+
+    def __init__(self) -> None:
+        super().__init__("recording")
+        self.log: list[tuple] = []
+
+    def _service_time(self, kind, size, sequential):
+        return 0.001
+
+    def read_time(self, size, stream=None, offset=None):
+        self.log.append(("read", size, stream, offset))
+        return 0.001
+
+    def write_time(self, size, stream=None, offset=None):
+        self.log.append(("write", size, stream, offset))
+        return 0.001
+
+
+class _ResidentMem(MemStorage):
+    """Every byte is already in memory: ``try_pread`` answers."""
+
+    def open(self, name):
+        f = super().open(name)
+        f.try_pread = f.pread
+        return f
+
+
+def _io(registry, device="mem"):
+    counters = registry.snapshot()["counters"]
+    return {
+        name.removeprefix(f"io.{device}."): value
+        for name, value in counters.items()
+        if name.startswith(f"io.{device}.")
+    }
+
+
+class TestMeteredStorage:
+    def test_pread_counts_one_op_and_the_bytes_returned(self):
+        registry = MetricsRegistry()
+        ms = MeteredStorage(MemStorage(), registry)
+        with ms.create("f") as f:
+            f.append(b"0123456789")
+        r = ms.open("f")
+        assert r.pread(2, 4) == b"2345"
+        assert r.pread(8, 100) == b"89"  # short at EOF: 2 bytes counted
+        io = _io(registry)
+        assert (io["read.ops"], io["read.bytes"]) == (2, 6)
+
+    def test_try_pread_that_returns_none_counts_nothing(self):
+        registry = MetricsRegistry()
+        ms = MeteredStorage(MemStorage(), registry)
+        with ms.create("f") as f:
+            f.append(b"abc")
+        assert ms.open("f").try_pread(0, 3) is None
+        io = _io(registry)
+        assert (io["read.ops"], io["read.bytes"]) == (0, 0)
+
+    def test_try_pread_that_returns_bytes_counts_them(self):
+        registry = MetricsRegistry()
+        ms = MeteredStorage(_ResidentMem(), registry, device="mem")
+        with ms.create("f") as f:
+            f.append(b"abc")
+        assert ms.open("f").try_pread(1, 2) == b"bc"
+        io = _io(registry)
+        assert (io["read.ops"], io["read.bytes"]) == (1, 2)
+
+    def test_append_and_sync_count(self):
+        registry = MetricsRegistry()
+        ms = MeteredStorage(MemStorage(), registry)
+        with ms.create("f") as f:
+            f.append(b"abcd")
+            f.append(b"ef")
+            f.sync()
+            f.flush()  # not an op
+        assert _io(registry) == {
+            "read.ops": 0, "read.bytes": 0,
+            "write.ops": 2, "write.bytes": 6,
+            "sync.ops": 1,
+        }
+
+    @pytest.mark.parametrize("inner, device", [
+        (MemStorage, "mem"),
+        (lambda: FaultyStorage(MemStorage()), "faulty"),
+        (lambda: TimedStorage(MemStorage(), SSD()), "timed"),
+    ])
+    def test_default_device_is_the_inner_class_name(self, inner, device):
+        ms = MeteredStorage(inner(), MetricsRegistry())
+        assert ms.device == device
+
+    def test_explicit_device_names_the_counters(self):
+        registry = MetricsRegistry()
+        ms = MeteredStorage(MemStorage(), registry, device="ssd0")
+        assert ms.device == "ssd0"
+        with ms.create("f") as f:
+            f.append(b"x")
+        assert _io(registry, "ssd0")["write.ops"] == 1
+        assert _io(registry, "mem") == {}
+
+
+def _script(storage) -> list:
+    """Every name operation and file operation once; what each returned."""
+    out = []
+    with storage.create("a") as f:
+        f.append(b"hello ")
+        f.sync()
+        f.append(b"world")
+        out.append(f.tell())
+    with storage.open("a") as r:
+        out += [r.size(), r.pread(6, 5), r.pread(9, 10), r.read_all()]
+    storage.create("b").close()
+    out += [storage.exists("a"), storage.exists("zz"), storage.list()]
+    storage.rename("a", "c")  # repro: noqa[RA201] - rename semantics, not a commit
+    out += [storage.list(), storage.file_size("c")]
+    storage.delete("b")
+    out.append(storage.list())
+    for op in (
+        lambda: storage.open("ghost"),
+        lambda: storage.delete("ghost"),
+        lambda: storage.rename("ghost", "x"),
+        lambda: storage.file_size("ghost"),
+    ):
+        with pytest.raises(StorageError):
+            op()
+    return out
+
+
+_WRAPPERS = {
+    "timed": lambda inner: TimedStorage(inner, SSD()),
+    "metered": lambda inner: MeteredStorage(inner, MetricsRegistry()),
+    "faulty": FaultyStorage,
+    "metered-faulty": lambda inner: MeteredStorage(
+        FaultyStorage(inner), MetricsRegistry()
+    ),
+}
+
+
+@pytest.mark.parametrize("wrap", sorted(_WRAPPERS))
+def test_a_wrapper_behaves_as_its_inner_storage(wrap):
+    inner = MemStorage()
+    assert _script(_WRAPPERS[wrap](inner)) == _script(MemStorage())
+    assert inner.list() == ["c"]
+    assert inner.open("c").read_all() == b"hello world"
