@@ -14,8 +14,8 @@ it, they just satisfy it (checked by the conformance test in
 *out* of the protocol on purpose:
 
 * ``snapshot()`` / ``cursor()`` — only local shards pin snapshots;
-  :meth:`ShardedDB.scan` falls back to a heap merge of per-shard scans
-  when any shard cannot produce a cursor;
+  :meth:`ShardedDB.scan` needs neither: it heap-merges every shard's
+  own ``scan``;
 * ``obs`` — every implementation happens to carry an
   :class:`repro.obs.Observability` bundle, but a remote shard's holds
   its client's counters, not the remote engine's; the engine's counts

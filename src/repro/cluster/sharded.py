@@ -38,7 +38,9 @@ misrouting keys.  See ``docs/CLUSTER.md``.
 
 from __future__ import annotations
 
+import heapq
 from itertools import islice
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from ..core.procedures import ProcedureSpec
@@ -197,8 +199,9 @@ class ShardedDB:
         process), and ``close()`` closes the supplied shards.
 
         Shards without ``cursor``/``snapshot`` support (the remote
-        ones) degrade scans to a heap merge of per-shard scans and
-        make :meth:`snapshot` raise ``NotImplementedError``.
+        ones) make :meth:`cursor` and :meth:`snapshot` raise
+        ``NotImplementedError``; scans merge every shard's own scan
+        either way.
         """
         if len(shards) < 1:
             raise ValueError("need at least one shard")
@@ -369,7 +372,7 @@ class ShardedDB:
         if not all(hasattr(shard, "cursor") for shard in self.shards):
             raise NotImplementedError(
                 "cluster contains remote shards, which have no cursors; "
-                "scan()/scan_reverse() heap-merge instead"
+                "use scan()/scan_reverse()"
             )
         return ClusterCursor(
             [
@@ -378,29 +381,20 @@ class ShardedDB:
             ]
         )
 
-    def _merged_scan(
-        self,
-        start: Optional[bytes],
-        end: Optional[bytes],
-        snapshot: Optional[ClusterSnapshot],
-        reverse: bool,
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """Heap merge of per-shard scans (the cursorless fallback).
+    def _scan(self, start, end, snapshot, limit, reverse: bool) -> Iterator[tuple[bytes, bytes]]:
+        """Heap merge of each shard's own scan, under its own snapshot.
 
         Shards partition the keyspace, so per-shard streams never
         carry the same key and a plain key merge is the global order.
         """
-        import heapq
-
         streams = [
-            (
-                shard.scan_reverse(start, end, snapshot=snapshot)
-                if reverse
-                else shard.scan(start, end, snapshot=snapshot)
+            (shard.scan_reverse if reverse else shard.scan)(
+                start, end, snapshot=self._shard_snapshot(snapshot, i)
             )
-            for shard in self.shards
+            for i, shard in enumerate(self.shards)
         ]
-        return heapq.merge(*streams, key=lambda pair: pair[0], reverse=reverse)
+        items = heapq.merge(*streams, key=itemgetter(0), reverse=reverse)
+        return items if limit is None else islice(items, limit)
 
     def scan(
         self,
@@ -410,11 +404,7 @@ class ShardedDB:
         limit: Optional[int] = None,
     ) -> Iterator[tuple[bytes, bytes]]:
         """Globally ordered iteration over ``[start, end)`` across shards."""
-        if all(hasattr(shard, "cursor") for shard in self.shards):
-            items = self.cursor(snapshot).items(start, end)
-        else:
-            items = self._merged_scan(start, end, snapshot, reverse=False)
-        return items if limit is None else islice(items, limit)
+        return self._scan(start, end, snapshot, limit, reverse=False)
 
     def scan_reverse(
         self,
@@ -424,11 +414,7 @@ class ShardedDB:
         limit: Optional[int] = None,
     ) -> Iterator[tuple[bytes, bytes]]:
         """The ``[start, end)`` window in descending global key order."""
-        if all(hasattr(shard, "cursor") for shard in self.shards):
-            items = self.cursor(snapshot).items_reverse(start, end)
-        else:
-            items = self._merged_scan(start, end, snapshot, reverse=True)
-        return items if limit is None else islice(items, limit)
+        return self._scan(start, end, snapshot, limit, reverse=True)
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         return self.scan()

@@ -6,8 +6,9 @@ LevelDB policy, simplified but faithful where the paper depends on it:
   files (all overlapping L0 files join the compaction).
 * Level i >= 1 compacts into i+1 when its byte size exceeds the
   exponential threshold; one input file is chosen round-robin by key
-  (the ``compact_pointer``) so compactions sweep the key space, plus
-  every i+1 file whose range overlaps.
+  (the ``compact_pointer``) so compactions sweep the key space, with
+  the files after it that continue its last user key, plus every i+1
+  file whose range overlaps.
 
 The picked :class:`CompactionTask` is exactly the paper's unit of work:
 "the key-value pairs in a specific key range from the corresponding
@@ -23,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..lsm.options import Options
-from ..lsm.version import Version
+from ..lsm.version import FileMetaData, Version
 from .policy import CompactionPolicy, CompactionTask, register_policy
 
 __all__ = ["LeveledPolicy"]
@@ -95,11 +96,30 @@ class LeveledPolicy(CompactionPolicy):
                     break
         if pick is None:
             pick = files[0]  # wrap around
-        self.compact_pointer[level] = pick.largest[:-8]
+        task = self._push_down(version, level, pick)
+        self.compact_pointer[level] = task.inputs_upper[-1].largest[:-8]
+        return task
+
+    @staticmethod
+    def _push_down(version: Version, level: int, pick: FileMetaData) -> CompactionTask:
+        """``pick`` and the files after it that continue its last user
+        key, with the next level's files overlapping them.
+
+        Snapshots keep a key's versions, and a compaction may cut them
+        across two files, the newer ones first: pushed down alone, the
+        first would leave older versions above newer ones (LevelDB's
+        ``AddBoundaryInputs``).
+        """
+        files = version.files[level]
+        upper = [pick]
+        for meta in files[files.index(pick) + 1 :]:
+            if meta.smallest[:-8] != upper[-1].largest[:-8]:
+                break
+            upper.append(meta)
         lower = version.overlapping_files(
-            level + 1, pick.smallest[:-8], pick.largest[:-8]
+            level + 1, pick.smallest[:-8], upper[-1].largest[:-8]
         )
-        return CompactionTask(level, [pick], lower)
+        return CompactionTask(level, upper, lower)
 
     def pick_for_range(
         self,
@@ -115,8 +135,4 @@ class LeveledPolicy(CompactionPolicy):
             return None
         if level == 0:
             return self._pick_l0(version)
-        pick = files[0]
-        lower = version.overlapping_files(
-            level + 1, pick.smallest[:-8], pick.largest[:-8]
-        )
-        return CompactionTask(level, [pick], lower)
+        return self._push_down(version, level, files[0])

@@ -2,11 +2,11 @@
 
 ``DB.scan`` needs merged, visibility-filtered iteration over the
 memtable, every L0 table, and the deeper levels.  A :class:`Cursor`
-captures the tree shape once (the file set of the current version) and
-then streams lazily — no materialisation of the memtable, supports
-``seek`` — while remaining valid even if a background compaction
-deletes the underlying files mid-scan (open tables keep their handles;
-the skiplist tolerates concurrent readers).
+captures the tree shape once (the version's search plan, with its
+tables open) and then streams lazily — no materialisation of the
+memtable, supports ``seek`` — while remaining valid even if a
+background compaction deletes the underlying files mid-scan (open
+tables keep their handles; the skiplist tolerates concurrent readers).
 
 Visibility: the cursor pins a sequence number at creation (or uses the
 caller's snapshot) so a long scan sees a consistent point-in-time view
@@ -15,13 +15,17 @@ regardless of concurrent writes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Iterator, Optional
 
 from ..lsm.ikey import (
     KIND_DELETE,
     KIND_VALUE,
+    MAX_SEQUENCE,
     decode_internal_key,
     encode_internal_key,
+    internal_order,
 )
 from ..lsm.iterators import merge_iterators
 from ..lsm.memtable import MemTable
@@ -36,45 +40,45 @@ class Cursor:
     def __init__(
         self,
         memtables: list[MemTable],
-        l0_tables: list[Table],  # newest first
-        leveled_tables: list[list[Table]],  # per level >= 1, key order
+        runs: list[tuple[list, list, list[Table]]],
         sequence: int,
     ) -> None:
+        """``runs`` are :meth:`Version.search_plan`'s, newest first, as
+        ``(smallest, largest, tables)`` with each file's table open."""
         self._memtables = memtables
-        self._l0 = l0_tables
-        self._levels = leveled_tables
+        self._runs = runs
         self.sequence = sequence
 
     # ---------------------------------------------------------- sources
-    def _sources_from(self, start: Optional[bytes]) -> list[Iterator]:
-        if start is None:
-            sources: list[Iterator] = [iter(mt) for mt in self._memtables]
-            sources += [iter(t) for t in self._l0]
-            for tables in self._levels:
-                sources.append(self._level_stream(tables, None))
-            return sources
-        # Seek each source to the first entry of `start` at any
-        # sequence: the newest version sorts first in internal order.
-        probe = encode_internal_key(start, (1 << 56) - 1, KIND_VALUE)
-        sources = [mt.iter_from(probe) for mt in self._memtables]
-        sources += [t.iter_from(probe) for t in self._l0]
-        for tables in self._levels:
-            sources.append(self._level_stream(tables, probe))
-        return sources
+    def _sources(self, probe: Optional[bytes], reverse: bool) -> list[Iterator]:
+        """One stream per memtable and per sorted run, newest first,
+        from the internal key ``probe`` on (None: from the end), in
+        ascending or descending internal order.
 
-    @staticmethod
-    def _level_stream(tables: list[Table], probe: Optional[bytes]) -> Iterator:
-        # Files within a level hold disjoint, ordered ranges: seek with
-        # the probe until some file yields (files entirely before the
-        # probe yield nothing), then stream the rest fully.
-        emitted = probe is None
-        for table in tables:
-            if emitted:
-                yield from table
+        A run's files hold disjoint, ordered ranges, so one bisect
+        finds the file the stream starts in — going forward, the first
+        whose largest key is at or past the probe; in reverse, the last
+        whose smallest key is at or before it — and the rest of the run
+        follows whole.
+        """
+        if reverse:
+            sources = [mt.iter_reverse_from(probe) for mt in self._memtables]
+        else:
+            sources = [mt.iter_from(probe) for mt in self._memtables]
+        order = None if probe is None else internal_order(probe)
+        for smallest, largest, tables in self._runs:
+            if reverse:
+                i = len(tables) if order is None else bisect_right(smallest, order)
+                if i:
+                    rest = (t.iter_reverse_from(None) for t in reversed(tables[: i - 1]))
+                    sources.append(
+                        chain(tables[i - 1].iter_reverse_from(probe), chain.from_iterable(rest))
+                    )
             else:
-                for kv in table.iter_from(probe):
-                    emitted = True
-                    yield kv
+                i = 0 if order is None else bisect_left(largest, order)
+                if i < len(tables):
+                    sources.append(chain(tables[i].iter_from(probe), *tables[i + 1 :]))
+        return sources
 
     # -------------------------------------------------------- iteration
     def items(
@@ -83,7 +87,10 @@ class Cursor:
         end: Optional[bytes] = None,
     ) -> Iterator[tuple[bytes, bytes]]:
         """Live ``(user_key, value)`` pairs in ``[start, end)``."""
-        merged = merge_iterators(self._sources_from(start))
+        # Seek to the first entry of `start` at any sequence: the newest
+        # version sorts first in internal order.
+        probe = None if start is None else encode_internal_key(start, MAX_SEQUENCE, KIND_VALUE)
+        merged = merge_iterators(self._sources(probe, reverse=False))
         prev_user: Optional[bytes] = None
         for ikey, value in merged:
             user, seq, kind = decode_internal_key(ikey)
@@ -107,35 +114,6 @@ class Cursor:
         """Iterate live pairs with user key >= ``start``."""
         return self.items(start=start)
 
-    # ------------------------------------------------------- descending
-    def _reverse_sources_from(self, below: Optional[bytes]) -> list[Iterator]:
-        if below is None:
-            sources: list[Iterator] = [mt.iter_reverse() for mt in self._memtables]
-            sources += [t.iter_reverse() for t in self._l0]
-            for tables in self._levels:
-                sources.append(self._level_stream_reverse(tables, None))
-            return sources
-        # Probe at (below, seq=0): the last internal key of user
-        # `below`, so every version of every user <= below streams; the
-        # caller filters out `below` itself (the window is half-open).
-        probe = encode_internal_key(below, 0, 0)
-        sources = [mt.iter_reverse_from(probe) for mt in self._memtables]
-        sources += [t.iter_reverse_from(probe) for t in self._l0]
-        for tables in self._levels:
-            sources.append(self._level_stream_reverse(tables, probe))
-        return sources
-
-    @staticmethod
-    def _level_stream_reverse(tables: list[Table], probe: Optional[bytes]):
-        emitted = probe is None
-        for table in reversed(tables):
-            if emitted:
-                yield from table.iter_reverse()
-            else:
-                for kv in table.iter_reverse_from(probe):
-                    emitted = True
-                    yield kv
-
     def items_reverse(
         self,
         start: Optional[bytes] = None,
@@ -145,21 +123,15 @@ class Cursor:
 
         Same window semantics as :meth:`items`, reversed traversal.
         """
-        from ..lsm.iterators import merge_iterators_reverse
-
+        # Probe at (end, seq=0): the last internal key of user `end`, so
+        # every version of every user <= end streams; `end` itself is
+        # skipped below (the window is half-open).
+        probe = None if end is None else encode_internal_key(end, 0, 0)
+        merged = merge_iterators(self._sources(probe, reverse=True), reverse=True)
         # Reverse streams yield (user desc, seq asc): for each user key
         # the newest qualifying version is the *last* one seen before
         # the user changes.
-        merged = merge_iterators_reverse(self._reverse_sources_from(end))
-        cur_user: Optional[bytes] = None
-        best: Optional[tuple[bytes, bytes, int]] = None
-
-        def emit(entry):
-            user, value, kind = entry
-            if kind == KIND_DELETE:
-                return None
-            return (user, value)
-
+        best: Optional[tuple[bytes, bytes, int]] = None  # (user, value, kind)
         for ikey, value in merged:
             user, seq, kind = decode_internal_key(ikey)
             if end is not None and user >= end:
@@ -168,18 +140,11 @@ class Cursor:
                 break
             if seq > self.sequence:
                 continue
-            if user != cur_user:
-                if best is not None:
-                    out = emit(best)
-                    if out is not None:
-                        yield out
-                cur_user = user
-                best = None
+            if best is not None and best[0] != user and best[2] != KIND_DELETE:
+                yield best[0], best[1]
             best = (user, value, kind)
-        if best is not None:
-            out = emit(best)
-            if out is not None:
-                yield out
+        if best is not None and best[2] != KIND_DELETE:
+            yield best[0], best[1]
 
     def count(self, start: Optional[bytes] = None, end: Optional[bytes] = None) -> int:
         """Number of live keys in the range (consumes a pass)."""

@@ -790,11 +790,14 @@ class DB:
                 self.observer.on_trivial_move(task)
             return
 
-        # Inputs newest-first: upper level files (for L0, newest file
-        # first), then lower level files in key order.
+        # Inputs newest-first, the order the splice reads as age: upper
+        # level files (for L0, newest file first; deeper, newest run
+        # first, each in key order), then lower level files in key order.
         upper = list(task.inputs_upper)
         if task.level == 0:
             upper.sort(key=lambda m: m.number, reverse=True)
+        else:
+            upper.sort(key=lambda m: m.run, reverse=True)
         drop_deletes = self._can_drop_deletes(task)
         smallest_snapshot = self._smallest_snapshot()
         events = self.obs.events
@@ -1064,7 +1067,7 @@ class DB:
                 if result.found
                 else [
                     self._open_table(meta, wait)
-                    for _, meta in self.version.files_for_get(key)
+                    for _, meta in self.version.files_for_get(key, order)
                 ]
             )
         finally:
@@ -1144,18 +1147,12 @@ class DB:
         with self._lock:
             self._check_open()
             seq = snapshot.sequence if snapshot is not None else self._sequence
-            memtables = [self.memtable]
-            l0 = [self._open_table(m) for m in reversed(self.version.files[0])]
-            # One disjoint key-ordered table list per sorted run, newer
-            # runs first within a level (they shadow older ones); a
-            # leveled store has one run per level, so this degenerates
-            # to the classic per-level list.
-            levels = [
-                [self._open_table(m) for m in run_files]
-                for level in range(1, self.options.num_levels)
-                for _run_id, run_files in reversed(self.version.runs(level))
+            l0, deeper = self.version.search_plan()
+            runs = [
+                (smallest, largest, [self._open_table(m) for m in files])
+                for _level, smallest, largest, files in l0 + deeper
             ]
-        return Cursor(memtables, l0, levels, seq)
+        return Cursor([self.memtable], runs, seq)
 
     def scan(
         self,

@@ -16,7 +16,6 @@ from .ikey import (
 from .iterators import (
     drop_tombstones,
     merge_iterators,
-    merge_iterators_reverse,
     visible_entries,
 )
 from .memtable import GetResult, MemTable
@@ -73,7 +72,6 @@ __all__ = [
     "internal_compare",
     "lookup_key",
     "merge_iterators",
-    "merge_iterators_reverse",
     "sstable_name",
     "visible_entries",
 ]

@@ -6,8 +6,9 @@ streams of internal-key entries.  Sources are plain Python iterators
 provides:
 
 * :func:`merge_iterators` — heap-based k-way merge preserving internal
-  order across sources, with *source priority* for equal internal keys
-  (never happens for distinct sequences, but keeps ties deterministic).
+  order across sources, ascending or descending, with *source
+  priority* for equal internal keys (never happens for distinct
+  sequences, but keeps ties deterministic).
 * :func:`visible_entries` — collapse a merged stream to the newest
   entry per user key visible at a snapshot, dropping shadowed versions.
 * :func:`drop_tombstones` — additionally remove deletion markers
@@ -24,19 +25,31 @@ from .ikey import KIND_DELETE, decode_internal_key
 __all__ = [
     "drop_tombstones",
     "merge_iterators",
-    "merge_iterators_reverse",
     "visible_entries",
 ]
 
 Entry = tuple[bytes, bytes]
 
 
-def merge_iterators(sources: Iterable[Iterator[Entry]]) -> Iterator[Entry]:
+def _entry_order(entry: Entry) -> tuple[bytes, int]:
+    """An entry's :func:`~repro.lsm.ikey.internal_order`, inlined."""
+    ikey = entry[0]
+    return ikey[:-8], -int.from_bytes(ikey[-8:], "little")
+
+
+def merge_iterators(
+    sources: Iterable[Iterator[Entry]], reverse: bool = False
+) -> Iterator[Entry]:
     """K-way merge of internally-ordered entry streams.
 
     Earlier sources win ties, so pass newer components first
-    (memtable, then L0 newest→oldest, then L1, ...).
+    (memtable, then L0 newest→oldest, then L1, ...).  With ``reverse``
+    every source yields in *descending* internal order, and so does
+    the merge.
     """
+    if reverse:
+        yield from heapq.merge(*sources, key=_entry_order, reverse=True)
+        return
     # Heap items order themselves as plain tuples: user key ascending,
     # then the negated trailer (newer sequence first), then source
     # priority, which is unique, so entries are never compared.
@@ -65,42 +78,6 @@ def merge_iterators(sources: Iterable[Iterator[Entry]]) -> Iterator[Entry]:
         _, _, _, entry, it = heap[0]
         yield entry
         yield from it
-
-
-class _ReverseKey:
-    """Heap key that inverts internal-key order (for descending merges)."""
-
-    __slots__ = ("ikey",)
-
-    def __init__(self, ikey: bytes) -> None:
-        self.ikey = ikey
-
-    def __lt__(self, other: "_ReverseKey") -> bool:
-        from .ikey import internal_compare
-
-        return internal_compare(self.ikey, other.ikey) > 0
-
-
-def merge_iterators_reverse(
-    sources: Iterable[Iterator[Entry]],
-) -> Iterator[Entry]:
-    """K-way merge of *descending* entry streams, preserving descent.
-
-    Mirror of :func:`merge_iterators`: every source must already yield
-    in descending internal order (``iter_reverse`` family).
-    """
-    heap: list[tuple[_ReverseKey, int, Entry, Iterator[Entry]]] = []
-    for priority, src in enumerate(sources):
-        it = iter(src)
-        first = next(it, None)
-        if first is not None:
-            heapq.heappush(heap, (_ReverseKey(first[0]), priority, first, it))
-    while heap:
-        _, priority, entry, it = heapq.heappop(heap)
-        yield entry
-        nxt = next(it, None)
-        if nxt is not None:
-            heapq.heappush(heap, (_ReverseKey(nxt[0]), priority, nxt, it))
 
 
 def visible_entries(

@@ -144,35 +144,30 @@ class MemTable:
             return GetResult(True, True, None)
         return GetResult(True, False, node.value)
 
-    def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
-        """Yield ``(internal_key, value)`` in internal-key order."""
-        node = self._head.next[0]
+    def iter_from(self, ikey: Optional[bytes] = None) -> Iterator[tuple[bytes, bytes]]:
+        """Yield ``(internal_key, value)`` with internal key >= ``ikey``
+        (all of them for None), in internal-key order."""
+        node = self._head.next[0] if ikey is None else self._find_greater_or_equal(ikey)
         while node is not None:
             yield node.ikey, node.value
             node = node.next[0]
 
-    def iter_from(self, ikey: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Yield entries with internal key >= ``ikey``."""
-        node = self._find_greater_or_equal(ikey)
-        while node is not None:
-            yield node.ikey, node.value
-            node = node.next[0]
+    __iter__ = iter_from
 
-    def iter_reverse(self) -> Iterator[tuple[bytes, bytes]]:
-        """Entries in descending internal-key order.
+    def iter_reverse_from(self, ikey: Optional[bytes] = None) -> Iterator[tuple[bytes, bytes]]:
+        """Entries with internal key <= ``ikey`` (all of them for None),
+        descending.
 
         The skiplist has no back pointers; a reverse scan materialises
         the (memtable-bounded) level-0 walk and reverses it.  The copy
         is capped by ``memtable_bytes``, so this stays O(buffer), not
         O(database).
         """
-        return reversed(list(self))
-
-    def iter_reverse_from(self, ikey: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Entries with internal key <= ``ikey``, descending."""
         out = []
         node = self._head.next[0]
-        while node is not None and internal_compare(node.ikey, ikey) <= 0:
+        while node is not None and (
+            ikey is None or internal_compare(node.ikey, ikey) <= 0
+        ):
             out.append((node.ikey, node.value))
             node = node.next[0]
         return reversed(out)

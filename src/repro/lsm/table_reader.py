@@ -5,8 +5,8 @@ short: bloom probe → index bisect → the data block, from the block
 cache or read (S1), checksum-verified (S2), decompressed (S3) and
 decoded → a bisect for the entry.  Both bisects compare
 :func:`repro.lsm.ikey.internal_order` tuples, so they run in C: a
-cached GET re-parses nothing.  ``Table.__iter__``/``iter_from`` drive
-scans.
+cached GET re-parses nothing.  ``iter_from`` / ``iter_reverse_from``
+drive scans.
 """
 
 from __future__ import annotations
@@ -199,37 +199,36 @@ class Table:
         return None
 
     # -- iteration ---------------------------------------------------
-    def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
-        for handle in self._handles:
+    def iter_from(self, ikey: Optional[bytes] = None) -> Iterator[tuple[bytes, bytes]]:
+        """Entries with internal key >= ``ikey`` (all of them for None),
+        in order."""
+        handles = self._handles
+        idx = 0
+        if ikey is not None:
+            order = internal_order(ikey)
+            idx = bisect_left(self._index_order, order)
+            if idx == len(handles):
+                return
+            entries, orders = self._block_at(handles[idx])
+            yield from entries[bisect_left(orders, order) :]
+            idx += 1
+        for handle in handles[idx:]:
             yield from self._block_at(handle)[0]
 
-    def iter_from(self, ikey: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Entries with internal key >= ``ikey``, in order."""
-        order = internal_order(ikey)
-        idx = bisect_left(self._index_order, order)
-        if idx == len(self._handles):
-            return
-        entries, orders = self._block_at(self._handles[idx])
-        yield from entries[bisect_left(orders, order) :]
-        for handle in self._handles[idx + 1 :]:
-            yield from self._block_at(handle)[0]
+    __iter__ = iter_from
 
-    def iter_reverse(self) -> Iterator[tuple[bytes, bytes]]:
-        """All entries in descending internal-key order."""
-        for handle in reversed(self._handles):
-            yield from reversed(self._block_at(handle)[0])
-
-    def iter_reverse_from(self, ikey: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Entries with internal key <= ``ikey``, descending."""
-        order = internal_order(ikey)
-        idx = bisect_left(self._index_order, order)
-        if idx == len(self._handles):
-            # Everything sorts before ikey: full reverse stream.
-            yield from self.iter_reverse()
-            return
-        entries, orders = self._block_at(self._handles[idx])
-        yield from reversed(entries[: bisect_right(orders, order)])
-        for handle in reversed(self._handles[:idx]):
+    def iter_reverse_from(self, ikey: Optional[bytes] = None) -> Iterator[tuple[bytes, bytes]]:
+        """Entries with internal key <= ``ikey`` (all of them for None),
+        descending."""
+        handles = self._handles
+        idx = len(handles)
+        if ikey is not None:
+            order = internal_order(ikey)
+            idx = bisect_left(self._index_order, order)
+            if idx < len(handles):
+                entries, orders = self._block_at(handles[idx])
+                yield from reversed(entries[: bisect_right(orders, order)])
+        for handle in reversed(handles[:idx]):
             yield from reversed(self._block_at(handle)[0])
 
     def close(self) -> None:

@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .ikey import internal_compare
+from .ikey import MAX_SEQUENCE, internal_compare, internal_order, lookup_key
 from .options import Options
 
 __all__ = ["FileMetaData", "Version"]
@@ -76,10 +76,10 @@ def sstable_number(name: str) -> int:
         return zlib.crc32(name.encode()) % (1 << 31)
 
 
-_SearchPlan = tuple[
-    list[tuple[bytes, bytes, FileMetaData]],
-    list[tuple[int, list[bytes], list[bytes], list[FileMetaData]]],
-]
+#: A sorted run as GET and scans seek it: ``(level, smallest, largest,
+#: files)``, the files in key order and the ``internal_order`` of each
+#: one's smallest and largest key.
+Run = tuple[int, list[tuple[bytes, int]], list[tuple[bytes, int]], list[FileMetaData]]
 
 
 class Version:
@@ -97,9 +97,9 @@ class Version:
         #: with (persisted via the manifest's POLICY edit tag); None
         #: on legacy manifests, which means classic leveled.
         self.policy_spec: Optional[str] = None
-        # files_for_get's search plan, built on first use and dropped by
-        # every mutation (both go through add_file / remove_file).
-        self._plan: Optional[_SearchPlan] = None
+        # The search plan, built on first use and dropped by every
+        # mutation (both go through add_file / remove_file).
+        self._plan: Optional[tuple[list[Run], list[Run]]] = None
 
     # -- mutation (the DB applies edits under its own lock) ----------
     def add_file(self, level: int, meta: FileMetaData) -> None:
@@ -172,41 +172,51 @@ class Version:
             for meta in self.files[level]
         ]
 
-    def files_for_get(self, user_key: bytes) -> list[tuple[int, FileMetaData]]:
+    def files_for_get(
+        self, user_key: bytes, order: Optional[tuple[bytes, int]] = None
+    ) -> list[tuple[int, FileMetaData]]:
         """Files that may hold ``user_key``, newest-first search order.
 
-        L0 newest→oldest (all overlapping candidates), then per deeper
+        ``order`` is the GET's probe, ``internal_order(lookup_key(user_key,
+        snapshot))``; None probes for the newest version.  L0 newest to
+        oldest (every file whose range holds the probe), then per deeper
         level at most one file per sorted run, newest run first (newer
-        runs shadow older ones, same argument as L0 files): a bisect
-        over the run's largest user keys.
+        runs shadow older ones, same argument as L0 files): the first
+        file whose largest key is at or past the probe, as LevelDB's
+        ``Version::Get`` picks it, so a key whose versions span two
+        files of a run is read from the one holding those the probe sees.
         """
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = self._search_plan()
-        l0, runs = plan
-        out = [(0, meta) for small, large, meta in l0 if small <= user_key <= large]
-        for level, largest, smallest, run_files in runs:
-            i = bisect_left(largest, user_key)
-            if i < len(run_files) and smallest[i] <= user_key:
-                out.append((level, run_files[i]))
+        if order is None:
+            order = internal_order(lookup_key(user_key, MAX_SEQUENCE))
+        l0, runs = self._plan or self.search_plan()
+        out = [
+            (0, files[0])
+            for _, smallest, largest, files in l0
+            if smallest[0][0] <= user_key and order <= largest[0]
+        ]
+        for level, smallest, largest, files in runs:
+            i = bisect_left(largest, order)
+            if i < len(files) and smallest[i][0] <= user_key:
+                out.append((level, files[i]))
         return out
 
-    def _search_plan(self) -> "_SearchPlan":
-        """Per L0 file (newest first) its user-key bounds; per deeper
-        run (newest first within a level) its files and their smallest
-        and largest user keys, in key order."""
-        l0 = [(m.smallest[:-8], m.largest[:-8], m) for m in reversed(self.files[0])]
-        runs = [
-            (
-                level,
-                [m.largest[:-8] for m in run_files],
-                [m.smallest[:-8] for m in run_files],
-                run_files,
-            )
-            for level in range(1, self.options.num_levels)
-            for _run_id, run_files in reversed(self.runs(level))
-        ]
-        return l0, runs
+    def search_plan(self) -> tuple[list[Run], list[Run]]:
+        """The sorted runs, newest first, built once per shape of the
+        tree: L0's (one per file), then the deeper levels'."""
+        if self._plan is None:
+            plan = [
+                (
+                    level,
+                    [internal_order(m.smallest) for m in files],
+                    [internal_order(m.largest) for m in files],
+                    files,
+                )
+                for level in range(self.options.num_levels)
+                for _run_id, files in reversed(self.runs(level))
+            ]
+            l0 = len(self.files[0])
+            self._plan = (plan[:l0], plan[l0:])
+        return self._plan
 
     def overlapping_files(
         self,

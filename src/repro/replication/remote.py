@@ -14,7 +14,6 @@ error instead of a frame desync mid-workload.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterator, Optional
 
 from ..analysis.locksan import make_lock
@@ -26,7 +25,7 @@ from .errors import ProtocolTooOldError
 
 __all__ = ["RemoteShard"]
 
-#: Page size used by the scan generators.
+#: Pairs per SCAN round trip of the scan pager.
 _SCAN_PAGE = 1024
 
 
@@ -113,18 +112,7 @@ class RemoteShard:
         snapshot=None,
     ) -> Iterator[tuple[bytes, bytes]]:
         """Paged forward iteration (each page is one SCAN round trip)."""
-        self._reject_snapshot(snapshot)
-        cursor = start
-        while True:
-            with self._lock:
-                pairs, truncated = self._client.scan(
-                    cursor, end, limit=_SCAN_PAGE
-                )
-            yield from pairs
-            if len(pairs) < _SCAN_PAGE and not truncated:
-                return
-            # Resume strictly after the last key seen (inclusive start).
-            cursor = pairs[-1][0] + b"\x00"
+        return self._pages(start, end, snapshot, reverse=False)
 
     def scan_reverse(
         self,
@@ -132,19 +120,26 @@ class RemoteShard:
         end: Optional[bytes] = None,
         snapshot=None,
     ) -> Iterator[tuple[bytes, bytes]]:
+        """Paged descending iteration (each page is one SCAN round trip)."""
+        return self._pages(start, end, snapshot, reverse=True)
+
+    def _pages(self, start, end, snapshot, reverse: bool) -> Iterator[tuple[bytes, bytes]]:
+        """The one pager behind :meth:`scan` and :meth:`scan_reverse`."""
         self._reject_snapshot(snapshot)
-        cursor = end
         while True:
             with self._lock:
                 pairs, truncated = self._client.scan(
-                    start, cursor, limit=_SCAN_PAGE, reverse=True
+                    start, end, limit=_SCAN_PAGE, reverse=reverse
                 )
             yield from pairs
             if len(pairs) < _SCAN_PAGE and not truncated:
                 return
-            # [start, end): the last yielded key is the next exclusive
-            # upper bound.
-            cursor = pairs[-1][0]
+            # [start, end) is half-open: the next page ends at the last
+            # key seen (reverse), or starts just after it.
+            if reverse:
+                end = pairs[-1][0]
+            else:
+                start = pairs[-1][0] + b"\x00"
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         return self.scan()

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.cluster import ShardedDB
 from repro.db import DB
 from repro.devices import MemStorage
 from repro.lsm import Options
@@ -192,3 +193,109 @@ class TestScanEquivalenceWithPassThrough:
                     > counters["compaction.input_bytes"] // 2
                 ), policy
             assert " pass=" in db.get_property("compaction-log")
+
+
+SPLIT_KEY = b"key-0120"
+
+
+def _run_workload(db):
+    """Keys 0..239, then 30 snapshot-held versions of one key, then
+    overwrites and deletes: returns ``[(snapshot, model)]``, the last
+    with snapshot None (the live view)."""
+    rng = random.Random(5)
+    model = {}
+    held = []
+    for i in range(240):
+        key = b"key-%04d" % i
+        model[key] = b"a-%d" % i * 6
+        db.put(key, model[key])
+    held.append((db.snapshot(), dict(model)))
+    for i in range(30):
+        model[SPLIT_KEY] = b"hot-%02d" % i * 5
+        db.put(SPLIT_KEY, model[SPLIT_KEY])
+        held.append((db.snapshot(), dict(model)))
+    for i in range(120):
+        key = b"key-%04d" % rng.randrange(240)
+        if rng.random() < 0.3:
+            db.delete(key)
+            model.pop(key, None)
+        else:
+            model[key] = b"b-%d" % i * 6
+            db.put(key, model[key])
+    held.append((None, model))
+    db.compact_range()
+    return held
+
+
+def _window(model, start, end, reverse):
+    keys = sorted(
+        k for k in model if (start is None or k >= start) and (end is None or k < end)
+    )
+    if reverse:
+        keys.reverse()
+    return [(k, model[k]) for k in keys]
+
+
+@pytest.fixture(scope="module")
+def split_run_stores():
+    """One store and one 3-shard cluster fed the same workload; the
+    store compacts to one sorted run of small files."""
+    options = Options(sstable_bytes=512, block_bytes=128, memtable_bytes=4096)
+    db = DB(MemStorage(), options)
+    cluster = ShardedDB.in_memory(3, options=options)
+    yield (db, _run_workload(db)), (cluster, _run_workload(cluster))
+    cluster.close()
+    db.close()
+
+
+class TestScanEquivalenceOverOneSplitRun:
+    """Scans seek each file of a sorted run: windows that open and close
+    before, inside, on and after every file's range, forward and
+    reverse, at held snapshots, on a store and on a cluster, against
+    the dict model."""
+
+    @staticmethod
+    def _run(db):
+        (files,) = [f for f in db.version.files[1:] if f]
+        return files
+
+    @classmethod
+    def _windows(cls, db):
+        """``(start, end)`` pairs: each bound — before, on the first key
+        of, inside, on the last key of, and after every file — paired
+        with the open ends and with the next few bounds."""
+        bounds = set()
+        for meta in cls._run(db):
+            lo, hi = meta.smallest[:-8], meta.largest[:-8]
+            inside = lo[:-1] + bytes([(lo[-1] + hi[-1]) // 2])
+            bounds.update({lo[:-1], lo, inside, hi, hi + b"\x00"})
+        bounds = sorted(bounds)
+        windows = [(None, None)]
+        for i, bound in enumerate(bounds):
+            windows += [(bound, None), (None, bound)]
+            windows += [(bound, end) for end in bounds[i : i + 7]]
+        return windows
+
+    def test_store_is_one_run_with_a_key_split_across_a_file_edge(self, split_run_stores):
+        (db, _), _ = split_run_stores
+        files = self._run(db)
+        assert len(files) >= 10
+        assert {meta.run for meta in files} == {0}
+        assert any(
+            a.largest[:-8] == b.smallest[:-8] == SPLIT_KEY for a, b in zip(files, files[1:])
+        )
+
+    @pytest.mark.parametrize("which", ["db", "cluster"])
+    def test_windows_match_the_model(self, split_run_stores, which):
+        (db, _), _ = split_run_stores
+        windows = self._windows(db)
+        target, held = split_run_stores[which == "cluster"]
+        # Before the hot key's versions, two of them, and after.
+        for snapshot, model in held[:1] + held[10:12] + held[-1:]:
+            for start, end in windows:
+                for reverse in (False, True):
+                    scan = target.scan_reverse if reverse else target.scan
+                    got = list(scan(start, end, snapshot=snapshot))
+                    assert got == _window(model, start, end, reverse), (
+                        which, start, end, reverse
+                    )

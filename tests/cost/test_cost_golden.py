@@ -9,7 +9,9 @@ operation, 1 KB values, fixed seed:
 * ``put`` — PUTs into an empty store, flushes and compactions included;
 * ``get_cached`` — GETs whose block is in the block cache;
 * ``get_uncached`` — GETs that each miss the block cache, on a fully
-  compacted store whose tables are already open.
+  compacted store whose tables are already open;
+* ``scan`` / ``scan_reverse`` — 20-entry scans, ascending from a
+  seeded start key or descending below it, on the same store.
 
 Counts miss work done in C (zlib, CRC, bisect) and waits; they are a
 second yardstick beside ``perf/run.py``, not a replacement.  The golden
@@ -27,6 +29,7 @@ import json
 import random
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,8 @@ PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
 SEED = 1
 KEYS = 1000
 GETS = 200
+SCANS = 50
+SCAN_LENGTH = 20
 
 
 def _options() -> Options:
@@ -115,6 +120,26 @@ def measure() -> dict:
 
         rows["get_cached"] = {"ops": GETS, "calls": _calls(cached)}
         assert _misses(db) == misses
+
+        # Starts at least SCAN_LENGTH keys from either end: every scan
+        # returns SCAN_LENGTH pairs in both directions.
+        starts = [
+            keys[rng.randrange(SCAN_LENGTH, KEYS - SCAN_LENGTH)]
+            for _ in range(SCANS)
+        ]
+        got = []
+
+        def scans():
+            for start in starts:
+                got.append(list(islice(db.scan(start), SCAN_LENGTH)))
+
+        def reverse_scans():
+            for start in starts:
+                got.append(list(islice(db.scan_reverse(None, start), SCAN_LENGTH)))
+
+        rows["scan"] = {"ops": SCANS, "calls": _calls(scans)}
+        rows["scan_reverse"] = {"ops": SCANS, "calls": _calls(reverse_scans)}
+        assert [len(pairs) for pairs in got] == [SCAN_LENGTH] * 2 * SCANS
     finally:
         db.close()
     return rows

@@ -69,7 +69,7 @@ class TestTableReverse:
     def test_iter_reverse_full(self):
         table = self._table()
         forward = list(table)
-        assert list(table.iter_reverse()) == forward[::-1]
+        assert list(table.iter_reverse_from(None)) == forward[::-1]
 
     def test_iter_reverse_from(self):
         table = self._table()
@@ -88,7 +88,7 @@ class TestMemtableReverse:
         mt = MemTable()
         for i in range(100):
             mt.put(i + 1, b"k%03d" % (i * 7 % 100), b"v")
-        assert list(mt.iter_reverse()) == list(mt)[::-1]
+        assert list(mt.iter_reverse_from(None)) == list(mt)[::-1]
 
     def test_reverse_from(self):
         mt = MemTable()

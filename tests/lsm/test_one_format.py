@@ -178,7 +178,7 @@ class TestParentFormatTable:
     def test_reads(self):
         table = write_parent_format(MemStorage(), "old.sst", self.ROWS)
         assert list(table) == self.ROWS
-        assert list(table.iter_reverse()) == self.ROWS[::-1]
+        assert list(table.iter_reverse_from(None)) == self.ROWS[::-1]
         assert table.key_range() == (self.ROWS[0][0], self.ROWS[-1][0])
         for ikey, value in self.ROWS[::7]:
             assert table.get(lookup_key(ikey[:-8], MAX_SEQUENCE)) == (ikey, value)

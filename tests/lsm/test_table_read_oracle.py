@@ -109,7 +109,7 @@ def test_uncached_table_matches_the_model(entries, block_bytes):
     storage, options = _build(entries, block_bytes)
     table = Table(storage.open("t.sst"), options)
     assert list(table) == entries
-    assert list(table.iter_reverse()) == entries[::-1]
+    assert list(table.iter_reverse_from(None)) == entries[::-1]
     for probe in _probes(entries):
         _check_table(table, entries, probe)
 
