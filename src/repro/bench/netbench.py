@@ -26,6 +26,8 @@ Run from the command line::
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -34,7 +36,6 @@ from typing import Optional
 from ..core.procedures import ProcedureSpec
 from ..db.db import DB
 from ..devices import MemStorage
-from ..devices.vfs import Storage
 from ..lsm.options import Options
 from ..server.client import ServerBusyError, SyncClient
 from ..obs import LatencyHistogram
@@ -132,7 +133,7 @@ def _drive(
     client = SyncClient(host, port, tracer=tracer, retry_policy=retry_policy)
     try:
         if tracer is not None:
-            client.hello()  # negotiate 2.1 so trace ids go on the wire
+            client.hello()  # trace ids go on the wire once hello is answered
         for op in shard:
             t0 = time.perf_counter()
             if op.kind in (UPDATE, INSERT):
@@ -167,10 +168,8 @@ def run_net_benchmark(
     record_count: int = 2000,
     value_bytes: int = 100,
     connections: int = 4,
-    storage: Optional[Storage] = None,
     options: Optional[Options] = None,
     compaction_spec: Optional[ProcedureSpec] = None,
-    server_config: Optional[ServerConfig] = None,
     seed: int = 0,
     shards: int = 1,
     pool_workers: Optional[int] = None,
@@ -186,15 +185,14 @@ def run_net_benchmark(
     """Load a keyspace, then run ``n_ops`` of YCSB mix ``mix`` through
     ``connections`` concurrent closed-loop socket clients.
 
-    The server (and its DB, in background-compaction mode) lives for
-    the duration of the call and is shut down gracefully afterwards,
-    so a caller passing an ``OSStorage`` gets a directory that passes
-    ``verify_db``.
+    The server (and its in-memory DB, in background-compaction mode)
+    lives for the duration of the call and is shut down gracefully
+    afterwards.
 
     ``shards`` > 1 serves an in-memory
     :class:`repro.cluster.ShardedDB` instead of one DB (same wire
     protocol; ``pool_workers`` caps the cluster's shared compaction
-    compute pool).  ``storage`` cannot be combined with ``shards``.
+    compute pool).
 
     ``replicas`` > 0 attaches that many in-memory loopback followers
     to the (single-shard) primary, and every write the clients issue
@@ -231,8 +229,6 @@ def run_net_benchmark(
     if replicas > 0 and shards > 1:
         raise ValueError("pass replicas or shards>1, not both")
     if shards > 1:
-        if storage is not None:
-            raise ValueError("pass shards>1 or storage, not both")
         from ..cluster import ShardedDB
 
         db = ShardedDB.in_memory(
@@ -252,7 +248,7 @@ def run_net_benchmark(
                 opts, wal_retain_bytes=8 * 1024 * 1024
             )
         db = DB(
-            storage if storage is not None else MemStorage(),
+            MemStorage(),
             opts,
             compaction_spec=compaction_spec,
             background=True,
@@ -262,9 +258,7 @@ def run_net_benchmark(
         from ..replication import ReplicationHub
 
         hub = ReplicationHub(db)
-        server_config = server_config or ServerConfig()
-        server_config.repl_acks = acks
-    handle = ServerThread(db, server_config, hub=hub).start()
+    handle = ServerThread(db, ServerConfig(repl_acks=acks), hub=hub).start()
     if replicas > 0:
         from ..replication import Follower
 
@@ -417,6 +411,39 @@ def run_net_benchmark(
     )
 
 
+def _sweep(benchmark: str, rows, ratio: Optional[str] = None, **header) -> dict:
+    """Run one sweep; return its ``BENCH_*.json`` payload.
+
+    Each row is ``(label, kwargs, extra)``: ``kwargs`` go to
+    :func:`run_net_benchmark`, and the run's entry in ``runs`` holds
+    ``label``, the figures every sweep records (throughput, wall time,
+    latency percentiles, stall retries) and ``extra(result)``.  When
+    ``ratio`` names a key, each entry also gets its throughput over
+    the first run's under that key.  ``header`` fills the payload's
+    top-level keys.
+    """
+    runs = []
+    for label, kwargs, extra in rows:
+        result = run_net_benchmark(**kwargs)
+        runs.append(
+            {
+                **label,
+                "ops_per_second": result.ops_per_second,
+                "wall_seconds": result.wall_seconds,
+                "p50_ms": result.percentile_ms(50),
+                "p95_ms": result.percentile_ms(95),
+                "p99_ms": result.percentile_ms(99),
+                "stall_retries": result.stall_retries,
+                **extra(result),
+            }
+        )
+    if ratio is not None:
+        base = runs[0]["ops_per_second"] or 1.0
+        for entry in runs:
+            entry[ratio] = entry["ops_per_second"] / base
+    return {"benchmark": benchmark, **header, "runs": runs}
+
+
 def _stall_bound_options() -> Options:
     """A deliberately stall-prone single-DB configuration.
 
@@ -459,54 +486,34 @@ def run_scaling(
     shared-pool counters proving compute stayed capped.
     """
     spec = compaction_spec or ProcedureSpec.cppcp(2, subtask_bytes=16 * 1024)
-    runs = []
-    for n in shard_counts:
-        result = run_net_benchmark(
-            mix=mix,
-            n_ops=n_ops,
-            record_count=record_count,
-            value_bytes=value_bytes,
-            connections=connections,
-            options=_stall_bound_options(),
-            compaction_spec=spec,
-            seed=seed,
-            shards=n,
-            pool_workers=pool_workers,
-        )
+    load = dict(
+        mix=mix, n_ops=n_ops, record_count=record_count,
+        value_bytes=value_bytes, connections=connections, seed=seed,
+        compaction_spec=spec, pool_workers=pool_workers,
+    )
+
+    def pool(result: NetBenchResult) -> dict:
+        db_stats = result.server_stats.get("db", {})
         engine = result.server_stats.get("engine", {})
         gauges = engine.get("gauges", {})
-        runs.append(
-            {
-                "shards": n,
-                "ops_per_second": result.ops_per_second,
-                "wall_seconds": result.wall_seconds,
-                "p50_ms": result.percentile_ms(50),
-                "p95_ms": result.percentile_ms(95),
-                "p99_ms": result.percentile_ms(99),
-                "stall_retries": result.stall_retries,
-                "write_stalls": result.server_stats.get("db", {}).get(
-                    "write_stalls"
-                ),
-                "pool_workers": gauges.get("cluster.pool.workers"),
-                "pool_max_active": gauges.get("cluster.pool.max_active"),
-                "pool_tasks": engine.get("counters", {}).get(
-                    "cluster.pool.tasks"
-                ),
-                "per_shard": result.per_shard_stats(),
-            }
-        )
-    base = runs[0]["ops_per_second"] or 1.0
-    for entry in runs:
-        entry["speedup_vs_first"] = entry["ops_per_second"] / base
-    return {
-        "benchmark": "netbench-cluster-scaling",
-        "mix": mix,
-        "n_ops": n_ops,
-        "record_count": record_count,
-        "connections": connections,
-        "procedure": spec.kind,
-        "runs": runs,
-    }
+        return {
+            "write_stalls": db_stats.get("write_stalls"),
+            "pool_workers": gauges.get("cluster.pool.workers"),
+            "pool_max_active": gauges.get("cluster.pool.max_active"),
+            "pool_tasks": engine.get("counters", {}).get("cluster.pool.tasks"),
+            "per_shard": result.per_shard_stats(),
+        }
+
+    return _sweep(
+        "netbench-cluster-scaling",
+        [
+            ({"shards": n}, dict(load, shards=n, options=_stall_bound_options()), pool)
+            for n in shard_counts
+        ],
+        ratio="speedup_vs_first", mix=mix, n_ops=n_ops,
+        record_count=record_count, connections=connections,
+        procedure=spec.kind,
+    )
 
 
 def run_replication_bench(
@@ -529,44 +536,28 @@ def run_replication_bench(
     1 follower → majority).
     """
     levels = ack_levels if ack_levels is not None else [0, 1, "majority"]
-    runs = []
-    for replica_count, level in [(0, 0)] + [(replicas, lv) for lv in levels]:
-        result = run_net_benchmark(
-            mix=mix,
-            n_ops=n_ops,
-            record_count=record_count,
-            value_bytes=value_bytes,
-            connections=connections,
-            seed=seed,
-            replicas=replica_count,
-            repl_acks=level,
-        )
+    load = dict(
+        mix=mix, n_ops=n_ops, record_count=record_count,
+        value_bytes=value_bytes, connections=connections, seed=seed,
+    )
+
+    def followers(result: NetBenchResult) -> dict:
         repl = result.server_stats.get("repl", {})
-        runs.append(
-            {
-                "replicas": replica_count,
-                "ack_level": str(level) if replica_count else "baseline",
-                "ops_per_second": result.ops_per_second,
-                "wall_seconds": result.wall_seconds,
-                "p50_ms": result.percentile_ms(50),
-                "p95_ms": result.percentile_ms(95),
-                "p99_ms": result.percentile_ms(99),
-                "stall_retries": result.stall_retries,
-                "followers": repl.get("followers", []),
-            }
+        return {"followers": repl.get("followers", [])}
+
+    rows = [
+        (
+            {"replicas": count, "ack_level": str(level) if count else "baseline"},
+            dict(load, replicas=count, repl_acks=level),
+            followers,
         )
-    base = runs[0]["ops_per_second"] or 1.0
-    for entry in runs:
-        entry["throughput_vs_baseline"] = entry["ops_per_second"] / base
-    return {
-        "benchmark": "netbench-replication",
-        "mix": mix,
-        "n_ops": n_ops,
-        "record_count": record_count,
-        "connections": connections,
-        "replicas": replicas,
-        "runs": runs,
-    }
+        for count, level in [(0, 0)] + [(replicas, lv) for lv in levels]
+    ]
+    return _sweep(
+        "netbench-replication", rows, ratio="throughput_vs_baseline",
+        mix=mix, n_ops=n_ops, record_count=record_count,
+        connections=connections, replicas=replicas,
+    )
 
 
 def run_obs_overhead(
@@ -592,62 +583,37 @@ def run_obs_overhead(
     """
     from ..obs import EventLog, Observability, Tracer
 
-    common = dict(
-        mix=mix,
-        n_ops=n_ops,
-        record_count=record_count,
-        value_bytes=value_bytes,
-        connections=connections,
-        seed=seed,
+    load = dict(
+        mix=mix, n_ops=n_ops, record_count=record_count,
+        value_bytes=value_bytes, connections=connections, seed=seed,
     )
-    runs = []
-    events_seen = {"n": 0}
-    for mode in ("off", "metrics", "metrics+tracing"):
-        kwargs = dict(common)
-        if mode != "off":
-            kwargs["scrape_interval_s"] = scrape_interval_s
-        if mode == "metrics+tracing":
-            events_seen["n"] = 0
-            kwargs["obs"] = Observability(
-                tracer=Tracer(enabled=True),
-                events=EventLog(
-                    lambda record: events_seen.__setitem__(
-                        "n", events_seen["n"] + 1
-                    ),
-                    slow_op_threshold_s=None,
-                ),
-            )
-            kwargs["trace_clients"] = True
-        result = run_net_benchmark(**kwargs)
-        runs.append(
-            {
-                "mode": mode,
-                "ops_per_second": result.ops_per_second,
-                "wall_seconds": result.wall_seconds,
-                "p50_ms": result.percentile_ms(50),
-                "p95_ms": result.percentile_ms(95),
-                "p99_ms": result.percentile_ms(99),
-                "stall_retries": result.stall_retries,
-                "scrapes": result.scrapes,
-                "scrape_samples": result.scrape_samples,
-                "client_spans": result.client_spans,
-                "events_emitted": (
-                    events_seen["n"] if mode == "metrics+tracing" else 0
-                ),
-            }
-        )
-    base = runs[0]["ops_per_second"] or 1.0
-    for entry in runs:
-        entry["throughput_vs_off"] = entry["ops_per_second"] / base
-    return {
-        "benchmark": "netbench-obs-overhead",
-        "mix": mix,
-        "n_ops": n_ops,
-        "record_count": record_count,
-        "connections": connections,
-        "scrape_interval_s": scrape_interval_s,
-        "runs": runs,
-    }
+    scraped = dict(load, scrape_interval_s=scrape_interval_s)
+    events = EventLog(lambda record: None, slow_op_threshold_s=None)
+    traced = dict(
+        scraped,
+        obs=Observability(tracer=Tracer(enabled=True), events=events),
+        trace_clients=True,
+    )
+
+    def telemetry(result: NetBenchResult, events_emitted: int = 0) -> dict:
+        return {
+            "scrapes": result.scrapes,
+            "scrape_samples": result.scrape_samples,
+            "client_spans": result.client_spans,
+            "events_emitted": events_emitted,
+        }
+
+    rows = [
+        ({"mode": "off"}, load, telemetry),
+        ({"mode": "metrics"}, scraped, telemetry),
+        ({"mode": "metrics+tracing"}, traced,
+         lambda result: telemetry(result, events.emitted)),
+    ]
+    return _sweep(
+        "netbench-obs-overhead", rows, ratio="throughput_vs_off",
+        mix=mix, n_ops=n_ops, record_count=record_count,
+        connections=connections, scrape_interval_s=scrape_interval_s,
+    )
 
 
 def _policy_sweep_options(policy: str) -> Options:
@@ -700,65 +666,53 @@ def run_policy_sweep(
     spec = compaction_spec or ProcedureSpec.scp()
     workloads = [
         # Write-heavy zipfian: compaction-bound, the tiered sweet spot.
-        {"name": "write-heavy", "mix": "w", "distribution": "zipfian"},
+        ("write-heavy", "w", "zipfian"),
         # Uniform 50/50: no hot keys, every level sees every key range.
-        {"name": "uniform", "mix": "a", "distribution": "uniform"},
+        ("uniform", "a", "uniform"),
     ]
-    runs = []
-    for workload in workloads:
-        for policy in policies:
-            result = run_net_benchmark(
-                mix=workload["mix"],
-                n_ops=n_ops,
-                record_count=record_count,
-                value_bytes=value_bytes,
-                connections=connections,
-                options=_policy_sweep_options(policy),
-                compaction_spec=spec,
-                seed=seed,
-                distribution=workload["distribution"],
-            )
-            db_stats = result.server_stats.get("db", {})
-            counters = result.server_stats.get("engine", {}).get(
-                "counters", {}
-            )
-            logical = counters.get("wal.bytes", 0) or 1
-            sst_written = counters.get("db.flush_bytes", 0) + counters.get(
-                "compaction.output_bytes", 0
-            )
-            # Live set ≈ the loaded keyspace (updates replace in place,
-            # mix "w"/"a" never insert); key format is fixed-width.
-            live_bytes = record_count * (16 + value_bytes) or 1
-            runs.append(
-                {
-                    "workload": workload["name"],
-                    "mix": workload["mix"],
-                    "distribution": workload["distribution"],
-                    "policy": db_stats.get("compaction_policy", policy),
-                    "ops_per_second": result.ops_per_second,
-                    "wall_seconds": result.wall_seconds,
-                    "p50_ms": result.percentile_ms(50),
-                    "p99_ms": result.percentile_ms(99),
-                    "stall_retries": result.stall_retries,
-                    "write_stalls": db_stats.get("write_stalls"),
-                    "compactions": db_stats.get("compactions"),
-                    "logical_bytes": logical,
-                    "sst_bytes_written": sst_written,
-                    "write_amp": sst_written / logical,
-                    "final_table_bytes": db_stats.get("total_bytes", 0),
-                    "space_amp": db_stats.get("total_bytes", 0) / live_bytes,
-                }
-            )
-    return {
-        "benchmark": "netbench-policy-sweep",
-        "n_ops": n_ops,
-        "record_count": record_count,
-        "value_bytes": value_bytes,
-        "connections": connections,
-        "procedure": spec.kind,
-        "policies": policies,
-        "runs": runs,
-    }
+    # Live set ≈ the loaded keyspace (updates replace in place,
+    # mix "w"/"a" never insert); key format is fixed-width.
+    live_bytes = record_count * (16 + value_bytes) or 1
+
+    def amplification(result: NetBenchResult, policy: str) -> dict:
+        db_stats = result.server_stats.get("db", {})
+        counters = result.server_stats.get("engine", {}).get("counters", {})
+        logical = counters.get("wal.bytes", 0) or 1
+        sst_written = counters.get("db.flush_bytes", 0) + counters.get(
+            "compaction.output_bytes", 0
+        )
+        return {
+            # The server's canonical spec replaces the requested one.
+            "policy": db_stats.get("compaction_policy", policy),
+            "write_stalls": db_stats.get("write_stalls"),
+            "compactions": db_stats.get("compactions"),
+            "logical_bytes": logical,
+            "sst_bytes_written": sst_written,
+            "write_amp": sst_written / logical,
+            "final_table_bytes": db_stats.get("total_bytes", 0),
+            "space_amp": db_stats.get("total_bytes", 0) / live_bytes,
+        }
+
+    rows = [
+        (
+            {"workload": name, "mix": mix, "distribution": distribution,
+             "policy": policy},
+            dict(
+                mix=mix, n_ops=n_ops, record_count=record_count,
+                value_bytes=value_bytes, connections=connections, seed=seed,
+                options=_policy_sweep_options(policy), compaction_spec=spec,
+                distribution=distribution,
+            ),
+            functools.partial(amplification, policy=policy),
+        )
+        for name, mix, distribution in workloads
+        for policy in policies
+    ]
+    return _sweep(
+        "netbench-policy-sweep", rows, n_ops=n_ops,
+        record_count=record_count, value_bytes=value_bytes,
+        connections=connections, procedure=spec.kind, policies=policies,
+    )
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -835,113 +789,41 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument(
         "--json-out", metavar="PATH", default=None,
-        help="write the result table as JSON "
-             "(with --scaling, --replication-sweep, or --policy-sweep)",
+        help="write the result table as JSON (with any of the sweeps: "
+             "--scaling, --replication-sweep, --obs-overhead, "
+             "--policy-sweep)",
     )
     args = parser.parse_args(argv)
 
+    sized = dict(
+        n_ops=args.ops, record_count=args.records,
+        value_bytes=args.value_bytes, connections=args.connections,
+        seed=args.seed,
+    )
+    spec = getattr(ProcedureSpec, args.procedure)()
+    table = None
     if args.policy_sweep:
-        table = run_policy_sweep(
-            n_ops=args.ops,
-            record_count=args.records,
-            value_bytes=args.value_bytes,
-            connections=args.connections,
-            compaction_spec=getattr(ProcedureSpec, args.procedure)(),
-            seed=args.seed,
-        )
-        for entry in table["runs"]:
-            print(
-                f"{entry['workload']}/{entry['policy']}: "
-                f"{entry['ops_per_second']:,.0f} ops/s "
-                f"write_amp={entry['write_amp']:.2f} "
-                f"space_amp={entry['space_amp']:.2f} "
-                f"p99={entry['p99_ms']:.2f}ms "
-                f"compactions={entry['compactions']}"
-            )
-        if args.json_out:
-            import json
-
-            with open(args.json_out, "w") as fh:
-                json.dump(table, fh, indent=2, sort_keys=True)
-            print(f"wrote {args.json_out}")
-        return 0
-
-    if args.obs_overhead:
-        table = run_obs_overhead(
-            mix=args.mix,
-            n_ops=args.ops,
-            record_count=args.records,
-            value_bytes=args.value_bytes,
-            connections=args.connections,
-            seed=args.seed,
-        )
-        for entry in table["runs"]:
-            print(
-                f"{entry['mode']}: {entry['ops_per_second']:,.0f} ops/s "
-                f"({entry['throughput_vs_off']:.2f}x of off) "
-                f"p99={entry['p99_ms']:.2f}ms "
-                f"scrapes={entry['scrapes']} "
-                f"client_spans={entry['client_spans']} "
-                f"events={entry['events_emitted']}"
-            )
-        if args.json_out:
-            import json
-
-            with open(args.json_out, "w") as fh:
-                json.dump(table, fh, indent=2, sort_keys=True)
-            print(f"wrote {args.json_out}")
-        return 0
-
-    if args.replication_sweep:
+        table = run_policy_sweep(compaction_spec=spec, **sized)
+    elif args.obs_overhead:
+        table = run_obs_overhead(mix=args.mix, **sized)
+    elif args.replication_sweep:
         table = run_replication_bench(
-            replicas=args.replicas or 2,
-            mix=args.mix,
-            n_ops=args.ops,
-            record_count=args.records,
-            value_bytes=args.value_bytes,
-            connections=args.connections,
-            seed=args.seed,
+            replicas=args.replicas or 2, mix=args.mix, **sized
         )
-        for entry in table["runs"]:
-            print(
-                f"replicas={entry['replicas']} acks={entry['ack_level']}: "
-                f"{entry['ops_per_second']:,.0f} ops/s "
-                f"({entry['throughput_vs_baseline']:.2f}x of baseline) "
-                f"p99={entry['p99_ms']:.2f}ms "
-                f"stall_retries={entry['stall_retries']}"
-            )
-        if args.json_out:
-            import json
-
-            with open(args.json_out, "w") as fh:
-                json.dump(table, fh, indent=2, sort_keys=True)
-            print(f"wrote {args.json_out}")
-        return 0
-
-    if args.scaling is not None:
-        shard_counts = [int(n) for n in args.scaling.split(",") if n.strip()]
+    elif args.scaling is not None:
         table = run_scaling(
-            shard_counts,
-            mix=args.mix,
-            n_ops=args.ops,
-            record_count=args.records,
-            value_bytes=args.value_bytes,
-            connections=args.connections,
-            pool_workers=args.pool_workers,
-            seed=args.seed,
+            [int(n) for n in args.scaling.split(",") if n.strip()],
+            mix=args.mix, pool_workers=args.pool_workers, **sized,
         )
+    if table is not None:
         for entry in table["runs"]:
-            print(
-                f"shards={entry['shards']}: "
-                f"{entry['ops_per_second']:,.0f} ops/s "
-                f"(speedup {entry['speedup_vs_first']:.2f}x) "
-                f"p99={entry['p99_ms']:.2f}ms "
-                f"stall_retries={entry['stall_retries']} "
-                f"pool_max_active={entry['pool_max_active']}"
-            )
+            print(" ".join(
+                f"{key}={value:.2f}" if isinstance(value, float)
+                else f"{key}={value}"
+                for key, value in entry.items()
+                if not isinstance(value, (list, dict))
+            ))
         if args.json_out:
-            import json
-
             with open(args.json_out, "w") as fh:
                 json.dump(table, fh, indent=2, sort_keys=True)
             print(f"wrote {args.json_out}")
@@ -958,7 +840,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             max_attempts=6, base_delay_s=0.01, seed=args.seed
         )
 
-    spec = getattr(ProcedureSpec, args.procedure)()
     options = (
         Options(compaction_policy=args.compaction_policy)
         if args.compaction_policy is not None
@@ -966,13 +847,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     result = run_net_benchmark(
         mix=args.mix,
-        n_ops=args.ops,
-        record_count=args.records,
-        value_bytes=args.value_bytes,
-        connections=args.connections,
         options=options,
         compaction_spec=spec,
-        seed=args.seed,
         shards=args.shards,
         pool_workers=args.pool_workers,
         replicas=args.replicas,
@@ -980,6 +856,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         net_fault_plan=net_fault_plan,
         retry_policy=retry_policy,
         distribution=args.distribution,
+        **sized,
     )
     print(result.summary())
     db_stats = result.server_stats.get("db", {})

@@ -13,91 +13,37 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..lsm.options import Options
 from ..lsm.version import Version
-from .policy import CompactionPolicy, CompactionTask, register_policy
+from .policy import CompactionTask, register_policy
 from .tiered import TieredPolicy
 
 __all__ = ["LazyLeveledPolicy"]
 
 
 @register_policy
-class LazyLeveledPolicy(CompactionPolicy):
+class LazyLeveledPolicy(TieredPolicy):
     """Tiered runs on levels 0..N-2, one leveled run on level N-1."""
 
     name = "lazy-leveled"
 
-    def __init__(self, options: Options, runs: Optional[int] = None) -> None:
-        super().__init__(options)
-        # Reuse tiered's trigger arithmetic/validation for the upper
-        # levels; the sink level below is pure leveling.
-        self._tiers = TieredPolicy(options, runs=runs)
-        self.runs_per_level = self._tiers.runs_per_level
-
-    @classmethod
-    def from_params(
-        cls, options: Options, params: dict[str, str]
-    ) -> "LazyLeveledPolicy":
-        params = dict(params)
-        runs = params.pop("runs", None)
-        if params:
-            raise ValueError(
-                f"policy '{cls.name}' got unknown parameters "
-                f"{sorted(params)}; supported: runs"
-            )
-        return cls(options, runs=int(runs) if runs is not None else None)
-
-    def spec(self) -> str:
-        return f"{self.name}:runs={self.runs_per_level}"
-
-    # ------------------------------------------------------------ knobs
-    def compaction_score(self, version: Version) -> tuple[float, int]:
-        # Run-count pressure on every level but the leveled sink; the
-        # sink has nothing deeper to merge into.
-        best_score = version.num_runs(0) / self.runs_per_level
-        best_level = 0
-        for level in range(1, self.options.num_levels - 1):
-            score = version.num_runs(level) / self.runs_per_level
-            if score > best_score:
-                best_score, best_level = score, level
-        return best_score, best_level
-
-    def pick(self, version: Version) -> Optional[CompactionTask]:
-        score, level = self.compaction_score(version)
-        if score < 1.0:
-            return None
-        return self._merge_level(version, level)
+    def _tiered_levels(self) -> int:
+        # The leveled sink has nothing deeper to merge into.
+        return self.options.num_levels - 1
 
     def _merge_level(
         self, version: Version, level: int
     ) -> Optional[CompactionTask]:
-        files = list(version.files[level])
-        if not files:
-            return None
         last = self.options.num_levels - 1
-        if level >= last:
+        if level < last - 1:
+            return super()._merge_level(version, level)
+        files = list(version.files[level])
+        if level >= last or not files:
             return None  # the sink is leveled; nothing below it
-        if level == last - 1:
-            # Leveled merge into the sink: rewrite the overlapping
-            # slice of its single run, outputs land as run 0.
-            lo = min(f.smallest[:-8] for f in files)
-            hi = max(f.largest[:-8] for f in files)
-            lower = version.overlapping_files(last, lo, hi)
-            return CompactionTask(
-                level, files, lower, output_level=last, output_run=0
-            )
-        out_run = version.max_run_id(level + 1) + 1
+        # Leveled merge into the sink: rewrite the overlapping slice of
+        # its single run, outputs land as run 0.
+        lo = min(f.smallest[:-8] for f in files)
+        hi = max(f.largest[:-8] for f in files)
+        lower = version.overlapping_files(last, lo, hi)
         return CompactionTask(
-            level, files, [], output_level=level + 1, output_run=out_run
+            level, files, lower, output_level=last, output_run=0
         )
-
-    def pick_for_range(
-        self,
-        version: Version,
-        level: int,
-        smallest_user: Optional[bytes],
-        largest_user: Optional[bytes],
-    ) -> Optional[CompactionTask]:
-        if not version.overlapping_files(level, smallest_user, largest_user):
-            return None
-        return self._merge_level(version, level)

@@ -61,10 +61,14 @@ class TieredPolicy(CompactionPolicy):
         return f"{self.name}:runs={self.runs_per_level}"
 
     # ------------------------------------------------------------ knobs
+    def _tiered_levels(self) -> int:
+        """How many levels, from L0 down, merge on run count: all."""
+        return self.options.num_levels
+
     def compaction_score(self, version: Version) -> tuple[float, int]:
         best_score = version.num_runs(0) / self.runs_per_level
         best_level = 0
-        for level in range(1, self.options.num_levels):
+        for level in range(1, self._tiered_levels()):
             score = version.num_runs(level) / self.runs_per_level
             if score > best_score:
                 best_score, best_level = score, level

@@ -28,7 +28,6 @@ Design notes
 from __future__ import annotations
 
 import math
-import threading
 from typing import Iterator, Optional
 
 from ..analysis.locksan import make_lock

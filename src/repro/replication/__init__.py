@@ -29,12 +29,7 @@ fsyncs, CRC-framed by the wire protocol, applied idempotently by
 sequence number on the follower.
 """
 
-from .errors import (
-    CatchupLostError,
-    FencedError,
-    ProtocolTooOldError,
-    ReplicationError,
-)
+from .errors import FencedError, ReplicationError
 from .failover import FailoverCoordinator, elect_candidate
 from .follower import Follower
 from .hub import ReplicationHub, Subscriber
@@ -42,11 +37,9 @@ from .remote import RemoteShard
 from .replicated import ReplicatedShard
 
 __all__ = [
-    "CatchupLostError",
     "FailoverCoordinator",
     "FencedError",
     "Follower",
-    "ProtocolTooOldError",
     "RemoteShard",
     "ReplicatedShard",
     "ReplicationError",

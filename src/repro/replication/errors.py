@@ -5,8 +5,6 @@ from __future__ import annotations
 __all__ = [
     "ReplicationError",
     "FencedError",
-    "CatchupLostError",
-    "ProtocolTooOldError",
 ]
 
 
@@ -21,13 +19,3 @@ class FencedError(ReplicationError):
     the subscriber was promoted, this node must not keep acting as a
     primary for it.
     """
-
-
-class CatchupLostError(ReplicationError):
-    """A subscriber's position fell out of the primary's retained log
-    mid-stream; the catch-up must restart (usually via snapshot)."""
-
-
-class ProtocolTooOldError(ReplicationError):
-    """The remote server negotiated a protocol major without
-    replication support (a pre-versioning or protocol-1 server)."""

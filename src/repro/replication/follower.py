@@ -28,7 +28,7 @@ from ..analysis.locksan import make_lock
 from ..db.manifest import ManifestWriter, VersionEdit, set_current
 from ..lsm.version import FileMetaData
 from ..server import protocol as P
-from .errors import ProtocolTooOldError, ReplicationError
+from .errors import ReplicationError
 
 __all__ = ["Follower"]
 
@@ -179,11 +179,6 @@ class Follower:
                 logger.info(
                     "primary said goodbye (%s); will retry quietly", exc
                 )
-            except ProtocolTooOldError as exc:
-                # Terminal: retrying cannot fix a protocol mismatch.
-                self.last_error = str(exc)
-                logger.error("%s", exc)
-                return
             except _Resubscribe as exc:
                 logger.info("resubscribing to primary: %s", exc)
                 events = self.db.obs.events
@@ -251,14 +246,6 @@ class Follower:
         if not response.ok:
             raise ConnectionError(
                 f"hello rejected: {response.status_name}"
-            )
-        # A primary that answers the hello heartbeats idle streams, so
-        # the ship loop's silence deadline holds; one that echoes it is
-        # protocol 1, from before replication.
-        if P.decode_hello_ack(response.body) is None:
-            raise ProtocolTooOldError(
-                f"primary {self._host}:{self._port} speaks protocol 1.x, "
-                f"which has no replication support (need major >= 2)"
             )
 
     def _subscribe_and_apply(self, sock: socket.socket) -> None:

@@ -7,9 +7,8 @@ wire protocol to a ``repro.server`` process.  The PR 5 facade then
 composes local and remote shards transparently
 (:meth:`repro.cluster.ShardedDB.from_shards`).
 
-Construction performs the version hello and refuses servers whose
-protocol major predates replication, so misuse fails with one clear
-error instead of a frame desync mid-workload.
+Construction performs the version hello, which pins the connection's
+write ack level.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from ..db.db import WouldBlock
 from ..lsm.ikey import KIND_VALUE
 from ..obs import Observability
 from ..server.client import CircuitBreaker, RetryPolicy, SyncClient
-from .errors import ProtocolTooOldError
 
 __all__ = ["RemoteShard"]
 
@@ -38,7 +36,6 @@ class RemoteShard:
         port: int,
         timeout: Optional[float] = 30.0,
         ack_level: Optional[int] = None,
-        require_protocol: int = 2,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         obs: Optional[Observability] = None,
@@ -57,14 +54,7 @@ class RemoteShard:
             breaker=breaker,
             metrics=self.obs.metrics,
         )
-        major, minor = self._client.hello(ack_level=ack_level)
-        if major < require_protocol:
-            self._client.close()
-            raise ProtocolTooOldError(
-                f"server {host}:{port} speaks protocol {major}.{minor}; "
-                f"remote shards need major >= {require_protocol}"
-            )
-        self.protocol = (major, minor)
+        self.protocol = self._client.hello(ack_level=ack_level)
 
     # ----------------------------------------------------------- writes
     def put(self, key: bytes, value: bytes) -> None:

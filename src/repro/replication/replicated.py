@@ -28,7 +28,6 @@ ShardLike surface as a local DB or a single :class:`RemoteShard`:
 
 from __future__ import annotations
 
-import threading
 from typing import Iterator, Optional, Union
 
 from ..analysis.locksan import make_lock

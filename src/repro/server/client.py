@@ -237,8 +237,8 @@ class _Client(_Ops):
         self._jitter = retry_policy.rng() if retry_policy is not None else None
         self.retries = 0  # observable connection-retry count
         self.stall_retries = 0  # observable back-off count
-        #: True once the server answered the hello (every server that
-        #: does takes trace context); an echo leaves it False.
+        #: True once the server answered the hello; every server that
+        #: does takes trace context.
         self.trace_negotiated = False
         self._hello: Optional[bytes] = None  # replayed on a new connection
         self._next_id = 0
@@ -247,20 +247,20 @@ class _Client(_Ops):
     def hello(self, ack_level: Optional[int] = None):
         """Negotiate the protocol version over PING.
 
-        Returns the server's ``(major, minor)``; a pre-versioning
-        server echoes the hello verbatim and is reported as ``(1, 0)``.
-        ``ack_level`` optionally pins how many follower acks writes on
-        this connection must collect (-1 = majority) — ignored by
-        servers without a replication hub.  A reconnect sends the same
-        hello again before anything else.
+        Returns the server's ``(major, minor)``; a reply that is not a
+        hello answer raises :class:`ProtocolError`.  ``ack_level``
+        optionally pins how many follower acks writes on this
+        connection must collect (-1 = majority) — ignored by servers
+        without a replication hub.  A reconnect sends the same hello
+        again before anything else.
         """
         self._hello = P.encode_hello_body(ack_level=ack_level)
         return self._request(P.OP_PING, self._hello, self._answered)
 
     def _answered(self, body: bytes) -> tuple[int, int]:
         negotiated = P.decode_hello_ack(body)
-        self.trace_negotiated = negotiated is not None
-        return negotiated or (1, 0)
+        self.trace_negotiated = True
+        return negotiated
 
     def _take_id(self) -> int:
         self._next_id += 1

@@ -226,8 +226,7 @@ STATUS_NAMES = {
 #: The PING hello reports each side's version; a server rejects a hello
 #: whose *major* it does not know.  A peer that answers the hello at all
 #: speaks 3.0 (see above) and has every feature — trace context,
-#: METRICS/TRACE, PROMOTE, heartbeats on the replication stream; only a
-#: protocol-1 server echoes the hello instead of answering it.
+#: METRICS/TRACE, PROMOTE, heartbeats on the replication stream.
 PROTOCOL_MAJOR = 3
 PROTOCOL_MINOR = 0
 
@@ -236,9 +235,8 @@ PROTOCOL_MINOR = 0
 #: space of hand-typed echo payloads.
 HELLO_MAGIC = b"\x00REPRO"
 
-#: Marker byte a protocol-2 server appends to its hello reply.  A
-#: pre-versioning server echoes the hello verbatim, so the marker is
-#: how the client tells a real negotiation from an echo.
+#: Marker byte the server appends to its hello reply, which tells the
+#: reply apart from an echo of the hello.
 _HELLO_ACK_MARKER = 0x01
 
 # ------------------------------------------------- replication consts
@@ -695,10 +693,8 @@ def decode_scan_result(body: bytes) -> tuple[list[tuple[bytes, bytes]], bool]:
 
 
 # ------------------------------------------------- version handshake
-# The hello rides inside PING so it is safe to send to any server:
-# a pre-versioning server treats the body as opaque echo data and
-# returns it verbatim, which the client detects by the missing ack
-# marker and reports as "server speaks protocol 1".
+# The hello rides inside PING: a body without the magic is opaque echo
+# data.
 def encode_hello_body(
     major: int = PROTOCOL_MAJOR,
     minor: int = PROTOCOL_MINOR,
@@ -755,20 +751,19 @@ def encode_hello_ack(
     )
 
 
-def decode_hello_ack(body: bytes) -> Optional[tuple[int, int]]:
-    """``(major, minor)`` of the server, or None if the reply is just a
-    verbatim echo from a pre-versioning server."""
-    if not body.startswith(HELLO_MAGIC):
-        return None
-    pos = len(HELLO_MAGIC)
+def decode_hello_ack(body: bytes) -> tuple[int, int]:
+    """``(major, minor)`` of the server; anything that is not a hello
+    reply raises :class:`ProtocolError`."""
     try:
-        major, pos = decode_varint64(body, pos)
+        if not body.startswith(HELLO_MAGIC):
+            raise ValueError("no hello magic")
+        major, pos = decode_varint64(body, len(HELLO_MAGIC))
         minor, pos = decode_varint64(body, pos)
-    except ValueError:
-        return None
-    if pos == len(body) - 1 and body[pos] == _HELLO_ACK_MARKER:
-        return major, minor
-    return None  # echo of our own hello → protocol-1 server
+        if pos != len(body) - 1 or body[pos] != _HELLO_ACK_MARKER:
+            raise ValueError("no reply marker")
+    except ValueError as exc:
+        raise ProtocolError(f"not a hello reply: {exc}") from None
+    return major, minor
 
 
 # --------------------------------------------------- replication bodies

@@ -7,9 +7,10 @@ One asyncio event loop owns all sockets; the blocking engine calls
 (``DB.put`` … ``DB.compact_range``) are dispatched to a small thread
 pool via ``run_in_executor`` (the DB serialises internally with its
 own lock, so pool width bounds *queueing*, not data races).  Per
-connection, a reader coroutine decodes frames and a writer coroutine
-emits responses **in request order** (Redis-style pipelining) from a
-bounded queue.
+connection, a reader coroutine decodes frames into a bounded queue, and
+one lane coroutine runs them one at a time and writes each reply before
+it starts the next, so responses go out **in request order**
+(Redis-style pipelining).
 
 What cannot wait skips the pool.  When a connection has nothing in
 flight, its reader first runs the request in non-waiting mode on the
@@ -377,9 +378,8 @@ class KVServer:
         )
         # Mutable per-connection state: the hello handshake stores the
         # connection's negotiated write ack level here; "inflight" is
-        # the number of requests handed to the writer task whose frames
-        # are not on the socket yet; "last_task" the newest of them, which
-        # the next one waits for before it runs.
+        # the number of requests handed to the lane whose frames are
+        # not on the socket yet.
         state: dict = {"inflight": 0}
         writer_task = asyncio.create_task(
             self._write_responses(queue, writer, state)
@@ -456,38 +456,34 @@ class KVServer:
                     continue
             inline_run = 0
             state["inflight"] += 1
-            # Chained behind this connection's previous pool request: a
-            # GET pipelined behind a PUT must not overtake it on another
-            # worker thread.
-            task = asyncio.create_task(
-                self._handle_request(
-                    request, bytes_in, state, t0, wait=True,
-                    after=state.get("last_task"),
-                )
-            )
-            state["last_task"] = task
             # Bounded queue: blocks when the pipeline is full, which
             # stops reading this socket until responses drain.
-            await queue.put(task)
+            await queue.put((request, bytes_in, t0))
 
     async def _write_responses(
         self, queue: asyncio.Queue, writer: asyncio.StreamWriter, state: dict
     ) -> None:
+        """The connection's lane: run each queued request on the pool,
+        then write its reply, before starting the next — so a GET
+        pipelined behind a PUT sees it."""
         # Keeps consuming until the sentinel even after a send failure,
         # so the reader's queue.put never deadlocks on a dead peer.
         broken = False
         while True:
-            task = await queue.get()
-            if task is None:
+            item = await queue.get()
+            if item is None:
                 return
+            request, bytes_in, t0 = item
             try:
-                frame = await task
+                frame = await self._handle_request(
+                    request, bytes_in, state, t0, wait=True
+                )
                 if not broken:
                     await _send(writer, frame)
             except OSError:  # covers ConnectionError
                 broken = True
             except Exception:  # pragma: no cover - handler is total
-                _log.exception("request task failed outside the handler")
+                _log.exception("request failed outside the handler")
             finally:
                 # Only now may the reader write a reply itself: this
                 # frame is on the socket and nobody else is in drain().
@@ -501,22 +497,18 @@ class KVServer:
         state: dict,
         t0: float,
         wait: bool,
-        after: Optional[asyncio.Task] = None,
     ) -> bytes:
         """Execute one request; returns the encoded response frame.
 
         The one handler behind both entries.  ``wait=True`` runs the
-        opcode on a pool thread, once ``after`` — the connection's
-        previous pool request — has finished, so a connection's requests
-        execute in the order they arrived.  ``wait=False`` runs it right
-        here on the loop thread in non-waiting mode and never suspends;
+        opcode on a pool thread; the connection's lane awaits it before
+        the next request.  ``wait=False`` runs it right here on the loop
+        thread in non-waiting mode and never suspends;
         when the opcode would have to wait, :class:`WouldBlock`
         propagates with nothing recorded and the caller comes back with
         ``wait=True``.  ``t0`` is when the request was decoded, so a
         request that came back is timed from its first attempt.
         """
-        if after is not None and not after.done():
-            await asyncio.wait((after,))  # its outcome is its own reply
         status = P.ST_SERVER_ERROR
         body = b""
         try:

@@ -645,26 +645,12 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _metrics_client(args, command: str):
-    """A client to ``args.endpoint`` if its server answered the hello
-    (METRICS came with it), else None, said on stderr."""
-    from ..server.client import SyncClient
-
-    client = SyncClient(*_parse_endpoint(args.endpoint))
-    if client.hello() != (1, 0):  # (1, 0): the hello came back as an echo
-        return client
-    client.close()
-    print(f"{command}: server speaks protocol 1.0, without METRICS",
-          file=sys.stderr)
-    return None
-
-
 def cmd_scrape(args) -> int:
     import json
 
-    client = _metrics_client(args, "scrape")
-    if client is None:
-        return 1
+    from ..server.client import SyncClient
+
+    client = SyncClient(*_parse_endpoint(args.endpoint))
     try:
         if args.format == "prom":
             text = client.metrics("prom")
@@ -693,11 +679,10 @@ def cmd_scrape(args) -> int:
 
 
 def cmd_top(args) -> int:
+    from ..server.client import SyncClient
     from .top import render_top, sample, top_loop
 
-    client = _metrics_client(args, "top")
-    if client is None:
-        return 1
+    client = SyncClient(*_parse_endpoint(args.endpoint))
     try:
         if args.once:
             import time

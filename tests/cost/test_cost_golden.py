@@ -11,7 +11,12 @@ operation, 1 KB values, fixed seed:
 * ``get_uncached`` — GETs that each miss the block cache, on a fully
   compacted store whose tables are already open;
 * ``scan`` / ``scan_reverse`` — 20-entry scans, ascending from a
-  seeded start key or descending below it, on the same store.
+  seeded start key or descending below it, on the same store;
+* ``server_get_inline`` — the ``get_cached`` GET as a wire request:
+  each payload decoded and answered by ``KVServer._handle_request``
+  without waiting, on the loop-free server (no socket, no loop);
+* ``frame_codec`` — one GET request frame and its response frame,
+  encoded and decoded with the ``protocol`` functions ``perf`` times.
 
 Counts miss work done in C (zlib, CRC, bisect) and waits; they are a
 second yardstick beside ``perf/run.py``, not a replacement.  The golden
@@ -38,6 +43,8 @@ from repro.analysis import race_sanitizer_enabled, sanitizer_enabled
 from repro.db import DB
 from repro.devices import MemStorage
 from repro.lsm import Options
+from repro.server import protocol as P
+from repro.server.server import KVServer
 
 GOLDEN = Path(__file__).with_name("cost_golden.json")
 PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
@@ -120,6 +127,40 @@ def measure() -> dict:
 
         rows["get_cached"] = {"ops": GETS, "calls": _calls(cached)}
         assert _misses(db) == misses
+
+        server = KVServer(db, own_db=False)
+        request = P.encode_request(P.OP_GET, 7, P.encode_lp(hot))
+        payloads = [P.decode_frame(P.frame_length(request[:4]), request[4:])] * GETS
+        state = {"inflight": 0}
+        replies = []
+
+        def served():
+            for payload in payloads:
+                coro = server._handle_request(
+                    P.decode_request(payload), P.FRAME_OVERHEAD + len(payload),
+                    state, time.perf_counter(), wait=False,
+                )
+                try:
+                    coro.send(None)
+                except StopIteration as done:
+                    replies.append(done.value)
+
+        rows["server_get_inline"] = {"ops": GETS, "calls": _calls(served)}
+        assert replies == [P.encode_response(P.ST_OK, 7, P.encode_lp(values[hot]))] * GETS
+
+        decoded = []
+
+        def codec():
+            for request_id in range(GETS):
+                frame = P.encode_request(P.OP_GET, request_id, P.encode_lp(hot))
+                P.decode_request(P.decode_frame(P.frame_length(frame[:4]), frame[4:]))
+                frame = P.encode_response(P.ST_OK, request_id, P.encode_lp(values[hot]))
+                decoded.append(
+                    P.decode_response(P.decode_frame(P.frame_length(frame[:4]), frame[4:]))
+                )
+
+        rows["frame_codec"] = {"ops": GETS, "calls": _calls(codec)}
+        assert [r.request_id for r in decoded] == list(range(GETS))
 
         # Starts at least SCAN_LENGTH keys from either end: every scan
         # returns SCAN_LENGTH pairs in both directions.

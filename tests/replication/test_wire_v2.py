@@ -1,14 +1,4 @@
-"""Protocol v2 codecs and version-negotiation compatibility.
-
-The compatibility half runs a ~30-line fake *protocol-1* server (it
-echoes PING bodies and BAD_REQUESTs any opcode it does not know, which
-is exactly what the PR 1-5 server did) and proves the failure mode the
-versioned hello buys: replication-era clients get one clear
-``ProtocolTooOldError`` instead of a frame desync.
-"""
-
-import socketserver
-import threading
+"""Protocol v2 codecs and version negotiation."""
 
 import pytest
 
@@ -39,9 +29,9 @@ def test_hello_ack_roundtrip_and_echo_detection():
         P.PROTOCOL_MAJOR,
         P.PROTOCOL_MINOR,
     )
-    # A pre-versioning server echoes the hello body verbatim; the
-    # missing ack marker must classify it as protocol 1.
-    assert P.decode_hello_ack(P.encode_hello_body()) is None
+    # An echo of the hello body is not a reply: it lacks the marker.
+    with pytest.raises(P.ProtocolError):
+        P.decode_hello_ack(P.encode_hello_body())
 
 
 def test_subscribe_roundtrip():
@@ -82,96 +72,6 @@ def test_repl_ack_roundtrip():
 def test_ship_body_rejects_unknown_kind():
     with pytest.raises(P.ProtocolError):
         P.decode_ship_body(bytes([99]))
-
-
-# ---------------------------------------------- protocol-1 fake server
-class _V1Handler(socketserver.BaseRequestHandler):
-    """What a PR 1-5 server does: echo PING, reject unknown opcodes."""
-
-    def handle(self):
-        buf = b""
-        while True:
-            try:
-                chunk = self.request.recv(65536)
-            except OSError:
-                return
-            if not chunk:
-                return
-            buf += chunk
-            while len(buf) >= 4:
-                length = P.frame_length(buf[:4])
-                if len(buf) < length + 8:
-                    break
-                payload = P.decode_frame(length, buf[4:length + 8])
-                buf = buf[length + 8:]
-                request = P.decode_request(payload)
-                if request.opcode == P.OP_PING:
-                    response = P.encode_response(
-                        P.ST_OK, request.request_id, request.body
-                    )
-                else:
-                    response = P.encode_response(
-                        P.ST_BAD_REQUEST, request.request_id,
-                        P.encode_lp(b"unhandled opcode"),
-                    )
-                self.request.sendall(response)
-
-
-@pytest.fixture
-def v1_server():
-    server = socketserver.ThreadingTCPServer(
-        ("127.0.0.1", 0), _V1Handler, bind_and_activate=True
-    )
-    server.daemon_threads = True
-    thread = threading.Thread(
-        target=server.serve_forever, name="v1-echo-server", daemon=True
-    )
-    thread.start()
-    try:
-        yield server.server_address
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-def test_hello_against_v1_server_reports_protocol_1(v1_server):
-    from repro.server.client import SyncClient
-
-    host, port = v1_server
-    client = SyncClient(host, port)
-    try:
-        assert client.hello() == (1, 0)
-    finally:
-        client.close()
-
-
-def test_remote_shard_refuses_v1_server_with_clear_error(v1_server):
-    from repro.replication import ProtocolTooOldError, RemoteShard
-
-    host, port = v1_server
-    with pytest.raises(ProtocolTooOldError, match="protocol 1"):
-        RemoteShard(host, port)
-
-
-def test_follower_against_v1_server_halts_with_clear_error(v1_server, tmp_path):
-    from repro.db import DB
-    from repro.devices import OSStorage
-    from repro.lsm import Options
-    from repro.replication import Follower
-
-    host, port = v1_server
-    db = DB(OSStorage(str(tmp_path)), Options())
-    follower = Follower(
-        db, db.storage, lambda: None, host, port, "f-old"
-    ).start()
-    follower._thread.join(timeout=10)
-    try:
-        # Terminal: no retry loop against an unfixable mismatch.
-        assert not follower._thread.is_alive()
-        assert "replication" in (follower.last_error or "")
-    finally:
-        follower.stop()
-        db.close()
 
 
 def test_v2_server_rejects_future_major(tmp_path):
