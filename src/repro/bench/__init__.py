@@ -1,7 +1,6 @@
 """Benchmark harness: profiling, virtual-clock runs, experiment drivers."""
 
 from .gantt import render_gantt
-from .latency import LatencyClock, LatencyResult, run_latency_workload
 from .observer import VirtualClock
 from .profiling import breakdown3, profile_steps_model, profile_steps_real
 from .report import format_fractions, format_table, render_series
@@ -18,9 +17,6 @@ __all__ = [
     "profile_steps_model",
     "profile_steps_real",
     "render_gantt",
-    "LatencyClock",
-    "LatencyResult",
-    "run_latency_workload",
     "render_series",
     "run_insert_workload",
     "scaled_options",

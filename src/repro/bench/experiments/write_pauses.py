@@ -2,8 +2,9 @@
 
 Not a numbered figure, but the paper's own motivation (§I): compaction
 speed bounds write pauses.  We insert a fixed workload under SCP and
-PCP and compare the per-write virtual latency distribution — the p50
-is the WAL+memtable cost and is identical, while the extreme tail is a
+PCP and compare the per-write virtual latency distribution, read off
+the same system run that gives Fig 10 its throughput — the p50 is the
+WAL+memtable cost and is identical, while the extreme tail is a
 compaction pause and shrinks by roughly the compaction-bandwidth
 factor under PCP.
 """
@@ -11,7 +12,7 @@ factor under PCP.
 from __future__ import annotations
 
 from ...core.procedures import ProcedureSpec
-from ..latency import run_latency_workload
+from ..runner import run_insert_workload
 from .base import ExperimentResult
 from .fig10 import SUBTASK_BYTES, pcp_spec_for
 
@@ -29,7 +30,7 @@ def run(
     }
     rows = []
     for label, spec in specs.items():
-        result = run_latency_workload(
+        result = run_insert_workload(
             n, spec, device=device, distribution=distribution
         )
         rows.append(

@@ -9,7 +9,7 @@ timeline, one row per (stage, worker), sub-tasks labelled 0-9a-z::
     cpu   |...000111222333
     write |......000111222333
 
-:func:`render_span_gantt` draws the same picture from *real* spans
+:func:`schedule_from_spans` builds the same timeline from *real* spans
 recorded by a :class:`repro.obs.Tracer` (stage = span category, worker
 = recording thread), so a live PCP compaction renders next to its
 simulated schedule in the same format.
@@ -19,27 +19,21 @@ Useful in examples and docs; also a debugging aid for the scheduler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..core.backends.simbackend import ScheduleResult, TimelineEvent
 
-__all__ = ["render_gantt", "render_span_gantt", "schedule_from_spans"]
+__all__ = ["render_gantt", "schedule_from_spans"]
 
 _STAGE_ORDER = {"read": 0, "compute": 1, "write": 2}
 _LABELS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
-def _label(index: int) -> str:
-    return _LABELS[index % len(_LABELS)]
-
-
-def render_gantt(result: "ScheduleResult | SpanSchedule", width: int = 72) -> str:
+def render_gantt(result: ScheduleResult, width: int = 72) -> str:
     """Render the schedule's timeline as fixed-width ASCII rows.
 
-    Accepts anything with ``timeline`` / ``makespan`` /
-    ``breakdown_fractions()`` — a simulated :class:`ScheduleResult` or
-    a :class:`SpanSchedule` built from tracer spans.
+    ``result`` is simulated, or built from tracer spans by
+    :func:`schedule_from_spans`.
     """
     if not result.timeline or result.makespan <= 0:
         return "(empty schedule)"
@@ -49,15 +43,11 @@ def render_gantt(result: "ScheduleResult | SpanSchedule", width: int = 72) -> st
     rows: dict[tuple[int, str, int], list[str]] = {}
     for ev in result.timeline:
         key = (_STAGE_ORDER.get(ev.stage, 9), ev.stage, ev.worker)
-        rows.setdefault(key, [" "] * width)
-
-    for ev in result.timeline:
-        key = (_STAGE_ORDER.get(ev.stage, 9), ev.stage, ev.worker)
-        row = rows[key]
+        row = rows.setdefault(key, [" "] * width)
         start = int(ev.start * scale)
         end = max(start + 1, int(ev.end * scale))
         for i in range(start, min(end, width)):
-            row[i] = _label(ev.index)
+            row[i] = _LABELS[ev.index % len(_LABELS)]
 
     lines = []
     label_width = max(len(f"{stage}[{worker}]") for _, stage, worker in rows)
@@ -76,35 +66,21 @@ def render_gantt(result: "ScheduleResult | SpanSchedule", width: int = 72) -> st
     return "\n".join(lines)
 
 
-@dataclass
-class SpanSchedule:
-    """A tracer-span timeline in the shape :func:`render_gantt` draws."""
-
-    makespan: float
-    timeline: list[TimelineEvent] = field(default_factory=list)
-    stage_busy: dict = field(default_factory=dict)
-
-    def breakdown_fractions(self) -> dict[str, float]:
-        total = sum(self.stage_busy.values())
-        if total <= 0:
-            return {k: 0.0 for k in self.stage_busy}
-        return {k: v / total for k, v in self.stage_busy.items()}
-
-
 def schedule_from_spans(
     spans: Sequence, cats: Optional[set] = None
-) -> SpanSchedule:
+) -> ScheduleResult:
     """Map :class:`repro.obs.Span` objects onto a gantt timeline.
 
     Stage = the span's category, worker = an integer assigned per
     (stage, thread) in order of first appearance, sub-task label = the
     span's ``subtask`` arg.  ``cats`` filters which categories to draw
-    (default: the pipeline stages read/compute/write).
+    (default: the pipeline stages read/compute/write).  Spans carry no
+    byte counts, so ``total_bytes`` is 0.
     """
     cats = cats if cats is not None else {"read", "compute", "write"}
     picked = [s for s in spans if s.cat in cats]
     if not picked:
-        return SpanSchedule(makespan=0.0)
+        return ScheduleResult(0.0, n_subtasks=0, total_bytes=0, stage_busy={})
     t0 = min(s.start for s in picked)
     workers: dict[tuple[str, str], int] = {}
     timeline: list[TimelineEvent] = []
@@ -123,12 +99,10 @@ def schedule_from_spans(
             )
         )
         busy[span.cat] = busy.get(span.cat, 0.0) + span.duration
-    makespan = max(e.end for e in timeline)
-    return SpanSchedule(makespan=makespan, timeline=timeline, stage_busy=busy)
-
-
-def render_span_gantt(
-    spans: Sequence, width: int = 72, cats: Optional[set] = None
-) -> str:
-    """ASCII gantt straight from tracer spans (see module docstring)."""
-    return render_gantt(schedule_from_spans(spans, cats=cats), width=width)
+    return ScheduleResult(
+        makespan=max(e.end for e in timeline),
+        n_subtasks=len({e.index for e in timeline}),
+        total_bytes=0,
+        stage_busy=busy,
+        timeline=timeline,
+    )

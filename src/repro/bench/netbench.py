@@ -1,8 +1,7 @@
 """Closed-loop network load generator: YCSB mixes over the socket.
 
-The embedded benchmarks (:mod:`repro.bench.runner`,
-:mod:`repro.bench.latency`) measure compaction effects *in-process*
-with a virtual clock.  This module measures them where a deployment
+The embedded benchmark (:mod:`repro.bench.runner`) measures
+compaction effects *in-process* with a virtual clock.  This module measures them where a deployment
 would: at the network edge.  ``run_net_benchmark`` starts a
 :class:`repro.server.KVServer` over a real DB, fans a YCSB operation
 mix (:class:`repro.workload.ycsb.YCSBWorkload`) out across N

@@ -20,6 +20,10 @@ to every event:
 
 Total virtual time = foreground + flush + compaction + maintenance;
 IOPS = ops / total.  Everything is deterministic.
+
+A write's latency is the virtual time since the previous write ended:
+its own cost plus every flush, move and compaction charged in between,
+the serial model of a single-writer LSM's write pauses (paper §I).
 """
 
 from __future__ import annotations
@@ -61,6 +65,10 @@ class VirtualClock:
     compaction_input_bytes: int = 0
     n_compactions: int = 0
 
+    #: virtual seconds of each write, in order (see the module docstring).
+    write_latencies: list[float] = field(init=False, default_factory=list)
+    _write_end_s: float = field(init=False, default=0.0)
+
     _wal_s_per_byte: Optional[float] = None
 
     # ------------------------------------------------------------ hooks
@@ -76,6 +84,9 @@ class VirtualClock:
         t = wal_bytes * self._wal_s_per_byte
         t += len(batch) * self.memtable_insert_s
         self.foreground_s += t
+        end = self.total_s
+        self.write_latencies.append(end - self._write_end_s)
+        self._write_end_s = end
 
     def on_flush(self, meta) -> None:
         cpu = self.cost_model.compute_times(

@@ -2,7 +2,8 @@
 
 Runs the real engine (functional compactions over in-memory storage)
 under a :class:`~repro.bench.observer.VirtualClock`, producing the
-IOPS / compaction-bandwidth numbers of Figures 10 and 12.
+IOPS / compaction-bandwidth numbers of Figures 10 and 12 and, from
+the same run, each write's latency (the write-pause experiment).
 
 Scaling.  The paper's setup (4 MB memtables, 2 MB SSTables, ~1 MB
 sub-tasks, 10M-80M entries) is scaled down by ``SCALE`` = 32 in every
@@ -18,7 +19,7 @@ DESIGN.md's substitution table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from ..core.costmodel import CostModel
 from ..core.procedures import ProcedureSpec
@@ -112,6 +113,27 @@ class SystemRunResult:
     n_compactions: int
     n_flushes: int
     levels: list[int]
+    #: each write's virtual latency in microseconds (write pauses).
+    latencies_us: list[float] = field(repr=False)
+
+    def percentile(self, p: float) -> float:
+        if not self.latencies_us:
+            return 0.0
+        ordered = sorted(self.latencies_us)
+        idx = min(len(ordered) - 1, int(p / 100.0 * len(ordered)))
+        return ordered[idx]
+
+    @property
+    def mean_us(self) -> float:
+        return sum(self.latencies_us) / len(self.latencies_us)
+
+    @property
+    def max_us(self) -> float:
+        return max(self.latencies_us)
+
+    def stalled_ops(self, threshold_us: float = 1000.0) -> int:
+        """Writes that paused longer than ``threshold_us``."""
+        return sum(1 for v in self.latencies_us if v >= threshold_us)
 
     def summary(self) -> str:
         return (
@@ -180,4 +202,5 @@ def run_insert_workload(
         n_compactions=clock.n_compactions,
         n_flushes=n_flushes,
         levels=levels,
+        latencies_us=[v * 1e6 for v in clock.write_latencies],
     )

@@ -315,9 +315,9 @@ class Tracer:
     def render_gantt(self, width: int = 72, cats: Optional[set] = None) -> str:
         """ASCII gantt of the recorded spans (same renderer as the
         simulator's schedules; see :mod:`repro.bench.gantt`)."""
-        from ..bench.gantt import render_span_gantt
+        from ..bench.gantt import render_gantt, schedule_from_spans
 
-        return render_span_gantt(self.spans(), width=width, cats=cats)
+        return render_gantt(schedule_from_spans(self.spans(), cats), width)
 
 
 #: Shared disabled tracer: instrumented code does ``tracer or NULL_TRACER``

@@ -589,7 +589,10 @@ def encode_batch_body(ops) -> bytes:
 
 
 def decode_batch_body(body: bytes) -> list[tuple]:
-    count, pos = decode_varint64(body, 0)
+    try:
+        count, pos = decode_varint64(body, 0)
+    except ValueError as exc:
+        raise ProtocolError(f"bad batch count: {exc}") from None
     ops: list[tuple] = []
     for _ in range(count):
         if pos >= len(body):
@@ -660,7 +663,10 @@ def decode_scan_body(
         start, pos = decode_lp(body, pos)
     if flags & _SCAN_HAS_END:
         end, pos = decode_lp(body, pos)
-    limit, pos = decode_varint64(body, pos)
+    try:
+        limit, pos = decode_varint64(body, pos)
+    except ValueError as exc:
+        raise ProtocolError(f"bad scan limit: {exc}") from None
     if pos != len(body):
         raise ProtocolError("trailing bytes after scan body")
     return start, end, limit, bool(flags & _SCAN_REVERSE)
@@ -681,7 +687,10 @@ def decode_scan_result(body: bytes) -> tuple[list[tuple[bytes, bytes]], bool]:
     if not body:
         raise ProtocolError("empty scan result")
     truncated = bool(body[0])
-    count, pos = decode_varint64(body, 1)
+    try:
+        count, pos = decode_varint64(body, 1)
+    except ValueError as exc:
+        raise ProtocolError(f"bad scan result count: {exc}") from None
     pairs: list[tuple[bytes, bytes]] = []
     for _ in range(count):
         key, pos = decode_lp(body, pos)

@@ -99,7 +99,8 @@ class _RecvIntoProtocol(asyncio.StreamReaderProtocol, asyncio.BufferedProtocol):
     """
 
     def __init__(self, on_connection) -> None:
-        super().__init__(asyncio.StreamReader(), on_connection)
+        self._reader = asyncio.StreamReader()
+        super().__init__(self._reader, on_connection)
         self._recv_view = memoryview(bytearray(_RECV_BYTES))
 
     def get_buffer(self, sizehint: int) -> memoryview:
@@ -107,6 +108,15 @@ class _RecvIntoProtocol(asyncio.StreamReaderProtocol, asyncio.BufferedProtocol):
 
     def buffer_updated(self, nbytes: int) -> None:
         self.data_received(self._recv_view[:nbytes])
+
+    def end_stream(self, transport: asyncio.Transport) -> None:
+        """End the stream at the bytes received so far: the reader reads
+        out the frames already buffered, then sees EOF."""
+        # Bytes fed after EOF trip an assert in ``feed_data``: stop
+        # reading, and drop what a flow-control resume still receives.
+        transport.pause_reading()
+        self.buffer_updated = lambda nbytes: None
+        self._reader.feed_eof()
 
 
 async def _send(writer: asyncio.StreamWriter, frame: bytes) -> None:
@@ -238,7 +248,8 @@ class KVServer:
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
         self._events = getattr(obs, "events", None) or NULL_EVENTS
         self._server: Optional[asyncio.base_events.Server] = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        #: Each live connection's task and transport.
+        self._conns: dict[asyncio.Task, asyncio.Transport] = {}
         self._closing = False
         self._pool: Optional[ThreadPoolExecutor] = None
         self._promote_lock = make_lock("server.promote")
@@ -286,10 +297,16 @@ class KVServer:
                 self._pool, self.follower.stop
             )
         self._server.close()
+        # An idle connection would wait for its next frame forever: end
+        # every stream after the frames already received, so only
+        # requests still running keep a connection open.
+        for transport in self._conns.values():
+            if not transport.is_closing():  # else its reader sees EOF
+                transport.get_protocol().end_stream(transport)
         await self._server.wait_closed()
-        if self._conn_tasks:
+        if self._conns:
             done, pending = await asyncio.wait(
-                self._conn_tasks, timeout=self.config.drain_timeout_s
+                self._conns, timeout=self.config.drain_timeout_s
             )
             for task in pending:
                 task.cancel()
@@ -371,7 +388,7 @@ class KVServer:
     ) -> None:
         task = asyncio.current_task()
         assert task is not None
-        self._conn_tasks.add(task)
+        self._conns[task] = writer.transport
         self._conns_opened.inc()
         queue: asyncio.Queue = asyncio.Queue(
             maxsize=self.config.max_inflight_per_conn
@@ -399,7 +416,7 @@ class KVServer:
             except OSError:  # covers ConnectionError
                 pass
             self._conns_closed.inc()
-            self._conn_tasks.discard(task)
+            del self._conns[task]
 
     async def _read_requests(
         self,

@@ -1,14 +1,18 @@
 """Tests for per-operation latency accounting (write pauses)."""
 
 
-from repro.bench.latency import LatencyResult, run_latency_workload
+from repro.bench.runner import SystemRunResult, run_insert_workload
 from repro.core import ProcedureSpec
 
 
 class TestLatencyResult:
     def _result(self, values):
-        return LatencyResult(
-            spec=ProcedureSpec.scp(), n_ops=len(values), latencies_us=values
+        return SystemRunResult(
+            n_ops=len(values), spec=ProcedureSpec.scp(), device="ssd",
+            virtual_seconds=0.0, foreground_seconds=0.0, flush_seconds=0.0,
+            compaction_seconds=0.0, maintenance_seconds=0.0, iops=0.0,
+            compaction_bandwidth=0.0, compaction_input_bytes=0,
+            n_compactions=0, n_flushes=0, levels=[], latencies_us=values,
         )
 
     def test_percentiles(self):
@@ -32,7 +36,7 @@ class TestLatencyResult:
 
 class TestLatencyWorkload:
     def test_every_op_recorded(self):
-        result = run_latency_workload(
+        result = run_insert_workload(
             1000, ProcedureSpec.scp(subtask_bytes=32 * 1024)
         )
         assert len(result.latencies_us) == 1000
@@ -41,17 +45,17 @@ class TestLatencyWorkload:
     def test_tail_is_compaction_pause(self):
         """Most ops are cheap; a handful carry flush/compaction pauses
         orders of magnitude above the median."""
-        result = run_latency_workload(
+        result = run_insert_workload(
             6000, ProcedureSpec.scp(subtask_bytes=32 * 1024)
         )
         p50 = result.percentile(50)
         assert result.max_us > 100 * p50
 
     def test_pcp_shortens_worst_pause(self):
-        scp = run_latency_workload(
+        scp = run_insert_workload(
             8000, ProcedureSpec.scp(subtask_bytes=32 * 1024), seed=1
         )
-        pcp = run_latency_workload(
+        pcp = run_insert_workload(
             8000, ProcedureSpec.pcp(subtask_bytes=32 * 1024), seed=1
         )
         assert pcp.max_us < scp.max_us
@@ -59,6 +63,6 @@ class TestLatencyWorkload:
         assert sum(pcp.latencies_us) < sum(scp.latencies_us)
 
     def test_deterministic(self):
-        a = run_latency_workload(1500, ProcedureSpec.scp(subtask_bytes=32 * 1024))
-        b = run_latency_workload(1500, ProcedureSpec.scp(subtask_bytes=32 * 1024))
+        a = run_insert_workload(1500, ProcedureSpec.scp(subtask_bytes=32 * 1024))
+        b = run_insert_workload(1500, ProcedureSpec.scp(subtask_bytes=32 * 1024))
         assert a.latencies_us == b.latencies_us

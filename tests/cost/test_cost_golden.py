@@ -16,7 +16,13 @@ operation, 1 KB values, fixed seed:
   each payload decoded and answered by ``KVServer._handle_request``
   without waiting, on the loop-free server (no socket, no loop);
 * ``frame_codec`` — one GET request frame and its response frame,
-  encoded and decoded with the ``protocol`` functions ``perf`` times.
+  encoded and decoded with the ``protocol`` functions ``perf`` times;
+* ``scan_codec`` — the ``scan`` row's scans as wire frames: each SCAN
+  request frame and its 20-pair response frame, encoded and decoded
+  with the SCAN body codec and the same frame functions;
+* ``compact_scp`` — one SCP ``compact_tables`` merge of two tables
+  on their own store: even keys 0–598 over odd keys 1–399, so half the
+  range interleaves; ops are input blocks.
 
 Counts miss work done in C (zlib, CRC, bisect) and waits; they are a
 second yardstick beside ``perf/run.py``, not a replacement.  The golden
@@ -40,9 +46,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import race_sanitizer_enabled, sanitizer_enabled
+from repro.core.procedures import ProcedureSpec, compact_tables
 from repro.db import DB
 from repro.devices import MemStorage
 from repro.lsm import Options
+from repro.lsm.ikey import KIND_VALUE, encode_internal_key
+from repro.lsm.table_builder import TableBuilder
+from repro.lsm.table_reader import Table
 from repro.server import protocol as P
 from repro.server.server import KVServer
 
@@ -181,9 +191,63 @@ def measure() -> dict:
         rows["scan"] = {"ops": SCANS, "calls": _calls(scans)}
         rows["scan_reverse"] = {"ops": SCANS, "calls": _calls(reverse_scans)}
         assert [len(pairs) for pairs in got] == [SCAN_LENGTH] * 2 * SCANS
+
+        results = []
+
+        def scan_codec():
+            for request_id, (start, pairs) in enumerate(zip(starts, got)):
+                body = P.encode_scan_body(start, None, SCAN_LENGTH, False)
+                frame = P.encode_request(P.OP_SCAN, request_id, body)
+                request = P.decode_request(
+                    P.decode_frame(P.frame_length(frame[:4]), frame[4:])
+                )
+                P.decode_scan_body(request.body)
+                body = P.encode_scan_result(pairs, False)
+                frame = P.encode_response(P.ST_OK, request_id, body)
+                response = P.decode_response(
+                    P.decode_frame(P.frame_length(frame[:4]), frame[4:])
+                )
+                results.append(P.decode_scan_result(response.body))
+
+        rows["scan_codec"] = {"ops": SCANS, "calls": _calls(scan_codec)}
+        assert results == [(pairs, False) for pairs in got[:SCANS]]
     finally:
         db.close()
+    rows["compact_scp"] = _compact_row(rng)
     return rows
+
+
+def _compact_row(rng: random.Random) -> dict:
+    """One SCP merge of two seeded tables, ops = input blocks."""
+    storage = MemStorage()
+    options = _options()
+
+    def table(name, numbers, seq):
+        with storage.create(name) as f:
+            builder = TableBuilder(f, options)
+            for i in numbers:
+                ikey = encode_internal_key(b"key%06d" % i, seq, KIND_VALUE)
+                builder.add(ikey, rng.randbytes(256) * 4)
+            builder.finish()
+        return Table(storage.open(name), options)
+
+    upper = table("upper.sst", range(0, 600, 2), 2)
+    lower = table("lower.sst", range(1, 400, 2), 1)
+    names = (f"{n:06d}.sst" for n in range(100, 1000))
+    outputs = []
+
+    def compact():
+        outputs.extend(
+            compact_tables(
+                [upper, lower], storage, options, lambda: next(names),
+                spec=ProcedureSpec.scp(),
+            )[0]
+        )
+
+    calls = _calls(compact)
+    merged = [len(list(Table(storage.open(m.name), options))) for m in outputs]
+    assert sum(merged) == 500
+    return {"ops": upper.num_blocks() + lower.num_blocks(), "calls": calls}
 
 
 @pytest.mark.skipif(

@@ -17,6 +17,7 @@ from repro.db.verify import verify_db
 from repro.devices import MemStorage, OSStorage
 from repro.lsm import Options
 from repro.server import ServerBusyError, ServerThread, SyncClient
+from repro.server import protocol as P
 from repro.cluster.manifest import shard_dir_name
 
 SMALL = dict(
@@ -75,6 +76,12 @@ class TestWireCompatibility:
         for i in range(200):
             client.put(b"ck%04d" % i, b"x" * 50)
         assert client.compact() >= 0
+
+    def test_truncated_batch_count_is_a_bad_request(self, client):
+        # The shard-aware stall check peeks the keys out of the body.
+        response = client._exchange(P.OP_BATCH, b"\xff", ())
+        assert response.status == P.ST_BAD_REQUEST
+        assert client.ping(b"next") == b"next"
 
     def test_stats_has_cluster_section(self, client):
         client.put(b"stat-key", b"1")

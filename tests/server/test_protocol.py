@@ -133,6 +133,21 @@ class TestBodies:
         body = P.encode_scan_result([], truncated=False)
         assert P.decode_scan_result(body) == ([], False)
 
+    @pytest.mark.parametrize(
+        "decode,body",
+        [
+            (P.decode_batch_body, b""),
+            (P.decode_batch_body, b"\xff"),
+            (P.decode_scan_body, b"\x00"),
+            (P.decode_scan_body, b"\x00\xff"),
+            (P.decode_scan_result, b"\x00"),
+            (P.decode_scan_result, b"\x01\x80"),
+        ],
+    )
+    def test_truncated_varint_is_a_protocol_error(self, decode, body):
+        with pytest.raises(ProtocolError, match="truncated varint"):
+            decode(body)
+
 
 class TestTraceContext:
     """Protocol 2.1: optional trace-context varints behind TRACE_FLAG."""

@@ -8,6 +8,7 @@ through the protocol, meaningful STATS, and a directory that passes
 """
 
 import asyncio
+import logging
 import socket
 import struct
 import threading
@@ -307,6 +308,16 @@ class TestProtocolRobustness:
         with pytest.raises(ServerError):
             raise ServerError(P.ST_BAD_REQUEST, "for coverage of the type")
 
+    @pytest.mark.parametrize(
+        "opcode,body",
+        [(P.OP_BATCH, b"\xff"), (P.OP_BATCH, b""), (P.OP_SCAN, b"\x00\xff")],
+    )
+    def test_truncated_body_varint_is_a_bad_request(self, client, opcode, body):
+        bad = client._exchange(opcode, body, ())
+        assert bad.status == P.ST_BAD_REQUEST
+        assert b"truncated varint" in P.decode_lp(bad.body)[0]
+        # The same connection goes on serving.
+        assert client.ping(b"next") == b"next"
 
 class TestReceiveBuffer:
     """Requests are received into one buffer per connection.
@@ -355,6 +366,40 @@ class TestServeParser:
         assert args.command == "serve"
         assert args.port == 9999
         assert not args.sync_compaction
+
+
+class TestShutdown:
+    def test_stop_with_an_idle_client_is_prompt_and_quiet(self, caplog):
+        handle = ServerThread(DB(MemStorage(), Options(**SMALL))).start()
+        with SyncClient(handle.host, handle.port) as c:
+            c.put(b"k", b"v")
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                t0 = time.perf_counter()
+                handle.stop()
+                elapsed = time.perf_counter() - t0
+        # Not the drain timeout (10 s): the idle connection ends at once.
+        assert elapsed < 1.0
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_stop_answers_a_put_already_sent(self):
+        class SlowPutDB(DB):
+            def put(self, key, value):
+                time.sleep(0.3)
+                super().put(key, value)
+
+        db = SlowPutDB(MemStorage(), Options(**SMALL))
+        handle = ServerThread(db).start()
+        results = []
+        with SyncClient(handle.host, handle.port) as c:
+            writer = threading.Thread(
+                target=lambda: results.append(c.put(b"k", b"v")), name="slow-put"
+            )
+            writer.start()
+            time.sleep(0.1)  # the PUT is running on a worker
+            handle.stop()
+            writer.join()
+        assert results == [None]  # answered OK, not SHUTTING_DOWN
+        assert db._closed
 
 
 class TestLoopbackIntegration:
