@@ -489,11 +489,14 @@ class DB:
 
     # ---------------------------------------------------------- flush
     def _build_table_from_memtable(self) -> FileMetaData:
-        """Write the current memtable as a new SSTable file."""
+        """Write the current memtable as a new L0 SSTable, in L0's codec."""
         number = self._new_file_number()
         name = sstable_name(number)
         with self.storage.create(name) as f:
-            builder = TableBuilder(f, self.options)
+            options = self.options
+            builder = TableBuilder(
+                f, replace(options, compression=options.level_compression(0))
+            )
             for ikey, value in self.memtable:
                 builder.add(ikey, value)
             builder.finish()
@@ -779,7 +782,10 @@ class DB:
 
         self.obs.metrics.counter("db.compactions").inc()
         self.obs.metrics.counter(f"compaction.policy.{self.policy.name}").inc()
-        if task.is_trivial_move():
+        # A file is only relinked into a level that holds its codec: an
+        # L0 file (the flush's codec) is re-encoded by a merge instead.
+        codec = self.options.level_compression
+        if task.is_trivial_move() and codec(task.level) == codec(task.output_level):
             meta = task.inputs_upper[0]
             edit = VersionEdit()
             edit.delete_file(task.level, meta.number)

@@ -23,6 +23,7 @@ from .ikey import internal_order
 from .options import Options
 from .table_format import (
     FOOTER_SIZE,
+    TAG_TO_CODEC,
     BlockHandle,
     Footer,
     TableCorruption,
@@ -145,6 +146,12 @@ class Table:
     def block_handles(self) -> list[BlockHandle]:
         """Data-block locations in key order (compaction input)."""
         return list(self._handles)
+
+    def block_codecs(self) -> list[str]:
+        """Each data block's codec, read off its trailer's tag, in key
+        order; an unknown tag reads as ``tag-N``."""
+        tags = [self._file.pread(h.offset + h.size, 1)[0] for h in self._handles]
+        return [TAG_TO_CODEC.get(tag, f"tag-{tag}") for tag in tags]
 
     def block_separators(self) -> list[bytes]:
         """Index separator keys, aligned with :meth:`block_handles`."""

@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 
 from ..db.db import DB
 from ..db.verify import repair_db, verify_db
@@ -520,6 +521,8 @@ def cmd_sst(args) -> int:
     print(f"file:          {args.file}")
     print(f"size:          {storage.file_size(args.file)} bytes")
     print(f"data blocks:   {len(handles)}")
+    census = Counter(table.block_codecs())
+    print("codecs:        " + " ".join(f"{c}={n}" for c, n in sorted(census.items())))
     print(f"entries:       {len(entries)} (footer: {table.num_entries})")
     print(f"key range:     {first_user!r} .. {last_user!r}")
     if raw:

@@ -22,7 +22,10 @@ operation, 1 KB values, fixed seed:
   with the SCAN body codec and the same frame functions;
 * ``compact_scp`` — one SCP ``compact_tables`` merge of two tables
   on their own store: even keys 0–598 over odd keys 1–399, so half the
-  range interleaves; ops are input blocks.
+  range interleaves; ops are input blocks;
+* ``flush`` — ``DB.flush()`` of a memtable just short of full, on its
+  own store that compacts nothing; each memtable is filled uncounted,
+  and ops are flushes.
 
 Counts miss work done in C (zlib, CRC, bisect) and waits; they are a
 second yardstick beside ``perf/run.py``, not a replacement.  The golden
@@ -40,6 +43,7 @@ import json
 import random
 import sys
 import time
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -64,6 +68,8 @@ KEYS = 1000
 GETS = 200
 SCANS = 50
 SCAN_LENGTH = 20
+FLUSHES = 8
+MEMTABLE_KEYS = 56  # 1 KB values: just short of the 64 KiB memtable
 
 
 def _options() -> Options:
@@ -214,7 +220,31 @@ def measure() -> dict:
     finally:
         db.close()
     rows["compact_scp"] = _compact_row(rng)
+    rows["flush"] = _flush_row()
     return rows
+
+
+def _flush_row() -> dict:
+    """FLUSHES flushes of a full memtable, ops = flushes."""
+    rng = random.Random(SEED)
+    options = replace(
+        _options(),
+        l0_compaction_trigger=FLUSHES + 1,
+        l0_stop_writes_trigger=FLUSHES + 1,
+    )
+    db = DB(MemStorage(), options)
+    try:
+        calls = 0
+        for n in range(FLUSHES):
+            keys = [b"key%06d" % (n * MEMTABLE_KEYS + i) for i in range(MEMTABLE_KEYS)]
+            rng.shuffle(keys)
+            for key in keys:
+                db.put(key, rng.randbytes(256) * 4)
+            calls += _calls(db.flush)
+        assert db.version.num_files(0) == FLUSHES
+    finally:
+        db.close()
+    return {"ops": FLUSHES, "calls": calls}
 
 
 def _compact_row(rng: random.Random) -> dict:

@@ -125,7 +125,8 @@ class TestCompactionIntegration:
             assert db.obs.metrics.histogram("compaction.seconds").total > 0
 
     def test_sequential_fill_uses_trivial_moves(self):
-        """Non-overlapping L0 files just move down, as in LevelDB."""
+        """Non-overlapping files just move down, as in LevelDB: from L1
+        on, since an L0 file (zlib) leaves L0 through a merge."""
         with DB(MemStorage(), small_options()) as db:
             fill(db, 4000)
             assert db.obs.metrics.counter("compaction.trivial_moves").value > 0

@@ -83,15 +83,18 @@ class TestCompactionDetectsCorruption:
         them: a flipped bit is caught, not copied into the output."""
 
         def fill(storage):
-            db = DB(
-                storage,
-                small_options(compaction_policy="tiered:runs=4"),
-                compaction_spec=spec,
-            )
-            for i in range(1500):  # three runs at L0, one short of a merge
+            # Twelve flushes of 125 keys; each fourth merges L0 into one
+            # lz77 run at L1 (L0 holds zlib), so L1 ends with three
+            # runs, one short of a merge.  The reopen leaves the counters
+            # to the merges of those runs.
+            options = small_options(compaction_policy="tiered:runs=4")
+            db = DB(storage, options, compaction_spec=spec)
+            for i in range(1500):
                 db.put(b"key-%05d" % i, b"v-%d" % i)
-            db.flush()
-            return db
+                if i % 125 == 124:
+                    db.flush()
+            db.close()
+            return DB(storage, options, compaction_spec=spec)
 
         twin = fill(MemStorage())
         twin.compact_range()
