@@ -250,8 +250,8 @@ class Follower:
 
     def _subscribe_and_apply(self, sock: socket.socket) -> None:
         start_seq = self.db.last_sequence + 1
-        body = P.encode_subscribe_body(
-            start_seq, self.db.repl_epoch, self.follower_id.encode()
+        body = P.encode_body(
+            P.SUBSCRIBE, start_seq, self.db.repl_epoch, self.follower_id.encode()
         )
         sock.sendall(P.encode_request(P.OP_REPL_SUBSCRIBE, 2, body))
         response = P.decode_response(self._read(sock, _HANDSHAKE_DEADLINE_S))
@@ -264,9 +264,9 @@ class Follower:
             raise ConnectionError(
                 f"subscribe rejected: {response.status_name}"
             )
-        mode, primary_epoch, _primary_seq = P.decode_subscribe_ack(
-            response.body
-        )
+        mode, primary_epoch, _primary_seq = P.decode_body(P.SUBSCRIBE_ACK, response.body)
+        if mode not in (P.SUB_MODE_WAL, P.SUB_MODE_SNAPSHOT):
+            raise P.ProtocolError(f"unknown subscribe mode {mode}")
         self.mode = "snapshot" if mode == P.SUB_MODE_SNAPSHOT else "wal"
         self._primary_epoch = primary_epoch
         if primary_epoch > self.db.repl_epoch:
@@ -302,7 +302,7 @@ class Follower:
     @staticmethod
     def _ack(sock: socket.socket, seq: int) -> None:
         sock.sendall(
-            P.encode_request(P.OP_REPL_ACK, 3, P.encode_repl_ack_body(seq))
+            P.encode_request(P.OP_REPL_ACK, 3, P.encode_body(P.REPL_ACK, seq))
         )
 
     def _apply_records(self, sock, records, metrics) -> None:

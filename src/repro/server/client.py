@@ -200,8 +200,8 @@ class _Ops:
         and a node already at or past it acks without bumping again
         (idempotent retry).
         """
-        body = P.encode_promote_body(min_epoch)
-        return self._request(P.OP_PROMOTE, body, P.decode_promote_ack)
+        body = P.encode_body(P.PROMOTE, min_epoch)
+        return self._request(P.OP_PROMOTE, body, lambda ok: P.decode_body(P.PROMOTE_ACK, ok)[0])
 
     def metrics(self, fmt: str = "json"):
         """Scrape the server's live metrics.
@@ -211,9 +211,9 @@ class _Ops:
         (``{"counters": ..., "gauges": ..., "histograms": ...}``).
         """
         if fmt == "prom":
-            body = P.encode_metrics_body(P.METRICS_FMT_PROMETHEUS)
+            body = P.encode_body(P.METRICS, P.METRICS_FMT_PROMETHEUS)
             return self._request(P.OP_METRICS, body, _text)
-        body = P.encode_metrics_body(P.METRICS_FMT_JSON)
+        body = P.encode_body(P.METRICS, P.METRICS_FMT_JSON)
         return self._request(P.OP_METRICS, body, _metrics_json)
 
     def trace_dump(self):
@@ -258,9 +258,13 @@ class _Client(_Ops):
         return self._request(P.OP_PING, self._hello, self._answered)
 
     def _answered(self, body: bytes) -> tuple[int, int]:
-        negotiated = P.decode_hello_ack(body)
+        if not body.startswith(P.HELLO_MAGIC):
+            raise P.ProtocolError("not a hello reply: no hello magic")
+        major, minor, marker = P.decode_body(P.HELLO_ACK, body, len(P.HELLO_MAGIC))
+        if marker != P.HELLO_ACK_MARKER:
+            raise P.ProtocolError("not a hello reply: no reply marker")
         self.trace_negotiated = True
-        return negotiated
+        return major, minor
 
     def _take_id(self) -> int:
         self._next_id += 1

@@ -44,8 +44,9 @@ responses on one connection are written in request order (Redis-style
 pipelining), the id exists so clients can *assert* the pairing.
 
 Bodies use ``lp`` (length-prefixed) byte strings: varint32 length then
-the raw bytes.  Per-opcode bodies are documented on the encode
-helpers below and in ``docs/SERVER.md``.
+the raw bytes.  The hot-path bodies (GET/PUT, BATCH, SCAN) have their
+own codecs; every other body is a row of the layout table below.  Both
+are documented in ``docs/SERVER.md``.
 
 The ``STALLED`` status is how the server surfaces the engine's write
 pauses (paper §I): instead of silently blocking inside
@@ -134,30 +135,22 @@ __all__ = [
     "decode_scan_body",
     "encode_scan_result",
     "decode_scan_result",
+    "encode_body",
+    "decode_body",
+    "HELLO",
+    "HELLO_ACK",
+    "HELLO_ACK_MARKER",
+    "SUBSCRIBE",
+    "SUBSCRIBE_ACK",
+    "REPL_ACK",
+    "SHIP",
+    "METRICS",
+    "PROMOTE",
+    "PROMOTE_ACK",
     "encode_hello_body",
     "decode_hello_body",
-    "encode_hello_ack",
-    "decode_hello_ack",
-    "encode_subscribe_body",
-    "decode_subscribe_body",
-    "encode_subscribe_ack",
-    "decode_subscribe_ack",
-    "encode_ship_records",
-    "encode_ship_snap_begin",
-    "encode_ship_snap_file",
-    "encode_ship_snap_chunk",
-    "encode_ship_snap_end",
-    "encode_ship_goodbye",
-    "encode_ship_heartbeat",
+    "encode_ship",
     "decode_ship_body",
-    "encode_repl_ack_body",
-    "decode_repl_ack_body",
-    "encode_metrics_body",
-    "decode_metrics_body",
-    "encode_promote_body",
-    "decode_promote_body",
-    "encode_promote_ack",
-    "decode_promote_ack",
 ]
 
 # ------------------------------------------------------------- opcodes
@@ -234,10 +227,6 @@ PROTOCOL_MINOR = 0
 #: opaque echo data.  The leading NUL keeps it out of the plausible
 #: space of hand-typed echo payloads.
 HELLO_MAGIC = b"\x00REPRO"
-
-#: Marker byte the server appends to its hello reply, which tells the
-#: reply apart from an echo of the hello.
-_HELLO_ACK_MARKER = 0x01
 
 # ------------------------------------------------- replication consts
 #: Subscribe-ack modes: the primary either tails its WAL from the
@@ -701,311 +690,143 @@ def decode_scan_result(body: bytes) -> tuple[list[tuple[bytes, bytes]], bool]:
     return pairs, truncated
 
 
-# ------------------------------------------------- version handshake
-# The hello rides inside PING: a body without the magic is opaque echo
-# data.
+# ------------------------------------------------- cold-path bodies
+# Every body off the request hot path is a row of one layout table: a
+# string of field codes, in wire order, that one codec pair reads.
+#
+#   v  varint64                    b  u8
+#   l  lp bytes                    s  lp UTF-8 string
+#   L  varint count, then that many lp byte strings
+#   ?  optional varint: u8 flag, then value + 1 when the flag is set
+#      (so -1 fits)
+#
+# The codec checks only the shape; a value from outside that must be one
+# of a few (a mode, a format, a marker) is checked where it is decoded.
+
+
+def encode_body(layout: str, *values) -> bytes:
+    """The body that ``layout`` lays ``values`` out as."""
+    out = bytearray()
+    for code, value in zip(layout, values, strict=True):
+        if code == "v":
+            out += encode_varint64(value)
+        elif code == "b":
+            out.append(value)
+        elif code in "ls":
+            out += encode_lp(value.encode("utf-8") if code == "s" else value)
+        elif code == "L":
+            out += encode_varint32(len(value))
+            for item in value:
+                out += encode_lp(item)
+        elif value is None:  # "?"
+            out.append(0)
+        else:
+            out.append(1)
+            out += encode_varint64(value + 1)
+    return bytes(out)
+
+
+def decode_body(layout: str, body: bytes, pos: int = 0) -> tuple:
+    """``body[pos:]`` read as ``layout``: the tuple of its values.  A
+    truncated field, an overrun or a trailing byte is a ProtocolError."""
+    values: tuple = ()  # grown with +=, which makes no call per field
+    try:
+        for code in layout:
+            if code == "v":
+                value, pos = decode_varint64(body, pos)
+            elif code == "b":
+                value = body[pos]
+                pos += 1
+            elif code in "ls":
+                value, pos = decode_lp(body, pos)
+                if code == "s":
+                    value = value.decode("utf-8")
+            elif code == "L":
+                count, pos = decode_varint64(body, pos)
+                value = []
+                for _ in range(count):
+                    item, pos = decode_lp(body, pos)
+                    value.append(item)
+            elif body[pos]:  # "?", set
+                value, pos = decode_varint64(body, pos + 1)
+                value -= 1
+            else:  # "?", unset
+                value = None
+                pos += 1
+            values += (value,)
+    except (IndexError, ValueError) as exc:
+        raise ProtocolError(f"malformed {layout!r} body: {exc}") from None
+    if pos != len(body):
+        raise ProtocolError(f"{len(body) - pos} trailing bytes after body")
+    return values
+
+
+# PING (hello)  body: HELLO_MAGIC HELLO → OK HELLO_MAGIC HELLO_ACK
+#   A PING body without the magic is opaque echo data.  ack_level pins
+#   the follower acks the connection's writes collect (-1 = majority);
+#   the reply's marker byte tells it apart from an echo of the hello.
+HELLO = "vv?"  # major, minor, ack_level
+HELLO_ACK = "vvb"  # major, minor, marker
+HELLO_ACK_MARKER = 0x01
+# REPL_SUBSCRIBE body: SUBSCRIBE → OK SUBSCRIBE_ACK | FENCED (the
+#   follower's epoch is newer); then the primary pushes REPL_SHIP (u8
+#   kind, then SHIP[kind]) and the follower pushes REPL_ACK.
+SUBSCRIBE = "vvl"  # start_seq, follower_epoch, follower_id
+SUBSCRIBE_ACK = "bvv"  # mode, primary_epoch, primary_seq
+REPL_ACK = "v"  # acked_seq
+SHIP = {
+    SHIP_RECORDS: "L",  # encoded WriteBatch records, each with its seq
+    SHIP_SNAP_BEGIN: "vv",  # last_seq, n_files
+    SHIP_SNAP_FILE: "vsvll",  # level, name, size, smallest, largest
+    SHIP_SNAP_CHUNK: "l",  # data
+    SHIP_SNAP_END: "v",  # last_seq
+    SHIP_GOODBYE: "s",  # reason
+    SHIP_HEARTBEAT: "v",  # the primary's last_seq, sent while idle
+}
+# METRICS body: METRICS (empty = JSON) → OK lp exposition bytes
+#   format 0 = JSON envelope (repro.obs.export.render_json)
+#   format 1 = Prometheus text exposition
+# TRACE   body: empty → OK lp utf-8 Chrome-trace JSON (the serving DB's
+#   tracer, exported with Tracer.chrome_trace; empty when it is off)
+METRICS = "b"  # format
+METRICS_FMT_JSON = 0
+METRICS_FMT_PROMETHEUS = 1
+# PROMOTE body: PROMOTE (empty = 0) → OK PROMOTE_ACK
+#   Promotes the serving node to primary online: its epoch becomes
+#   max(current + 1, min_epoch) and it takes writes.  A failover
+#   coordinator passes highest-epoch-seen + 1, which fences the old
+#   primary and makes a retry idempotent (no second bump).
+PROMOTE = "v"  # min_epoch (0 = "just bump")
+PROMOTE_ACK = "v"  # new_epoch
+
+
 def encode_hello_body(
     major: int = PROTOCOL_MAJOR,
     minor: int = PROTOCOL_MINOR,
     ack_level: Optional[int] = None,
 ) -> bytes:
-    """Client hello: magic + version + optional desired write ack level.
-
-    ``ack_level`` lets a replication-aware client pin how many follower
-    acks its writes on this connection must collect (-1 = majority).
-    """
-    out = bytearray(HELLO_MAGIC)
-    out += encode_varint64(major)
-    out += encode_varint64(minor)
-    if ack_level is not None:
-        out.append(1)
-        out += encode_varint64(ack_level + 1)  # shift so majority=-1 fits
-    else:
-        out.append(0)
-    return bytes(out)
+    """Client hello: magic, version and the optional write ack level."""
+    return HELLO_MAGIC + encode_body(HELLO, major, minor, ack_level)
 
 
-def decode_hello_body(
-    body: bytes,
-) -> Optional[tuple[int, int, Optional[int]]]:
+def decode_hello_body(body: bytes) -> Optional[tuple[int, int, Optional[int]]]:
     """``(major, minor, ack_level)`` if ``body`` is a hello, else None."""
     if not body.startswith(HELLO_MAGIC):
         return None
-    pos = len(HELLO_MAGIC)
-    try:
-        major, pos = decode_varint64(body, pos)
-        minor, pos = decode_varint64(body, pos)
-        ack_level: Optional[int] = None
-        if pos < len(body) and body[pos]:
-            shifted, pos = decode_varint64(body, pos + 1)
-            ack_level = shifted - 1
-        elif pos < len(body):
-            pos += 1
-        if pos != len(body):
-            raise ValueError("trailing bytes")
-    except (ValueError, IndexError) as exc:
-        raise ProtocolError(f"malformed hello body: {exc}") from None
-    return major, minor, ack_level
+    return decode_body(HELLO, body, len(HELLO_MAGIC))
 
 
-def encode_hello_ack(
-    major: int = PROTOCOL_MAJOR, minor: int = PROTOCOL_MINOR
-) -> bytes:
-    """Server reply to a hello: magic + server version + ack marker."""
-    return (
-        HELLO_MAGIC
-        + encode_varint64(major)
-        + encode_varint64(minor)
-        + bytes([_HELLO_ACK_MARKER])
-    )
-
-
-def decode_hello_ack(body: bytes) -> tuple[int, int]:
-    """``(major, minor)`` of the server; anything that is not a hello
-    reply raises :class:`ProtocolError`."""
-    try:
-        if not body.startswith(HELLO_MAGIC):
-            raise ValueError("no hello magic")
-        major, pos = decode_varint64(body, len(HELLO_MAGIC))
-        minor, pos = decode_varint64(body, pos)
-        if pos != len(body) - 1 or body[pos] != _HELLO_ACK_MARKER:
-            raise ValueError("no reply marker")
-    except ValueError as exc:
-        raise ProtocolError(f"not a hello reply: {exc}") from None
-    return major, minor
-
-
-# --------------------------------------------------- replication bodies
-# REPL_SUBSCRIBE body: varint start_seq, varint follower_epoch,
-#                      lp follower_id
-#   → OK  u8 mode, varint primary_epoch, varint primary_seq
-#   → FENCED when the follower's epoch is newer than the primary's
-# REPL_SHIP (server→client push): u8 kind, kind-specific payload
-# REPL_ACK  (client→server push): varint acked_seq
-def encode_subscribe_body(
-    start_seq: int, epoch: int, follower_id: bytes
-) -> bytes:
-    return (
-        encode_varint64(start_seq)
-        + encode_varint64(epoch)
-        + encode_lp(follower_id)
-    )
-
-
-def decode_subscribe_body(body: bytes) -> tuple[int, int, bytes]:
-    try:
-        start_seq, pos = decode_varint64(body, 0)
-        epoch, pos = decode_varint64(body, pos)
-    except ValueError as exc:
-        raise ProtocolError(f"bad subscribe body: {exc}") from None
-    follower_id, pos = decode_lp(body, pos)
-    if pos != len(body):
-        raise ProtocolError("trailing bytes after subscribe body")
-    return start_seq, epoch, follower_id
-
-
-def encode_subscribe_ack(mode: int, epoch: int, primary_seq: int) -> bytes:
-    return (
-        bytes([mode]) + encode_varint64(epoch) + encode_varint64(primary_seq)
-    )
-
-
-def decode_subscribe_ack(body: bytes) -> tuple[int, int, int]:
-    if not body:
-        raise ProtocolError("empty subscribe ack")
-    mode = body[0]
-    if mode not in (SUB_MODE_WAL, SUB_MODE_SNAPSHOT):
-        raise ProtocolError(f"unknown subscribe mode {mode}")
-    try:
-        epoch, pos = decode_varint64(body, 1)
-        primary_seq, pos = decode_varint64(body, pos)
-    except ValueError as exc:
-        raise ProtocolError(f"bad subscribe ack: {exc}") from None
-    if pos != len(body):
-        raise ProtocolError("trailing bytes after subscribe ack")
-    return mode, epoch, primary_seq
-
-
-def encode_ship_records(records) -> bytes:
-    """``records`` is an iterable of encoded WriteBatch records; each
-    embeds its own base sequence, so none is repeated here."""
-    records = list(records)
-    out = bytearray([SHIP_RECORDS])
-    out += encode_varint32(len(records))
-    for record in records:
-        out += encode_lp(record)
-    return bytes(out)
-
-
-def encode_ship_snap_begin(last_seq: int, n_files: int) -> bytes:
-    return (
-        bytes([SHIP_SNAP_BEGIN])
-        + encode_varint64(last_seq)
-        + encode_varint64(n_files)
-    )
-
-
-def encode_ship_snap_file(
-    level: int, name: str, size: int, smallest: bytes, largest: bytes
-) -> bytes:
-    """``smallest``/``largest`` are the table's internal key bounds —
-    the follower needs them to rebuild its manifest without re-reading
-    every shipped table."""
-    return (
-        bytes([SHIP_SNAP_FILE])
-        + encode_varint64(level)
-        + encode_lp(name.encode("utf-8"))
-        + encode_varint64(size)
-        + encode_lp(smallest)
-        + encode_lp(largest)
-    )
-
-
-def encode_ship_snap_chunk(data: bytes) -> bytes:
-    return bytes([SHIP_SNAP_CHUNK]) + encode_lp(data)
-
-
-def encode_ship_snap_end(last_seq: int) -> bytes:
-    return bytes([SHIP_SNAP_END]) + encode_varint64(last_seq)
-
-
-def encode_ship_goodbye(reason: str) -> bytes:
-    return bytes([SHIP_GOODBYE]) + encode_lp(reason.encode("utf-8"))
-
-
-def encode_ship_heartbeat(last_seq: int) -> bytes:
-    """Idle heartbeat: proof of life plus the primary's current last
-    sequence, sent when the WAL has nothing to ship so followers can
-    tell "idle" from "black-holed"."""
-    return bytes([SHIP_HEARTBEAT]) + encode_varint64(last_seq)
+def encode_ship(kind: int, *fields) -> bytes:
+    """A REPL_SHIP body: the kind byte, then ``fields`` as ``SHIP[kind]``."""
+    return bytes((kind,)) + encode_body(SHIP[kind], *fields)
 
 
 def decode_ship_body(body: bytes) -> tuple:
-    """Decode one REPL_SHIP body → ``(kind, ...fields)``.
-
-    Shapes: ``(SHIP_RECORDS, [record, ...])``,
-    ``(SHIP_SNAP_BEGIN, last_seq, n_files)``,
-    ``(SHIP_SNAP_FILE, level, name, size, smallest, largest)``,
-    ``(SHIP_SNAP_CHUNK, data)``, ``(SHIP_SNAP_END, last_seq)``,
-    ``(SHIP_GOODBYE, reason)``, ``(SHIP_HEARTBEAT, last_seq)``.
-    """
-    if not body:
-        raise ProtocolError("empty ship body")
-    kind = body[0]
-    try:
-        if kind == SHIP_RECORDS:
-            count, pos = decode_varint64(body, 1)
-            records = []
-            for _ in range(count):
-                record, pos = decode_lp(body, pos)
-                records.append(record)
-            if pos != len(body):
-                raise ProtocolError("trailing bytes after ship records")
-            return (kind, records)
-        if kind == SHIP_SNAP_BEGIN:
-            last_seq, pos = decode_varint64(body, 1)
-            n_files, pos = decode_varint64(body, pos)
-            return (kind, last_seq, n_files)
-        if kind == SHIP_SNAP_FILE:
-            level, pos = decode_varint64(body, 1)
-            name, pos = decode_lp(body, pos)
-            size, pos = decode_varint64(body, pos)
-            smallest, pos = decode_lp(body, pos)
-            largest, pos = decode_lp(body, pos)
-            return (kind, level, name.decode("utf-8"), size, smallest, largest)
-        if kind == SHIP_SNAP_CHUNK:
-            data, pos = decode_lp(body, 1)
-            return (kind, data)
-        if kind == SHIP_SNAP_END:
-            last_seq, pos = decode_varint64(body, 1)
-            return (kind, last_seq)
-        if kind == SHIP_GOODBYE:
-            reason, pos = decode_lp(body, 1)
-            return (kind, reason.decode("utf-8"))
-        if kind == SHIP_HEARTBEAT:
-            last_seq, pos = decode_varint64(body, 1)
-            return (kind, last_seq)
-    except ValueError as exc:
-        raise ProtocolError(f"bad ship body: {exc}") from None
-    raise ProtocolError(f"unknown ship kind {kind}")
-
-
-def encode_repl_ack_body(acked_seq: int) -> bytes:
-    return encode_varint64(acked_seq)
-
-
-def decode_repl_ack_body(body: bytes) -> int:
-    try:
-        acked_seq, pos = decode_varint64(body, 0)
-    except ValueError as exc:
-        raise ProtocolError(f"bad repl ack: {exc}") from None
-    if pos != len(body):
-        raise ProtocolError("trailing bytes after repl ack")
-    return acked_seq
-
-
-# ------------------------------------------------- telemetry bodies
-# METRICS body: u8 format                → OK lp exposition bytes
-#   format 0 = JSON envelope (repro.obs.export.render_json)
-#   format 1 = Prometheus text exposition
-# TRACE   body: empty                    → OK lp utf-8 Chrome-trace JSON
-#   (the serving DB's tracer, exported with Tracer.chrome_trace; empty
-#   trace when the server's tracer is disabled)
-METRICS_FMT_JSON = 0
-METRICS_FMT_PROMETHEUS = 1
-
-
-def encode_metrics_body(fmt: int = METRICS_FMT_JSON) -> bytes:
-    if fmt not in (METRICS_FMT_JSON, METRICS_FMT_PROMETHEUS):
-        raise ProtocolError(f"unknown metrics format {fmt}")
-    return bytes([fmt])
-
-
-def decode_metrics_body(body: bytes) -> int:
-    if len(body) != 1:
-        raise ProtocolError("metrics body must be one format byte")
-    fmt = body[0]
-    if fmt not in (METRICS_FMT_JSON, METRICS_FMT_PROMETHEUS):
-        raise ProtocolError(f"unknown metrics format {fmt}")
-    return fmt
-
-
-# ------------------------------------------------- failover bodies
-# PROMOTE body: varint min_epoch (0 = "just bump")  → OK varint new_epoch
-#   Promotes the serving node to primary *online*: stops its follower
-#   loop, bumps the replication epoch to max(current + 1, min_epoch),
-#   and starts accepting writes.  ``min_epoch`` lets a failover
-#   coordinator fence the old primary deterministically (it passes
-#   highest-epoch-seen + 1) and makes retries idempotent: a node whose
-#   epoch already reached min_epoch acks without bumping again.
-def encode_promote_body(min_epoch: int = 0) -> bytes:
-    return encode_varint64(min_epoch)
-
-
-def decode_promote_body(body: bytes) -> int:
-    if not body:
-        return 0
-    try:
-        min_epoch, pos = decode_varint64(body, 0)
-    except ValueError as exc:
-        raise ProtocolError(f"bad promote body: {exc}") from None
-    if pos != len(body):
-        raise ProtocolError("trailing bytes after promote body")
-    return min_epoch
-
-
-def encode_promote_ack(new_epoch: int) -> bytes:
-    return encode_varint64(new_epoch)
-
-
-def decode_promote_ack(body: bytes) -> int:
-    try:
-        new_epoch, pos = decode_varint64(body, 0)
-    except ValueError as exc:
-        raise ProtocolError(f"bad promote ack: {exc}") from None
-    if pos != len(body):
-        raise ProtocolError("trailing bytes after promote ack")
-    return new_epoch
+    """One REPL_SHIP body → ``(kind, *fields)``."""
+    kind = body[0] if body else None
+    if kind not in SHIP:
+        raise ProtocolError(f"unknown ship kind {kind}")
+    return (kind,) + decode_body(SHIP[kind], body, 1)
 
 
 # ------------------------------------------------------ stream helper

@@ -125,9 +125,9 @@ async def _send(writer: asyncio.StreamWriter, frame: bytes) -> None:
     await writer.drain()
 
 
-def _ship(body: bytes) -> bytes:
+def _ship(kind: int, *fields) -> bytes:
     """A REPL_SHIP frame; the primary's pushes all carry request id 0."""
-    return P.encode_request(P.OP_REPL_SHIP, 0, body)
+    return P.encode_request(P.OP_REPL_SHIP, 0, P.encode_ship(kind, *fields))
 
 
 @dataclass
@@ -645,7 +645,9 @@ class KVServer:
             state["hello"] = True
             if ack_level is not None:
                 state["ack_level"] = ack_level
-            return P.ST_OK, P.encode_hello_ack()
+            return P.ST_OK, P.HELLO_MAGIC + P.encode_body(
+                P.HELLO_ACK, P.PROTOCOL_MAJOR, P.PROTOCOL_MINOR, P.HELLO_ACK_MARKER
+            )
         if op == P.OP_GET:
             key, _ = P.decode_lp(body)
             with self._tracer.span("db:GET", cat="db"):
@@ -660,8 +662,9 @@ class KVServer:
         if op == P.OP_PROMOTE:
             # Deliberately allowed on a read-only replica: promotion is
             # how a follower *stops* being read-only (failover).
-            new_epoch = self.promote_to_primary(P.decode_promote_body(body))
-            return P.ST_OK, P.encode_promote_ack(new_epoch)
+            (min_epoch,) = P.decode_body(P.PROMOTE, body) if body else (0,)
+            new_epoch = self.promote_to_primary(min_epoch)
+            return P.ST_OK, P.encode_body(P.PROMOTE_ACK, new_epoch)
         if self.config.read_only and op in P.WRITE_OPCODES:
             return P.ST_BAD_REQUEST, P.encode_lp(
                 b"read-only replica: send writes to the primary"
@@ -719,7 +722,9 @@ class KVServer:
                 json.dumps(self._stats_dict(), sort_keys=True).encode()
             )
         if op == P.OP_METRICS:
-            fmt = P.decode_metrics_body(body) if body else P.METRICS_FMT_JSON
+            (fmt,) = P.decode_body(P.METRICS, body) if body else (P.METRICS_FMT_JSON,)
+            if fmt not in (P.METRICS_FMT_JSON, P.METRICS_FMT_PROMETHEUS):
+                raise P.ProtocolError(f"unknown metrics format {fmt}")
             return P.ST_OK, P.encode_lp(self.exposition(fmt))
         if op == P.OP_TRACE:
             trace = json.dumps(
@@ -870,8 +875,8 @@ class KVServer:
             )
             return
         try:
-            start_seq, epoch, follower_id = P.decode_subscribe_body(
-                request.body
+            start_seq, epoch, follower_id = P.decode_body(
+                P.SUBSCRIBE, request.body
             )
         except P.ProtocolError as exc:
             await refuse(P.ST_BAD_REQUEST, str(exc))
@@ -904,8 +909,8 @@ class KVServer:
             await _send(writer, P.encode_response(
                 P.ST_OK,
                 request.request_id,
-                P.encode_subscribe_ack(
-                    mode_code, self.db.repl_epoch, self.db.last_sequence
+                P.encode_body(
+                    P.SUBSCRIBE_ACK, mode_code, self.db.repl_epoch, self.db.last_sequence
                 ),
             ))
             if mode == "snapshot" and not await self._stream_snapshot(
@@ -922,18 +927,18 @@ class KVServer:
                 if kind == "idle":
                     if heartbeats:
                         await _send(writer, _ship(
-                            P.encode_ship_heartbeat(self.db.last_sequence)
+                            P.SHIP_HEARTBEAT, self.db.last_sequence
                         ))
                     continue
                 if kind == "records":
-                    await _send(writer, _ship(P.encode_ship_records(payload)))
+                    await _send(writer, _ship(P.SHIP_RECORDS, payload))
                 elif kind == "gap":
                     # The buffer was evicted out from under this
                     # follower: restart it from a full snapshot.
                     if not await self._stream_snapshot(writer, sub):
                         return
                 else:  # goodbye
-                    await _send(writer, _ship(P.encode_ship_goodbye(str(payload))))
+                    await _send(writer, _ship(P.SHIP_GOODBYE, str(payload)))
                     return
         except OSError:  # follower went away; reconnect catches up
             return
@@ -954,7 +959,7 @@ class KVServer:
                 ack = P.decode_request(payload)
                 if ack.opcode != P.OP_REPL_ACK:
                     return  # protocol violation: drop the stream
-                self.hub.record_ack(sub, P.decode_repl_ack_body(ack.body))
+                self.hub.record_ack(sub, *P.decode_body(P.REPL_ACK, ack.body))
         except (ConnectionError, P.ProtocolError):
             return
 
@@ -965,11 +970,12 @@ class KVServer:
             self._pool, self.db.checkpoint_files
         )
         try:
-            writer.write(_ship(P.encode_ship_snap_begin(last_seq, len(files))))
+            writer.write(_ship(P.SHIP_SNAP_BEGIN, last_seq, len(files)))
             for level, meta, handle in files:
-                writer.write(_ship(P.encode_ship_snap_file(
-                    level, meta.name, meta.file_size, meta.smallest, meta.largest
-                )))
+                writer.write(_ship(
+                    P.SHIP_SNAP_FILE,
+                    level, meta.name, meta.file_size, meta.smallest, meta.largest,
+                ))
                 offset = 0
                 while offset < meta.file_size:
                     n = min(_SNAP_CHUNK_BYTES, meta.file_size - offset)
@@ -977,8 +983,8 @@ class KVServer:
                         self._pool, handle.pread, offset, n
                     )
                     offset += n
-                    await _send(writer, _ship(P.encode_ship_snap_chunk(chunk)))
-            await _send(writer, _ship(P.encode_ship_snap_end(last_seq)))
+                    await _send(writer, _ship(P.SHIP_SNAP_CHUNK, chunk))
+            await _send(writer, _ship(P.SHIP_SNAP_END, last_seq))
         except OSError:
             return False
         finally:

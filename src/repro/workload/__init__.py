@@ -9,7 +9,6 @@ from .keys import (
     uniform_keys,
     zipfian_keys,
 )
-from .trace import TraceError, TraceWriter, read_trace, record_workload, replay_trace
 from .ycsb import YCSB_MIXES, Op, YCSBWorkload
 
 __all__ = [
@@ -20,15 +19,10 @@ __all__ = [
     "ValueGenerator",
     "YCSBWorkload",
     "YCSB_MIXES",
-    "TraceError",
-    "TraceWriter",
     "ZipfGenerator",
     "format_key",
     "make_workload",
     "sequential_keys",
     "uniform_keys",
-    "read_trace",
-    "record_workload",
-    "replay_trace",
     "zipfian_keys",
 ]

@@ -244,7 +244,7 @@ def test_wire_subscribe_fenced_status():
                 P.encode_request(
                     P.OP_REPL_SUBSCRIBE,
                     7,
-                    P.encode_subscribe_body(1, 99, b"usurper"),
+                    P.encode_body(P.SUBSCRIBE, 1, 99, b"usurper"),
                 )
             )
             header = _recv_exact(sock, 4)

@@ -1,9 +1,15 @@
 """Unit tests for the wire format."""
 
+from functools import partial
+
 import pytest
 
 from repro.server import protocol as P
+from repro.server.client import _Client
 from repro.server.protocol import ProtocolError
+
+#: The client's hello-reply decoder.
+_answered = _Client(0, None)._answered
 
 
 class TestFraming:
@@ -199,12 +205,109 @@ class TestMetricsTraceOpcodes:
 
     def test_metrics_body_roundtrip(self):
         for fmt in (P.METRICS_FMT_JSON, P.METRICS_FMT_PROMETHEUS):
-            assert P.decode_metrics_body(P.encode_metrics_body(fmt)) == fmt
+            body = P.encode_body(P.METRICS, fmt)
+            assert P.decode_body(P.METRICS, body) == (fmt,)
 
     def test_metrics_body_bad_format_rejected(self):
-        with pytest.raises(ProtocolError, match="format"):
-            P.encode_metrics_body(9)
-        with pytest.raises(ProtocolError, match="format"):
-            P.decode_metrics_body(b"\x09")
-        with pytest.raises(ProtocolError, match="one format byte"):
-            P.decode_metrics_body(b"")
+        import socket
+
+        from repro.db import DB
+        from repro.devices import MemStorage
+        from repro.lsm import Options
+        from repro.server.server import ServerThread
+
+        # The table holds the shape: exactly one format byte.
+        with pytest.raises(ProtocolError, match="malformed"):
+            P.decode_body(P.METRICS, b"")
+        with pytest.raises(ProtocolError, match="trailing"):
+            P.decode_body(P.METRICS, b"\x00\x00")
+        # The server's dispatch holds the value: an unknown format is a
+        # BAD_REQUEST, and an empty body asks for JSON.
+        with ServerThread(DB(MemStorage(), Options())) as handle:
+            sock = socket.create_connection((handle.host, handle.port), 5.0)
+            frames = P.FrameReader()
+            try:
+                for rid, body in ((1, b"\x09"), (2, b"")):
+                    sock.sendall(P.encode_request(P.OP_METRICS, rid, body))
+                bad = P.decode_response(frames.read_frame(sock))
+                empty = P.decode_response(frames.read_frame(sock))
+            finally:
+                sock.close()
+        assert bad.status == P.ST_BAD_REQUEST
+        assert b"unknown metrics format 9" in bad.body
+        assert empty.ok and P.decode_lp(empty.body)[0].startswith(b"{")
+
+
+# ------------------------------------------------------- wire golden
+# Every cold-path body as the hand-written encoders that the layout
+# table replaced wrote it: (hex, encode, decode, decoded values).
+def _hello(hexed, ack_level):
+    encode = partial(P.encode_hello_body, ack_level=ack_level)
+    return hexed, encode, P.decode_hello_body, (3, 0, ack_level)
+
+
+def _hello_ack():
+    return P.HELLO_MAGIC + P.encode_body(P.HELLO_ACK, 3, 0, P.HELLO_ACK_MARKER)
+
+
+def _ship(hexed, kind, *fields):
+    encode = partial(P.encode_ship, kind, *fields)
+    return hexed, encode, P.decode_ship_body, (kind, *fields)
+
+
+def _row(hexed, layout, *values):
+    encode = partial(P.encode_body, layout, *values)
+    return hexed, encode, partial(P.decode_body, layout), values
+
+
+GOLDEN = {
+    "hello": _hello("00524550524f030000", None),
+    "hello_acks_0": _hello("00524550524f03000101", 0),
+    "hello_acks_majority": _hello("00524550524f03000100", -1),
+    "hello_ack": ("00524550524f030001", _hello_ack, _answered, (3, 0)),
+    "subscribe": _row(
+        "d209070a666f6c6c6f7765722d39", P.SUBSCRIBE, 1234, 7, b"follower-9"
+    ),
+    "subscribe_ack": _row("0207e707", P.SUBSCRIBE_ACK, P.SUB_MODE_SNAPSHOT, 7, 999),
+    "ship_records": _ship(
+        "0103087265636f72642d6100026262",
+        P.SHIP_RECORDS,
+        [b"record-a", b"", b"bb"],
+    ),
+    "ship_snap_begin": _ship("023703", P.SHIP_SNAP_BEGIN, 55, 3),
+    "ship_snap_file": _ship(
+        "03020a3030303030352e73737480200461616100047a7a7a01",
+        P.SHIP_SNAP_FILE, 2, "000005.sst", 4096, b"aaa\x00", b"zzz\x01",
+    ),
+    "ship_snap_chunk": _ship("0406000164617461", P.SHIP_SNAP_CHUNK, b"\x00\x01data"),
+    "ship_snap_end": _ship("05ac02", P.SHIP_SNAP_END, 300),
+    "ship_goodbye": _ship(
+        "060d7368757474696e6720646f776e", P.SHIP_GOODBYE, "shutting down"
+    ),
+    "ship_heartbeat": _ship("07808080808020", P.SHIP_HEARTBEAT, 2**40),
+    "repl_ack": _row("808080808020", P.REPL_ACK, 2**40),
+    "promote": _row("05", P.PROMOTE, 5),
+    "promote_ack": _row("06", P.PROMOTE_ACK, 6),
+    "metrics_json": _row("00", P.METRICS, P.METRICS_FMT_JSON),
+    "metrics_prom": _row("01", P.METRICS, P.METRICS_FMT_PROMETHEUS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_wire_golden(name):
+    hexed, encode, decode, values = GOLDEN[name]
+    assert encode().hex() == hexed
+    assert decode(bytes.fromhex(hexed)) == values
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_strict_prefix_of_a_golden_body_is_rejected(name):
+    hexed, _, decode, _ = GOLDEN[name]
+    body = bytes.fromhex(hexed)
+    for n in range(len(body)):
+        if decode is P.decode_hello_body and n < len(P.HELLO_MAGIC):
+            assert decode(body[:n]) is None  # echo data, not a hello
+            continue
+        # pytest.raises lets any other exception type through: it fails.
+        with pytest.raises(P.ProtocolError):
+            decode(body[:n])
