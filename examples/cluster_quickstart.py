@@ -9,7 +9,7 @@ Demonstrates the ``repro.cluster`` subsystem end to end:
    tell a cluster from a single DB,
 3. load YCSB keys and read them back: routed gets, grouped multi_get,
    and a cross-shard SCAN that comes back globally key-ordered from
-   the k-way merge cursor,
+   the k-way merge of the shards' scans,
 4. inspect per-shard stats and the shard-dimensioned metrics the
    STATS opcode now carries,
 5. shut down gracefully and reopen — the CLUSTER manifest remembers

@@ -7,9 +7,8 @@ The subsystem in four pieces:
   ``CLUSTER`` layout manifest (re-validated on reopen);
 * :mod:`~repro.cluster.pool` — the shared, bounded compute pool that
   multiplexes every shard's pipelined-compaction S2–S6 stage;
-* :mod:`~repro.cluster.sharded` / :mod:`~repro.cluster.cursor` — the
-  DB-shaped :class:`ShardedDB` facade and the k-way-merge cross-shard
-  cursor.
+* :mod:`~repro.cluster.sharded` — the DB-shaped :class:`ShardedDB`
+  facade, whose scans heap-merge every shard's own scan.
 
 Quick start::
 
@@ -24,7 +23,6 @@ Quick start::
 See ``docs/CLUSTER.md`` for the design discussion.
 """
 
-from .cursor import ClusterCursor
 from .manifest import (
     CLUSTER_FILE,
     ClusterConfigError,
@@ -44,7 +42,6 @@ from .sharded import ClusterSnapshot, ShardedDB
 __all__ = [
     "CLUSTER_FILE",
     "ClusterConfigError",
-    "ClusterCursor",
     "ClusterManifest",
     "ClusterSnapshot",
     "HashPartitioner",

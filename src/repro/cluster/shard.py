@@ -13,9 +13,9 @@ it, they just satisfy it (checked by the conformance test in
 ``tests/replication/test_shardlike.py``).  Optional capabilities stay
 *out* of the protocol on purpose:
 
-* ``snapshot()`` / ``cursor()`` — only local shards pin snapshots;
-  :meth:`ShardedDB.scan` needs neither: it heap-merges every shard's
-  own ``scan``;
+* ``snapshot()`` — only local shards pin snapshots;
+  :meth:`ShardedDB.scan` does not need one: it heap-merges every
+  shard's own ``scan``;
 * ``obs`` — every implementation happens to carry an
   :class:`repro.obs.Observability` bundle, but a remote shard's holds
   its client's counters, not the remote engine's; the engine's counts
@@ -94,8 +94,6 @@ class ShardLike(Protocol):
     def num_files(self, level: int) -> int: ...
 
     def total_bytes(self) -> int: ...
-
-    def get_property(self, name: str) -> Optional[str]: ...
 
     def describe(self) -> str: ...
 

@@ -14,7 +14,7 @@ compute threads.
 Facade contract: ``ShardedDB`` is duck-compatible with the ``DB``
 surface the network server (:mod:`repro.server`), the bench harness,
 and ``dbtool`` consume — ``put``/``get``/``delete``/``write``/
-``multi_get``/``scan``/``scan_reverse``/``cursor``/``snapshot``/
+``multi_get``/``scan``/``scan_reverse``/``snapshot``/
 ``flush``/``compact_range``/``metrics_snapshot``/``close`` — so the whole stack
 gains a cluster mode without forking code paths.
 
@@ -49,7 +49,6 @@ from ..devices.vfs import Storage
 from ..lsm.options import Options
 from ..lsm.wal import WriteBatch
 from ..obs import MetricsRegistry, Observability, merge_shard_snapshots
-from .cursor import ClusterCursor
 from .manifest import ClusterConfigError, ClusterManifest, shard_dir_name
 from .partitioner import HashPartitioner, Partitioner
 from .pool import SharedComputePool
@@ -198,10 +197,9 @@ class ShardedDB:
         compute pool is created (remote shards compact in their own
         process), and ``close()`` closes the supplied shards.
 
-        Shards without ``cursor``/``snapshot`` support (the remote
-        ones) make :meth:`cursor` and :meth:`snapshot` raise
-        ``NotImplementedError``; scans merge every shard's own scan
-        either way.
+        Shards without ``snapshot`` support (the remote ones) make
+        :meth:`snapshot` raise ``NotImplementedError``; scans merge
+        every shard's own scan either way.
         """
         if len(shards) < 1:
             raise ValueError("need at least one shard")
@@ -365,22 +363,6 @@ class ShardedDB:
     def release_snapshot(self, snapshot: ClusterSnapshot) -> None:
         snapshot.release()
 
-    def cursor(
-        self, snapshot: Optional[ClusterSnapshot] = None
-    ) -> ClusterCursor:
-        """A k-way-merge cursor over per-shard snapshot-pinned cursors."""
-        if not all(hasattr(shard, "cursor") for shard in self.shards):
-            raise NotImplementedError(
-                "cluster contains remote shards, which have no cursors; "
-                "use scan()/scan_reverse()"
-            )
-        return ClusterCursor(
-            [
-                shard.cursor(snapshot=self._shard_snapshot(snapshot, i))
-                for i, shard in enumerate(self.shards)
-            ]
-        )
-
     def _scan(self, start, end, snapshot, limit, reverse: bool) -> Iterator[tuple[bytes, bytes]]:
         """Heap merge of each shard's own scan, under its own snapshot.
 
@@ -511,65 +493,6 @@ class ShardedDB:
             f"[shard {i}]\n{shard.describe()}"
             for i, shard in enumerate(self.shards)
         )
-
-    def get_property(self, name: str) -> Optional[str]:
-        """Cluster-aware subset of ``DB.get_property``.
-
-        ``stats``/``sstables``/``total-bytes``/``num-files-at-level<N>``
-        and ``quarantine`` aggregate across shards; ``metrics`` returns
-        the shard-dimensioned merged snapshot; ``cluster`` describes
-        the shard map.  Unknown names return None.
-        """
-        import json
-
-        if self._closed:
-            raise RuntimeError("ShardedDB is closed")
-        if name == "cluster":
-            policy = self.policy
-            lines = [
-                f"shards={self.n_shards} "
-                f"partitioner={self.partitioner.spec()}"
-                + (f" policy={policy.spec()}" if policy is not None else "")
-            ]
-            for entry in self.shard_stats():
-                lines.append(
-                    f"shard{entry['shard']}: writes={entry['writes']} "
-                    f"l0={entry['l0_files']} bytes={entry['total_bytes']} "
-                    f"stalled={entry['write_stalled_now']}"
-                )
-            return "\n".join(lines)
-        if name == "metrics":
-            return json.dumps(self.metrics_snapshot(), sort_keys=True)
-        if name == "compaction-policy":
-            policy = self.policy
-            return policy.spec() if policy is not None else None
-        if name == "sstables":
-            return self.describe()
-        if name == "total-bytes":
-            return str(self.total_bytes())
-        if name.startswith("num-files-at-level"):
-            try:
-                level = int(name[len("num-files-at-level"):])
-            except ValueError:
-                return None
-            if not 0 <= level < self.options.num_levels:
-                return None
-            return str(self.num_files(level))
-        if name == "stats":
-            s = db_counts(self.metrics_snapshot())
-            return (
-                f"shards={self.n_shards} writes={s['writes']} "
-                f"gets={s['gets']} flushes={s['flushes']} "
-                f"compactions={s['compactions']} stalls={s['write_stalls']}"
-            )
-        if name == "quarantine":
-            lines = []
-            for i, shard in enumerate(self.shards):
-                text = shard.get_property("quarantine")
-                if text and text != "(none)":
-                    lines += [f"shard{i}/{line}" for line in text.splitlines()]
-            return "\n".join(lines) if lines else "(none)"
-        return None
 
     # --------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -25,9 +25,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from ..codec.checksum import crc32c_py
+from ..codec.checksum import get_checksummer
 from ..codec.compress import lz77_compress, lz77_decompress
 from ..devices.base import AccessKind, Device
+from ..lsm.options import Options
 
 __all__ = ["StepTimes", "StageTimes", "CostModel", "DEFAULT_KV_BYTES"]
 
@@ -178,16 +179,17 @@ class CostModel:
     ) -> "CostModel":
         """Measure the real codecs and return a matching model.
 
-        Times :func:`repro.codec.checksum.crc32c_py`,
-        :func:`lz77_compress`/:func:`lz77_decompress`, and a heap merge
-        of encoded entries on this machine, producing a CostModel whose
-        constants reflect the actual pure-Python implementation instead
-        of the paper-calibrated defaults.
+        Times the checksum the engine writes (``Options().checksum``,
+        zlib's CRC-32), :func:`lz77_compress`/:func:`lz77_decompress`,
+        and a heap merge of encoded entries on this machine, producing
+        a CostModel whose constants reflect the actual implementation
+        instead of the paper-calibrated defaults.
         """
         sample = _kv_sample(sample_bytes, kv_bytes)
+        checksum = get_checksummer(Options().checksum).checksum
 
         t0 = time.perf_counter()
-        crc32c_py(sample)
+        checksum(sample)
         t_crc = (time.perf_counter() - t0) / len(sample)
 
         t0 = time.perf_counter()

@@ -20,12 +20,11 @@ fsync.  Recovery replays MANIFEST then the live WAL.
 Counts (writes, gets, flushes, compactions, cache hits, I/O) live only
 in the ``obs`` bundle's :class:`repro.obs.MetricsRegistry`;
 :meth:`DB.metrics_snapshot` reads them all and :func:`db_counts` picks
-out the ones STATS and the ``stats`` property report.
+out the ones STATS reports.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
@@ -148,7 +147,7 @@ class DB:
         if self._faulty is not None:
             self._faulty.attach_metrics(self.obs.metrics)
         #: storage names of quarantined (renamed-aside) corrupt tables.
-        self._quarantined: list[str] = []
+        self.quarantined: list[str] = []
         self.options = options or Options()
         self.options.validate()
         self.compaction_spec = compaction_spec or ProcedureSpec.scp()
@@ -314,15 +313,15 @@ class DB:
         from an earlier crash: orphan ``*.tmp`` (torn CURRENT swap),
         superseded ``MANIFEST-*``, retired/stray ``*.log``, and
         ``*.sst`` outputs whose install never committed.  Quarantined
-        tables (``*.quarantined``) are kept and surfaced via
-        ``get_property("quarantine")``.
+        tables (``*.quarantined``) are kept and listed in
+        :attr:`quarantined`.
         """
         metrics = self.obs.metrics
         referenced = {meta.name for _lv, meta in self.version.all_files()}
         current_wal = self._wal_name(self._wal_number)
         for name in self.storage.list():
             if name.endswith(".quarantined"):
-                self._quarantined.append(name)
+                self.quarantined.append(name)
                 metrics.counter("recovery.quarantine_found").inc()
             elif name.endswith(".tmp"):
                 self._safe_delete(name)
@@ -966,8 +965,8 @@ class DB:
         Each input is re-verified individually (full iteration checks
         every block checksum, bypassing caches); the damaged ones are
         renamed to ``<name>.quarantined``, removed from the version via
-        a synced manifest edit, and reported through
-        ``get_property("quarantine")``.  The keys they held degrade to
+        a synced manifest edit, and listed in :attr:`quarantined`.
+        The keys they held degrade to
         older versions / absence — the DB keeps serving instead of
         failing every future compaction of this range.
         """
@@ -992,7 +991,7 @@ class DB:
             self._retire_table(meta.number)
             self.storage.rename(meta.name, quarantine_name)
             edit.delete_file(level, meta.number)
-            self._quarantined.append(quarantine_name)
+            self.quarantined.append(quarantine_name)
             self.obs.metrics.counter("compaction.quarantined").inc()
         self._apply_edit(edit)
         return True
@@ -1107,8 +1106,8 @@ class DB:
 
         Uses file metadata only (no I/O beyond already-open indexes):
         files fully inside the range count whole; files straddling a
-        bound count half.  The memtable is excluded (use the
-        ``approximate-memory-usage`` property).
+        bound count half.  The memtable is excluded (its size is
+        ``memtable.approximate_bytes``).
         """
         total = 0.0
         with self._lock:
@@ -1252,93 +1251,6 @@ class DB:
     def metrics_snapshot(self) -> dict:
         """Every count this DB keeps: its registry's snapshot."""
         return self.obs.metrics.snapshot()
-
-    def get_property(self, name: str) -> Optional[str]:
-        """LevelDB-style introspection properties.
-
-        Supported: ``num-files-at-level<N>``, ``stats``, ``sstables``,
-        ``approximate-memory-usage``, ``total-bytes``,
-        ``compaction-policy`` (the canonical policy spec),
-        ``compaction-log`` (a policy/per-level-run-count header, then
-        one line per recent compaction, newest
-        last), ``metrics`` (the full :class:`repro.obs.MetricsRegistry`
-        snapshot as JSON), ``io-stats`` (per-device read/write/sync
-        ops and bytes), ``cache-stats`` (block-cache hit/miss/
-        eviction counts and hit rate), and ``quarantine`` (one line
-        per corrupt table renamed aside by the self-healing compaction
-        path or found at recovery; ``(none)`` when clean).  Returns
-        None for unknown names; raises RuntimeError on a closed DB.
-        """
-        with self._lock:
-            self._check_open()
-            if name.startswith("num-files-at-level"):
-                try:
-                    level = int(name[len("num-files-at-level"):])
-                except ValueError:
-                    return None
-                if not 0 <= level < self.options.num_levels:
-                    return None
-                return str(self.version.num_files(level))
-            if name == "stats":
-                s = db_counts(self.metrics_snapshot())
-                return (
-                    f"writes={s['writes']} gets={s['gets']} "
-                    f"flushes={s['flushes']} "
-                    f"compactions={s['compactions']} "
-                    f"trivial_moves={s['trivial_moves']} "
-                    f"stalls={s['write_stalls']} "
-                    f"compacted_mb={s['compaction_input_bytes'] / 1e6:.2f}"
-                )
-            if name == "sstables":
-                return self.version.describe()
-            if name == "approximate-memory-usage":
-                return str(self.memtable.approximate_bytes)
-            if name == "total-bytes":
-                return str(self.version.total_bytes())
-            if name == "compaction-log":
-                lines = [
-                    f"L{r['level']}->L{r.get('output_level', r['level'] + 1)} "
-                    f"{r['procedure']} "
-                    f"policy={r.get('policy', self.policy.spec())} "
-                    f"inputs={r['inputs']} "
-                    f"subtasks={r['subtasks']} "
-                    f"in={r['input_bytes']} out={r['output_bytes']} "
-                    f"pass={r['pass']} reuse={r['reuse']} "
-                    f"{r['seconds'] * 1e3:.1f}ms"
-                    for r in self.compaction_log
-                ]
-                if not lines:
-                    return "(no compactions yet)"
-                runs = " ".join(
-                    f"L{lv}={self.version.num_runs(lv)}"
-                    for lv in range(self.options.num_levels)
-                    if self.version.files[lv]
-                )
-                header = (
-                    f"policy={self.policy.spec()} "
-                    f"runs[{runs or 'empty'}]"
-                )
-                return "\n".join([header, *lines])
-            if name == "compaction-policy":
-                return self.policy.spec()
-            if name == "metrics":
-                return json.dumps(self.metrics_snapshot(), sort_keys=True)
-            if name == "io-stats":
-                items = self.obs.metrics.items_with_prefix("io.")
-                lines = [f"{key}={metric.value}" for key, metric in items]
-                return "\n".join(lines) if lines else "(no io recorded)"
-            if name == "quarantine":
-                return "\n".join(self._quarantined) if self._quarantined else "(none)"
-            if name == "cache-stats":
-                counters = self.metrics_snapshot()["counters"]
-                hits, misses = counters["cache.hits"], counters["cache.misses"]
-                lookups = hits + misses
-                return (
-                    f"hits={hits} misses={misses} "
-                    f"evictions={counters['cache.evictions']} "
-                    f"hit_rate={hits / lookups if lookups else 0.0:.4f}"
-                )
-            return None
 
     def close(self) -> None:
         """Flush WAL state and stop background work (idempotent)."""

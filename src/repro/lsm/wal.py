@@ -227,13 +227,6 @@ class WriteBatch:
                 out += value
         return bytes(out)
 
-    @staticmethod
-    def seq_bounds(blob: bytes) -> tuple[int, int]:
-        """``(base_seq, count)`` from an encoded batch's fixed header,
-        without parsing the ops.  The batch spans sequences
-        ``base_seq .. base_seq + count - 1``."""
-        return batch_seq_bounds(blob)
-
     @classmethod
     def decode(cls, blob: bytes) -> tuple["WriteBatch", int]:
         """Parse an encoded batch → ``(batch, starting_sequence)``."""

@@ -274,15 +274,6 @@ class ReplicationHub:
                 self._update_lag_gauge()
                 self._cond.notify_all()
 
-    def acked_count(self, seq: int) -> int:
-        """How many live followers have acked ``seq`` or beyond."""
-        with self._cond:
-            return sum(
-                1
-                for s in self._subscribers
-                if s.live and s.acked_seq >= seq
-            )
-
     def wait_for_acks(
         self, seq: int, need: int, timeout: Optional[float] = None
     ) -> bool:

@@ -191,9 +191,6 @@ class RemoteShard:
     def total_bytes(self) -> int:
         return int(self.remote_stats().get("db", {}).get("total_bytes", 0))
 
-    def get_property(self, name: str) -> Optional[str]:
-        return None  # engine introspection stays process-local
-
     def describe(self) -> str:
         return f"(remote shard {self.host}:{self.port})"
 

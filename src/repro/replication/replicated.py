@@ -276,9 +276,6 @@ class ReplicatedShard:
     def total_bytes(self) -> int:
         return self._read(lambda c: c.total_bytes())
 
-    def get_property(self, name: str) -> Optional[str]:
-        return None
-
     def describe(self) -> str:
         with self._lock:
             primary = self._primary

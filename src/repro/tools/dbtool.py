@@ -360,14 +360,40 @@ def _cluster_n_shards(directory: str, shards_arg: int | None) -> int | None:
     return None
 
 
+def _runs(db: DB) -> str:
+    """``L<n>=<sorted runs>`` for each non-empty level; caller holds the lock."""
+    return " ".join(
+        f"L{lv}={db.version.num_runs(lv)}"
+        for lv in range(db.options.num_levels)
+        if db.version.files[lv]
+    )
+
+
 def cmd_stats(args) -> int:
     n_shards = _cluster_n_shards(args.directory, args.shards)
-    if n_shards is not None:
-        return _cmd_stats_cluster(args.directory, n_shards)
-    db = _open_db(args.directory, policy=args.compaction_policy)
+    if n_shards is None:
+        db = _open_db(args.directory, policy=args.compaction_policy)
+    else:
+        from ..cluster import ShardedDB
+
+        db = ShardedDB.open_path(args.directory, n_shards=n_shards)
     try:
-        print("policy:", db.get_property("compaction-policy"))
-        print(db.get_property("sstables"))
+        if n_shards is not None:
+            print(
+                f"shards={db.n_shards} partitioner={db.partitioner.spec()} "
+                f"policy={db.policy.spec()}"
+            )
+            for s in db.shard_stats():
+                print(
+                    f"shard{s['shard']}: writes={s['writes']} "
+                    f"l0={s['l0_files']} bytes={s['total_bytes']} "
+                    f"stalled={s['write_stalled_now']}"
+                )
+        print("policy:", db.policy.spec())
+        if n_shards is None:
+            with db._lock:
+                print(db.version.describe())
+                runs = _runs(db)
         total = db.total_bytes()
         print(f"total table bytes: {total} ({total / 1e6:.2f} MB)")
         levels = [
@@ -375,40 +401,24 @@ def cmd_stats(args) -> int:
             for lv in range(db.options.num_levels)
             if db.num_files(lv)
         ]
-        print("files per level:", " ".join(levels) or "(none)")
-        with db._lock:
-            runs = [
-                f"L{lv}={db.version.num_runs(lv)}"
-                for lv in range(db.options.num_levels)
-                if db.version.files[lv]
-            ]
-        print("runs per level:", " ".join(runs) or "(none)")
-        print("live entries:", db.cursor().count())
-        print("io-stats (this session):")
-        for line in (db.get_property("io-stats") or "").splitlines():
-            print(f"  {line}")
-        print("cache-stats:", db.get_property("cache-stats"))
-    finally:
-        db.close()
-    return 0
-
-
-def _cmd_stats_cluster(directory: str, n_shards: int) -> int:
-    from ..cluster import ShardedDB
-
-    db = ShardedDB.open_path(directory, n_shards=n_shards)
-    try:
-        print(db.get_property("cluster"))
-        print("policy:", db.get_property("compaction-policy"))
-        total = db.total_bytes()
-        print(f"total table bytes: {total} ({total / 1e6:.2f} MB)")
-        levels = [
-            f"L{lv}={db.num_files(lv)}"
-            for lv in range(db.options.num_levels)
-            if db.num_files(lv)
-        ]
-        print("files per level (all shards):", " ".join(levels) or "(none)")
-        print("live entries:", db.cursor().count())
+        where = "" if n_shards is None else " (all shards)"
+        print(f"files per level{where}:", " ".join(levels) or "(none)")
+        if n_shards is None:
+            print("runs per level:", runs or "(none)")
+        print("live entries:", sum(1 for _ in db.scan()))
+        if n_shards is None:
+            counters = db.metrics_snapshot()["counters"]
+            io = [f"{k}={v}" for k, v in counters.items() if k.startswith("io.")]
+            print("io-stats (this session):")
+            for line in io or ["(no io recorded)"]:
+                print(f"  {line}")
+            hits, misses = counters["cache.hits"], counters["cache.misses"]
+            lookups = hits + misses
+            print(
+                f"cache-stats: hits={hits} misses={misses} "
+                f"evictions={counters['cache.evictions']} "
+                f"hit_rate={hits / lookups if lookups else 0.0:.4f}"
+            )
     finally:
         db.close()
     return 0
@@ -498,9 +508,23 @@ def cmd_compact(args) -> int:
     try:
         n = db.compact_range()
         print(f"ran {n} compactions")
-        print(f"policy: {db.get_property('compaction-policy')}")
-        print(db.get_property("compaction-log"))
-        print(db.get_property("sstables"))
+        print(f"policy: {db.policy.spec()}")
+        with db._lock:
+            runs, sstables = _runs(db), db.version.describe()
+        if db.compaction_log:
+            print(f"policy={db.policy.spec()} runs[{runs or 'empty'}]")
+            for r in db.compaction_log:
+                print(
+                    f"L{r['level']}->L{r['output_level']} {r['procedure']} "
+                    f"policy={r['policy']} inputs={r['inputs']} "
+                    f"subtasks={r['subtasks']} "
+                    f"in={r['input_bytes']} out={r['output_bytes']} "
+                    f"pass={r['pass']} reuse={r['reuse']} "
+                    f"{r['seconds'] * 1e3:.1f}ms"
+                )
+        else:
+            print("(no compactions yet)")
+        print(sstables)
     finally:
         db.close()
     return 0

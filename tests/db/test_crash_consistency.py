@@ -305,11 +305,11 @@ class TestSelfHealing:
         db._tables.clear()
         db._cache.clear()
         db.compact_range()
-        assert sst + ".quarantined" in db.get_property("quarantine")
+        assert sst + ".quarantined" in db.quarantined
         db.close()
 
         db2 = DB(storage, small_options())
-        assert sst + ".quarantined" in db2.get_property("quarantine")
+        assert sst + ".quarantined" in db2.quarantined
         assert db2.obs.metrics.counter("recovery.quarantine_found").value >= 1
         db2.close()
 

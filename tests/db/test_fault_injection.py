@@ -55,8 +55,7 @@ class TestCompactionDetectsCorruption:
         db._cache.clear()
         # Self-healing: no exception; the corrupt table is quarantined.
         db.compact_range()
-        quarantine = db.get_property("quarantine")
-        assert sst + ".quarantined" in quarantine
+        assert sst + ".quarantined" in db.quarantined
         assert storage.exists(sst + ".quarantined")
         assert not storage.exists(sst)
         assert db.obs.metrics.counter("compaction.quarantined").value >= 1
@@ -113,7 +112,7 @@ class TestCompactionDetectsCorruption:
         db._tables.clear()
         db._cache.clear()
         db.compact_range()
-        assert sst + ".quarantined" in db.get_property("quarantine")
+        assert sst + ".quarantined" in db.quarantined
         assert not storage.exists(sst)
         # The damaged bytes went nowhere: every surviving table verifies.
         from repro.lsm.table_reader import Table

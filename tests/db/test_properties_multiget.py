@@ -1,14 +1,13 @@
-"""Coverage for DB.get_property and DB.multi_get.
+"""Coverage for DB's typed introspection accessors and DB.multi_get.
 
-Satellite of the server PR: these two are now exercised remotely (the
-STATS opcode reads properties, clients batch point lookups), so their
-edge cases — missing keys, snapshot reads, closed-DB errors — get
-direct tests.
+Clients batch point lookups over the wire, so multi_get's edge cases —
+missing keys, snapshot reads, closed-DB errors — get direct tests.
 """
 
 import pytest
 
 from repro.db import DB
+from repro.db.db import db_counts
 from repro.devices import MemStorage
 from repro.lsm import Options
 
@@ -69,36 +68,30 @@ class TestMultiGet:
 
 
 class TestGetProperty:
+    """The typed introspection accessors."""
+
     def test_num_files_per_level(self, db):
-        assert db.get_property("num-files-at-level0") == "0"
+        assert db.num_files(0) == 0
         for i in range(200):
             db.put(b"key-%04d" % i, b"x" * 16)
         db.flush()
-        assert int(db.get_property("num-files-at-level0")) >= 0
-        total = sum(
-            int(db.get_property(f"num-files-at-level{lv}"))
-            for lv in range(db.options.num_levels)
-        )
+        assert db.num_files(0) >= 0
+        total = sum(db.num_files(lv) for lv in range(db.options.num_levels))
         assert total >= 1
 
-    def test_unknown_names_return_none(self, db):
-        assert db.get_property("bogus") is None
-        assert db.get_property("num-files-at-levelX") is None
-        assert db.get_property("num-files-at-level99") is None
-
     def test_stats_and_memory_usage_track_writes(self, db):
-        before = int(db.get_property("approximate-memory-usage"))
+        before = db.memtable.approximate_bytes
         db.put(b"key", b"value" * 10)
-        after = int(db.get_property("approximate-memory-usage"))
+        after = db.memtable.approximate_bytes
         assert after > before
-        assert "writes=1" in db.get_property("stats")
+        assert db_counts(db.metrics_snapshot())["writes"] == 1
 
     def test_total_bytes_and_sstables_after_flush(self, db):
         for i in range(300):
             db.put(b"key-%04d" % i, b"v" * 32)
         db.flush()
-        assert int(db.get_property("total-bytes")) > 0
-        assert db.get_property("sstables")
+        assert db.total_bytes() > 0
+        assert "(empty)" not in db.describe()
 
     def test_compaction_log_lists_runs(self, db):
         for i in range(2000):
@@ -107,12 +100,4 @@ class TestGetProperty:
         db.compact_all()
         count = db.metrics_snapshot()["counters"].get
         if count("db.compactions", 0) - count("compaction.trivial_moves", 0) > 0:
-            assert "L0" in db.get_property("compaction-log") or "L1" in (
-                db.get_property("compaction-log")
-            )
-
-    def test_closed_db_raises(self):
-        db = DB(MemStorage(), Options(**SMALL))
-        db.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            db.get_property("stats")
+            assert any(r["level"] in (0, 1) for r in db.compaction_log)

@@ -2,6 +2,7 @@
 
 
 from repro.db import DB, repair_db, verify_db
+from repro.db.db import db_counts
 from repro.db.manifest import CURRENT_NAME
 from repro.devices import MemStorage
 from repro.lsm import sstable_name
@@ -344,16 +345,14 @@ class TestCompactRange:
             db.compact_range(b"k-00000", b"k-00500")
             assert db.get(b"k-00250") == b"v"
 
-    def test_get_property(self):
+    def test_typed_accessors(self):
         with DB(MemStorage(), small_options()) as db:
             db.put(b"k", b"v")
-            assert db.get_property("num-files-at-level0") == "0"
-            assert db.get_property("num-files-at-level99") is None
-            assert "writes=1" in db.get_property("stats")
-            assert db.get_property("sstables") is not None
-            assert int(db.get_property("approximate-memory-usage")) > 0
-            assert db.get_property("total-bytes") == "0"
-            assert db.get_property("bogus") is None
+            assert db.num_files(0) == 0
+            assert db_counts(db.metrics_snapshot())["writes"] == 1
+            assert "(empty)" in db.describe()
+            assert db.memtable.approximate_bytes > 0
+            assert db.total_bytes() == 0
 
 
 class TestCompactionLog:
@@ -372,8 +371,9 @@ class TestCompactionLog:
                 assert rec["input_bytes"] > 0
                 assert rec["seconds"] > 0
                 assert rec["procedure"] == "scp"
-            text = db.get_property("compaction-log")
-            assert "L0->L1" in text
+            assert any(
+                rec["level"] == 0 and rec["output_level"] == 1 for rec in log
+            )
 
     def test_log_is_bounded(self):
         with DB(MemStorage(), small_options()) as db:
@@ -387,4 +387,4 @@ class TestCompactionLog:
 
     def test_empty_log_property(self):
         with DB(MemStorage(), small_options()) as db:
-            assert db.get_property("compaction-log") == "(no compactions yet)"
+            assert db.compaction_log == []

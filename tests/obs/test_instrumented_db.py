@@ -87,7 +87,7 @@ class TestMetricsProperties:
             load(db)
             db.compact_range()
             db.get(b"key00000001")
-            snap = json.loads(db.get_property("metrics"))
+            snap = db.metrics_snapshot()
             counters = snap["counters"]
             assert counters["wal.records"] > 0
             assert counters["wal.bytes"] > 0
@@ -96,8 +96,9 @@ class TestMetricsProperties:
             assert counters["io.mem.write.bytes"] > 0
             assert counters["io.mem.read.ops"] > 0
             assert snap["histograms"]["compaction.seconds"]["count"] > 0
-            assert db.get_property("io-stats") is not None
-            assert "hit_rate" in db.get_property("cache-stats")
+            assert any(name.startswith("io.") for name in counters)
+            assert {"cache.hits", "cache.misses", "cache.evictions"} <= set(counters)
+            json.dumps(snap)  # the snapshot stays JSON-serialisable
         finally:
             db.close()
 
@@ -108,18 +109,12 @@ class TestMetricsProperties:
             db.compact_range()
             for _ in range(3):
                 db.get(b"key00000007")
-            snap = json.loads(db.get_property("metrics"))
+            snap = db.metrics_snapshot()
             cache_hits = snap["counters"].get("cache.hits", 0)
             assert cache_hits == db._cache.metrics.counter("cache.hits").value
             assert cache_hits > 0
         finally:
             db.close()
-
-    def test_get_property_on_closed_db_raises(self):
-        db = DB(MemStorage(), small_options())
-        db.close()
-        with pytest.raises(RuntimeError):
-            db.get_property("metrics")
 
     def test_stats_payload_has_engine_section(self):
         db = DB(MemStorage(), small_options())
@@ -167,8 +162,7 @@ class TestPassThroughIsVisible:
             )
             ends = [e for e in events if e["event"] == "compaction.end"]
             assert ends and sum(e["pass"] for e in ends) == blocks
-            log = db.get_property("compaction-log").splitlines()[1:]
-            assert sum(int(line.split(" pass=")[1].split()[0]) for line in log) == blocks
+            assert sum(r["pass"] for r in db.compaction_log) == blocks
             stats = KVServer(db)._stats_dict()
             assert stats["engine"]["counters"]["compaction.passthrough_blocks"] == blocks
         finally:
@@ -187,10 +181,7 @@ class TestPassThroughIsVisible:
             # Always-on counters: present, and zero where every sub-task
             # merges several runs.
             assert counters["compaction.passthrough_blocks"] == 0
-            assert all(
-                " pass=0 " in line
-                for line in db.get_property("compaction-log").splitlines()[1:]
-            )
+            assert all(r["pass"] == 0 for r in db.compaction_log)
         finally:
             db.close()
 
@@ -222,9 +213,8 @@ class TestPassThroughIsVisible:
             )
             ends = [e for e in events if e["event"] == "compaction.end"]
             assert sum(e["reuse"] for e in ends) == blocks
-            log = db.get_property("compaction-log").splitlines()[1:]
-            assert all(" pass=0 reuse=" in line for line in log)
-            assert sum(int(line.split(" reuse=")[1].split()[0]) for line in log) == blocks
+            assert all(r["pass"] == 0 for r in db.compaction_log)
+            assert sum(r["reuse"] for r in db.compaction_log) == blocks
             stats = KVServer(db)._stats_dict()
             assert stats["engine"]["counters"]["compaction.reused_blocks"] == blocks
         finally:

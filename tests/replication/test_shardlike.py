@@ -8,6 +8,7 @@ and exercises a mixed local+remote cluster through the protocol.
 """
 
 import inspect
+import re
 
 import pytest
 
@@ -53,6 +54,23 @@ def test_protocol_members_are_nonempty():
     # Guard against the Protocol silently degenerating to object().
     for expected in ("put", "get", "scan", "write_stalled", "metrics_snapshot"):
         assert expected in _PROTOCOL_MEMBERS
+
+
+def test_every_protocol_member_is_used():
+    """Each member is reached for by the cluster or the server, so the
+    contract holds nothing that only some implementations answer."""
+    import repro.cluster.sharded
+    import repro.server.server
+
+    source = "".join(
+        inspect.getsource(module)
+        for module in (repro.cluster.sharded, repro.server.server)
+    )
+    unused = [
+        name for name in _PROTOCOL_MEMBERS
+        if not re.search(rf"\.{name}\b", source)
+    ]
+    assert not unused, f"ShardLike members nothing calls: {unused}"
 
 
 def test_local_db_conforms():

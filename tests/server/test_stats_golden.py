@@ -1,4 +1,4 @@
-"""STATS and the ``stats`` / ``cache-stats`` properties, pinned to a golden.
+"""The STATS document, pinned to a golden.
 
 One scripted session — PUTs, a BATCH, a DELETE, GETs that hit and
 miss, a SCAN, a flush, a compaction, one STALLED write and one
@@ -92,11 +92,7 @@ def _session(handle, db) -> dict:
             assert sock.recv(1) == b""  # the server dropped the stream
         _wait_closed(handle, 1)
         stats = client.stats()
-    return {
-        "stats": stats,
-        "property_stats": db.get_property("stats"),
-        "property_cache_stats": db.get_property("cache-stats"),
-    }
+    return {"stats": stats}
 
 
 def _served(kind: str) -> dict:
