@@ -3,8 +3,7 @@
 Demonstrates the ``repro.cluster`` subsystem end to end:
 
 1. open a 4-shard :class:`repro.cluster.ShardedDB` (hash-partitioned,
-   background compaction, one *shared* compute pool instead of
-   4 x k compaction workers),
+   background C-PPCP compaction, each shard compacting as one DB does),
 2. serve it over TCP — the wire protocol is unchanged; clients cannot
    tell a cluster from a single DB,
 3. load YCSB keys and read them back: routed gets, grouped multi_get,
@@ -42,9 +41,7 @@ def main() -> None:
         compaction_spec=ProcedureSpec.cppcp(2, subtask_bytes=16 * 1024),
         background=True,
     )
-    print(f"opened {db.n_shards} shards, partitioner={db.partitioner.spec()},"
-          f" shared compute pool workers="
-          f"{db.pool.workers if db.pool else 0}")
+    print(f"opened {db.n_shards} shards, partitioner={db.partitioner.spec()}")
 
     workload = YCSBWorkload("a", n_ops=0, record_count=2000, value_bytes=64)
     with ServerThread(db) as handle:
@@ -81,10 +78,6 @@ def main() -> None:
                 print(f"  shard {entry['shard']}: writes={entry['writes']} "
                       f"l0_files={entry['l0_files']} "
                       f"bytes={entry['total_bytes']}")
-            pool_tasks = stats["engine"]["counters"].get(
-                "cluster.pool.tasks", 0
-            )
-            print(f"shared pool compute tasks so far: {pool_tasks}")
 
     # Embedded use: multi_get groups keys into one batch per shard,
     # and a ClusterSnapshot pins a stable view on every shard.

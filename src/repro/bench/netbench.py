@@ -171,7 +171,6 @@ def run_net_benchmark(
     compaction_spec: Optional[ProcedureSpec] = None,
     seed: int = 0,
     shards: int = 1,
-    pool_workers: Optional[int] = None,
     replicas: int = 0,
     repl_acks: "int | str" = 0,
     obs=None,
@@ -190,8 +189,7 @@ def run_net_benchmark(
 
     ``shards`` > 1 serves an in-memory
     :class:`repro.cluster.ShardedDB` instead of one DB (same wire
-    protocol; ``pool_workers`` caps the cluster's shared compaction
-    compute pool).
+    protocol).
 
     ``replicas`` > 0 attaches that many in-memory loopback followers
     to the (single-shard) primary, and every write the clients issue
@@ -235,7 +233,6 @@ def run_net_benchmark(
             options=options or Options(),
             compaction_spec=compaction_spec,
             background=True,
-            pool_workers=pool_workers,
             **({"obs": obs} if obs is not None else {}),
         )
     else:
@@ -472,7 +469,6 @@ def run_scaling(
     value_bytes: int = 100,
     connections: int = 4,
     compaction_spec: Optional[ProcedureSpec] = None,
-    pool_workers: Optional[int] = None,
     seed: int = 0,
 ) -> dict:
     """Run the same load at each shard count; return the scaling table.
@@ -481,32 +477,26 @@ def run_scaling(
     :func:`_stall_bound_options`), every run keeps the identical
     workload/connection count, and the returned dict (the
     ``BENCH_cluster.json`` payload) records throughput, latency
-    percentiles, stall retries, speedup vs the first entry, and the
-    shared-pool counters proving compute stayed capped.
+    percentiles, stall retries, speedup vs the first entry, and each
+    shard's own counts.
     """
     spec = compaction_spec or ProcedureSpec.cppcp(2, subtask_bytes=16 * 1024)
     load = dict(
         mix=mix, n_ops=n_ops, record_count=record_count,
         value_bytes=value_bytes, connections=connections, seed=seed,
-        compaction_spec=spec, pool_workers=pool_workers,
+        compaction_spec=spec,
     )
 
-    def pool(result: NetBenchResult) -> dict:
-        db_stats = result.server_stats.get("db", {})
-        engine = result.server_stats.get("engine", {})
-        gauges = engine.get("gauges", {})
+    def figures(result: NetBenchResult) -> dict:
         return {
-            "write_stalls": db_stats.get("write_stalls"),
-            "pool_workers": gauges.get("cluster.pool.workers"),
-            "pool_max_active": gauges.get("cluster.pool.max_active"),
-            "pool_tasks": engine.get("counters", {}).get("cluster.pool.tasks"),
+            "write_stalls": result.server_stats.get("db", {}).get("write_stalls"),
             "per_shard": result.per_shard_stats(),
         }
 
     return _sweep(
         "netbench-cluster-scaling",
         [
-            ({"shards": n}, dict(load, shards=n, options=_stall_bound_options()), pool)
+            ({"shards": n}, dict(load, shards=n, options=_stall_bound_options()), figures)
             for n in shard_counts
         ],
         ratio="speedup_vs_first", mix=mix, n_ops=n_ops,
@@ -734,11 +724,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="serve an in-memory N-shard cluster instead of one DB",
     )
     parser.add_argument(
-        "--pool-workers", type=int, default=None,
-        help="cap on the cluster's shared compaction compute pool "
-             "(default: the procedure's own worker count)",
-    )
-    parser.add_argument(
         "--scaling", metavar="N,N,...", default=None,
         help="run the stall-bound scaling sweep at these shard counts "
              "(e.g. 1,2,4) instead of a single run",
@@ -812,7 +797,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     elif args.scaling is not None:
         table = run_scaling(
             [int(n) for n in args.scaling.split(",") if n.strip()],
-            mix=args.mix, pool_workers=args.pool_workers, **sized,
+            mix=args.mix, **sized,
         )
     if table is not None:
         for entry in table["runs"]:
@@ -849,7 +834,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         options=options,
         compaction_spec=spec,
         shards=args.shards,
-        pool_workers=args.pool_workers,
         replicas=args.replicas,
         repl_acks=args.repl_acks,
         net_fault_plan=net_fault_plan,

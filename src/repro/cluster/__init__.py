@@ -5,8 +5,8 @@ The subsystem in four pieces:
 * :mod:`~repro.cluster.partitioner` — hash / range key→shard routing;
 * :mod:`~repro.cluster.manifest` — the persisted, CRC-protected
   ``CLUSTER`` layout manifest (re-validated on reopen);
-* :mod:`~repro.cluster.pool` — the shared, bounded compute pool that
-  multiplexes every shard's pipelined-compaction S2–S6 stage;
+* :mod:`~repro.cluster.shard` — the :class:`ShardLike` contract every
+  shard slot satisfies (local, remote or replicated);
 * :mod:`~repro.cluster.sharded` — the DB-shaped :class:`ShardedDB`
   facade, whose scans heap-merge every shard's own scan.
 
@@ -35,7 +35,6 @@ from .partitioner import (
     RangePartitioner,
     partitioner_from_spec,
 )
-from .pool import SharedComputePool
 from .shard import ShardLike
 from .sharded import ClusterSnapshot, ShardedDB
 
@@ -49,7 +48,6 @@ __all__ = [
     "RangePartitioner",
     "ShardLike",
     "ShardedDB",
-    "SharedComputePool",
     "partitioner_from_spec",
     "shard_dir_name",
 ]

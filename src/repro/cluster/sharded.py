@@ -5,11 +5,9 @@ devices or k workers (Eqs. 4/6); this module applies the same argument
 one level up.  The user keyspace is partitioned over N
 :class:`repro.db.DB` shards — each with its own memtable, WAL, levels,
 and compaction pipeline — so the aggregate write path scales with N
-until a shared resource saturates.  The shared resource is made
-explicit: one :class:`~repro.cluster.pool.SharedComputePool`
-multiplexes every shard's pipelined-compaction compute stage (S2–S6)
-over a bounded worker set instead of letting N shards spawn N × k
-compute threads.
+until a shared resource saturates.  Each shard compacts exactly as
+one ``DB`` does: its spec's own per-call executor, and its own window
+of sub-tasks in flight.
 
 Facade contract: ``ShardedDB`` is duck-compatible with the ``DB``
 surface the network server (:mod:`repro.server`), the bench harness,
@@ -51,7 +49,6 @@ from ..lsm.wal import WriteBatch
 from ..obs import MetricsRegistry, Observability, merge_shard_snapshots
 from .manifest import ClusterConfigError, ClusterManifest, shard_dir_name
 from .partitioner import HashPartitioner, Partitioner
-from .pool import SharedComputePool
 
 __all__ = ["ClusterSnapshot", "ShardedDB"]
 
@@ -90,7 +87,6 @@ class ShardedDB:
         options: Optional[Options] = None,
         compaction_spec: Optional[ProcedureSpec] = None,
         background: bool = False,
-        pool_workers: Optional[int] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         """Open (or create) a cluster over ``shard_storages``.
@@ -101,13 +97,9 @@ class ShardedDB:
         reopen the persisted layout wins and any conflicting caller
         arguments raise :class:`ClusterConfigError`.
 
-        ``pool_workers`` caps the shared compaction compute pool; the
-        default is the spec's own ``compute_workers`` (C-PPCP's k), so
-        a cluster runs *k total* compute workers where N independent
-        DBs would run N × k.  ``obs`` is the cluster-level bundle: the
-        pool records ``cluster.pool.*`` into its registry and every
-        shard shares its tracer (one timeline), while each shard keeps
-        a private metrics registry surfaced shard-dimensioned through
+        ``obs`` is the cluster-level bundle: every shard shares its
+        tracer (one timeline), while each shard keeps a private metrics
+        registry surfaced shard-dimensioned through
         :meth:`metrics_snapshot`.
         """
         if len(shard_storages) < 1:
@@ -143,16 +135,6 @@ class ShardedDB:
 
         self.options = options or Options()
         self.compaction_spec = compaction_spec or ProcedureSpec.scp()
-        self.pool: Optional[SharedComputePool] = None
-        if (
-            self.compaction_spec.is_pipelined
-            and self.compaction_spec.backend == "thread"
-        ):
-            self.pool = SharedComputePool(
-                pool_workers or self.compaction_spec.compute_workers,
-                metrics=self.obs.metrics,
-            )
-
         self._background = background
         self._closed = False
         self.shards: list[DB] = []
@@ -168,14 +150,11 @@ class ShardedDB:
                             metrics=MetricsRegistry(),
                             tracer=self.obs.tracer,
                         ),
-                        compute_pool=self.pool,
                     )
                 )
         except BaseException:
             for shard in self.shards:
                 shard.close()
-            if self.pool is not None:
-                self.pool.shutdown(wait=False)
             raise
 
     # ----------------------------------------------------- constructors
@@ -193,9 +172,8 @@ class ShardedDB:
         :class:`repro.replication.RemoteShard` connections to other
         processes, :class:`repro.replication.ReplicatedShard` replica
         sets — and only routes between them.  No CLUSTER manifest is
-        written (the caller owns topology persistence), no shared
-        compute pool is created (remote shards compact in their own
-        process), and ``close()`` closes the supplied shards.
+        written (the caller owns topology persistence), and ``close()``
+        closes the supplied shards.
 
         Shards without ``snapshot`` support (the remote ones) make
         :meth:`snapshot` raise ``NotImplementedError``; scans merge
@@ -215,7 +193,6 @@ class ShardedDB:
         self.manifest = None
         self.options = Options()
         self.compaction_spec = None
-        self.pool = None
         self._background = False
         self._closed = False
         self.shards = list(shards)
@@ -463,8 +440,8 @@ class ShardedDB:
         Each shard's ``metrics_snapshot()`` (a remote shard's is its
         server's engine section) appears as ``cluster.shard<N>.<name>``,
         counters/gauges additionally roll up under their bare names,
-        and the cluster's own registry (``cluster.pool.*``) rides
-        along unprefixed.  See :func:`repro.obs.merge_shard_snapshots`.
+        and the cluster's own registry (``obs.metrics``) rides along
+        unprefixed.  See :func:`repro.obs.merge_shard_snapshots`.
         """
         return merge_shard_snapshots(
             self.obs.metrics.snapshot(),
@@ -496,7 +473,7 @@ class ShardedDB:
 
     # --------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Close every shard, then the shared pool (idempotent).
+        """Close every shard (idempotent).
 
         Best-effort: every shard gets a close attempt even if an
         earlier one fails; the first failure re-raises afterwards.
@@ -511,8 +488,6 @@ class ShardedDB:
             except BaseException as exc:  # repro: noqa[RA105]
                 if first_error is None:
                     first_error = exc
-        if self.pool is not None:
-            self.pool.shutdown()
         if first_error is not None:
             raise first_error
 

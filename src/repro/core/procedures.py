@@ -151,7 +151,6 @@ def compact_tables(
     upper: Optional[bytes] = None,
     smallest_snapshot: Optional[int] = None,
     tracer: Tracer = NULL_TRACER,
-    compute_pool=None,
 ) -> tuple[list[FileMetaData], ExecutionStats, list[SubTask]]:
     """Functionally compact ``tables`` (newest-first) into new SSTables.
 
@@ -165,10 +164,6 @@ def compact_tables(
       for this call.  S-PPCP is storage parallelism; functionally (one
       host, one address space) it executes like PCP — the device
       fan-out matters only for timing, which the sim backend models;
-    * ``compute_pool`` given (pipelined thread-backend specs) — that
-      pool, shared and externally owned (e.g.
-      :class:`repro.cluster.SharedComputePool`): how a sharded store
-      bounds aggregate compaction compute across N shards;
     * ``backend="process"`` — worker processes that live for this call.
 
     A pipelined spec keeps ``compute_workers + queue_capacity``
@@ -205,8 +200,6 @@ def compact_tables(
 
             executor = owned.enter_context(ProcessPoolExecutor(workers))
             remote = True
-        elif compute_pool is not None:
-            executor = compute_pool
         else:
             executor = owned.enter_context(
                 ThreadPoolExecutor(workers, thread_name_prefix="pcp-compute")

@@ -115,7 +115,6 @@ class DB:
         background: bool = False,
         observer=None,
         obs: Optional[Observability] = None,
-        compute_pool=None,
     ) -> None:
         """``observer`` (optional) receives engine events for accounting:
         ``on_write(batch, wal_bytes)``, ``on_flush(meta)``,
@@ -127,13 +126,7 @@ class DB:
         bundle this DB records into; by default metrics are collected
         and tracing is off.  Pass a bundle with an enabled tracer to
         capture an S1–S7 span timeline of every compaction
-        (``dbtool trace`` does).
-
-        ``compute_pool`` (optional) runs pipelined compactions' S2–S6
-        compute stage on a shared externally owned pool instead of
-        per-compaction threads; a :class:`repro.cluster.ShardedDB`
-        passes one pool to all of its shards so aggregate compaction
-        compute stays bounded."""
+        (``dbtool trace`` does)."""
         self.obs = obs or Observability()
         # All engine I/O (WAL, SSTables, MANIFEST) flows through the
         # metered wrapper so per-device byte/op counters come for free.
@@ -151,7 +144,6 @@ class DB:
         self.options = options or Options()
         self.options.validate()
         self.compaction_spec = compaction_spec or ProcedureSpec.scp()
-        self.compute_pool = compute_pool
         self.observer = observer
         self._m_writes = self.obs.metrics.counter("db.writes")
         self._m_gets = self.obs.metrics.counter("db.gets")
@@ -846,7 +838,6 @@ class DB:
                             drop_deletes=drop_deletes,
                             smallest_snapshot=smallest_snapshot,
                             tracer=self.obs.tracer,
-                            compute_pool=self.compute_pool,
                         )
                     elapsed = time.perf_counter() - t0
                 break
@@ -1196,6 +1187,10 @@ class DB:
     def num_files(self, level: int) -> int:
         with self._lock:
             return self.version.num_files(level)
+
+    def num_runs(self, level: int) -> int:
+        with self._lock:
+            return self.version.num_runs(level)
 
     def level_bytes(self, level: int) -> int:
         with self._lock:

@@ -28,7 +28,7 @@ Design notes
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..analysis.locksan import make_lock
 from ..analysis.racesan import shared_state
@@ -312,12 +312,6 @@ class MetricsRegistry:
         with self._lock:
             return self._metrics.get(name)
 
-    def items_with_prefix(self, prefix: str) -> Iterator[tuple[str, object]]:
-        """(name, metric) pairs under a dotted prefix, sorted by name."""
-        for name in self.names():
-            if name.startswith(prefix):
-                yield name, self._metrics[name]
-
     def snapshot(self) -> dict:
         """JSON-serialisable dict: counters, gauges, histograms."""
         with self._lock:
@@ -419,9 +413,8 @@ def merge_shard_snapshots(
     roll up as sums under their bare name.  Histograms roll up via
     :func:`merge_histogram_snapshots` — bucket counts add and
     percentiles are re-estimated from the merged buckets (never
-    averaged).  ``cluster_snapshot`` (the cluster's own registry, e.g.
-    ``cluster.pool.*``) rides along unprefixed and wins any name
-    collision with a rollup.
+    averaged).  ``cluster_snapshot`` (the cluster's own registry) rides
+    along unprefixed and wins any name collision with a rollup.
     """
     out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
     histogram_groups: dict[str, list[dict]] = {}

@@ -360,13 +360,12 @@ def _cluster_n_shards(directory: str, shards_arg: int | None) -> int | None:
     return None
 
 
-def _runs(db: DB) -> str:
-    """``L<n>=<sorted runs>`` for each non-empty level; caller holds the lock."""
-    return " ".join(
-        f"L{lv}={db.version.num_runs(lv)}"
-        for lv in range(db.options.num_levels)
-        if db.version.files[lv]
-    )
+def _shape(db: DB) -> tuple[str, str]:
+    """``L<n>=<sorted runs>`` for each non-empty level, and the tree
+    text (``DB.describe()`` without its ``policy=`` line)."""
+    levels = [lv for lv in range(db.options.num_levels) if db.num_files(lv)]
+    runs = " ".join(f"L{lv}={db.num_runs(lv)}" for lv in levels)
+    return runs, db.describe().partition("\n")[2]
 
 
 def cmd_stats(args) -> int:
@@ -391,9 +390,8 @@ def cmd_stats(args) -> int:
                 )
         print("policy:", db.policy.spec())
         if n_shards is None:
-            with db._lock:
-                print(db.version.describe())
-                runs = _runs(db)
+            runs, tree = _shape(db)
+            print(tree)
         total = db.total_bytes()
         print(f"total table bytes: {total} ({total / 1e6:.2f} MB)")
         levels = [
@@ -509,8 +507,7 @@ def cmd_compact(args) -> int:
         n = db.compact_range()
         print(f"ran {n} compactions")
         print(f"policy: {db.policy.spec()}")
-        with db._lock:
-            runs, sstables = _runs(db), db.version.describe()
+        runs, sstables = _shape(db)
         if db.compaction_log:
             print(f"policy={db.policy.spec()} runs[{runs or 'empty'}]")
             for r in db.compaction_log:

@@ -15,11 +15,13 @@ from repro.analysis.locksan import (
     make_rlock,
     sanitizer_enabled,
 )
+from repro.analysis.racesan import RACE_SANITIZER_ENV
 
 
 class TestFactories:
     def test_disabled_by_default_returns_raw_primitives(self, monkeypatch):
         monkeypatch.delenv(LOCK_SANITIZER_ENV, raising=False)
+        monkeypatch.delenv(RACE_SANITIZER_ENV, raising=False)
         assert not sanitizer_enabled()
         assert isinstance(make_lock("x"), type(threading.Lock()))
         assert isinstance(make_rlock("x"), type(threading.RLock()))
@@ -255,21 +257,25 @@ class TestSeededSubsystemInversions:
         assert "first established here" in message
         assert "emit" in message  # witness walks the real emit() path
 
-    def test_compute_pool_gauge_inversion(self, sanitized):
-        from repro.cluster.pool import SharedComputePool
+    def test_db_mutex_gauge_inversion(self, sanitized):
+        from repro.db.db import DB
+        from repro.devices.vfs import MemStorage
+        from repro.lsm.options import Options
 
-        with SharedComputePool(1) as pool:
-            # A real task: the worker updates its gauges under the
-            # pool lock, establishing cluster.pool -> obs.gauge.
-            pool.submit(lambda: None).result(timeout=5)
-            assert ("cluster.pool", "obs.gauge") in sanitized.edges()
-            gauge = pool.metrics.gauge("cluster.pool.active")
+        with DB(MemStorage(), Options()) as db:
+            # A real flush: _apply_edit sets the tree-shape gauges under
+            # the DB mutex, establishing db.mutex -> obs.gauge.
+            db.put(b"key", b"value")
+            db.flush()
+            assert ("db.mutex", "obs.gauge") in sanitized.edges()
+            gauge = db.obs.metrics.gauge("db.l0_files")
             with pytest.raises(LockOrderViolation) as excinfo:
                 with gauge._lock:
-                    with pool._lock:
+                    with db._lock:
                         pass
         message = str(excinfo.value)
-        assert "cluster.pool" in message and "obs.gauge" in message
+        assert "db.mutex" in message and "obs.gauge" in message
+        assert "_apply_edit" in message  # the establishing stack
         assert len(sanitized.violations) == 1
 
     def test_replication_hub_db_inversion(self, sanitized):

@@ -81,16 +81,7 @@ def stub(monkeypatch):
 
 
 def _scaling_stats(i, kwargs):
-    stats = {
-        "db": {"write_stalls": 10 + i},
-        "engine": {
-            "gauges": {
-                "cluster.pool.workers": 2,
-                "cluster.pool.max_active": 1 + i % 2,
-            },
-            "counters": {"cluster.pool.tasks": 7 * i},
-        },
-    }
+    stats = {"db": {"write_stalls": 10 + i}}
     if kwargs["shards"] > 1:
         stats["cluster"] = {
             "shards": [{"shard": s} for s in range(kwargs["shards"])]
@@ -100,14 +91,13 @@ def _scaling_stats(i, kwargs):
 
 def test_scaling_rows(stub):
     fake = stub(_scaling_stats)
-    table = netbench.run_scaling([1, 2, 4], pool_workers=2)
+    table = netbench.run_scaling([1, 2, 4])
     assert [c["shards"] for c in fake.calls] == [1, 2, 4]
     for call in fake.calls:
         assert call["options"] == netbench._stall_bound_options()
         assert call["compaction_spec"] == ProcedureSpec.cppcp(
             2, subtask_bytes=16 * 1024
         )
-        assert call["pool_workers"] == 2
         assert (call["mix"], call["n_ops"], call["record_count"]) == (
             "a", 4000, 1000,
         )
@@ -128,9 +118,6 @@ def test_scaling_rows(stub):
             "shards": n,
             **fake.figures(i),
             "write_stalls": 10 + i,
-            "pool_workers": 2,
-            "pool_max_active": 1 + i % 2,
-            "pool_tasks": 7 * i,
             "per_shard": (
                 [{"shard": s} for s in range(n)] if n > 1 else []
             ),

@@ -1,4 +1,4 @@
-"""ShardedDB facade tests: routing, persistence, pool, aggregation."""
+"""ShardedDB facade tests: routing, persistence, compaction, aggregation."""
 
 import pytest
 
@@ -174,46 +174,42 @@ class TestPersistence:
             )
 
 
-class TestSharedPool:
-    def test_pipelined_spec_creates_capped_pool(self):
-        db = ShardedDB.in_memory(
-            4,
-            options=small_options(),
-            compaction_spec=ProcedureSpec.cppcp(2, subtask_bytes=4096),
-        )
-        try:
-            assert db.pool is not None
-            assert db.pool.workers == 2
-            import random
+class TestPipelinedShards:
+    def test_cppcp_cluster_scans_like_scp(self):
+        import random
+        import threading
 
-            # Random key order: overlapping L0 runs force real merge
-            # compactions (sequential keys would all trivial-move).
-            rnd = random.Random(7)
-            for _ in range(5000):
-                db.put(b"pool%09d" % rnd.randrange(10**9),
-                       bytes(rnd.randrange(256) for _ in range(4)) * 32)
-            db.flush()
-            db.compact_all()
-            snap = db.metrics_snapshot()
-            assert snap["counters"].get("cluster.pool.tasks", 0) > 0
-            assert snap["gauges"]["cluster.pool.max_active"] <= 2
-        finally:
-            db.close()
-
-    def test_pool_workers_override(self):
-        db = ShardedDB.in_memory(
-            2,
-            options=small_options(),
-            compaction_spec=ProcedureSpec.cppcp(4),
-            pool_workers=1,
-        )
-        try:
-            assert db.pool.workers == 1
-        finally:
-            db.close()
-
-    def test_scp_spec_has_no_pool(self, cluster):
-        assert cluster.pool is None
+        # Random key order: overlapping L0 runs force real merge
+        # compactions (sequential keys would all trivial-move).
+        rnd = random.Random(7)
+        puts = [
+            (b"pipe%09d" % rnd.randrange(10**9),
+             bytes(rnd.randrange(256) for _ in range(4)) * 32)
+            for _ in range(5000)
+        ]
+        results = []
+        for spec in (ProcedureSpec.cppcp(2, subtask_bytes=4096),
+                     ProcedureSpec.scp()):
+            db = ShardedDB.in_memory(
+                4, options=small_options(), compaction_spec=spec
+            )
+            try:
+                for key, value in puts:
+                    db.put(key, value)
+                db.flush()
+                db.compact_all()
+                counters = db.metrics_snapshot()["counters"]
+                assert counters.get("compaction.count", 0) > 0
+                results.append((list(db.scan()), list(db.scan_reverse())))
+            finally:
+                db.close()
+        assert results[0] == results[1]
+        assert results[0][0] == sorted(dict(puts).items())
+        assert results[0][1] == results[0][0][::-1]
+        assert not [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("pcp-compute")
+        ]
 
 
 class TestAggregation:

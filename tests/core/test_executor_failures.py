@@ -15,7 +15,6 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 
-from repro.cluster import SharedComputePool
 from repro.core.procedures import ProcedureSpec, compact_tables
 from repro.core.subtask import partition_subtasks
 from repro.devices import MemStorage
@@ -38,14 +37,11 @@ OPTIONS = Options(
     paranoid_checks=False,  # opening a table must not trip over the flipped byte
 )
 
-# name -> (spec, shared pool workers or None)
 EXECUTORS = {
-    "pcp": (ProcedureSpec.pcp(subtask_bytes=SUBTASK_BYTES), None),
-    "cppcp2": (ProcedureSpec.cppcp(2, subtask_bytes=SUBTASK_BYTES), None),
-    "cppcp2-shared": (ProcedureSpec.cppcp(2, subtask_bytes=SUBTASK_BYTES), 2),
-    "cppcp2-process": (
-        ProcedureSpec.cppcp(2, subtask_bytes=SUBTASK_BYTES, backend="process"),
-        None,
+    "pcp": ProcedureSpec.pcp(subtask_bytes=SUBTASK_BYTES),
+    "cppcp2": ProcedureSpec.cppcp(2, subtask_bytes=SUBTASK_BYTES),
+    "cppcp2-process": ProcedureSpec.cppcp(
+        2, subtask_bytes=SUBTASK_BYTES, backend="process"
     ),
 }
 
@@ -108,12 +104,11 @@ def _inject(stage, inner):
 @pytest.mark.parametrize("stage", ["s1-read", "s2-corrupt", "s7-write"])
 @pytest.mark.parametrize("executor", list(EXECUTORS))
 def test_stage_failure_returns_control(executor, stage, submitted):
-    spec, shared_workers = EXECUTORS[executor]
+    spec = EXECUTORS[executor]
     inner = MemStorage()
     _build(inner, "u.sst", range(0, 2400, 2), 9, b"new")
     _build(inner, "l.sst", range(0, 2400, 3), 1, b"old")
     storage, tables, expected, n_subtasks = _inject(stage, inner)
-    pool = SharedComputePool(shared_workers) if shared_workers else None
     numbers = itertools.count(100)
     outcome = {}
 
@@ -122,7 +117,7 @@ def test_stage_failure_returns_control(executor, stage, submitted):
             compact_tables(
                 tables, storage, OPTIONS,
                 file_namer=lambda: f"{next(numbers):06d}.sst",
-                spec=spec, compute_pool=pool,
+                spec=spec,
             )
             outcome["error"] = None
         except Exception as exc:
@@ -130,20 +125,16 @@ def test_stage_failure_returns_control(executor, stage, submitted):
             outcome["unsettled"] = sum(not f.done() for f in submitted)
 
     runner = threading.Thread(target=compact, name="test-compaction", daemon=True)
-    try:
-        runner.start()
-        runner.join(TIMEOUT_S)
-        assert not runner.is_alive(), (
-            f"compact_tables still running {TIMEOUT_S} s after a {stage} failure"
-        )
-        assert isinstance(outcome["error"], expected), outcome["error"]
-        # Mid-run: some sub-tasks were handed to the executor, not all.
-        assert 0 < len(submitted) < n_subtasks
-        assert outcome["unsettled"] == 0
-        leftover = [
-            t.name for t in threading.enumerate() if t.name.startswith("pcp-")
-        ]
-        assert leftover == []
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=not runner.is_alive())
+    runner.start()
+    runner.join(TIMEOUT_S)
+    assert not runner.is_alive(), (
+        f"compact_tables still running {TIMEOUT_S} s after a {stage} failure"
+    )
+    assert isinstance(outcome["error"], expected), outcome["error"]
+    # Mid-run: some sub-tasks were handed to the executor, not all.
+    assert 0 < len(submitted) < n_subtasks
+    assert outcome["unsettled"] == 0
+    leftover = [
+        t.name for t in threading.enumerate() if t.name.startswith("pcp-")
+    ]
+    assert leftover == []

@@ -154,23 +154,20 @@ class TestSCPFunctional:
 
 class TestProcedureEquivalence:
     @pytest.mark.parametrize(
-        "spec, shared_pool",
+        "spec",
         [
-            (ProcedureSpec.pcp(subtask_bytes=2048), False),
-            (ProcedureSpec.cppcp(k=3, subtask_bytes=2048), False),
-            (ProcedureSpec.sppcp(k=2, subtask_bytes=2048), False),
-            (ProcedureSpec.pcp(subtask_bytes=2048, queue_capacity=1), False),
-            (ProcedureSpec.cppcp(k=2, subtask_bytes=2048), False),
-            (ProcedureSpec.cppcp(k=4, subtask_bytes=2048), False),
-            (ProcedureSpec.pcp(subtask_bytes=2048), True),
-            (ProcedureSpec.cppcp(k=2, subtask_bytes=2048, backend="process"), False),
+            ProcedureSpec.pcp(subtask_bytes=2048),
+            ProcedureSpec.cppcp(k=3, subtask_bytes=2048),
+            ProcedureSpec.sppcp(k=2, subtask_bytes=2048),
+            ProcedureSpec.pcp(subtask_bytes=2048, queue_capacity=1),
+            ProcedureSpec.cppcp(k=2, subtask_bytes=2048),
+            ProcedureSpec.cppcp(k=4, subtask_bytes=2048),
+            ProcedureSpec.cppcp(k=2, subtask_bytes=2048, backend="process"),
         ],
         ids=["pcp", "cppcp3", "sppcp2", "pcp-q1", "cppcp2", "cppcp4",
-             "pcp-shared", "cppcp2-process"],
+             "cppcp2-process"],
     )
-    def test_pipelined_output_identical_to_scp(self, setup, spec, shared_pool):
-        from repro.cluster import SharedComputePool
-
+    def test_pipelined_output_identical_to_scp(self, setup, spec):
         storage, options, upper, lower, *_ = setup
         c1 = itertools.count(100)
         scp_out, scp_stats, _ = compact_tables(
@@ -179,16 +176,11 @@ class TestProcedureEquivalence:
             spec=ProcedureSpec.scp(subtask_bytes=2048),
         )
         c2 = itertools.count(100)
-        pool = SharedComputePool(2) if shared_pool else None
-        try:
-            pipe_out, pipe_stats, _ = compact_tables(
-                [upper, lower], storage, options,
-                file_namer=lambda: f"pipe-{next(c2):06d}.sst",
-                spec=spec, compute_pool=pool,
-            )
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        pipe_out, pipe_stats, _ = compact_tables(
+            [upper, lower], storage, options,
+            file_namer=lambda: f"pipe-{next(c2):06d}.sst",
+            spec=spec,
+        )
         scp_bytes = [storage.open(m.name).read_all() for m in scp_out]
         pipe_bytes = [storage.open(m.name).read_all() for m in pipe_out]
         assert scp_bytes == pipe_bytes  # bit-identical outputs

@@ -94,14 +94,6 @@ class TestMetricsRegistry:
         assert snap["gauges"] == {"g": 1.5}
         assert snap["histograms"]["h"]["count"] == 1
 
-    def test_items_with_prefix(self):
-        registry = MetricsRegistry()
-        registry.counter("io.mem.read.ops").inc()
-        registry.counter("io.mem.write.ops").inc()
-        registry.counter("wal.records").inc()
-        names = [name for name, _ in registry.items_with_prefix("io.")]
-        assert names == ["io.mem.read.ops", "io.mem.write.ops"]
-
     def test_render_mentions_every_metric(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
@@ -218,12 +210,12 @@ class TestMergeShardSnapshotsHistograms:
         shard0.histogram("db.flush_seconds").record(0.01)
         shard1.histogram("db.flush_seconds").record(0.04)
         cluster = MetricsRegistry()
-        cluster.counter("cluster.pool.jobs").inc(3)
+        cluster.counter("cluster.jobs").inc(3)
         merged = merge_shard_snapshots(
             cluster.snapshot(), [shard0.snapshot(), shard1.snapshot()]
         )
         # The cluster's own registry rides along unprefixed.
-        assert merged["counters"]["cluster.pool.jobs"] == 3
+        assert merged["counters"]["cluster.jobs"] == 3
         # Per-shard series keep their prefix...
         assert (
             merged["histograms"]["cluster.shard0.db.flush_seconds"]["count"]
