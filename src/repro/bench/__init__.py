@@ -2,7 +2,7 @@
 
 from .gantt import render_gantt
 from .observer import VirtualClock
-from .profiling import breakdown3, profile_steps_model, profile_steps_real
+from .profiling import breakdown3, profile_steps_model
 from .report import format_fractions, format_table, render_series
 from .runner import SystemRunResult, run_insert_workload, scaled_options
 
@@ -15,7 +15,6 @@ __all__ = [
     "format_fractions",
     "format_table",
     "profile_steps_model",
-    "profile_steps_real",
     "render_gantt",
     "render_series",
     "run_insert_workload",

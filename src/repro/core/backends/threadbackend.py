@@ -5,9 +5,10 @@ S7 (write) itself and hands each sub-task's S2–S6 to an *executor* —
 anything with ``submit(fn, *args) -> Future`` — keeping a bounded
 window of sub-tasks in flight.  The procedures differ only in who
 computes: the caller in place (SCP), ``k`` threads owned by the call
-(PCP, S-PPCP, C-PPCP), a pool shared by every shard's compactions, or
-worker processes.  Sub-tasks are independent, so every choice writes
-the same bytes.
+(PCP, S-PPCP, C-PPCP), or worker processes owned by the call.  A
+sharded store's shards each compact this way, on their own per-call
+executors.  Sub-tasks are independent, so every choice writes the same
+bytes.
 
 Write ordering needs no bookkeeping: futures are consumed in the order
 they were submitted, and submission order is key order.

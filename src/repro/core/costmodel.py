@@ -15,22 +15,32 @@ breakdown shapes hold against the device presets:
 * S5 compress is the costliest pure-CPU per-byte step, S3 decompress
   the cheapest, CRC steps < 5 % of the sub-task each.
 
-:func:`CostModel.calibrate` rebuilds the constants by timing the real
-codecs in this repository on synthetic key-value blocks, tying the
-model to the functional implementation.
+:func:`profile_steps_real` traces the engine compacting two tables
+and sums its own S1..S7 spans; :func:`CostModel.calibrate` fits the
+constants to that one profile, tying the model to the code that runs.
 """
 
 from __future__ import annotations
 
-import time
+import gc
+import itertools
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from ..codec.checksum import get_checksummer
-from ..codec.compress import lz77_compress, lz77_decompress
 from ..devices.base import AccessKind, Device
+from ..devices.vfs import MemStorage
+from ..lsm.ikey import KIND_VALUE, encode_internal_key
 from ..lsm.options import Options
+from ..lsm.table_builder import TableBuilder
+from ..lsm.table_reader import Table
+from ..lsm.version import FileMetaData
+from ..obs.tracer import Tracer
 
-__all__ = ["StepTimes", "StageTimes", "CostModel", "DEFAULT_KV_BYTES"]
+if TYPE_CHECKING:  # ``backends`` imports this module
+    from .backends.threadbackend import ExecutionStats
+
+__all__ = ["StepTimes", "StageTimes", "CostModel", "DEFAULT_KV_BYTES",
+           "RealStepProfile", "profile_steps_real"]
 
 MB = float(1 << 20)
 
@@ -175,55 +185,112 @@ class CostModel:
         cls,
         sample_bytes: int = 1 << 18,
         kv_bytes: int = DEFAULT_KV_BYTES,
-        compression_ratio: float = 1.0,
     ) -> "CostModel":
-        """Measure the real codecs and return a matching model.
+        """Fit the constants to the engine's own traced compaction.
 
-        Times the checksum the engine writes (``Options().checksum``,
-        zlib's CRC-32), :func:`lz77_compress`/:func:`lz77_decompress`,
-        and a heap merge of encoded entries on this machine, producing
-        a CostModel whose constants reflect the actual implementation
-        instead of the paper-calibrated defaults.
+        Runs :func:`profile_steps_real` once (``sample_bytes`` of
+        key-value pairs per input table) and divides its S2, S3 and S5
+        seconds by the input bytes and its S4 seconds by the entries —
+        the units :meth:`compute_times` charges — so the fitted model
+        reproduces the profiled S2–S5 times.  S6 is charged at S2's
+        rate.
         """
-        sample = _kv_sample(sample_bytes, kv_bytes)
-        checksum = get_checksummer(Options().checksum).checksum
-
-        t0 = time.perf_counter()
-        checksum(sample)
-        t_crc = (time.perf_counter() - t0) / len(sample)
-
-        t0 = time.perf_counter()
-        compressed = lz77_compress(sample)
-        t_comp = (time.perf_counter() - t0) / len(sample)
-
-        t0 = time.perf_counter()
-        lz77_decompress(compressed)
-        t_dec = (time.perf_counter() - t0) / len(sample)
-
-        entries = max(1, sample_bytes // kv_bytes)
-        items = [(b"%012d" % i, b"v") for i in range(entries)]
-        import heapq
-
-        t0 = time.perf_counter()
-        list(heapq.merge(items[::2], items[1::2]))
-        t_merge = (time.perf_counter() - t0) / entries
-
+        profile = profile_steps_real(sample_bytes, kv_bytes)
+        times, nbytes = profile.times, profile.input_bytes
         return cls(
-            checksum_s_per_byte=t_crc,
-            decompress_s_per_byte=t_dec,
-            merge_s_per_entry=t_merge,
-            compress_s_per_byte=t_comp,
-            compression_ratio=compression_ratio,
+            checksum_s_per_byte=times.checksum / nbytes,
+            decompress_s_per_byte=times.decompress / nbytes,
+            merge_s_per_entry=times.merge / profile.entries,
+            compress_s_per_byte=times.compress / nbytes,
         )
 
 
-def _kv_sample(nbytes: int, kv_bytes: int) -> bytes:
-    """Synthetic key-value payload with realistic compressibility."""
-    out = bytearray()
-    i = 0
-    value_bytes = max(1, kv_bytes - 16)
-    while len(out) < nbytes:
-        out += b"user%012d" % i
-        out += (b"field-%04d-" % (i % 997)) * (value_bytes // 11 + 1)
-        i += 1
-    return bytes(out[:nbytes])
+@dataclass
+class RealStepProfile:
+    """The engine's S1..S7 seconds over one traced compaction.
+
+    ``times`` averages the repeats; ``stats`` is the last repeat's run
+    and ``outputs`` its output tables, in ``storage``.
+    """
+
+    times: StepTimes
+    input_bytes: int
+    entries: int
+    storage: MemStorage
+    outputs: list[FileMetaData]
+    stats: ExecutionStats
+
+
+#: The step each span of a traced compaction belongs to.
+_STEP_OF_SPAN = {
+    "S1:read": "read",
+    "S2:checksum": "checksum",
+    "S3:decompress": "decompress",
+    "S4:merge": "merge",
+    "S5:compress": "compress",
+    "S6:rechecksum": "rechecksum",
+    "S7:write": "write",
+    "S7:sync": "write",
+}
+
+
+def profile_steps_real(
+    subtask_bytes: int = 256 * 1024,
+    kv_bytes: int = DEFAULT_KV_BYTES,
+    compression: str = "lz77",
+    repeats: int = 1,
+) -> RealStepProfile:
+    """Trace the engine compacting two interleaved tables under SCP.
+
+    The upper table holds the even keys and the lower the odd ones, so
+    no input block can be spliced and S4 is a full merge.  Each step's
+    time is the sum of the spans :func:`compact_tables` recorded for it.
+    S1/S7 run against in-memory storage, so their absolute times are
+    meaningless (DRAM speed); the CPU steps S2-S6 are the interesting
+    part and the reason the paper's SSD profile is compute-bound.
+    """
+    # Imported here: ``procedures`` imports this module, and a process
+    # that never profiles need not load the workload generators.
+    from ..workload.generators import ValueGenerator
+    from .procedures import ProcedureSpec, compact_tables
+
+    options = Options(compression=compression, block_bytes=4096)
+    storage = MemStorage()
+    values = ValueGenerator(max(1, kv_bytes - 16))
+    n_keys = 2 * max(16, subtask_bytes // kv_bytes)
+
+    def build(name, start, seq):
+        with storage.create(name) as f:
+            builder = TableBuilder(f, options)
+            for i in range(start, n_keys, 2):
+                key = encode_internal_key(b"%016d" % i, seq, KIND_VALUE)
+                builder.add(key, values.value_for(i))
+            builder.finish()
+        return Table(storage.open(name), options)
+
+    tables = [build("u.sst", 0, seq=9), build("l.sst", 1, seq=1)]
+    numbers = itertools.count(1)
+    tracer = Tracer()
+    repeats = max(1, repeats)
+    # As timeit does: no collector pause inside a traced step.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            outputs, stats, _ = compact_tables(
+                tables, storage, options,
+                lambda: f"out-{next(numbers):06d}.sst",
+                ProcedureSpec.scp(subtask_bytes), tracer=tracer,
+            )
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    seconds = dict.fromkeys(_STEP_OF_SPAN.values(), 0.0)
+    for span in tracer.spans():
+        if span.name in _STEP_OF_SPAN:
+            seconds[_STEP_OF_SPAN[span.name]] += span.duration / repeats
+    return RealStepProfile(
+        times=StepTimes(**seconds), input_bytes=stats.input_bytes,
+        entries=stats.entries_out, storage=storage, outputs=outputs,
+        stats=stats,
+    )

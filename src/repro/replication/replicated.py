@@ -120,11 +120,15 @@ class ReplicatedShard:
             except OSError:
                 pass
 
-    def _refresh_roles(self) -> None:
+    def _refresh_roles(self) -> list[Optional[dict]]:
         """Probe every endpoint; elect the primary with the highest
-        fencing epoch (a promoted follower outranks its old primary)."""
+        fencing epoch (a promoted follower outranks its old primary).
+
+        Returns each endpoint's ``repl`` stats, ``None`` where it was
+        unreachable."""
         with self._lock:
             best: Optional[tuple[int, tuple[str, int]]] = None
+            probes: list[Optional[dict]] = []
             for endpoint in self.endpoints:
                 try:
                     repl = self._connect(endpoint).remote_stats().get(
@@ -132,12 +136,15 @@ class ReplicatedShard:
                     )
                 except _RETRYABLE:
                     self._drop(endpoint)
+                    probes.append(None)
                     continue
+                probes.append(repl)
                 if repl.get("role", "primary") == "primary":
                     epoch = int(repl.get("epoch", 0))
                     if best is None or epoch > best[0]:
                         best = (epoch, endpoint)
             self._primary = best[1] if best else None
+            return probes
 
     def _primary_conn(self) -> RemoteShard:
         with self._lock:
@@ -282,27 +289,21 @@ class ReplicatedShard:
         return f"(replicated shard primary={primary} of {self.endpoints})"
 
     def status(self) -> dict:
-        """Role map as last discovered (refreshes first)."""
-        self._refresh_roles()
-        out: dict = {"endpoints": [], "primary": None}
+        """Role map from one probe of every endpoint."""
+        probes = self._refresh_roles()
         with self._lock:
             primary = self._primary
-        for endpoint in self.endpoints:
-            try:
-                with self._lock:
-                    conn = self._connect(endpoint)
-                repl = conn.remote_stats().get("repl", {})
-                repl["endpoint"] = f"{endpoint[0]}:{endpoint[1]}"
-                repl["reachable"] = True
-            except _RETRYABLE:
-                repl = {
-                    "endpoint": f"{endpoint[0]}:{endpoint[1]}",
-                    "reachable": False,
-                }
-            out["endpoints"].append(repl)
-        if primary is not None:
-            out["primary"] = f"{primary[0]}:{primary[1]}"
-        return out
+        endpoints = []
+        for (host, port), repl in zip(self.endpoints, probes):
+            name = f"{host}:{port}"
+            if repl is None:
+                endpoints.append({"endpoint": name, "reachable": False})
+            else:
+                endpoints.append(dict(repl, endpoint=name, reachable=True))
+        return {
+            "endpoints": endpoints,
+            "primary": None if primary is None else f"{primary[0]}:{primary[1]}",
+        }
 
     def retries(self) -> int:
         """Total wire-level retries across all live connections."""

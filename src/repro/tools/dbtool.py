@@ -971,8 +971,8 @@ def cmd_trace(args) -> int:
             return 2
         from ..cluster import ShardedDB
 
-        # All shards share the cluster tracer: one timeline shows the
-        # shared compute pool interleaving every shard's compactions.
+        # Each shard compacts on its own per-call executor; all shards
+        # share the cluster tracer, so one timeline shows them all.
         db = ShardedDB.in_memory(
             args.shards, options=options, compaction_spec=spec, obs=obs
         )

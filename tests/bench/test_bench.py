@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.observer import VirtualClock
-from repro.bench.profiling import breakdown3, profile_steps_model, profile_steps_real
+from repro.bench.profiling import breakdown3, profile_steps_model
 from repro.bench.report import format_fractions, format_table, render_series
 from repro.bench.runner import (
     SCALE,
@@ -11,7 +11,7 @@ from repro.bench.runner import (
     scaled_device,
     scaled_options,
 )
-from repro.core import CostModel, ProcedureSpec
+from repro.core import CostModel, ProcedureSpec, profile_steps_real
 from repro.devices import make_device
 
 MB = 1 << 20
@@ -70,6 +70,13 @@ class TestProfiling:
         lz = profile_steps_real(subtask_bytes=32 * 1024, compression="lz77")
         null = profile_steps_real(subtask_bytes=32 * 1024, compression="null")
         assert null.times.compress < lz.times.compress
+
+    def test_real_profile_splices_nothing(self):
+        """Every input block is merged and rebuilt, so the profiled S4
+        is the cost of a full merge, not of a splice."""
+        stats = profile_steps_real(subtask_bytes=32 * 1024).stats
+        assert stats.passthrough_blocks == stats.reused_blocks == 0
+        assert stats.n_subtasks >= 1
 
 
 class TestVirtualClock:

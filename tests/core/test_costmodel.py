@@ -149,3 +149,30 @@ class TestCalibration:
         than lz77 decompression; a pure-Python CRC stand-in is not."""
         cm = CostModel.calibrate(sample_bytes=1 << 15)
         assert cm.checksum_s_per_byte < cm.decompress_s_per_byte / 10
+
+    def test_calibrate_fits_the_engine_profile(self, monkeypatch):
+        """calibrate() is a fit over the engine's traced profile: the
+        model it returns charges that profile's S2-S5 seconds back."""
+        from repro.core import costmodel
+
+        profile = costmodel.RealStepProfile(
+            times=StepTimes(read=0.001, checksum=0.002, decompress=0.005,
+                            merge=0.011, compress=0.017, rechecksum=0.003,
+                            write=0.004),
+            input_bytes=123_457, entries=1_021, storage=None, outputs=[],
+            stats=None,
+        )
+        calls = []
+
+        def fake_profile(*args, **kwargs):
+            calls.append((args, kwargs))
+            return profile
+
+        monkeypatch.setattr(costmodel, "profile_steps_real", fake_profile)
+        cm = CostModel.calibrate()
+        assert len(calls) == 1
+        times = cm.compute_times(profile.input_bytes, profile.entries)
+        for step in ("checksum", "decompress", "merge", "compress"):
+            assert getattr(times, step) == pytest.approx(
+                getattr(profile.times, step), rel=1e-9
+            ), step

@@ -113,6 +113,23 @@ def test_remote_shard_signature_compatible_with_db():
         assert not missing, f"{name} lacks params {missing}"
 
 
+def test_replicated_status_probes_each_endpoint_once(served_db):
+    """One ``status()`` sends one STATS per endpoint: the role map and
+    the table come from the same probe."""
+    shard = ReplicatedShard([(served_db.host, served_db.port)], ack_level=0)
+    stats = served_db.metrics.counter("server.op.STATS.requests")
+    try:
+        before = stats.value
+        status = shard.status()
+        assert stats.value - before == 1
+        assert status["primary"] == f"{served_db.host}:{served_db.port}"
+        [row] = status["endpoints"]
+        assert row["reachable"] is True
+        assert row["endpoint"] == status["primary"]
+    finally:
+        shard.close()
+
+
 def test_network_shards_refuse_a_non_waiting_get_at_once(served_db):
     """A shard that answers over the network cannot answer without
     waiting, and must say so before touching the socket."""
