@@ -21,7 +21,8 @@ from repro.lsm import (
     MemTable,
     Options,
     bloom_hash,
-    bloom_hashes,
+    piece_hash,
+    piece_hashes,
     encode_internal_key,
     internal_compare,
     merge_iterators,
@@ -236,24 +237,25 @@ def test_bench_bloom_hash_16B_key(benchmark):
     benchmark(lambda: [bloom_hash(k) for k in keys])
 
 
-# The per-key work every compaction and flush pays whatever the key
-# shape, each kernel beside the plain loop it replaced (report only;
-# divide by the row's key or entry count for per-key figures).  One data
-# block's user keys: 36 of them with 100 B values, 5 with 1 KB values.
-def test_bench_bloom_hash_block_scalar(benchmark, block_entries):
+# The per-key work every rebuilt block and every flushed block pays
+# whatever the key shape, each kernel beside the plain loop it replaced
+# (report only; divide by the row's key or entry count for per-key
+# figures).  One data block's user keys: 36 of them with 100 B values,
+# 5 with 1 KB values.
+def test_bench_bloom_piece_hash_block_scalar(benchmark, block_entries):
     users = [ikey[:-8] for ikey, _ in block_entries]
-    benchmark(lambda: [bloom_hash(k) for k in users])
+    benchmark(lambda: [piece_hash(k) for k in users])
 
 
-def test_bench_bloom_hashes_block(benchmark, block_entries):
+def test_bench_bloom_piece_hashes_block(benchmark, block_entries):
     users = [ikey[:-8] for ikey, _ in block_entries]
-    assert benchmark(bloom_hashes, users) == [bloom_hash(k) for k in users]
+    assert benchmark(piece_hashes, users) == [piece_hash(k) for k in users]
 
 
-# One output table's filter: 640 keys at 10 bits per key.
+# 640 keys' filter at 10 bits per key: a table-wide filter's size.
 @pytest.fixture(scope="module")
 def table_hashes():
-    return bloom_hashes([format_key(i) for i in range(640)])
+    return piece_hashes([format_key(i) for i in range(640)])
 
 
 def test_bench_bloom_filter_640_reference(benchmark, table_hashes):

@@ -95,11 +95,13 @@ class InlineExecutor:
 
 
 def run_subtask_read(subtask: SubTask, tracer: Tracer = NULL_TRACER) -> list[StoredBlock]:
-    """S1 for one sub-task: fetch every input block."""
+    """S1 for one sub-task: fetch every input block, with its filter
+    piece from the open input table's index."""
     files = [run.table.file for run in subtask.runs]
     handles = [run.handles for run in subtask.runs]
     with tracer.span("S1:read", cat="read", subtask=subtask.index):
-        return step_read(files, handles)
+        filters = [run.table.block_filters(run.handles) for run in subtask.runs]
+        return step_read(files, handles, filters)
 
 
 def run_subtask_compute(
@@ -114,6 +116,7 @@ def run_subtask_compute(
     restart_interval: int,
     drop_deletes: bool,
     smallest_snapshot: Optional[int],
+    bloom_bits_per_key: int = 10,
     tracer: Tracer = NULL_TRACER,
 ) -> tuple[list[EncodedBlock], float]:
     """S2–S6 for one sub-task: verify, decompress, merge, re-encode.
@@ -140,7 +143,7 @@ def run_subtask_compute(
     with tracer.span("S4:merge", cat="compute", subtask=index):
         blocks = step_splice(
             stored, raw, lower, upper, codec, block_bytes, restart_interval,
-            drop_deletes, smallest_snapshot,
+            drop_deletes, smallest_snapshot, bloom_bits_per_key,
         )
     rebuilt = [block for block in blocks if isinstance(block, MergedBlock)]
     if not rebuilt:
@@ -168,6 +171,7 @@ def execute_subtasks(
     smallest_snapshot: Optional[int] = None,
     tracer: Tracer = NULL_TRACER,
     remote: bool = False,
+    bloom_bits_per_key: int = 10,
 ) -> ExecutionStats:
     """Run a compaction: S1 and S7 here, S2–S6 on ``executor``.
 
@@ -193,7 +197,7 @@ def execute_subtasks(
         raise ValueError("window must be >= 1")
     stats = ExecutionStats()
     settings = (codec_name, checksum_name, block_bytes, restart_interval,
-                drop_deletes, smallest_snapshot)
+                drop_deletes, smallest_snapshot, bloom_bits_per_key)
     if not remote:
         settings += (tracer,)
     pending: deque = deque()  # FIFO of (subtask, future, submitted_at)

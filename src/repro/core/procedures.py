@@ -210,6 +210,7 @@ def compact_tables(
                 options.compression, options.checksum, options.block_bytes,
                 options.block_restart_interval, drop_deletes, smallest_snapshot,
                 tracer=tracer, remote=remote,
+                bloom_bits_per_key=options.bloom_bits_per_key,
             )
             # The durability barrier is the end of S7: it counts as
             # write time and as wall time.

@@ -41,7 +41,7 @@ from ..codec.checksum import Checksummer
 from ..codec.compress import Codec
 from ..devices.vfs import ReadableFile
 from ..lsm.blockfmt import Block
-from ..lsm.bloom import bloom_hashes
+from ..lsm.bloom import block_filter
 from ..lsm.ikey import (
     KIND_DELETE,
     MAX_SEQUENCE,
@@ -78,10 +78,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StoredBlock:
-    """S1 output: a block exactly as stored (payload + trailer)."""
+    """S1 output: a block exactly as stored (payload + trailer), and
+    its filter piece from the input table's index (``b""`` where the
+    table has none: the table-wide layout)."""
 
     source: int  # which input run this came from
     data: bytes
+    filter: bytes = b""
 
 
 @dataclass(frozen=True)
@@ -95,12 +98,18 @@ class RawBlock:
 def step_read(
     files: Sequence[ReadableFile],
     handles_per_source: Sequence[Sequence["object"]],
+    filters_per_source: Optional[Sequence[Sequence[bytes]]] = None,
 ) -> list[StoredBlock]:
-    """S1 READ: fetch each input block (with its trailer) from disk."""
+    """S1 READ: fetch each input block (with its trailer) from disk,
+    with its filter piece where the caller passes one."""
+    if filters_per_source is None:
+        filters_per_source = [[b""] * len(handles) for handles in handles_per_source]
     return [
-        StoredBlock(source, read_block(file, handle))
-        for source, (file, handles) in enumerate(zip(files, handles_per_source))
-        for handle in handles
+        StoredBlock(source, read_block(file, handle), piece)
+        for source, (file, handles, pieces) in enumerate(
+            zip(files, handles_per_source, filters_per_source)
+        )
+        for handle, piece in zip(handles, pieces)
     ]
 
 
@@ -127,6 +136,7 @@ def step_merge(
     drop_deletes: bool = False,
     n_sources: Optional[int] = None,
     smallest_snapshot: Optional[int] = None,
+    bloom_bits_per_key: int = 10,
 ) -> list[MergedBlock]:
     """S4 SORT: merge entries in [lower, upper) user-key range.
 
@@ -139,7 +149,8 @@ def step_merge(
       (``smallest_snapshot=None``) only the newest version survives.
     * Tombstones are dropped only when ``drop_deletes`` (no older data
       below the output level) *and* no snapshot can still see them.
-    * Output is re-blocked into ``block_bytes``-sized data blocks.
+    * Output is re-blocked into ``block_bytes``-sized data blocks, each
+      with its filter piece at ``bloom_bits_per_key``.
 
     :func:`step_splice` is the compaction's S4: this merge, run only
     where it would change something.
@@ -153,7 +164,7 @@ def step_merge(
     ]
     return _merge(
         streams, lower_bound, upper_bound, block_bytes, restart_interval,
-        drop_deletes, smallest_snapshot,
+        drop_deletes, smallest_snapshot, bloom_bits_per_key,
     )
 
 
@@ -165,12 +176,13 @@ def _merge(
     restart_interval: int,
     drop_deletes: bool,
     smallest_snapshot: Optional[int],
+    bloom_bits_per_key: int,
 ) -> list[MergedBlock]:
     """:func:`step_merge` on entry streams, newest source first."""
     if smallest_snapshot is None:
         smallest_snapshot = MAX_SEQUENCE
     out: list[MergedBlock] = []
-    cutter = BlockCutter(block_bytes, restart_interval, out.append)
+    cutter = BlockCutter(block_bytes, restart_interval, out.append, bloom_bits_per_key)
     prev_user: Optional[bytes] = None
     last_seq_for_key = MAX_SEQUENCE + 1
     for ikey, value in merge_iterators(streams):
@@ -213,6 +225,7 @@ def step_splice(
     restart_interval: int = 16,
     drop_deletes: bool = False,
     smallest_snapshot: Optional[int] = None,
+    bloom_bits_per_key: int = 10,
 ) -> list[Union[EncodedBlock, MergedBlock]]:
     """S4 for one sub-task: splice the blocks a merge would reproduce.
 
@@ -246,6 +259,11 @@ def step_splice(
     (``passthrough`` where one run supplies every block, otherwise
     ``reused``: an input block's stored payload, without S4 or S5) and
     rebuilt ones as :class:`MergedBlock`, still to take S5 and S6.
+
+    A spliced block keeps its input's filter piece byte for byte, and
+    none of its keys is hashed; only a block from a table-wide-layout
+    input, which has no piece, gets one built from the keys decoded
+    here, at ``bloom_bits_per_key``.
     """
     snapshot = MAX_SEQUENCE if smallest_snapshot is None else smallest_snapshot
     tag = COMPRESSION_TAGS[codec.name]
@@ -328,7 +346,7 @@ def step_splice(
         if streams:
             out.extend(_merge(
                 streams, None, None, block_bytes, restart_interval,
-                drop_deletes, smallest_snapshot,
+                drop_deletes, smallest_snapshot, bloom_bits_per_key,
             ))
 
     after: Optional[bytes] = None
@@ -341,7 +359,7 @@ def step_splice(
                 first_key=block[0][0],
                 last_key=block[-1][0],
                 num_entries=len(block),
-                key_hashes=tuple(bloom_hashes(users[i])),
+                filter=stored[i].filter or block_filter(users[i], bloom_bits_per_key),
                 uncompressed_bytes=len(raw[i].raw),
                 passthrough=single_run,
                 reused=not single_run,

@@ -1,7 +1,7 @@
 """LSM-tree engine substrate: formats, memtable, WAL, tables, levels."""
 
 from .blockfmt import Block, BlockBuilder, BlockCorruption, bytewise_compare
-from .bloom import BloomFilter, BloomFilterBuilder, bloom_hash, bloom_hashes
+from .bloom import BloomFilter, BloomFilterBuilder, bloom_hash, piece_hash, piece_hashes
 from .cache import LRUCache
 from .ikey import (
     KIND_DELETE,
@@ -62,7 +62,8 @@ __all__ = [
     "Version",
     "WriteBatch",
     "bloom_hash",
-    "bloom_hashes",
+    "piece_hash",
+    "piece_hashes",
     "bytewise_compare",
     "decode_block_contents",
     "decode_internal_key",

@@ -6,11 +6,24 @@ its FilterPolicy.  We implement the double-hashing construction LevelDB
 uses: one base hash, a derived delta, and k probes ``h + i*delta``.
 
 The filter serialises to ``bit_array || k`` (last byte is the probe
-count), so a reader needs no out-of-band parameters.
+count), so a reader needs no out-of-band parameters.  A table carries
+one such blob per data block, a *piece* over that block's user keys
+(:func:`block_filter`), so a compaction that copies a block as stored
+copies its piece with it.  A table written before that holds one
+table-wide filter instead; it is read, never written.
 
-Compaction and flush hash every key they write and build a filter per
-output table, so both run as lane kernels (:func:`bloom_hashes`,
-:meth:`BloomFilterBuilder.finish`): many keys are packed into one big
+The two differ in the base hash.  The table-wide filter hashes with
+:func:`bloom_hash`, LevelDB's.  Keys that differ only in their last
+byte differ only in its top bits, so in a piece of a few hundred bits
+such keys crowd onto a few positions: on 16-byte decimal keys a piece
+of 35 keys passes 12 % of absent neighbours and one of 4 keys 95 %.
+A piece hashes with :func:`piece_hash` — CRC-32, in C, through
+murmur3's 32-bit finalizer — which passes about 1 % at 10 bits per key
+on the same keys, as the theory says.
+
+The flush and a compaction build a piece for every block they cut, so
+both steps run as lane kernels (:func:`piece_hashes`,
+:meth:`BloomFilterBuilder.finish`): many values are packed into one big
 integer, one fixed-width lane each, and every arithmetic step of the
 scalar code is one big-integer operation over all lanes.  A lane is
 wide enough that no intermediate value carries into its neighbour, and
@@ -23,20 +36,34 @@ from __future__ import annotations
 
 import struct
 from array import array
+from zlib import crc32
 
-__all__ = ["bloom_hash", "bloom_hashes", "BloomFilterBuilder", "BloomFilter"]
+__all__ = [
+    "bloom_hash",
+    "piece_hash",
+    "piece_hashes",
+    "block_filter",
+    "probe",
+    "BloomFilterBuilder",
+    "BloomFilter",
+]
 
 
 _WORDS = struct.Struct("<I").iter_unpack
 _SEED = 0xBC9F1D34
 _M = 0xC6A4A793
+_FMIX1 = 0x85EBCA6B
+_FMIX2 = 0xC2B2AE35
 
-#: Below this many keys the scalar hash is as fast as the lanes.
-_MIN_LANE_KEYS = 3
+#: Below this many keys the scalar hash and filter build beat the
+#: lanes' fixed cost (a block of four 1 KB entries: a filter in 3.8 µs
+#: against 7.0 µs).
+_MIN_LANE_KEYS = 8
 
 
 def bloom_hash(key: bytes, seed: int = _SEED) -> int:
-    """Murmur-flavoured 32-bit hash (LevelDB's Hash())."""
+    """Murmur-flavoured 32-bit hash (LevelDB's Hash()): the table-wide
+    filter's."""
     m = _M
     n = len(key)
     h = (seed ^ (n * m)) & 0xFFFFFFFF
@@ -51,41 +78,35 @@ def bloom_hash(key: bytes, seed: int = _SEED) -> int:
     return h
 
 
-def bloom_hashes(keys: list[bytes]) -> list[int]:
-    """``[bloom_hash(k) for k in keys]``, computed for all keys at once.
+def piece_hash(key: bytes) -> int:
+    """A filter piece's 32-bit hash: ``zlib.crc32`` of the key, mixed by
+    murmur3's finalizer (fmix32) so every input bit reaches every
+    output bit."""
+    h = crc32(key)
+    h ^= h >> 16
+    h = (h * _FMIX1) & 0xFFFFFFFF
+    h ^= h >> 13
+    h = (h * _FMIX2) & 0xFFFFFFFF
+    return h ^ (h >> 16)
 
-    Keys of one length (every user key of a block, in the usual schema)
-    are joined into one integer, one key per lane of 16 bytes (or the
-    key length rounded up to 8): the lane's low word is the key's hash
-    state, which starts equal in every lane.  Each 32-bit word of the
-    keys is shifted down, masked and added to all states, and the
-    multiply — a 33-bit sum times the 32-bit constant stays inside a
-    128-bit lane — and the xor-shift are one operation each.  Mixed
-    lengths and lists too short to pay for the packing take the scalar
-    hash.
-    """
+
+def piece_hashes(keys: list[bytes]) -> list[int]:
+    """``[piece_hash(k) for k in keys]``, the finalizer run for all keys
+    at once: one CRC per key, each in the low word of a 64-bit lane,
+    where a 32-bit value times a 32-bit constant fits."""
     count = len(keys)
     if count < _MIN_LANE_KEYS:
-        return [bloom_hash(k) for k in keys]
-    n = len(keys[0])
-    for key in keys:
-        if len(key) != n:
-            return [bloom_hash(k) for k in keys]
-    lane = 16 if n <= 16 else (n + 7) & ~7
-    pad = bytes(lane - 4)
-    word = int.from_bytes((b"\xff\xff\xff\xff" + pad) * count, "little")
-    start = ((_SEED ^ (n * _M)) & 0xFFFFFFFF).to_bytes(4, "little")
-    h = int.from_bytes((start + pad) * count, "little")
-    x = int.from_bytes(bytes(lane - n).join(keys), "little")
-    rest = n & 3
-    for shift in range(0, 8 * (n - rest), 32):
-        h = ((h + ((x >> shift) & word)) * _M) & word
-        h ^= (h >> 16) & word
-    if rest:
-        tail = int.from_bytes((b"\xff" * rest + bytes(lane - rest)) * count, "little")
-        h = ((h + ((x >> (8 * (n - rest))) & tail)) * _M) & word
-        h ^= (h >> 24) & word
-    return memoryview(h.to_bytes(lane * count, "little")).cast("I")[:: lane // 4].tolist()
+        return [piece_hash(k) for k in keys]
+    lanes = bytearray(8 * count)
+    memoryview(lanes).cast("I")[::2] = array("I", map(crc32, keys))
+    h = int.from_bytes(lanes, "little")
+    word = int.from_bytes(b"\xff\xff\xff\xff\x00\x00\x00\x00" * count, "little")
+    h ^= (h >> 16) & word
+    h = (h * _FMIX1) & word
+    h ^= (h >> 13) & word
+    h = (h * _FMIX2) & word
+    h ^= (h >> 16) & word
+    return memoryview(h.to_bytes(8 * count, "little")).cast("I")[::2].tolist()
 
 
 #: Multiplying a 64-bit lane of eight 0/1 bytes by this moves byte ``i``
@@ -109,13 +130,8 @@ class BloomFilterBuilder:
         self._hashes.append(bloom_hash(key))
 
     def add_hashes(self, hashes) -> None:
-        """Add pre-computed :func:`bloom_hash` values.
-
-        The pipelined compaction computes key hashes in its compute
-        stage (S4) and ships them with each block artifact, so the
-        write stage can build the table filter without re-touching
-        keys; the flush hashes each data block's keys at once.
-        """
+        """Add pre-computed hash values (a block's keys, hashed at once
+        by :func:`piece_hashes`)."""
         self._hashes += hashes
 
     def __len__(self) -> int:
@@ -132,15 +148,23 @@ class BloomFilterBuilder:
         bits)``, ``(h * r) >> shift`` is ``h // bits`` for every 32-bit
         ``h`` (Granlund and Montgomery), and ``h * r`` stays below 2^65.
         Each probed bit is marked as one byte of a bytearray, and the
-        bytes are packed eight to a byte by one multiply.
+        bytes are packed eight to a byte by one multiply.  A few keys
+        (one small block's) take the plain loop, each bit or-ed into
+        one integer.
         """
         n = len(self._hashes)
         k = self.k
         bits = max(64, n * self.bits_per_key)
         nbytes = (bits + 7) // 8
         bits = nbytes * 8
-        if not n:
-            return bytes(nbytes) + bytes((k,))
+        if n < _MIN_LANE_KEYS:
+            acc = 0
+            for h in self._hashes:
+                delta = ((h >> 17) | (h << 15)) & 0xFFFFFFFF
+                for _ in range(k):
+                    acc |= 1 << (h % bits)
+                    h = (h + delta) & 0xFFFFFFFF
+            return acc.to_bytes(nbytes, "little") + bytes((k,))
         lanes = bytearray(16 * n)
         memoryview(lanes).cast("I")[::4] = array("I", self._hashes)
         h = int.from_bytes(lanes, "little")
@@ -162,29 +186,40 @@ class BloomFilterBuilder:
         return packed[7::8][:nbytes] + bytes((k,))
 
 
+def block_filter(user_keys: list[bytes], bits_per_key: int) -> bytes:
+    """One data block's filter piece over its user keys; ``b""`` (which
+    matches every key) when ``bits_per_key`` is 0 or there is no key."""
+    if bits_per_key <= 0 or not user_keys:
+        return b""
+    builder = BloomFilterBuilder(bits_per_key)
+    builder.add_hashes(piece_hashes(user_keys))
+    return builder.finish()
+
+
+def probe(blob: bytes, h: int) -> bool:
+    """Probe a serialized filter for a key hashing to ``h``: False means
+    *definitely absent*, True maybe present.  A blob shorter than two
+    bytes, or one whose probe count is out of range, is degenerate and
+    matches every key."""
+    k = blob[-1] if len(blob) > 1 else 0
+    if not 0 < k <= 30:
+        return True
+    bits = (len(blob) - 1) * 8
+    delta = ((h >> 17) | (h << 15)) & 0xFFFFFFFF
+    for _ in range(k):
+        pos = h % bits
+        if not blob[pos >> 3] & (1 << (pos & 7)):
+            return False
+        h = (h + delta) & 0xFFFFFFFF
+    return True
+
+
 class BloomFilter:
-    """Reader side: membership test over a serialized filter."""
+    """Reader side of a table-wide filter (:func:`bloom_hash` keys)."""
 
     def __init__(self, blob: bytes) -> None:
-        if len(blob) < 2:
-            # Degenerate filter: treat as match-all (never lies negative).
-            self._bits = 0
-            self._data = b""
-            self._k = 0
-            return
-        self._k = blob[-1]
-        self._data = blob[:-1]
-        self._bits = len(self._data) * 8
+        self._blob = bytes(blob)
 
     def may_contain(self, key: bytes) -> bool:
         """False means *definitely absent*; True means maybe present."""
-        if self._bits == 0 or self._k == 0 or self._k > 30:
-            return True
-        h = bloom_hash(key)
-        delta = ((h >> 17) | (h << 15)) & 0xFFFFFFFF
-        for _ in range(self._k):
-            pos = h % self._bits
-            if not self._data[pos // 8] & (1 << (pos % 8)):
-                return False
-            h = (h + delta) & 0xFFFFFFFF
-        return True
+        return probe(self._blob, bloom_hash(key))

@@ -6,8 +6,11 @@ A memtable flush and every compaction sub-task end in the same steps
 framed (S5, S6: :mod:`repro.lsm.table_format`), and
 :class:`TableWriter` appends the blocks and closes the file with its
 filter, index and footer (S7).  The index holds one entry per data
-block, keyed by the block's own last internal key; index and filter
-are stored under the ``null`` tag.
+block, keyed by the block's own last internal key; its value is the
+block's handle followed by the block's bloom filter piece, which the
+cutter builds over the block's user keys (and which a compaction that
+copies the block as stored copies with it).  The filter block is
+written empty; index and filter are stored under the ``null`` tag.
 
 :class:`TableBuilder` is the flush's push-style front over the three.
 :class:`repro.lsm.table_sink.TableSink` cuts a compaction's output into
@@ -23,7 +26,7 @@ from ..codec.checksum import get_checksummer
 from ..codec.compress import get_codec
 from ..devices.vfs import WritableFile
 from .blockfmt import BlockBuilder
-from .bloom import BloomFilterBuilder, bloom_hashes
+from .bloom import block_filter
 from .ikey import internal_compare
 from .options import Options
 from .table_format import (
@@ -41,8 +44,9 @@ class EncodedBlock:
     """A finished data block plus the metadata the writer needs.
 
     ``stored`` is payload + 5-byte trailer, exactly as written to disk.
-    ``key_hashes`` are :func:`repro.lsm.bloom.bloom_hash` values of the
-    block's user keys (for the output table's filter).
+    ``filter`` is the block's bloom filter piece
+    (:func:`repro.lsm.bloom.block_filter` of its user keys), which the
+    writer stores in the block's index entry.
     ``uncompressed_bytes`` feeds compaction-bandwidth accounting.
     How a compaction made the block, for its accounting (the sink treats
     all alike): ``passthrough`` marks an input block of a single-run
@@ -55,7 +59,7 @@ class EncodedBlock:
     first_key: bytes
     last_key: bytes
     num_entries: int
-    key_hashes: tuple[int, ...] = ()
+    filter: bytes = b""
     uncompressed_bytes: int = 0
     passthrough: bool = False
     reused: bool = False
@@ -69,13 +73,13 @@ class MergedBlock:
     first_key: bytes
     last_key: bytes
     num_entries: int
-    key_hashes: tuple[int, ...]
+    filter: bytes
 
     def encoded(self, stored: bytes) -> EncodedBlock:
         """This block with ``stored``, its S5 + S6 output."""
         return EncodedBlock(
             stored, self.first_key, self.last_key, self.num_entries,
-            self.key_hashes, len(self.raw),
+            self.filter, len(self.raw),
         )
 
 
@@ -83,7 +87,8 @@ class BlockCutter:
     """Sorted entries in, :class:`MergedBlock` s out to ``emit``.
 
     A block is cut once its size estimate reaches ``block_bytes``, and
-    by :meth:`cut`.  Entries must arrive in strictly increasing
+    by :meth:`cut`, which builds the block's filter piece at
+    ``bloom_bits_per_key``.  Entries must arrive in strictly increasing
     internal-key order.
     """
 
@@ -92,12 +97,14 @@ class BlockCutter:
         block_bytes: int,
         restart_interval: int,
         emit: Callable[[MergedBlock], None],
+        bloom_bits_per_key: int = 10,
     ) -> None:
         self._block_bytes = block_bytes
+        self._bloom_bits_per_key = bloom_bits_per_key
         self._builder = BlockBuilder(restart_interval, compare=internal_compare)
         self._emit = emit
         self._first_key = b""
-        self._users: list[bytes] = []  # the open block's, hashed when it is cut
+        self._users: list[bytes] = []  # the open block's, filtered when it is cut
 
     def add(self, ikey: bytes, value: bytes) -> None:
         if not self._users:
@@ -114,7 +121,7 @@ class BlockCutter:
         builder = self._builder
         block = MergedBlock(
             builder.finish(), self._first_key, builder.last_key,
-            builder.num_entries, tuple(bloom_hashes(self._users)),
+            builder.num_entries, block_filter(self._users, self._bloom_bits_per_key),
         )
         builder.reset()
         self._users = []
@@ -122,7 +129,8 @@ class BlockCutter:
 
 
 class TableWriter:
-    """One SSTable file: data blocks as stored, then filter, index, footer.
+    """One SSTable file: data blocks as stored, then an empty filter
+    block, the index (each block's handle and filter piece), the footer.
 
     ``size`` is the bytes written so far; ``smallest``/``largest`` the
     first block's first key and the last block's last key.
@@ -135,14 +143,11 @@ class TableWriter:
         self.smallest: Optional[bytes] = None
         self.largest: Optional[bytes] = None
         self._checksummer = get_checksummer(options.checksum)
-        self._bloom_bits_per_key = options.bloom_bits_per_key
-        self._bloom = BloomFilterBuilder(options.bloom_bits_per_key)
         self._index = BlockBuilder(1, compare=internal_compare)
 
     def append(self, block: EncodedBlock) -> None:
         """Append one data block; blocks must arrive in key order."""
-        self._index.add(block.last_key, self._write(block.stored).encode())
-        self._bloom.add_hashes(block.key_hashes)
+        self._index.add(block.last_key, self._write(block.stored).encode() + block.filter)
         if self.smallest is None:
             self.smallest = block.first_key
         self.largest = block.last_key
@@ -155,14 +160,10 @@ class TableWriter:
         return handle
 
     def finish(self) -> Footer:
-        """Write the filter, the index and the footer."""
-        if len(self._bloom) and self._bloom_bits_per_key > 0:
-            filter_blob = self._bloom.finish()
-        else:
-            filter_blob = b""
+        """Write the (empty) filter block, the index and the footer."""
         null = get_codec("null")
         footer = Footer(
-            self._write(encode_block_contents(filter_blob, null, self._checksummer)),
+            self._write(encode_block_contents(b"", null, self._checksummer)),
             self._write(encode_block_contents(self._index.finish(), null, self._checksummer)),
             self.num_entries,
         )
@@ -186,7 +187,8 @@ class TableBuilder:
         self._checksummer = get_checksummer(self.options.checksum)
         self._writer = TableWriter(file, self.options)
         self._cutter = BlockCutter(
-            self.options.block_bytes, self.options.block_restart_interval, self._write
+            self.options.block_bytes, self.options.block_restart_interval, self._write,
+            self.options.bloom_bits_per_key,
         )
         self._finished = False
         self.smallest: Optional[bytes] = None

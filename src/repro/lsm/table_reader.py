@@ -1,9 +1,11 @@
 """SSTable reader: point lookups and ordered iteration.
 
 ``Table.get`` is the read path the paper's background compactions keep
-short: bloom probe → index bisect → the data block, from the block
-cache or read (S1), checksum-verified (S2), decompressed (S3) and
-decoded → a bisect for the entry.  Both bisects compare
+short: index bisect → the block's bloom filter piece → the data block,
+from the block cache or read (S1), checksum-verified (S2), decompressed
+(S3) and decoded → a bisect for the entry.  A table written before each
+block carried its own piece holds one table-wide filter instead, in its
+filter block; it is probed before the bisect.  Both bisects compare
 :func:`repro.lsm.ikey.internal_order` tuples, so they run in C: a
 cached GET re-parses nothing.  ``iter_from`` / ``iter_reverse_from``
 drive scans.
@@ -12,12 +14,12 @@ drive scans.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from ..codec.checksum import get_checksummer
 from ..devices.vfs import ReadableFile
 from .blockfmt import Block
-from .bloom import BloomFilter
+from .bloom import bloom_hash, piece_hash, probe
 from .cache import LRUCache
 from .ikey import internal_order
 from .options import Options
@@ -86,13 +88,22 @@ class Table:
         footer = Footer.decode(file.pread(size - FOOTER_SIZE, FOOTER_SIZE))
         self.num_entries = footer.num_entries
         # The index in file order: each data block's separator key, its
-        # location, and the separators' sort keys for the bisect.
+        # location and filter piece (none in the table-wide layout), and
+        # the separators' sort keys for the bisect.
         index = Block(self._load_block(footer.index_handle)).entries()
         self._separators = [k for k, _ in index]
-        self._handles = [BlockHandle.decode(v)[0] for _, v in index]
+        self._handles: list[BlockHandle] = []
+        self._filters: list[bytes] = []
+        for _key, value in index:
+            handle, end = BlockHandle.decode(value)
+            self._handles.append(handle)
+            self._filters.append(value[end:])
         self._index_order = [internal_order(k) for k in self._separators]
-        filter_blob = self._load_block(footer.filter_handle)
-        self._bloom = BloomFilter(filter_blob) if filter_blob else None
+        self._filter_by_offset: Optional[dict[int, bytes]] = None
+        # Not empty only in the table-wide layout, read but never written.
+        self._table_filter = (
+            self._load_block(footer.filter_handle) if footer.filter_handle.size else b""
+        )
 
     @property
     def file(self) -> ReadableFile:
@@ -147,6 +158,24 @@ class Table:
         """Data-block locations in key order (compaction input)."""
         return list(self._handles)
 
+    def block_filters(self, handles: Sequence[BlockHandle]) -> list[bytes]:
+        """The filter piece of each block of ``handles`` (compaction
+        input, S1): ``b""`` for a block of a table-wide-layout table."""
+        if self._filter_by_offset is None:
+            self._filter_by_offset = {
+                h.offset: piece for h, piece in zip(self._handles, self._filters)
+            }
+        return [self._filter_by_offset[h.offset] for h in handles]
+
+    def filter_layout(self) -> str:
+        """``per-block`` (a piece in the index entry of every block),
+        ``table-wide`` (one filter block) or ``none``."""
+        if self._table_filter:
+            return "table-wide"
+        if self._filters and all(self._filters):
+            return "per-block"
+        return "none"
+
     def block_codecs(self) -> list[str]:
         """Each data block's codec, read off its trailer's tag, in key
         order; an unknown tag reads as ``tag-N``."""
@@ -190,12 +219,18 @@ class Table:
         table it asks.  With ``wait=False`` a block is taken from the
         block cache or from what the OS holds; one that would have to
         wait for the device raises :class:`WouldBlock`.
+
+        Block ``idx``, the first whose last key is at or past ``ikey``,
+        holds the entry that answers, so its filter piece decides; an
+        empty piece matches every key.
         """
         if order is None:
             order = internal_order(ikey)
-        if self._bloom is not None and not self._bloom.may_contain(order[0]):
+        if self._table_filter and not probe(self._table_filter, bloom_hash(order[0])):
             return None
         idx = bisect_left(self._index_order, order)
+        if idx < len(self._filters) and not probe(self._filters[idx], piece_hash(order[0])):
+            return None
         # The next block answers only where this one's separator
         # over-covers: the target sorts after every key it holds.
         for handle in self._handles[idx : idx + 2]:

@@ -273,12 +273,8 @@ class TestProcedureEquivalence:
         blocks hashed in lanes, some key by key).  Every spec writes
         SCP's bytes, the newest-wins merge, and in every table — inputs
         from the flush path, outputs from S4/S7 — the filter the
-        per-key reference build gives."""
-        from repro.codec.checksum import get_checksummer
-        from repro.lsm.table_format import (
-            FOOTER_SIZE, Footer, decode_block_contents, read_block,
-        )
-        from tests.lsm.bloom_reference import filter_of_keys
+        per-key reference build gives, block by block."""
+        from tests.lsm.test_one_format import assert_one_format
 
         storage = MemStorage()
         options = Options(block_bytes=4096, sstable_bytes=16 * 1024, compression="lz77")
@@ -298,16 +294,8 @@ class TestProcedureEquivalence:
             make_table(storage, "in-1.sst", lower, options),
         ]
 
-        def filter_ok(name):
-            with storage.open(name) as f:
-                footer = Footer.decode(f.pread(f.size() - FOOTER_SIZE, FOOTER_SIZE))
-                blob = decode_block_contents(
-                    read_block(f, footer.filter_handle), get_checksummer(options.checksum)
-                )
-            users = [ikey[:-8] for ikey, _ in Table(storage.open(name), options)]
-            return blob == filter_of_keys(users, options.bloom_bits_per_key)
-
-        assert filter_ok("in-0.sst") and filter_ok("in-1.sst")
+        assert_one_format(storage, "in-0.sst", options)
+        assert_one_format(storage, "in-1.sst", options)
         specs = {
             "scp": ProcedureSpec.scp(subtask_bytes=8192),
             "pcp": ProcedureSpec.pcp(subtask_bytes=8192),
@@ -322,7 +310,8 @@ class TestProcedureEquivalence:
                 file_namer=lambda: f"{name}-{next(numbers):06d}.sst", spec=spec,
             )
             written[name] = [storage.open(m.name).read_all() for m in outputs]
-            assert all(filter_ok(m.name) for m in outputs)
+            for meta in outputs:
+                assert_one_format(storage, meta.name, options)
             if name == "scp":
                 assert len(outputs) > 1
                 assert _read_outputs(storage, options, outputs) == _expected_merge(upper, lower)
@@ -422,16 +411,19 @@ class TestStepMerge:
             )
         assert got == [b"b", b"c"]
 
-    def test_key_hashes_attached(self):
+    def test_filter_attached(self):
         from repro.core.steps import RawBlock
         from repro.lsm.blockfmt import BlockBuilder
-        from repro.lsm.bloom import bloom_hash
         from repro.lsm.ikey import internal_compare
+        from tests.lsm.bloom_reference import piece_of_keys
 
         builder = BlockBuilder(16, compare=internal_compare)
         builder.add(_ik(b"xyz"), b"v")
-        merged = step_merge([RawBlock(0, builder.finish())], None, None, 4096)
-        assert merged[0].key_hashes == (bloom_hash(b"xyz"),)
+        raw = RawBlock(0, builder.finish())
+        merged = step_merge([raw], None, None, 4096)
+        assert merged[0].filter == piece_of_keys([b"xyz"], 10)
+        merged = step_merge([raw], None, None, 4096, bloom_bits_per_key=0)
+        assert merged[0].filter == b""
 
 
 class TestSpecValidation:

@@ -162,3 +162,19 @@ def test_sst_inspect(db_dir, capsys):
     assert "data blocks:" in out
     assert "key range:" in out
     assert "entries:" in out
+
+
+def test_sst_prints_filter_layout(db_dir, tmp_path, capsys):
+    import os
+
+    from repro.devices import OSStorage
+    from repro.lsm import KIND_VALUE, Options, encode_internal_key
+    from tests.lsm.table_wide_layout import write_table_wide
+
+    victim = next(f for f in sorted(os.listdir(db_dir)) if f.endswith(".sst"))
+    assert main(["sst", db_dir, victim]) == 0
+    assert "filter:        per-block\n" in capsys.readouterr().out
+    rows = [(encode_internal_key(b"k%03d" % i, 1, KIND_VALUE), b"v") for i in range(50)]
+    write_table_wide(OSStorage(str(tmp_path)), "000009.sst", rows, Options())
+    assert main(["sst", str(tmp_path), "000009.sst"]) == 0
+    assert "filter:        table-wide\n" in capsys.readouterr().out

@@ -5,9 +5,13 @@ kernel of ``repro.lsm.bloom``: one ``%`` and one read-modify-write of
 the bit array per probe of every key.  The engine's builder must emit
 exactly these bytes (``test_bloom.py`` asserts it), so every filter the
 new code writes matches a probe of the old reader and vice versa.
+A block's filter piece is the same build over a different hash,
+spelled out here as :func:`piece_hash_reference`.
 """
 
 from __future__ import annotations
+
+import zlib
 
 from repro.lsm.bloom import bloom_hash
 
@@ -32,3 +36,22 @@ def filter_reference(hashes: list[int], bits_per_key: int) -> bytes:
 def filter_of_keys(user_keys, bits_per_key: int) -> bytes:
     """The filter blob a table holding ``user_keys`` must carry."""
     return filter_reference([bloom_hash(key) for key in user_keys], bits_per_key)
+
+
+def piece_hash_reference(key: bytes) -> int:
+    """CRC-32 through murmur3's fmix32, one step per line."""
+    h = zlib.crc32(key)
+    h ^= h >> 16
+    h = (h * 0x85EBCA6B) % (1 << 32)
+    h ^= h >> 13
+    h = (h * 0xC2B2AE35) % (1 << 32)
+    h ^= h >> 16
+    return h
+
+
+def piece_of_keys(user_keys, bits_per_key: int) -> bytes:
+    """The filter piece a data block holding ``user_keys`` must carry
+    (none with filters off)."""
+    if bits_per_key <= 0:
+        return b""
+    return filter_reference([piece_hash_reference(key) for key in user_keys], bits_per_key)

@@ -6,9 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm.bloom import BloomFilter, BloomFilterBuilder, bloom_hash, bloom_hashes
+from repro.lsm.bloom import (
+    BloomFilter,
+    BloomFilterBuilder,
+    bloom_hash,
+    piece_hash,
+    piece_hashes,
+)
 
-from tests.lsm.bloom_reference import filter_of_keys, filter_reference
+from tests.lsm.bloom_reference import filter_of_keys, filter_reference, piece_hash_reference
 
 
 def _bloom_hash_reference(key: bytes, seed: int = 0xBC9F1D34) -> int:
@@ -73,6 +79,25 @@ class TestHash:
         assert 0 <= bloom_hash(key) <= 0xFFFFFFFF
 
 
+class TestPieceHash:
+    @given(st.binary(max_size=40))
+    def test_matches_reference(self, key):
+        assert piece_hash(key) == piece_hash_reference(key)
+
+    def test_known_values(self):
+        # Pinned outputs: stored filter pieces depend on them.
+        assert piece_hash(b"") == 0
+        assert piece_hash(b"0000000000001234") == 0xCC371D8C
+        assert piece_hash(b"user-key-17") == 0x361718A2
+
+    def test_last_byte_reaches_the_low_bits(self):
+        """Keys differing only in their last byte spread over a small
+        piece: what ``bloom_hash`` does not do."""
+        keys = [b"000000000000123" + bytes([last]) for last in range(256)]
+        assert len({piece_hash(k) % 352 for k in keys}) > 150
+        assert len({bloom_hash(k) % 352 for k in keys}) <= 11
+
+
 class TestFilter:
     def _filter(self, keys, bits_per_key=10):
         builder = BloomFilterBuilder(bits_per_key)
@@ -131,7 +156,7 @@ class TestFilter:
 
 class TestKernelsMatchReference:
     """The lane kernels against the plain loops they replace: the scalar
-    ``bloom_hash`` per key, and the per-probe filter build of
+    ``piece_hash`` per key, and the per-probe filter build of
     ``tests/lsm/bloom_reference.py``."""
 
     def test_batch_hash_every_length_and_count(self):
@@ -139,11 +164,11 @@ class TestKernelsMatchReference:
         for length in range(41):
             for count in (0, 1, 2, 3, 4, 35, 100):
                 keys = [rng.randbytes(length) for _ in range(count)]
-                assert bloom_hashes(keys) == [bloom_hash(k) for k in keys]
+                assert piece_hashes(keys) == [piece_hash(k) for k in keys]
 
     @given(st.lists(st.binary(max_size=40), max_size=60))
     def test_batch_hash_mixed_lengths(self, keys):
-        assert bloom_hashes(keys) == [bloom_hash(k) for k in keys]
+        assert piece_hashes(keys) == [piece_hash(k) for k in keys]
 
     @given(
         st.integers(0, 40).flatmap(
@@ -151,15 +176,15 @@ class TestKernelsMatchReference:
         )
     )
     def test_batch_hash_equal_lengths(self, keys):
-        # One length per list: the lane path, whatever the length.
-        assert bloom_hashes(keys) == [bloom_hash(k) for k in keys]
+        # One length per list, as in a block of fixed-width keys.
+        assert piece_hashes(keys) == [piece_hash(k) for k in keys]
 
     def test_batch_hash_extreme_words(self):
-        # All-ones words make every intermediate sum and product as large
-        # as it gets: nothing may carry into the next lane.
+        # All-ones and all-zero keys beside each other: nothing may carry
+        # into the next lane.
         for length in (4, 15, 16, 17, 24, 40):
             keys = [b"\xff" * length, bytes(length), b"\xff" * length] * 5
-            assert bloom_hashes(keys) == [bloom_hash(k) for k in keys]
+            assert piece_hashes(keys) == [piece_hash(k) for k in keys]
 
     @pytest.mark.parametrize("bits_per_key", [1, 10, 20])
     @pytest.mark.parametrize("n", [0, 1, 7, 640, 5000])

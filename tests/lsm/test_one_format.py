@@ -2,10 +2,13 @@
 
 A DB flush, a ``TableBuilder`` and a ``compact_tables`` output are all
 written by one writer: one index entry per data block, keyed by that
-block's last internal key; index and filter stored under the null tag;
-the filter the one the blocks' user keys give.  A table in the format
-written before (shortened separators, a short successor closing an
-lz77-compressed index) still reads, and still compacts.
+block's last internal key, its value the block's handle and then the
+filter piece that block's user keys give; index and (empty) filter
+block stored under the null tag.  A compaction that splices a block
+copies its piece byte for byte, and every procedure and backend writes
+the same bytes.  A table in the format written before (shortened
+separators, a short successor closing an lz77-compressed index, one
+table-wide filter) still reads, and still compacts.
 """
 
 import itertools
@@ -17,7 +20,6 @@ from repro.core.procedures import ProcedureSpec, compact_tables
 from repro.db import DB
 from repro.devices import MemStorage
 from repro.lsm.blockfmt import Block, BlockBuilder
-from repro.lsm.bloom import BloomFilterBuilder, bloom_hashes
 from repro.lsm.ikey import (
     KIND_VALUE,
     MAX_SEQUENCE,
@@ -38,7 +40,7 @@ from repro.lsm.table_format import (
     read_block,
 )
 from repro.lsm.table_reader import Table
-from tests.lsm.bloom_reference import filter_of_keys
+from tests.lsm.bloom_reference import filter_of_keys, piece_of_keys
 
 OPTIONS = Options(block_bytes=512, sstable_bytes=8 * 1024, compression="lz77")
 
@@ -71,18 +73,18 @@ def assert_one_format(storage, name, options=OPTIONS):
         assert index_stored[-BLOCK_TRAILER_SIZE] == null
         assert filter_stored[-BLOCK_TRAILER_SIZE] == null
         index = Block(decode_block_contents(index_stored, checksummer), compare=internal_compare)
-        offset, users = 0, []
+        offset = 0
         for key, value in index:
-            handle, _ = BlockHandle.decode(value)
+            handle, end = BlockHandle.decode(value)
             assert handle.offset == offset  # the data blocks, each indexed once
             offset += handle.size + BLOCK_TRAILER_SIZE
             block = list(Block(decode_block_contents(read_block(f, handle), checksummer)))
             assert key == block[-1][0]
-            users.extend(ikey[:-8] for ikey, _ in block)
+            users = [ikey[:-8] for ikey, _ in block]
+            assert value[end:] == piece_of_keys(users, options.bloom_bits_per_key)
         assert offset == footer.filter_handle.offset
     assert offset > 0
-    blob = decode_block_contents(filter_stored, checksummer)
-    assert blob == filter_of_keys(users, options.bloom_bits_per_key)
+    assert decode_block_contents(filter_stored, checksummer) == b""
 
 
 class TestThreeWriters:
@@ -139,7 +141,6 @@ def write_parent_format(storage, name, rows, options=OPTIONS, per_block=6):
     blocks = [rows[i : i + per_block] for i in range(0, len(rows), per_block)]
     out = bytearray()
     index = BlockBuilder(1, compare=internal_compare)
-    bloom = BloomFilterBuilder(options.bloom_bits_per_key)
     for j, block in enumerate(blocks):
         builder = BlockBuilder(options.block_restart_interval, compare=internal_compare)
         for ikey, value in block:
@@ -149,10 +150,12 @@ def write_parent_format(storage, name, rows, options=OPTIONS, per_block=6):
         key = _parent_index_key(block[-1][0], first_of_next)
         index.add(key, BlockHandle(len(out), len(stored) - BLOCK_TRAILER_SIZE).encode())
         out += stored
-        bloom.add_hashes(bloom_hashes([ikey[:-8] for ikey, _ in block]))
+    users = [ikey[:-8] for ikey, _ in rows]
     handles = []
     for stored in (
-        encode_block_contents(bloom.finish(), get_codec("null"), checksummer),
+        encode_block_contents(
+            filter_of_keys(users, options.bloom_bits_per_key), get_codec("null"), checksummer
+        ),
         encode_block_contents(index.finish(), codec, checksummer),
     ):
         handles.append(BlockHandle(len(out), len(stored) - BLOCK_TRAILER_SIZE))
@@ -205,3 +208,71 @@ class TestParentFormatTable:
         assert [e for m in outputs for e in Table(storage.open(m.name), OPTIONS)] == expected
         for meta in outputs:
             assert_one_format(storage, meta.name)
+
+
+# --- the filter piece travels with the block ------------------------------
+
+def _stored_blocks(storage, name, options=OPTIONS):
+    """{stored bytes: filter piece} of every data block of ``name``."""
+    table = Table(storage.open(name), options)
+    handles = table.block_handles()
+    with storage.open(name) as f:
+        stored = [read_block(f, handle) for handle in handles]
+    pieces = table.block_filters(handles)
+    table.close()
+    return dict(zip(stored, pieces))
+
+
+def _splice_inputs(storage):
+    """The ``compact`` shape: the upper run holds every key of the lower
+    run's first half and shadows it; the second half is the lower run's
+    alone."""
+    return [
+        build(storage, "upper.sst", entries(range(0, 600), seq=2)),
+        build(storage, "lower.sst", entries(range(0, 1200, 2))),
+    ]
+
+
+class TestSplicedPieces:
+    def test_spliced_block_keeps_its_input_piece(self):
+        storage = MemStorage()
+        tables = _splice_inputs(storage)
+        inputs = {}
+        for name in ("upper.sst", "lower.sst"):
+            inputs.update(_stored_blocks(storage, name))
+        numbers = itertools.count(1)
+        outputs, stats, _ = compact_tables(
+            tables, storage, OPTIONS, file_namer=lambda: f"{next(numbers):06d}.sst",
+            spec=ProcedureSpec.scp(subtask_bytes=2048),
+        )
+        assert stats.passthrough_blocks > 0 and stats.reused_blocks > 0
+        spliced = 0
+        for meta in outputs:
+            for stored, piece in _stored_blocks(storage, meta.name).items():
+                if stored in inputs:
+                    spliced += 1
+                    assert piece == inputs[stored]
+        assert spliced == stats.passthrough_blocks + stats.reused_blocks
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_procedures_write_the_same_bytes(self, backend):
+        storage = MemStorage()
+        tables = _splice_inputs(storage)
+        tables.append(build(storage, "lowest.sst", entries(range(1, 900, 3))))
+        specs = {
+            "scp": ProcedureSpec.scp(subtask_bytes=2048),
+            "pcp": ProcedureSpec.pcp(subtask_bytes=2048, backend=backend),
+            "cppcp2": ProcedureSpec.cppcp(2, subtask_bytes=2048, backend=backend),
+        }
+        written = {}
+        for name, spec in specs.items():
+            numbers = itertools.count(1)
+            outputs, _, _ = compact_tables(
+                tables, storage, OPTIONS,
+                file_namer=lambda: f"{name}-{next(numbers):04d}.sst", spec=spec,
+            )
+            written[name] = [storage.open(m.name).read_all() for m in outputs]
+            for meta in outputs:
+                assert_one_format(storage, meta.name)
+        assert len(written["scp"]) > 1
+        assert written["pcp"] == written["scp"] == written["cppcp2"]

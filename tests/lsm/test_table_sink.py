@@ -11,7 +11,7 @@ from repro.lsm.table_reader import Table
 from repro.lsm.table_sink import EncodedBlock, TableSink
 from repro.codec.compress import get_codec
 from repro.lsm.blockfmt import BlockBuilder
-from repro.lsm.bloom import bloom_hash
+from repro.lsm.bloom import block_filter
 from repro.lsm.ikey import internal_compare
 
 
@@ -22,10 +22,8 @@ def _ik(user, seq=1):
 def _encoded_block(users, options, seq=1):
     """Build one finished EncodedBlock over ``users`` (sorted)."""
     builder = BlockBuilder(options.block_restart_interval, compare=internal_compare)
-    hashes = []
     for user in users:
         builder.add(_ik(user, seq), b"val:" + user)
-        hashes.append(bloom_hash(user))
     raw = builder.finish()
     stored = encode_block_contents(
         raw, get_codec(options.compression), get_checksummer(options.checksum)
@@ -35,7 +33,7 @@ def _encoded_block(users, options, seq=1):
         first_key=_ik(users[0], seq),
         last_key=_ik(users[-1], seq),
         num_entries=len(users),
-        key_hashes=tuple(hashes),
+        filter=block_filter(users, options.bloom_bits_per_key),
         uncompressed_bytes=len(raw),
     )
 
@@ -116,7 +114,7 @@ class TestAssembly:
         assert storage.exists(meta.name)
         assert meta.file_size == storage.file_size(meta.name)
 
-    def test_bloom_built_from_key_hashes(self, setup):
+    def test_bloom_built_from_block_filters(self, setup):
         storage, options, sink = setup
         users = [b"present-%02d" % i for i in range(30)]
         sink.append(_encoded_block(users, options))
