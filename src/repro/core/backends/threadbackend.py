@@ -37,6 +37,7 @@ from ...obs.tracer import NULL_TRACER, Tracer
 from ..steps import (
     MergedBlock,
     StoredBlock,
+    spliced_by_facts,
     step_checksum,
     step_compress,
     step_decompress,
@@ -96,12 +97,13 @@ class InlineExecutor:
 
 def run_subtask_read(subtask: SubTask, tracer: Tracer = NULL_TRACER) -> list[StoredBlock]:
     """S1 for one sub-task: fetch every input block, with its filter
-    piece from the open input table's index."""
+    piece and facts from the open input table's index."""
     files = [run.table.file for run in subtask.runs]
     handles = [run.handles for run in subtask.runs]
     with tracer.span("S1:read", cat="read", subtask=subtask.index):
         filters = [run.table.block_filters(run.handles) for run in subtask.runs]
-        return step_read(files, handles, filters)
+        facts = [run.table.block_facts(run.handles) for run in subtask.runs]
+        return step_read(files, handles, filters, facts)
 
 
 def run_subtask_compute(
@@ -121,10 +123,11 @@ def run_subtask_compute(
 ) -> tuple[list[EncodedBlock], float]:
     """S2–S6 for one sub-task: verify, decompress, merge, re-encode.
 
-    Every block takes S2 and S3.  S4 (:func:`step_splice`) then hands
-    on as stored each input block the merge would only reproduce, and
-    merges and rebuilds what lies between them; only those rebuilt
-    blocks take S5 and S6.
+    Every block takes S2.  A block whose index facts show the merge
+    would only reproduce it (:func:`spliced_by_facts`) skips S3; S4
+    (:func:`step_splice`) hands it on as stored, with each decoded input
+    block the merge would only reproduce, and merges and rebuilds what
+    lies between them; only those rebuilt blocks take S5 and S6.
 
     Returns the finished blocks and the seconds spent producing them.
     Arguments and result are picklable — codec and checksum by name,
@@ -139,7 +142,8 @@ def run_subtask_compute(
     with tracer.span("S2:checksum", cat="compute", subtask=index):
         step_checksum(stored, checksummer)
     with tracer.span("S3:decompress", cat="compute", subtask=index):
-        raw = step_decompress(stored)
+        skip = spliced_by_facts(stored, lower, upper, codec, bloom_bits_per_key)
+        raw = step_decompress(stored, skip)
     with tracer.span("S4:merge", cat="compute", subtask=index):
         blocks = step_splice(
             stored, raw, lower, upper, codec, block_bytes, restart_interval,

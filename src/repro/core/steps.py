@@ -8,6 +8,7 @@ step   resource     function
 S1     I/O          :func:`step_read` — fetch stored blocks
 S2     CPU          :func:`step_checksum` — verify block integrity
 S3     CPU          :func:`step_decompress` — restore raw blocks
+                    (all but those :func:`spliced_by_facts` marks)
 S4     CPU          :func:`step_splice` — merge-sort the key range,
                     build new data blocks; splice in as stored
                     the input blocks the merge would reproduce
@@ -53,10 +54,12 @@ from ..lsm.table_builder import BlockCutter, EncodedBlock, MergedBlock
 from ..lsm.table_format import (
     BLOCK_TRAILER_SIZE,
     COMPRESSION_TAGS,
+    BlockFacts,
     TableCorruption,
     block_checksum_ok,
     compress_block,
     decompress_block,
+    facts_of_entries,
     frame_block,
     read_block,
 )
@@ -69,6 +72,7 @@ __all__ = [
     "step_checksum",
     "step_decompress",
     "step_merge",
+    "spliced_by_facts",
     "step_splice",
     "step_compress",
     "step_rechecksum",
@@ -79,12 +83,14 @@ __all__ = [
 @dataclass(frozen=True)
 class StoredBlock:
     """S1 output: a block exactly as stored (payload + trailer), and
-    its filter piece from the input table's index (``b""`` where the
-    table has none: the table-wide layout)."""
+    from the input table's index its filter piece (``b""`` where the
+    table has none: the table-wide layout) and its facts (None where
+    the table has none: written before the facts layout)."""
 
     source: int  # which input run this came from
     data: bytes
     filter: bytes = b""
+    facts: Optional[BlockFacts] = None
 
 
 @dataclass(frozen=True)
@@ -99,17 +105,20 @@ def step_read(
     files: Sequence[ReadableFile],
     handles_per_source: Sequence[Sequence["object"]],
     filters_per_source: Optional[Sequence[Sequence[bytes]]] = None,
+    facts_per_source: Optional[Sequence[Sequence[Optional[BlockFacts]]]] = None,
 ) -> list[StoredBlock]:
     """S1 READ: fetch each input block (with its trailer) from disk,
-    with its filter piece where the caller passes one."""
+    with its filter piece and facts where the caller passes them."""
     if filters_per_source is None:
         filters_per_source = [[b""] * len(handles) for handles in handles_per_source]
+    if facts_per_source is None:
+        facts_per_source = [[None] * len(handles) for handles in handles_per_source]
     return [
-        StoredBlock(source, read_block(file, handle), piece)
-        for source, (file, handles, pieces) in enumerate(
-            zip(files, handles_per_source, filters_per_source)
+        StoredBlock(source, read_block(file, handle), piece, facts)
+        for source, (file, handles, pieces, facts_of_run) in enumerate(
+            zip(files, handles_per_source, filters_per_source, facts_per_source)
         )
-        for handle, piece in zip(handles, pieces)
+        for handle, piece, facts in zip(handles, pieces, facts_of_run)
     ]
 
 
@@ -122,9 +131,17 @@ def step_checksum(blocks: Sequence[StoredBlock], checksummer: Checksummer) -> No
             )
 
 
-def step_decompress(blocks: Sequence[StoredBlock]) -> list[RawBlock]:
-    """S3 DECOMPRESS: restore the original block contents."""
-    return [RawBlock(block.source, decompress_block(block.data)) for block in blocks]
+def step_decompress(
+    blocks: Sequence[StoredBlock], skip: Optional[Sequence[bool]] = None
+) -> list[Optional[RawBlock]]:
+    """S3 DECOMPRESS: restore the original block contents, in place of
+    None for each block ``skip`` marks (:func:`spliced_by_facts`)."""
+    if skip is None:
+        skip = [False] * len(blocks)
+    return [
+        None if skipped else RawBlock(block.source, decompress_block(block.data))
+        for block, skipped in zip(blocks, skip)
+    ]
 
 
 def step_merge(
@@ -215,9 +232,75 @@ def _entries_of(blocks: Sequence[RawBlock]) -> Iterator[tuple[bytes, bytes]]:
     )
 
 
+def spliced_by_facts(
+    stored: Sequence[StoredBlock],
+    lower_bound: Optional[bytes],
+    upper_bound: Optional[bytes],
+    codec: Codec,
+    bloom_bits_per_key: int = 10,
+) -> list[bool]:
+    """Which of one sub-task's blocks S4 hands on as stored from their
+    index facts alone, so that S3 and S4 never decode them.
+
+    Only a sub-task whose every block carries facts is decided here.
+    A block ``b`` of run ``s`` qualifies when:
+
+    * it is plain: no user key occurs twice in it, and none is a
+      tombstone;
+    * its trailer carries ``codec``'s own tag;
+    * its ``[first, last]`` user range lies inside ``[lower, upper)``;
+    * it shares no user key with a neighbour of its run;
+    * its range meets no block range of another run;
+    * it carries a filter piece, or ``bloom_bits_per_key`` asks for none.
+
+    Such a block passes every test of :func:`step_splice`'s decision on
+    its decoded keys — no other run holds a key in its range, so there
+    is nothing to shadow or be shadowed by — and none of its keys lies
+    where that decision or the merge looks for another block's: the
+    output is the one decoding it would give.
+    """
+    facts = [block.facts for block in stored]
+    out = [False] * len(stored)
+    if None in facts:
+        return out
+    tag = COMPRESSION_TAGS[codec.name]
+    firsts = [f.first_key[:-8] for f in facts]
+    lasts = [f.last_key[:-8] for f in facts]
+    runs: dict[int, list[int]] = {}  # source -> its blocks, key order
+    for i, block in enumerate(stored):
+        runs.setdefault(block.source, []).append(i)
+    for source, run in runs.items():
+        others = [
+            ([firsts[k] for k in blocks], [lasts[k] for k in blocks])
+            for other, blocks in runs.items() if other != source
+        ]
+        for j, i in enumerate(run):
+            block, first, last = stored[i], firsts[i], lasts[i]
+            if (
+                not facts[i].plain
+                or not facts[i].num_entries
+                or block.data[-BLOCK_TRAILER_SIZE] != tag
+                or (not block.filter and bloom_bits_per_key > 0)
+                or (lower_bound is not None and first < lower_bound)
+                or (upper_bound is not None and last >= upper_bound)
+                or (j > 0 and lasts[run[j - 1]] == first)
+                or (j + 1 < len(run) and firsts[run[j + 1]] == last)
+            ):
+                continue
+            for other_firsts, other_lasts in others:
+                # The other run's first block ending at or past ``first``
+                # is the one that would meet the range.
+                k = bisect_left(other_lasts, first)
+                if k < len(other_lasts) and other_firsts[k] <= last:
+                    break
+            else:
+                out[i] = True
+    return out
+
+
 def step_splice(
     stored: Sequence[StoredBlock],
-    raw: Sequence[RawBlock],
+    raw: Sequence[Optional[RawBlock]],
     lower_bound: Optional[bytes],
     upper_bound: Optional[bytes],
     codec: Codec,
@@ -229,11 +312,13 @@ def step_splice(
 ) -> list[Union[EncodedBlock, MergedBlock]]:
     """S4 for one sub-task: splice the blocks a merge would reproduce.
 
-    ``stored``/``raw`` are the sub-task's blocks after S2 and S3, run
-    by run (newest first), each run's in key order.  A block ``b`` of
-    run ``s`` comes out of :func:`step_merge` exactly as it went in,
-    and is handed on as stored — an :class:`EncodedBlock` around the
-    very bytes S1 read, ready for S7 — when:
+    ``stored`` are the sub-task's blocks after S2, run by run (newest
+    first), each run's in key order; ``raw`` is S3's output, aligned
+    with them, None for each block :func:`spliced_by_facts` marks.
+    Such a block is spliced from its facts, undecoded.  Every other
+    block ``b`` of run ``s`` comes out of :func:`step_merge` exactly as
+    it went in, and is handed on as stored — an :class:`EncodedBlock`
+    around the very bytes S1 read, ready for S7 — when:
 
     * every key lies inside ``[lower, upper)``;
     * its trailer carries ``codec``'s own tag — not ``null`` for a
@@ -260,24 +345,39 @@ def step_splice(
     ``reused``: an input block's stored payload, without S4 or S5) and
     rebuilt ones as :class:`MergedBlock`, still to take S5 and S6.
 
-    A spliced block keeps its input's filter piece byte for byte, and
-    none of its keys is hashed; only a block from a table-wide-layout
-    input, which has no piece, gets one built from the keys decoded
-    here, at ``bloom_bits_per_key``.
+    A spliced block keeps its input's facts and filter piece byte for
+    byte, and none of its keys is hashed; only a block from an input
+    written before them gets facts and a piece made from the keys
+    decoded here (the piece at ``bloom_bits_per_key``).
     """
     snapshot = MAX_SEQUENCE if smallest_snapshot is None else smallest_snapshot
     tag = COMPRESSION_TAGS[codec.name]
-    # Each block decoded once: the decision and the merge share these.
-    entries = [Block(b.raw, compare=internal_compare).entries() for b in raw]
-    users = [[ikey[:-8] for ikey, _ in block] for block in entries]
+    # Each decompressed block decoded once: the decision and the merge
+    # share these.
+    entries = [
+        None if r is None else Block(r.raw, compare=internal_compare).entries() for r in raw
+    ]
+    users = [None if block is None else [ikey[:-8] for ikey, _ in block] for block in entries]
+    # Each block's first and last user key; None for an empty block.
+    edges: list[Optional[tuple[bytes, bytes]]] = [
+        (b.facts.first_key[:-8], b.facts.last_key[:-8]) if ukeys is None
+        else (ukeys[0], ukeys[-1]) if ukeys else None
+        for b, ukeys in zip(stored, users)
+    ]
     positions: dict[int, list[int]] = {}  # source -> its blocks, key order
     for i, block in enumerate(stored):
         positions.setdefault(block.source, []).append(i)
     sources = sorted(positions)
-    run_users = {s: list(chain.from_iterable(users[i] for i in positions[s])) for s in sources}
+    # Decided and merged on decoded keys alone: a block spliced from its
+    # facts holds no key in another run's block range, so none that a
+    # decision or a gap between splices looks for.
+    decoded = {s: [i for i in positions[s] if users[i] is not None] for s in sources}
+    run_users = {s: list(chain.from_iterable(users[i] for i in decoded[s])) for s in sources}
 
     def spliced(i: int, neighbours: Sequence[int], j: int) -> bool:
         ukeys = users[i]
+        if ukeys is None:
+            return True
         if not ukeys or stored[i].data[-BLOCK_TRAILER_SIZE] != tag:
             return False
         first, last = ukeys[0], ukeys[-1]
@@ -286,10 +386,12 @@ def step_splice(
         ):
             return False
         distinct = set(ukeys)
+        prev_edges = edges[neighbours[j - 1]] if j > 0 else None
+        next_edges = edges[neighbours[j + 1]] if j + 1 < len(neighbours) else None
         if (
             len(distinct) != len(ukeys)
-            or (j > 0 and users[neighbours[j - 1]][-1:] == [first])
-            or (j + 1 < len(neighbours) and users[neighbours[j + 1]][:1] == [last])
+            or (prev_edges is not None and prev_edges[1] == first)
+            or (next_edges is not None and next_edges[0] == last)
         ):
             return False
         if drop_deletes and any(
@@ -318,13 +420,15 @@ def step_splice(
         return True
 
     splices = sorted(
-        (users[i][0], i)
+        (edges[i][0], i)
         for run in positions.values()
         for j, i in enumerate(run)
         if spliced(i, run, j)
     )
     single_run = len(sources) == 1
-    run_entries = {s: list(chain.from_iterable(entries[i] for i in positions[s])) for s in sources}
+    run_entries = {
+        s: list(chain.from_iterable(entries[i] for i in decoded[s])) for s in sources
+    }
     out: list[Union[EncodedBlock, MergedBlock]] = []
 
     def merge_gap(after: Optional[bytes], before: Optional[bytes]) -> None:
@@ -352,20 +456,21 @@ def step_splice(
     after: Optional[bytes] = None
     for first, i in splices:
         merge_gap(after, first)
-        block = entries[i]
+        block = stored[i]
+        facts = block.facts or facts_of_entries(entries[i])
         out.append(
             EncodedBlock(
-                stored=stored[i].data,
-                first_key=block[0][0],
-                last_key=block[-1][0],
-                num_entries=len(block),
-                filter=stored[i].filter or block_filter(users[i], bloom_bits_per_key),
-                uncompressed_bytes=len(raw[i].raw),
+                stored=block.data,
+                first_key=facts.first_key,
+                last_key=facts.last_key,
+                num_entries=facts.num_entries,
+                filter=block.filter or block_filter(users[i], bloom_bits_per_key),
+                plain=facts.plain,
                 passthrough=single_run,
                 reused=not single_run,
             )
         )
-        after = users[i][-1]
+        after = edges[i][1]
     merge_gap(after, None)
     return out
 

@@ -2,8 +2,10 @@
 
 ``verify_db`` walks a database directory and checks everything the
 engine relies on: CURRENT/MANIFEST consistency, per-table footer and
-block checksums, intra-table key ordering, level-invariant
-(non-overlap) violations, and orphaned files.  ``repair_db`` rebuilds a
+block checksums, intra-table key ordering, each block's index facts
+(first key, entry count, plain bit — compaction splices on them without
+decoding the block), level-invariant (non-overlap) violations, and
+orphaned files.  ``repair_db`` rebuilds a
 usable database from whatever valid SSTables survive — the LevelDB
 ``RepairDB`` strategy: scan ``*.sst``, salvage every table whose blocks
 verify, and register them all at level 0 in a fresh MANIFEST (L0 may
@@ -19,6 +21,7 @@ from typing import Optional
 from ..devices.vfs import Storage
 from ..lsm.ikey import internal_compare
 from ..lsm.options import Options
+from ..lsm.table_format import facts_of_entries
 from ..lsm.table_reader import Table
 from ..lsm.version import FileMetaData, Version, sstable_name, sstable_number
 from .manifest import (
@@ -96,15 +99,29 @@ def verify_db(storage: Storage, options: Optional[Options] = None) -> VerifyRepo
             report.error(f"{meta.name}: unreadable table: {exc}")
             continue
         report.tables_checked += 1
-        prev = None
+        first = prev = None
         count = 0
+        handles = table.block_handles()
         try:
-            for ikey, _value in table:
-                if prev is not None and internal_compare(prev, ikey) >= 0:
+            for handle, facts in zip(handles, table.block_facts(handles)):
+                entries = table.block_entries(handle)
+                if facts is not None and (not entries or facts != facts_of_entries(entries)):
+                    report.error(
+                        f"{meta.name}: index facts of the block at offset "
+                        f"{handle.offset} do not match its entries"
+                    )
+                ordered = True
+                for ikey, _value in entries:
+                    if prev is not None and internal_compare(prev, ikey) >= 0:
+                        ordered = False
+                        break
+                    prev = ikey
+                    count += 1
+                if not ordered:
                     report.error(f"{meta.name}: keys out of order")
                     break
-                prev = ikey
-                count += 1
+                if first is None and entries:
+                    first = entries[0][0]
         except Exception as exc:
             report.error(f"{meta.name}: block corruption: {exc}")
             continue
@@ -114,8 +131,7 @@ def verify_db(storage: Storage, options: Optional[Options] = None) -> VerifyRepo
                 f"{meta.name}: footer says {table.num_entries} entries, "
                 f"read {count}"
             )
-        first = next(iter(table), None)
-        if first is not None and first[0] != meta.smallest:
+        if first is not None and first != meta.smallest:
             report.error(f"{meta.name}: smallest key mismatch vs manifest")
 
     # Orphans (not fatal: crash between write and manifest commit).

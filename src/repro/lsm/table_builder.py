@@ -7,10 +7,12 @@ framed (S5, S6: :mod:`repro.lsm.table_format`), and
 :class:`TableWriter` appends the blocks and closes the file with its
 filter, index and footer (S7).  The index holds one entry per data
 block, keyed by the block's own last internal key; its value is the
-block's handle followed by the block's bloom filter piece, which the
-cutter builds over the block's user keys (and which a compaction that
-copies the block as stored copies with it).  The filter block is
-written empty; index and filter are stored under the ``null`` tag.
+block's handle, the block's facts (first key, entry count, plain bit:
+:func:`repro.lsm.table_format.encode_block_facts`) and the block's
+bloom filter piece, which the cutter builds over the block's user keys.
+A compaction that copies a block as stored copies its facts and piece
+with it.  The filter block is written empty; index and filter are
+stored under the ``null`` tag.
 
 :class:`TableBuilder` is the flush's push-style front over the three.
 :class:`repro.lsm.table_sink.TableSink` cuts a compaction's output into
@@ -27,13 +29,15 @@ from ..codec.compress import get_codec
 from ..devices.vfs import WritableFile
 from .blockfmt import BlockBuilder
 from .bloom import block_filter
-from .ikey import internal_compare
+from .ikey import KIND_DELETE, internal_compare
 from .options import Options
 from .table_format import (
     BLOCK_TRAILER_SIZE,
+    LAYOUT_FACTS,
     BlockHandle,
     Footer,
     encode_block_contents,
+    encode_block_facts,
 )
 
 __all__ = ["BlockCutter", "EncodedBlock", "MergedBlock", "TableBuilder", "TableWriter"]
@@ -45,9 +49,10 @@ class EncodedBlock:
 
     ``stored`` is payload + 5-byte trailer, exactly as written to disk.
     ``filter`` is the block's bloom filter piece
-    (:func:`repro.lsm.bloom.block_filter` of its user keys), which the
-    writer stores in the block's index entry.
-    ``uncompressed_bytes`` feeds compaction-bandwidth accounting.
+    (:func:`repro.lsm.bloom.block_filter` of its user keys), and
+    ``plain`` says every user key occurs once in it and none is a
+    tombstone; the writer stores both, with the keys and the count, in
+    the block's index entry.
     How a compaction made the block, for its accounting (the sink treats
     all alike): ``passthrough`` marks an input block of a single-run
     sub-task handed on as stored (no S4–S6); ``reused`` the same for an
@@ -60,7 +65,7 @@ class EncodedBlock:
     last_key: bytes
     num_entries: int
     filter: bytes = b""
-    uncompressed_bytes: int = 0
+    plain: bool = False
     passthrough: bool = False
     reused: bool = False
 
@@ -74,12 +79,13 @@ class MergedBlock:
     last_key: bytes
     num_entries: int
     filter: bytes
+    plain: bool = False
 
     def encoded(self, stored: bytes) -> EncodedBlock:
         """This block with ``stored``, its S5 + S6 output."""
         return EncodedBlock(
             stored, self.first_key, self.last_key, self.num_entries,
-            self.filter, len(self.raw),
+            self.filter, self.plain,
         )
 
 
@@ -88,8 +94,8 @@ class BlockCutter:
 
     A block is cut once its size estimate reaches ``block_bytes``, and
     by :meth:`cut`, which builds the block's filter piece at
-    ``bloom_bits_per_key``.  Entries must arrive in strictly increasing
-    internal-key order.
+    ``bloom_bits_per_key``.  The plain bit is kept as entries arrive.
+    Entries must arrive in strictly increasing internal-key order.
     """
 
     def __init__(
@@ -105,12 +111,19 @@ class BlockCutter:
         self._emit = emit
         self._first_key = b""
         self._users: list[bytes] = []  # the open block's, filtered when it is cut
+        self._plain = True
 
     def add(self, ikey: bytes, value: bytes) -> None:
-        if not self._users:
+        users = self._users
+        user = ikey[:-8]
+        if not users:
             self._first_key = ikey
+        elif users[-1] == user:  # in key order, a repeat is adjacent
+            self._plain = False
+        if ikey[-8] == KIND_DELETE:
+            self._plain = False
         self._builder.add(ikey, value)
-        self._users.append(ikey[:-8])
+        users.append(user)
         if self._builder.current_size_estimate() >= self._block_bytes:
             self.cut()
 
@@ -122,15 +135,18 @@ class BlockCutter:
         block = MergedBlock(
             builder.finish(), self._first_key, builder.last_key,
             builder.num_entries, block_filter(self._users, self._bloom_bits_per_key),
+            self._plain,
         )
         builder.reset()
         self._users = []
+        self._plain = True
         self._emit(block)
 
 
 class TableWriter:
     """One SSTable file: data blocks as stored, then an empty filter
-    block, the index (each block's handle and filter piece), the footer.
+    block, the index (each block's handle, facts and filter piece), the
+    footer, which marks the index layout :data:`LAYOUT_FACTS`.
 
     ``size`` is the bytes written so far; ``smallest``/``largest`` the
     first block's first key and the last block's last key.
@@ -147,7 +163,12 @@ class TableWriter:
 
     def append(self, block: EncodedBlock) -> None:
         """Append one data block; blocks must arrive in key order."""
-        self._index.add(block.last_key, self._write(block.stored).encode() + block.filter)
+        facts = encode_block_facts(
+            block.first_key, block.last_key, block.num_entries, block.plain
+        )
+        self._index.add(
+            block.last_key, self._write(block.stored).encode() + facts + block.filter
+        )
         if self.smallest is None:
             self.smallest = block.first_key
         self.largest = block.last_key
@@ -166,6 +187,7 @@ class TableWriter:
             self._write(encode_block_contents(b"", null, self._checksummer)),
             self._write(encode_block_contents(self._index.finish(), null, self._checksummer)),
             self.num_entries,
+            LAYOUT_FACTS,
         )
         encoded = footer.encode()
         self.file.append(encoded)

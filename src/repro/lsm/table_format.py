@@ -10,7 +10,14 @@ An SSTable file is::
 Each block trailer is 5 bytes: 1-byte compression type + 4-byte masked
 CRC of the stored payload *including* the type byte.  The footer is a
 fixed 48 bytes: filter handle + index handle (varint-encoded, zero
-padded to 40 bytes) followed by an 8-byte magic number.
+padded to 31 bytes), the index layout byte, the entry count (fixed64)
+and an 8-byte magic number.
+
+Each index entry's value is the data block's handle, then — in the
+:data:`LAYOUT_FACTS` layout — the block's :class:`BlockFacts`
+(:func:`encode_block_facts`), then its filter piece.  A table written
+before the facts has layout byte 0 (:data:`LAYOUT_PIECES`: the handle
+and the piece, or the handle alone), since that byte was zero padding.
 
 This module is the one place blocks are framed, in both directions:
 :func:`read_block` (S1), :func:`block_checksum_ok` (S2) and
@@ -22,7 +29,7 @@ writer and the compaction steps call these same functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..codec.checksum import Checksummer
 from ..codec.compress import Codec, get_codec
@@ -35,6 +42,7 @@ from ..codec.varint import (
     put_fixed64,
 )
 from ..devices.vfs import ReadableFile
+from .ikey import KIND_DELETE
 
 __all__ = [
     "BLOCK_TRAILER_SIZE",
@@ -42,14 +50,20 @@ __all__ = [
     "TABLE_MAGIC",
     "COMPRESSION_TAGS",
     "TAG_TO_CODEC",
+    "LAYOUT_FACTS",
+    "LAYOUT_PIECES",
+    "BlockFacts",
     "BlockHandle",
     "Footer",
     "TableCorruption",
     "block_checksum_ok",
     "compress_block",
     "decode_block_contents",
+    "decode_block_facts",
     "decompress_block",
     "encode_block_contents",
+    "encode_block_facts",
+    "facts_of_entries",
     "frame_block",
     "read_block",
 ]
@@ -60,6 +74,12 @@ TABLE_MAGIC = 0x7075_6C73_6564_6273  # "pulsedbs"
 
 COMPRESSION_TAGS = {"null": 0, "lz77": 1, "zlib": 2}
 TAG_TO_CODEC = {v: k for k, v in COMPRESSION_TAGS.items()}
+
+#: Index layouts, as the footer's layout byte names them.
+LAYOUT_PIECES = 0  # handle · filter piece (the piece may be absent)
+LAYOUT_FACTS = 1  # handle · block facts · filter piece
+
+_BYTE = [bytes((i,)) for i in range(256)]
 
 
 class TableCorruption(ValueError):
@@ -85,17 +105,23 @@ class BlockHandle:
 
 @dataclass(frozen=True)
 class Footer:
-    """Fixed-size table footer."""
+    """Fixed-size table footer.
+
+    ``layout`` is byte 31, the last byte of the handles' zero padding:
+    every table written before it existed reads as
+    :data:`LAYOUT_PIECES`.
+    """
 
     filter_handle: BlockHandle
     index_handle: BlockHandle
     num_entries: int
+    layout: int = LAYOUT_PIECES
 
     def encode(self) -> bytes:
         body = self.filter_handle.encode() + self.index_handle.encode()
-        if len(body) > 32:
+        if len(body) > 31:
             raise TableCorruption("footer handles too large")
-        body += b"\x00" * (32 - len(body))
+        body += b"\x00" * (31 - len(body)) + _BYTE[self.layout]
         return body + put_fixed64(self.num_entries) + put_fixed64(TABLE_MAGIC)
 
     @classmethod
@@ -105,9 +131,102 @@ class Footer:
         if get_fixed64(buf, 40) != TABLE_MAGIC:
             raise TableCorruption("bad table magic (not an SSTable?)")
         filter_handle, pos = BlockHandle.decode(buf, 0)
-        index_handle, _ = BlockHandle.decode(buf, pos)
+        index_handle, pos = BlockHandle.decode(buf, pos)
         num_entries = get_fixed64(buf, 32)
-        return cls(filter_handle, index_handle, num_entries)
+        # Handles long enough to reach byte 31 leave no room for a layout.
+        layout = buf[31] if pos <= 31 else LAYOUT_PIECES
+        if layout not in (LAYOUT_PIECES, LAYOUT_FACTS):
+            raise TableCorruption(f"unknown index layout {layout}")
+        return cls(filter_handle, index_handle, num_entries, layout)
+
+
+class BlockFacts(NamedTuple):
+    """What a :data:`LAYOUT_FACTS` index entry says of its data block.
+
+    ``first_key`` and ``last_key`` are the block's first and last
+    internal keys (the last is the entry's own index key);
+    ``num_entries`` its entry count.  ``plain``: every user key occurs
+    once in the block and none is a tombstone.
+    """
+
+    first_key: bytes
+    last_key: bytes
+    num_entries: int
+    plain: bool
+
+
+def facts_of_entries(entries: list[tuple[bytes, bytes]]) -> BlockFacts:
+    """The facts a (non-empty) block's decoded ``entries`` give."""
+    users = [ikey[:-8] for ikey, _ in entries]
+    plain = len(set(users)) == len(users) and all(
+        ikey[-8] != KIND_DELETE for ikey, _ in entries
+    )
+    return BlockFacts(entries[0][0], entries[-1][0], len(entries), plain)
+
+
+def encode_block_facts(
+    first_key: bytes, last_key: bytes, num_entries: int, plain: bool
+) -> bytes:
+    """A block's facts as its index entry stores them, after the handle.
+
+    ``varint shared · varint n · suffix · varint trailer · varint
+    (num_entries << 1 | plain)``: the first key's user key is the last
+    key's first ``shared`` bytes and the ``n``-byte ``suffix``, and
+    ``trailer`` is the first key's 8-byte trailer read as a
+    little-endian number.  The varints are written without a call each:
+    every flush and compaction encodes one set per block it writes.
+    """
+    user = first_key[:-8]
+    shared = 0
+    for a, b in zip(user, last_key[:-8]):
+        if a != b:
+            break
+        shared += 1
+    out = b""
+    for value in (shared, len(user) - shared):
+        while value >= 0x80:
+            out += _BYTE[value & 0x7F | 0x80]
+            value >>= 7
+        out += _BYTE[value]
+    out += user[shared:]
+    for value in (int.from_bytes(first_key[-8:], "little"), num_entries << 1 | plain):
+        while value >= 0x80:
+            out += _BYTE[value & 0x7F | 0x80]
+            value >>= 7
+        out += _BYTE[value]
+    return out
+
+
+def decode_block_facts(
+    buf: bytes, pos: int, last_key: bytes
+) -> tuple[BlockFacts, int]:
+    """The facts :func:`encode_block_facts` wrote at ``buf[pos:]`` for
+    the block whose last internal key is ``last_key``, and the offset
+    just past them.  One-byte varints are read in place: a table parses
+    the facts of every block when it opens."""
+    try:
+        shared = buf[pos]
+        if shared < 0x80:
+            pos += 1
+        else:
+            shared, pos = decode_varint64(buf, pos)
+        n = buf[pos]
+        if n < 0x80:
+            pos += 1
+        else:
+            n, pos = decode_varint64(buf, pos)
+        trailer, end = decode_varint64(buf, pos + n)
+        shape = buf[end]
+        if shape < 0x80:
+            end += 1
+        else:
+            shape, end = decode_varint64(buf, end)
+    except (IndexError, ValueError) as exc:
+        raise TableCorruption(f"bad block facts: {exc}") from None
+    if shared > len(last_key) - 8:
+        raise TableCorruption("bad block facts")
+    first_key = last_key[:shared] + buf[pos : pos + n] + trailer.to_bytes(8, "little")
+    return BlockFacts(first_key, last_key, shape >> 1, shape & 1 == 1), end
 
 
 def compress_block(raw: bytes, codec: Codec) -> tuple[bytes, int]:

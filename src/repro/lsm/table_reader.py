@@ -25,11 +25,14 @@ from .ikey import internal_order
 from .options import Options
 from .table_format import (
     FOOTER_SIZE,
+    LAYOUT_FACTS,
     TAG_TO_CODEC,
+    BlockFacts,
     BlockHandle,
     Footer,
     TableCorruption,
     decode_block_contents,
+    decode_block_facts,
     read_block,
 )
 
@@ -88,18 +91,24 @@ class Table:
         footer = Footer.decode(file.pread(size - FOOTER_SIZE, FOOTER_SIZE))
         self.num_entries = footer.num_entries
         # The index in file order: each data block's separator key, its
-        # location and filter piece (none in the table-wide layout), and
-        # the separators' sort keys for the bisect.
+        # location, facts (in the facts layout) and filter piece (none
+        # in the table-wide layout), and the separators' sort keys for
+        # the bisect.
         index = Block(self._load_block(footer.index_handle)).entries()
         self._separators = [k for k, _ in index]
         self._handles: list[BlockHandle] = []
         self._filters: list[bytes] = []
-        for _key, value in index:
+        self._facts: list[BlockFacts] = []
+        self._has_facts = footer.layout == LAYOUT_FACTS
+        for key, value in index:
             handle, end = BlockHandle.decode(value)
+            if self._has_facts:
+                facts, end = decode_block_facts(value, end, key)
+                self._facts.append(facts)
             self._handles.append(handle)
             self._filters.append(value[end:])
         self._index_order = [internal_order(k) for k in self._separators]
-        self._filter_by_offset: Optional[dict[int, bytes]] = None
+        self._block_by_offset: Optional[dict[int, int]] = None
         # Not empty only in the table-wide layout, read but never written.
         self._table_filter = (
             self._load_block(footer.filter_handle) if footer.filter_handle.size else b""
@@ -158,14 +167,27 @@ class Table:
         """Data-block locations in key order (compaction input)."""
         return list(self._handles)
 
+    def _positions(self, handles: Sequence[BlockHandle]) -> list[int]:
+        if self._block_by_offset is None:
+            self._block_by_offset = {h.offset: b for b, h in enumerate(self._handles)}
+        return [self._block_by_offset[h.offset] for h in handles]
+
     def block_filters(self, handles: Sequence[BlockHandle]) -> list[bytes]:
         """The filter piece of each block of ``handles`` (compaction
         input, S1): ``b""`` for a block of a table-wide-layout table."""
-        if self._filter_by_offset is None:
-            self._filter_by_offset = {
-                h.offset: piece for h, piece in zip(self._handles, self._filters)
-            }
-        return [self._filter_by_offset[h.offset] for h in handles]
+        return [self._filters[b] for b in self._positions(handles)]
+
+    def block_facts(self, handles: Sequence[BlockHandle]) -> list[Optional[BlockFacts]]:
+        """The index facts of each block of ``handles`` (compaction
+        input, S1): None for a table written before the facts."""
+        if not self._has_facts:
+            return [None] * len(handles)
+        return [self._facts[b] for b in self._positions(handles)]
+
+    def block_entries(self, handle: BlockHandle) -> list[tuple[bytes, bytes]]:
+        """One data block's entries, read, verified and decoded past
+        the block cache (``dbtool verify``)."""
+        return Block(self._load_block(handle)).entries()
 
     def filter_layout(self) -> str:
         """``per-block`` (a piece in the index entry of every block),
@@ -175,6 +197,12 @@ class Table:
         if self._filters and all(self._filters):
             return "per-block"
         return "none"
+
+    def index_layout(self) -> str:
+        """``facts`` (every index entry carries its block's first key,
+        entry count and plain bit) or ``handles`` (a table written
+        before the facts)."""
+        return "facts" if self._has_facts else "handles"
 
     def block_codecs(self) -> list[str]:
         """Each data block's codec, read off its trailer's tag, in key
@@ -189,12 +217,16 @@ class Table:
     def key_range(self) -> Optional[tuple[bytes, bytes]]:
         """(smallest, largest) internal key; None if there is no data block.
 
-        The index cannot answer this: it does not hold the first key,
-        and in a table written before each block was indexed by its own
-        last key, the final index key is a successor that over-covers.
-        Not handed the range, read the edge blocks — once per ``Table``,
-        and past the block cache, which belongs to readers.
+        In the facts layout the index answers: the first block's first
+        key and the last block's own last key.  A table written before
+        holds no first key, and where each block was not yet indexed by
+        its own last key, the final index key is a successor that
+        over-covers; not handed the range, such a table reads its edge
+        blocks — once per ``Table``, and past the block cache, which
+        belongs to readers.
         """
+        if self._key_range is None and self._facts:
+            self._key_range = (self._facts[0].first_key, self._facts[-1].last_key)
         if self._key_range is None and self._handles:
             first, last = (
                 Block(self._load_block(handle))

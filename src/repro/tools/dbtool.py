@@ -545,6 +545,7 @@ def cmd_sst(args) -> int:
     census = Counter(table.block_codecs())
     print("codecs:        " + " ".join(f"{c}={n}" for c, n in sorted(census.items())))
     print(f"filter:        {table.filter_layout()}")
+    print(f"index:         {table.index_layout()}")
     print(f"entries:       {len(entries)} (footer: {table.num_entries})")
     print(f"key range:     {first_user!r} .. {last_user!r}")
     if raw:

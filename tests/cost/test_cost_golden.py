@@ -23,6 +23,9 @@ operation, 1 KB values, fixed seed:
 * ``compact_scp`` — one SCP ``compact_tables`` merge of two tables
   on their own store: even keys 0–598 over odd keys 1–399, so half the
   range interleaves; ops are input blocks;
+* ``compact_splice`` — the same on ``perf``'s ``compact`` shape: every
+  key in 0–199 over the even keys in 0–398, 16 KiB sub-tasks, so the
+  lower run's upper half passes through as stored; ops are input blocks;
 * ``flush`` — ``DB.flush()`` of a memtable just short of full, on its
   own store that compacts nothing; each memtable is filled uncounted,
   and ops are flushes.
@@ -220,6 +223,7 @@ def measure() -> dict:
     finally:
         db.close()
     rows["compact_scp"] = _compact_row(rng)
+    rows["compact_splice"] = _splice_row()
     rows["flush"] = _flush_row()
     return rows
 
@@ -247,8 +251,10 @@ def _flush_row() -> dict:
     return {"ops": FLUSHES, "calls": calls}
 
 
-def _compact_row(rng: random.Random) -> dict:
-    """One SCP merge of two seeded tables, ops = input blocks."""
+def _merge_row(rng: random.Random, upper_keys, lower_keys, subtask_bytes: int = 1 << 20):
+    """One SCP merge of two seeded tables on their own store, the upper
+    one newest: the row (ops = input blocks), the entries it wrote, and
+    its stats."""
     storage = MemStorage()
     options = _options()
 
@@ -261,23 +267,42 @@ def _compact_row(rng: random.Random) -> dict:
             builder.finish()
         return Table(storage.open(name), options)
 
-    upper = table("upper.sst", range(0, 600, 2), 2)
-    lower = table("lower.sst", range(1, 400, 2), 1)
+    upper = table("upper.sst", upper_keys, 2)
+    lower = table("lower.sst", lower_keys, 1)
     names = (f"{n:06d}.sst" for n in range(100, 1000))
-    outputs = []
+    result = []
 
     def compact():
-        outputs.extend(
+        result.append(
             compact_tables(
                 [upper, lower], storage, options, lambda: next(names),
-                spec=ProcedureSpec.scp(),
-            )[0]
+                spec=ProcedureSpec.scp(subtask_bytes=subtask_bytes),
+            )
         )
 
     calls = _calls(compact)
-    merged = [len(list(Table(storage.open(m.name), options))) for m in outputs]
-    assert sum(merged) == 500
-    return {"ops": upper.num_blocks() + lower.num_blocks(), "calls": calls}
+    outputs, stats, _ = result[0]
+    merged = sum(len(list(Table(storage.open(m.name), options))) for m in outputs)
+    return {"ops": upper.num_blocks() + lower.num_blocks(), "calls": calls}, merged, stats
+
+
+def _compact_row(rng: random.Random) -> dict:
+    """Even keys 0–598 over odd keys 1–399."""
+    row, merged, _ = _merge_row(rng, range(0, 600, 2), range(1, 400, 2))
+    assert merged == 500
+    return row
+
+
+def _splice_row() -> dict:
+    """The ``compact`` shape: every key in 0–199 over the even keys in
+    0–398, in sub-tasks small enough to fence off the lower run's upper
+    half."""
+    row, merged, stats = _merge_row(
+        random.Random(SEED), range(200), range(0, 400, 2), subtask_bytes=16 * 1024
+    )
+    assert merged == 300
+    assert stats.passthrough_blocks > 0
+    return row
 
 
 @pytest.mark.skipif(

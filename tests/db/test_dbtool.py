@@ -178,3 +178,21 @@ def test_sst_prints_filter_layout(db_dir, tmp_path, capsys):
     write_table_wide(OSStorage(str(tmp_path)), "000009.sst", rows, Options())
     assert main(["sst", str(tmp_path), "000009.sst"]) == 0
     assert "filter:        table-wide\n" in capsys.readouterr().out
+
+
+def test_sst_prints_index_layout(db_dir, tmp_path, capsys):
+    import os
+
+    from repro.devices import OSStorage
+    from repro.lsm import KIND_VALUE, Options, encode_internal_key
+    from tests.lsm.piece_layout import write_piece_layout
+
+    victim = next(f for f in sorted(os.listdir(db_dir)) if f.endswith(".sst"))
+    assert main(["sst", db_dir, victim]) == 0
+    assert "index:         facts\n" in capsys.readouterr().out
+    rows = [(encode_internal_key(b"k%03d" % i, 1, KIND_VALUE), b"v") for i in range(50)]
+    write_piece_layout(OSStorage(str(tmp_path)), "000009.sst", rows, Options())
+    assert main(["sst", str(tmp_path), "000009.sst"]) == 0
+    out = capsys.readouterr().out
+    assert "index:         handles\n" in out
+    assert "filter:        per-block\n" in out

@@ -1,11 +1,24 @@
 """Tests for verify_db / repair_db and the streaming cursor."""
 
 
+from repro.codec import get_checksummer, get_codec
 from repro.db import DB, repair_db, verify_db
 from repro.db.db import db_counts
 from repro.db.manifest import CURRENT_NAME
 from repro.devices import MemStorage
 from repro.lsm import sstable_name
+from repro.lsm.blockfmt import Block, BlockBuilder
+from repro.lsm.ikey import internal_compare
+from repro.lsm.table_format import (
+    FOOTER_SIZE,
+    BlockHandle,
+    Footer,
+    decode_block_contents,
+    decode_block_facts,
+    encode_block_contents,
+    encode_block_facts,
+    read_block,
+)
 
 from tests.helpers import corrupt_file, small_options
 
@@ -49,6 +62,39 @@ class TestVerify:
         corrupt_file(storage, victim, 20)
         report = verify_db(storage, small_options())
         assert not report.ok
+
+    def test_index_facts_that_lie_are_detected(self):
+        """One index entry claims one entry more than its block holds;
+        the index's CRC is recomputed, so every block still verifies."""
+        storage = MemStorage()
+        options = small_options()
+        _populate(storage, options=options)
+        victim = next(n for n in storage.list() if n.endswith(".sst"))
+        checksummer = get_checksummer(options.checksum)
+        with storage.open(victim) as f:
+            data = f.read_all()
+            footer = Footer.decode(data[-FOOTER_SIZE:])
+            index = Block(decode_block_contents(read_block(f, footer.index_handle), checksummer))
+        builder = BlockBuilder(1, compare=internal_compare)
+        for i, (key, value) in enumerate(index):
+            if i == 1:
+                _handle, start = BlockHandle.decode(value)
+                facts, end = decode_block_facts(value, start, key)
+                lie = encode_block_facts(
+                    facts.first_key, key, facts.num_entries + 1, facts.plain
+                )
+                value = value[:start] + lie + value[end:]
+            builder.add(key, value)
+        stored = encode_block_contents(builder.finish(), get_codec("null"), checksummer)
+        offset = footer.index_handle.offset
+        assert len(stored) == footer.index_handle.size + 5
+        with storage.create(victim) as f:
+            f.append(data[:offset] + stored + data[offset + len(stored):])
+        report = verify_db(storage, options)
+        assert not report.ok
+        assert any(
+            victim in e and "index facts" in e for e in report.errors
+        ), report.render()
 
     def test_quarantined_and_tmp_files_are_warnings(self):
         storage = MemStorage()

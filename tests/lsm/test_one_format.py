@@ -2,11 +2,12 @@
 
 A DB flush, a ``TableBuilder`` and a ``compact_tables`` output are all
 written by one writer: one index entry per data block, keyed by that
-block's last internal key, its value the block's handle and then the
-filter piece that block's user keys give; index and (empty) filter
-block stored under the null tag.  A compaction that splices a block
-copies its piece byte for byte, and every procedure and backend writes
-the same bytes.  A table in the format written before (shortened
+block's last internal key, its value the block's handle, then the
+block's facts (first key, entry count, plain bit) and the filter piece
+that block's user keys give; index and (empty) filter block stored
+under the null tag, the footer marking the facts layout.  A compaction
+that splices a block copies its facts and piece byte for byte, and
+every procedure and backend writes the same bytes.  A table in the format written before (shortened
 separators, a short successor closing an lz77-compressed index, one
 table-wide filter) still reads, and still compacts.
 """
@@ -33,10 +34,13 @@ from repro.lsm.table_format import (
     BLOCK_TRAILER_SIZE,
     COMPRESSION_TAGS,
     FOOTER_SIZE,
+    LAYOUT_FACTS,
     BlockHandle,
     Footer,
     decode_block_contents,
+    decode_block_facts,
     encode_block_contents,
+    facts_of_entries,
     read_block,
 )
 from repro.lsm.table_reader import Table
@@ -68,6 +72,7 @@ def assert_one_format(storage, name, options=OPTIONS):
     null = COMPRESSION_TAGS["null"]
     with storage.open(name) as f:
         footer = Footer.decode(f.pread(f.size() - FOOTER_SIZE, FOOTER_SIZE))
+        assert footer.layout == LAYOUT_FACTS
         index_stored = read_block(f, footer.index_handle)
         filter_stored = read_block(f, footer.filter_handle)
         assert index_stored[-BLOCK_TRAILER_SIZE] == null
@@ -80,6 +85,8 @@ def assert_one_format(storage, name, options=OPTIONS):
             offset += handle.size + BLOCK_TRAILER_SIZE
             block = list(Block(decode_block_contents(read_block(f, handle), checksummer)))
             assert key == block[-1][0]
+            facts, end = decode_block_facts(value, end, key)
+            assert facts == facts_of_entries(block)
             users = [ikey[:-8] for ikey, _ in block]
             assert value[end:] == piece_of_keys(users, options.bloom_bits_per_key)
         assert offset == footer.filter_handle.offset
@@ -223,6 +230,21 @@ def _stored_blocks(storage, name, options=OPTIONS):
     return dict(zip(stored, pieces))
 
 
+def _stored_facts(storage, name, options=OPTIONS):
+    """{stored bytes: the facts bytes of its index entry} of every data
+    block of ``name``."""
+    checksummer = get_checksummer(options.checksum)
+    out = {}
+    with storage.open(name) as f:
+        footer = Footer.decode(f.pread(f.size() - FOOTER_SIZE, FOOTER_SIZE))
+        index = Block(decode_block_contents(read_block(f, footer.index_handle), checksummer))
+        for key, value in index:
+            handle, start = BlockHandle.decode(value)
+            _facts, end = decode_block_facts(value, start, key)
+            out[read_block(f, handle)] = value[start:end]
+    return out
+
+
 def _splice_inputs(storage):
     """The ``compact`` shape: the upper run holds every key of the lower
     run's first half and shadows it; the second half is the lower run's
@@ -253,6 +275,25 @@ class TestSplicedPieces:
                     spliced += 1
                     assert piece == inputs[stored]
         assert spliced == stats.passthrough_blocks + stats.reused_blocks
+
+    def test_spliced_block_keeps_its_input_facts(self):
+        storage = MemStorage()
+        tables = _splice_inputs(storage)
+        inputs = {}
+        for name in ("upper.sst", "lower.sst"):
+            inputs.update(_stored_facts(storage, name))
+        numbers = itertools.count(1)
+        outputs, stats, _ = compact_tables(
+            tables, storage, OPTIONS, file_namer=lambda: f"{next(numbers):06d}.sst",
+            spec=ProcedureSpec.scp(subtask_bytes=2048),
+        )
+        spliced = 0
+        for meta in outputs:
+            for stored, facts in _stored_facts(storage, meta.name).items():
+                if stored in inputs:
+                    spliced += 1
+                    assert facts == inputs[stored]
+        assert spliced == stats.passthrough_blocks + stats.reused_blocks > 0
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_procedures_write_the_same_bytes(self, backend):

@@ -34,7 +34,7 @@ def _encoded_block(users, options, seq=1):
         last_key=_ik(users[-1], seq),
         num_entries=len(users),
         filter=block_filter(users, options.bloom_bits_per_key),
-        uncompressed_bytes=len(raw),
+        plain=True,
     )
 
 

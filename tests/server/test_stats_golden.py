@@ -8,9 +8,10 @@ malformed frame — runs against three served stores: a ``DB``, a
 it at commit 5ead13d, before the counts moved into the metrics
 registry; the document must not change.  The values that follow the
 table format (``total_bytes``, ``db.flush_bytes`` and the store's
-``io.mem`` byte and op counts) were re-recorded once since, when each
+``io.mem`` byte and op counts) were re-recorded twice since: when each
 data block's bloom filter piece moved into the index and the filter
-block was written empty.
+block was written empty, and when each index entry took its block's
+facts (first key, entry count, plain bit).
 
 Only values that depend on timing are dropped: a latency or duration
 histogram keeps its sample count, and the STATS / METRICS opcodes'
