@@ -115,18 +115,28 @@ def test_bench_block_iterate(benchmark, block_entries):
     assert entries == block_entries
 
 
+# A compaction input block as S1 reads it from a table: the stored
+# payload, with the filter piece and facts its index entry carries.
+def _input_block(source, entries, codec, checksummer):
+    from repro.core.steps import StoredBlock
+    from repro.lsm.bloom import block_filter
+    from repro.lsm.table_format import encode_block_contents, facts_of_entries
+
+    return StoredBlock(
+        source,
+        encode_block_contents(_build_block(entries), codec, checksummer),
+        block_filter([ikey[:-8] for ikey, _ in entries], 10),
+        facts_of_entries(entries),
+    )
+
+
 # One input block of a compaction, two ways (report only): re-encoded
-# by S2–S6, or — when no other run overlaps it — verified, scanned for
-# the sink's metadata and handed on as stored.
+# by S2–S6, or — when no other run overlaps it — verified and handed on
+# as stored, undecoded.
 def _stored_block(entries):
     from repro.codec import get_checksummer, get_codec
-    from repro.core.steps import StoredBlock
-    from repro.lsm.table_format import encode_block_contents
 
-    stored = encode_block_contents(
-        _build_block(entries), get_codec("lz77"), get_checksummer("crc32")
-    )
-    return [StoredBlock(0, stored)]
+    return [_input_block(0, entries, get_codec("lz77"), get_checksummer("crc32"))]
 
 
 def test_bench_block_through_s2_s6(benchmark, block_entries):
@@ -168,8 +178,6 @@ KEYS_PER_BLOCK = 36  # 16 B keys, 100 B values: ~4 KB blocks
 
 def _compact_subtask(unshadowed: bool):
     from repro.codec import get_checksummer, get_codec
-    from repro.core.steps import StoredBlock
-    from repro.lsm.table_format import encode_block_contents
 
     codec, checksummer = get_codec("lz77"), get_checksummer("crc32")
     values = ValueGenerator(100 - 24, seed=101)
@@ -183,9 +191,7 @@ def _compact_subtask(unshadowed: bool):
             for i in keys
         ]
         return [
-            StoredBlock(source, encode_block_contents(
-                _build_block(entries[b : b + KEYS_PER_BLOCK]), codec, checksummer
-            ))
+            _input_block(source, entries[b : b + KEYS_PER_BLOCK], codec, checksummer)
             for b in range(0, len(entries), KEYS_PER_BLOCK)
         ]
 

@@ -23,6 +23,7 @@ __all__ = [
     "get_fixed64",
     "MAX_VARINT32_LEN",
     "MAX_VARINT64_LEN",
+    "BYTE",
 ]
 
 MAX_VARINT32_LEN = 5
@@ -30,7 +31,8 @@ MAX_VARINT64_LEN = 10
 
 _FIXED32 = struct.Struct("<I")
 _FIXED64 = struct.Struct("<Q")
-_ONE_BYTE = [bytes((i,)) for i in range(0x80)]
+#: ``BYTE[i] == bytes((i,))``: one-byte strings, built once.
+BYTE = [bytes((i,)) for i in range(256)]
 
 
 class VarintError(ValueError):
@@ -38,22 +40,24 @@ class VarintError(ValueError):
 
 
 def encode_varint64(value: int) -> bytes:
-    """Encode a non-negative integer < 2**64 as a LEB128 varint."""
+    """Encode a non-negative integer < 2**64 as a LEB128 varint, each
+    byte from a table (every index entry's handle is two of these)."""
+    if 0 <= value < 0x80:
+        return BYTE[value]
     if value < 0 or value >= 1 << 64:
         raise VarintError(f"varint64 out of range: {value}")
-    out = bytearray()
+    out = b""
     while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
+        out += BYTE[value & 0x7F | 0x80]
         value >>= 7
-    out.append(value)
-    return bytes(out)
+    return out + BYTE[value]
 
 
 def encode_varint32(value: int) -> bytes:
     """Encode a non-negative integer < 2**32 as a LEB128 varint."""
     if 0 <= value < 0x80:
         # Block entry headers and short lengths: one byte, no loop.
-        return _ONE_BYTE[value]
+        return BYTE[value]
     if value < 0 or value >= 1 << 32:
         raise VarintError(f"varint32 out of range: {value}")
     return encode_varint64(value)

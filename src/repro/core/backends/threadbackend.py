@@ -67,12 +67,12 @@ class ExecutionStats:
     input_bytes: int = 0  # stored bytes of the input blocks, each once
     output_bytes: int = 0
     entries_out: int = 0
-    #: input blocks of single-run sub-tasks written out as stored
-    #: (verified, never re-encoded)
+    #: input blocks spliced into the output from their index facts,
+    #: verified and never decompressed (no S3–S6)
     passthrough_blocks: int = 0
     passthrough_bytes: int = 0
-    #: input blocks of multi-run sub-tasks spliced into the output as
-    #: stored (no S4–S6); none is also a pass-through
+    #: input blocks decompressed and decoded, then spliced into the
+    #: output as stored (no S5–S6); none is also a pass-through
     reused_blocks: int = 0
     reused_bytes: int = 0
     stage_seconds: dict[str, float] = field(

@@ -59,7 +59,6 @@ from ..lsm.table_format import (
     block_checksum_ok,
     compress_block,
     decompress_block,
-    facts_of_entries,
     frame_block,
     read_block,
 )
@@ -84,8 +83,9 @@ __all__ = [
 class StoredBlock:
     """S1 output: a block exactly as stored (payload + trailer), and
     from the input table's index its filter piece (``b""`` where the
-    table has none: the table-wide layout) and its facts (None where
-    the table has none: written before the facts layout)."""
+    table was written without filters) and its facts, which
+    :func:`spliced_by_facts` and :func:`step_splice` need (None only for
+    S3 and :func:`step_merge` alone)."""
 
     source: int  # which input run this came from
     data: bytes
@@ -242,7 +242,6 @@ def spliced_by_facts(
     """Which of one sub-task's blocks S4 hands on as stored from their
     index facts alone, so that S3 and S4 never decode them.
 
-    Only a sub-task whose every block carries facts is decided here.
     A block ``b`` of run ``s`` qualifies when:
 
     * it is plain: no user key occurs twice in it, and none is a
@@ -261,8 +260,6 @@ def spliced_by_facts(
     """
     facts = [block.facts for block in stored]
     out = [False] * len(stored)
-    if None in facts:
-        return out
     tag = COMPRESSION_TAGS[codec.name]
     firsts = [f.first_key[:-8] for f in facts]
     lasts = [f.last_key[:-8] for f in facts]
@@ -313,12 +310,13 @@ def step_splice(
     """S4 for one sub-task: splice the blocks a merge would reproduce.
 
     ``stored`` are the sub-task's blocks after S2, run by run (newest
-    first), each run's in key order; ``raw`` is S3's output, aligned
-    with them, None for each block :func:`spliced_by_facts` marks.
-    Such a block is spliced from its facts, undecoded.  Every other
-    block ``b`` of run ``s`` comes out of :func:`step_merge` exactly as
-    it went in, and is handed on as stored — an :class:`EncodedBlock`
-    around the very bytes S1 read, ready for S7 — when:
+    first), each run's in key order, each with its index facts; ``raw``
+    is S3's output, aligned with them, None for each block
+    :func:`spliced_by_facts` marks.  Such a block is spliced from its
+    facts, undecoded.  Every other block ``b`` of run ``s`` comes out of
+    :func:`step_merge` exactly as it went in, and is handed on as stored
+    — an :class:`EncodedBlock` around the very bytes S1 read, ready for
+    S7 — when:
 
     * every key lies inside ``[lower, upper)``;
     * its trailer carries ``codec``'s own tag — not ``null`` for a
@@ -340,15 +338,16 @@ def step_splice(
     Everything else — the entries between spliced blocks, from every
     run — is merged as :func:`step_merge` would, into blocks of its own:
     a spliced block closes the builder's open block.  Returns the
-    sub-task's output blocks in key order, spliced ones final
-    (``passthrough`` where one run supplies every block, otherwise
-    ``reused``: an input block's stored payload, without S4 or S5) and
-    rebuilt ones as :class:`MergedBlock`, still to take S5 and S6.
+    sub-task's output blocks in key order, spliced ones final — an
+    input block's stored payload, ``passthrough`` where it was spliced
+    from its facts (no S3–S6), ``reused`` where it was decoded first
+    (no S5–S6) — and rebuilt ones as :class:`MergedBlock`, still to
+    take S5 and S6.
 
     A spliced block keeps its input's facts and filter piece byte for
     byte, and none of its keys is hashed; only a block from an input
-    written before them gets facts and a piece made from the keys
-    decoded here (the piece at ``bloom_bits_per_key``).
+    written without filters gets a piece, made from the keys decoded
+    here at ``bloom_bits_per_key``.
     """
     snapshot = MAX_SEQUENCE if smallest_snapshot is None else smallest_snapshot
     tag = COMPRESSION_TAGS[codec.name]
@@ -358,12 +357,8 @@ def step_splice(
         None if r is None else Block(r.raw, compare=internal_compare).entries() for r in raw
     ]
     users = [None if block is None else [ikey[:-8] for ikey, _ in block] for block in entries]
-    # Each block's first and last user key; None for an empty block.
-    edges: list[Optional[tuple[bytes, bytes]]] = [
-        (b.facts.first_key[:-8], b.facts.last_key[:-8]) if ukeys is None
-        else (ukeys[0], ukeys[-1]) if ukeys else None
-        for b, ukeys in zip(stored, users)
-    ]
+    # Each block's first and last user key.
+    edges = [(b.facts.first_key[:-8], b.facts.last_key[:-8]) for b in stored]
     positions: dict[int, list[int]] = {}  # source -> its blocks, key order
     for i, block in enumerate(stored):
         positions.setdefault(block.source, []).append(i)
@@ -380,18 +375,16 @@ def step_splice(
             return True
         if not ukeys or stored[i].data[-BLOCK_TRAILER_SIZE] != tag:
             return False
-        first, last = ukeys[0], ukeys[-1]
+        first, last = edges[i]
         if (lower_bound is not None and first < lower_bound) or (
             upper_bound is not None and last >= upper_bound
         ):
             return False
         distinct = set(ukeys)
-        prev_edges = edges[neighbours[j - 1]] if j > 0 else None
-        next_edges = edges[neighbours[j + 1]] if j + 1 < len(neighbours) else None
         if (
             len(distinct) != len(ukeys)
-            or (prev_edges is not None and prev_edges[1] == first)
-            or (next_edges is not None and next_edges[0] == last)
+            or (j > 0 and edges[neighbours[j - 1]][1] == first)
+            or (j + 1 < len(neighbours) and edges[neighbours[j + 1]][0] == last)
         ):
             return False
         if drop_deletes and any(
@@ -425,7 +418,6 @@ def step_splice(
         for j, i in enumerate(run)
         if spliced(i, run, j)
     )
-    single_run = len(sources) == 1
     run_entries = {
         s: list(chain.from_iterable(entries[i] for i in decoded[s])) for s in sources
     }
@@ -456,8 +448,7 @@ def step_splice(
     after: Optional[bytes] = None
     for first, i in splices:
         merge_gap(after, first)
-        block = stored[i]
-        facts = block.facts or facts_of_entries(entries[i])
+        block, facts = stored[i], stored[i].facts
         out.append(
             EncodedBlock(
                 stored=block.data,
@@ -466,8 +457,8 @@ def step_splice(
                 num_entries=facts.num_entries,
                 filter=block.filter or block_filter(users[i], bloom_bits_per_key),
                 plain=facts.plain,
-                passthrough=single_run,
-                reused=not single_run,
+                passthrough=users[i] is None,
+                reused=users[i] is not None,
             )
         )
         after = edges[i][1]

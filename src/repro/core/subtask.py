@@ -12,11 +12,10 @@ whole to one sub-task; blocks of the other runs that straddle a
 boundary are read by both neighbouring sub-tasks and filtered by the
 bounds (a small, documented I/O duplication — the price of unaligned
 block grids, which the paper's LevelDB implementation pays the same
-way).  A long stretch that only one run has keys in is fenced off on
-that run's grid: its sub-tasks merge nothing, and the compute job can
-hand their blocks on as stored.  Every sub-task reads at most twice
-``subtask_bytes`` plus a block per run, which is what makes the
-executor's ``window`` a bound in bytes.
+way).  Which blocks go undecoded is not the partition's concern: the
+compute job decides that per block, from the index facts.  Every
+sub-task reads at most twice ``subtask_bytes`` plus a block per run,
+which is what makes the executor's ``window`` a bound in bytes.
 
 Because sub-key ranges are disjoint *user-key* ranges, every version of
 a user key lands in exactly one sub-task, so newest-wins deduplication
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from ..lsm.ikey import decode_internal_key
@@ -100,16 +98,13 @@ def distinct_input_bytes(subtasks: Iterable[SubTask]) -> int:
 
 
 class _Grid:
-    """One table's block grid in user keys, on its real key range.
+    """One table's block grid in user keys.
 
     Block ``b`` holds user keys in ``[starts[b], ends[b]]``.  ``ends``
-    are the index keys — each block's own last key, as every table is
-    written now — except the last, where the real largest key stands
-    in: a table written before indexes each block by a shortened
-    separator, and closes its index with a successor of the whole
-    table that over-covers.  ``starts[b]`` is the key after
-    ``ends[b-1]``, unless the block may open with *more versions of*
-    ``ends[b-1]`` that a merge would keep: then it is that key itself,
+    are the index keys, each block's own last key; ``starts[0]`` is the
+    table's first key and ``starts[b]`` the key after ``ends[b-1]``,
+    unless the block may open with *more versions of* ``ends[b-1]``
+    that a merge would keep: then it is that key itself,
     so a cut right behind block ``b-1`` still hands block ``b`` to the
     sub-task that owns the key.  Versions older than the one closing
     block ``b-1`` survive a merge only if that one is invisible to some
@@ -121,13 +116,12 @@ class _Grid:
         self.sizes = [h.size + BLOCK_TRAILER_SIZE for h in self.handles]
         self.starts: list[bytes] = []
         self.ends: list[bytes] = []
-        key_range = table.key_range()
-        if key_range is None:
+        facts = table.block_facts(self.handles)
+        if not facts:
             return
-        separators = table.block_separators()
+        separators = [f.last_key for f in facts]
         self.ends = [sep[:-8] for sep in separators]
-        self.ends[-1] = key_range[1][:-8]
-        self.starts = [key_range[0][:-8]]
+        self.starts = [facts[0].first_key[:-8]]
         for sep, end in zip(separators, self.ends[:-1]):
             kept = (
                 smallest_snapshot is not None
@@ -142,10 +136,6 @@ class _Grid:
     @property
     def largest(self) -> bytes:
         return self.ends[-1]
-
-    def floor(self, b: int) -> bytes:
-        """A key no key of block ``b`` sorts before, whatever the snapshot."""
-        return self.ends[b - 1] if b else self.smallest
 
     def split_by(self, cut: bytes) -> bool:
         """Does the table hold keys on both sides of ``cut``?"""
@@ -211,11 +201,7 @@ def _choose_cuts(
     Where the drawing run's blocks are so sparse that the sum doubles
     with no cut of theirs in reach, any run's grid will do: the size
     bound outranks a whole block.
-
-    Cuts around single-run stretches (:func:`_stretch_cuts`) are taken
-    whatever the sum.
     """
-    forced = _stretch_cuts(grids, subtask_bytes)
     block_ends = sorted(
         (end + b"\x00", source, size, b == len(grid.ends) - 1)
         for source, grid in enumerate(grids)
@@ -235,41 +221,8 @@ def _choose_cuts(
             other.split_by(cut)
             for other in (grids if closes_run else grids[:source])
         )
-        if draws or cut in forced or acc >= 2 * subtask_bytes:
+        if draws or acc >= 2 * subtask_bytes:
             cuts.append(cut)
             acc = 0
     return cuts
 
-
-def _stretch_cuts(grids: Sequence[_Grid], subtask_bytes: int) -> set[bytes]:
-    """Cuts that fence off each long stretch only one run has keys in.
-
-    A sub-task whose blocks all come from one run can hand them to the
-    output as stored (see ``run_subtask_compute``), so such a stretch
-    gets sub-tasks of its own, opened and closed on that run's block
-    grid so every block of it falls wholly inside one.  A stretch
-    shorter than an eighth of ``subtask_bytes`` is left to its
-    neighbours: fencing it costs up to two extra sub-tasks, and below
-    that size their fixed cost (a submit and a hand-back; a pickle round
-    trip under the process backend) is no longer small beside the S4–S6
-    it would save.
-    """
-    cuts: set[bytes] = set()
-    for grid in grids:
-        others = [g for g in grids if g is not grid and g.ends]
-        alone = [  # per block: no other run has a key anywhere near it
-            not any(g.smallest <= end and g.largest >= grid.floor(b) for g in others)
-            for b, end in enumerate(grid.ends)
-        ]
-        for is_alone, stretch in groupby(range(len(alone)), key=alone.__getitem__):
-            blocks = list(stretch)
-            first, last = blocks[0], blocks[-1]
-            if not is_alone or 8 * sum(grid.sizes[first : last + 1]) < subtask_bytes:
-                continue
-            before = [g.largest for g in others if g.largest < grid.smallest]
-            if first > 0:
-                cuts.add(grid.ends[first - 1] + b"\x00")
-            elif before:
-                cuts.add(max(before) + b"\x00")
-            cuts.add(grid.ends[last] + b"\x00")
-    return cuts

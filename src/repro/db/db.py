@@ -51,7 +51,7 @@ from ..lsm.ikey import (
 from ..lsm.memtable import MemTable
 from ..lsm.options import Options
 from ..lsm.table_builder import TableBuilder
-from ..lsm.table_format import TableCorruption
+from ..lsm.table_format import TableCorruption, UnsupportedTableFormat
 from ..lsm.table_reader import Table, WouldBlock
 from ..lsm.version import FileMetaData, sstable_name
 from ..lsm.wal import LogReader, LogWriter, WalRetention, WriteBatch
@@ -343,7 +343,6 @@ class DB:
                 self.options,
                 cache=self._cache,
                 table_id=meta.number,
-                key_range=(meta.smallest, meta.largest),
             )
             self._tables[meta.number] = table
         return table
@@ -810,8 +809,9 @@ class DB:
         # Transient I/O errors get bounded retries with exponential
         # backoff; corrupt inputs are quarantined and the task aborts
         # gracefully (the tree shrinks by the damaged table instead of
-        # the DB wedging).  File numbers are never reused, so partial
-        # outputs of a failed attempt are swept by number range.
+        # the DB wedging), but a table of another layout is not damage:
+        # it stays, and the task fails.  File numbers are never reused,
+        # so partial outputs of a failed attempt are swept by number range.
         attempt = 0
         while True:
             first_number = self._next_file
@@ -861,6 +861,9 @@ class DB:
                 if delay > 0:
                     with self._unlocked() if unlock else nullcontext():
                         time.sleep(delay)
+            except UnsupportedTableFormat:
+                self._gc_partial_outputs(first_number)
+                raise
             except TableCorruption as exc:
                 self._gc_partial_outputs(first_number)
                 if not self._quarantine_corrupt_inputs(task, exc):

@@ -21,7 +21,7 @@ from typing import Optional
 from ..devices.vfs import Storage
 from ..lsm.ikey import internal_compare
 from ..lsm.options import Options
-from ..lsm.table_format import facts_of_entries
+from ..lsm.table_format import UnsupportedTableFormat, facts_of_entries
 from ..lsm.table_reader import Table
 from ..lsm.version import FileMetaData, Version, sstable_name, sstable_number
 from .manifest import (
@@ -105,7 +105,7 @@ def verify_db(storage: Storage, options: Optional[Options] = None) -> VerifyRepo
         try:
             for handle, facts in zip(handles, table.block_facts(handles)):
                 entries = table.block_entries(handle)
-                if facts is not None and (not entries or facts != facts_of_entries(entries)):
+                if not entries or facts != facts_of_entries(entries):
                     report.error(
                         f"{meta.name}: index facts of the block at offset "
                         f"{handle.offset} do not match its entries"
@@ -172,7 +172,8 @@ def repair_db(storage: Storage, options: Optional[Options] = None) -> dict:
     cleanly is renamed back and salvaged; one that does not stays
     aside and is listed in ``dropped``.  A table salvaged under a name
     that is not a table number's is renamed to a fresh number and listed
-    under that name.
+    under that name.  A table of another layout is not dropped: repair
+    stops with :class:`UnsupportedTableFormat` before it writes a manifest.
     """
     options = options or Options()
     salvaged: list[str] = []
@@ -226,6 +227,8 @@ def repair_db(storage: Storage, options: Optional[Options] = None) -> dict:
                 max_seq,
                 max(decode_internal_key(k)[1] for k, _ in entries),
             )
+        except UnsupportedTableFormat as exc:
+            raise UnsupportedTableFormat(f"{name}: {exc}") from None
         except Exception:
             dropped.append(name)
             continue

@@ -27,6 +27,7 @@ from .table_format import (
     BlockHandle,
     Footer,
     TableCorruption,
+    UnsupportedTableFormat,
     decode_block_contents,
     encode_block_contents,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "Table",
     "TableBuilder",
     "TableCorruption",
+    "UnsupportedTableFormat",
     "Version",
     "WriteBatch",
     "bloom_hash",

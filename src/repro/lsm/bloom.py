@@ -9,17 +9,13 @@ The filter serialises to ``bit_array || k`` (last byte is the probe
 count), so a reader needs no out-of-band parameters.  A table carries
 one such blob per data block, a *piece* over that block's user keys
 (:func:`block_filter`), so a compaction that copies a block as stored
-copies its piece with it.  A table written before that holds one
-table-wide filter instead; it is read, never written.
-
-The two differ in the base hash.  The table-wide filter hashes with
-:func:`bloom_hash`, LevelDB's.  Keys that differ only in their last
-byte differ only in its top bits, so in a piece of a few hundred bits
-such keys crowd onto a few positions: on 16-byte decimal keys a piece
-of 35 keys passes 12 % of absent neighbours and one of 4 keys 95 %.
-A piece hashes with :func:`piece_hash` — CRC-32, in C, through
-murmur3's 32-bit finalizer — which passes about 1 % at 10 bits per key
-on the same keys, as the theory says.
+copies its piece with it.  A piece hashes with :func:`piece_hash` —
+CRC-32, in C, through murmur3's 32-bit finalizer — which passes about
+1 % of absent 16-byte decimal keys at 10 bits per key.  LevelDB's
+:func:`bloom_hash` passes 12 % in a piece of 35 such keys (keys that
+differ only in their last byte crowd onto a few positions); it,
+:meth:`BloomFilterBuilder.add` and :class:`BloomFilter` are used by no
+table, and remain only because ``perf/layers.py`` times them.
 
 The flush and a compaction build a piece for every block they cut, so
 both steps run as lane kernels (:func:`piece_hashes`,
@@ -62,8 +58,8 @@ _MIN_LANE_KEYS = 8
 
 
 def bloom_hash(key: bytes, seed: int = _SEED) -> int:
-    """Murmur-flavoured 32-bit hash (LevelDB's Hash()): the table-wide
-    filter's."""
+    """Murmur-flavoured 32-bit hash (LevelDB's Hash()); no table uses
+    it, kept only for ``perf/layers.py``'s ``lsm.bloom_check_us``."""
     m = _M
     n = len(key)
     h = (seed ^ (n * m)) & 0xFFFFFFFF
@@ -116,7 +112,8 @@ _GATHER_BITS = 0x0102040810204080
 
 
 class BloomFilterBuilder:
-    """Accumulates keys, then emits an immutable filter blob."""
+    """Accumulates key hashes, then emits an immutable filter blob.
+    :meth:`add` (:func:`bloom_hash`) is kept only for ``perf/layers.py``."""
 
     def __init__(self, bits_per_key: int = 10) -> None:
         if bits_per_key < 0:
@@ -215,7 +212,8 @@ def probe(blob: bytes, h: int) -> bool:
 
 
 class BloomFilter:
-    """Reader side of a table-wide filter (:func:`bloom_hash` keys)."""
+    """Reader side of a filter over :func:`bloom_hash` keys; no table
+    uses it, kept only for ``perf/layers.py``'s ``lsm.bloom_check_us``."""
 
     def __init__(self, blob: bytes) -> None:
         self._blob = bytes(blob)

@@ -33,7 +33,6 @@ from .ikey import KIND_DELETE, internal_compare
 from .options import Options
 from .table_format import (
     BLOCK_TRAILER_SIZE,
-    LAYOUT_FACTS,
     BlockHandle,
     Footer,
     encode_block_contents,
@@ -54,10 +53,10 @@ class EncodedBlock:
     tombstone; the writer stores both, with the keys and the count, in
     the block's index entry.
     How a compaction made the block, for its accounting (the sink treats
-    all alike): ``passthrough`` marks an input block of a single-run
-    sub-task handed on as stored (no S4–S6); ``reused`` the same for an
-    input block of a multi-run sub-task, spliced before S4 because the
-    merge would only reproduce it.
+    all alike): ``passthrough`` marks an input block spliced from its
+    index facts, never decompressed (no S3–S6); ``reused`` an input
+    block decompressed and decoded, then spliced because the merge would
+    only reproduce it (no S5–S6).
     """
 
     stored: bytes
@@ -145,8 +144,8 @@ class BlockCutter:
 
 class TableWriter:
     """One SSTable file: data blocks as stored, then an empty filter
-    block, the index (each block's handle, facts and filter piece), the
-    footer, which marks the index layout :data:`LAYOUT_FACTS`.
+    block, the index (each block's handle, facts and filter piece) and
+    the footer.
 
     ``size`` is the bytes written so far; ``smallest``/``largest`` the
     first block's first key and the last block's last key.
@@ -187,7 +186,6 @@ class TableWriter:
             self._write(encode_block_contents(b"", null, self._checksummer)),
             self._write(encode_block_contents(self._index.finish(), null, self._checksummer)),
             self.num_entries,
-            LAYOUT_FACTS,
         )
         encoded = footer.encode()
         self.file.append(encoded)

@@ -10,14 +10,14 @@ An SSTable file is::
 Each block trailer is 5 bytes: 1-byte compression type + 4-byte masked
 CRC of the stored payload *including* the type byte.  The footer is a
 fixed 48 bytes: filter handle + index handle (varint-encoded, zero
-padded to 31 bytes), the index layout byte, the entry count (fixed64)
-and an 8-byte magic number.
+padded to 31 bytes), the index layout byte (:data:`LAYOUT_FACTS`), the
+entry count (fixed64) and an 8-byte magic number.
 
-Each index entry's value is the data block's handle, then — in the
-:data:`LAYOUT_FACTS` layout — the block's :class:`BlockFacts`
-(:func:`encode_block_facts`), then its filter piece.  A table written
-before the facts has layout byte 0 (:data:`LAYOUT_PIECES`: the handle
-and the piece, or the handle alone), since that byte was zero padding.
+Each index entry's value is the data block's handle, then the block's
+:class:`BlockFacts` (:func:`encode_block_facts`), then its filter
+piece.  The filter block is empty.  A footer whose layout byte is not
+:data:`LAYOUT_FACTS` — a table written before the facts, where that
+byte was zero padding — is rejected (:class:`UnsupportedTableFormat`).
 
 This module is the one place blocks are framed, in both directions:
 :func:`read_block` (S1), :func:`block_checksum_ok` (S2) and
@@ -34,6 +34,7 @@ from typing import NamedTuple, Optional
 from ..codec.checksum import Checksummer
 from ..codec.compress import Codec, get_codec
 from ..codec.varint import (
+    BYTE,
     decode_varint64,
     encode_varint64,
     get_fixed32,
@@ -51,11 +52,11 @@ __all__ = [
     "COMPRESSION_TAGS",
     "TAG_TO_CODEC",
     "LAYOUT_FACTS",
-    "LAYOUT_PIECES",
     "BlockFacts",
     "BlockHandle",
     "Footer",
     "TableCorruption",
+    "UnsupportedTableFormat",
     "block_checksum_ok",
     "compress_block",
     "decode_block_contents",
@@ -75,15 +76,18 @@ TABLE_MAGIC = 0x7075_6C73_6564_6273  # "pulsedbs"
 COMPRESSION_TAGS = {"null": 0, "lz77": 1, "zlib": 2}
 TAG_TO_CODEC = {v: k for k, v in COMPRESSION_TAGS.items()}
 
-#: Index layouts, as the footer's layout byte names them.
-LAYOUT_PIECES = 0  # handle · filter piece (the piece may be absent)
-LAYOUT_FACTS = 1  # handle · block facts · filter piece
-
-_BYTE = [bytes((i,)) for i in range(256)]
+#: The footer's layout byte: each index entry is handle · block facts ·
+#: filter piece.
+LAYOUT_FACTS = 1
 
 
 class TableCorruption(ValueError):
     """Raised when SSTable framing fails validation."""
+
+
+class UnsupportedTableFormat(TableCorruption):
+    """A footer naming a layout this reader does not read: not damage,
+    so compaction and repair stop rather than quarantine or drop it."""
 
 
 @dataclass(frozen=True)
@@ -107,21 +111,20 @@ class BlockHandle:
 class Footer:
     """Fixed-size table footer.
 
-    ``layout`` is byte 31, the last byte of the handles' zero padding:
-    every table written before it existed reads as
-    :data:`LAYOUT_PIECES`.
+    Byte 31, the last byte of the handles' zero padding, is
+    :data:`LAYOUT_FACTS`; a table written before it existed holds 0
+    there, and does not decode.
     """
 
     filter_handle: BlockHandle
     index_handle: BlockHandle
     num_entries: int
-    layout: int = LAYOUT_PIECES
 
     def encode(self) -> bytes:
         body = self.filter_handle.encode() + self.index_handle.encode()
         if len(body) > 31:
             raise TableCorruption("footer handles too large")
-        body += b"\x00" * (31 - len(body)) + _BYTE[self.layout]
+        body += b"\x00" * (31 - len(body)) + BYTE[LAYOUT_FACTS]
         return body + put_fixed64(self.num_entries) + put_fixed64(TABLE_MAGIC)
 
     @classmethod
@@ -132,16 +135,14 @@ class Footer:
             raise TableCorruption("bad table magic (not an SSTable?)")
         filter_handle, pos = BlockHandle.decode(buf, 0)
         index_handle, pos = BlockHandle.decode(buf, pos)
-        num_entries = get_fixed64(buf, 32)
-        # Handles long enough to reach byte 31 leave no room for a layout.
-        layout = buf[31] if pos <= 31 else LAYOUT_PIECES
-        if layout not in (LAYOUT_PIECES, LAYOUT_FACTS):
-            raise TableCorruption(f"unknown index layout {layout}")
-        return cls(filter_handle, index_handle, num_entries, layout)
+        # Handles long enough to reach byte 31 leave no room for it.
+        if pos > 31 or buf[31] != LAYOUT_FACTS:
+            raise UnsupportedTableFormat("unsupported index layout")
+        return cls(filter_handle, index_handle, get_fixed64(buf, 32))
 
 
 class BlockFacts(NamedTuple):
-    """What a :data:`LAYOUT_FACTS` index entry says of its data block.
+    """What an index entry says of its data block.
 
     ``first_key`` and ``last_key`` are the block's first and last
     internal keys (the last is the entry's own index key);
@@ -185,15 +186,15 @@ def encode_block_facts(
     out = b""
     for value in (shared, len(user) - shared):
         while value >= 0x80:
-            out += _BYTE[value & 0x7F | 0x80]
+            out += BYTE[value & 0x7F | 0x80]
             value >>= 7
-        out += _BYTE[value]
+        out += BYTE[value]
     out += user[shared:]
     for value in (int.from_bytes(first_key[-8:], "little"), num_entries << 1 | plain):
         while value >= 0x80:
-            out += _BYTE[value & 0x7F | 0x80]
+            out += BYTE[value & 0x7F | 0x80]
             value >>= 7
-        out += _BYTE[value]
+        out += BYTE[value]
     return out
 
 

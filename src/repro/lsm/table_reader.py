@@ -3,9 +3,7 @@
 ``Table.get`` is the read path the paper's background compactions keep
 short: index bisect → the block's bloom filter piece → the data block,
 from the block cache or read (S1), checksum-verified (S2), decompressed
-(S3) and decoded → a bisect for the entry.  A table written before each
-block carried its own piece holds one table-wide filter instead, in its
-filter block; it is probed before the bisect.  Both bisects compare
+(S3) and decoded → a bisect for the entry.  Both bisects compare
 :func:`repro.lsm.ikey.internal_order` tuples, so they run in C: a
 cached GET re-parses nothing.  ``iter_from`` / ``iter_reverse_from``
 drive scans.
@@ -19,13 +17,12 @@ from typing import Iterator, Optional, Sequence
 from ..codec.checksum import get_checksummer
 from ..devices.vfs import ReadableFile
 from .blockfmt import Block
-from .bloom import bloom_hash, piece_hash, probe
+from .bloom import piece_hash, probe
 from .cache import LRUCache
 from .ikey import internal_order
 from .options import Options
 from .table_format import (
     FOOTER_SIZE,
-    LAYOUT_FACTS,
     TAG_TO_CODEC,
     BlockFacts,
     BlockHandle,
@@ -73,15 +70,10 @@ class Table:
         options: Optional[Options] = None,
         cache: Optional[LRUCache] = None,
         table_id: object = None,
-        key_range: Optional[tuple[bytes, bytes]] = None,
     ) -> None:
-        """``key_range`` is the table's (smallest, largest) internal key
-        where the opener already knows it (the DB's ``FileMetaData``);
-        without it :meth:`key_range` reads the two edge blocks."""
         self.options = options or Options()
         self._file = file
         self._cache = cache
-        self._key_range = key_range
         self._table_id = table_id if table_id is not None else id(self)
         self._checksummer = get_checksummer(self.options.checksum)
 
@@ -90,29 +82,20 @@ class Table:
             raise TableCorruption(f"file too small for a footer: {size} bytes")
         footer = Footer.decode(file.pread(size - FOOTER_SIZE, FOOTER_SIZE))
         self.num_entries = footer.num_entries
-        # The index in file order: each data block's separator key, its
-        # location, facts (in the facts layout) and filter piece (none
-        # in the table-wide layout), and the separators' sort keys for
-        # the bisect.
+        # The index in file order: each data block's location, facts and
+        # filter piece, and its last key's sort key for the bisect.
         index = Block(self._load_block(footer.index_handle)).entries()
-        self._separators = [k for k, _ in index]
         self._handles: list[BlockHandle] = []
         self._filters: list[bytes] = []
         self._facts: list[BlockFacts] = []
-        self._has_facts = footer.layout == LAYOUT_FACTS
         for key, value in index:
             handle, end = BlockHandle.decode(value)
-            if self._has_facts:
-                facts, end = decode_block_facts(value, end, key)
-                self._facts.append(facts)
+            facts, end = decode_block_facts(value, end, key)
+            self._facts.append(facts)
             self._handles.append(handle)
             self._filters.append(value[end:])
-        self._index_order = [internal_order(k) for k in self._separators]
+        self._index_order = [internal_order(k) for k, _ in index]
         self._block_by_offset: Optional[dict[int, int]] = None
-        # Not empty only in the table-wide layout, read but never written.
-        self._table_filter = (
-            self._load_block(footer.filter_handle) if footer.filter_handle.size else b""
-        )
 
     @property
     def file(self) -> ReadableFile:
@@ -174,14 +157,13 @@ class Table:
 
     def block_filters(self, handles: Sequence[BlockHandle]) -> list[bytes]:
         """The filter piece of each block of ``handles`` (compaction
-        input, S1): ``b""`` for a block of a table-wide-layout table."""
+        input, S1): ``b""`` where the table was written without
+        filters."""
         return [self._filters[b] for b in self._positions(handles)]
 
-    def block_facts(self, handles: Sequence[BlockHandle]) -> list[Optional[BlockFacts]]:
+    def block_facts(self, handles: Sequence[BlockHandle]) -> list[BlockFacts]:
         """The index facts of each block of ``handles`` (compaction
-        input, S1): None for a table written before the facts."""
-        if not self._has_facts:
-            return [None] * len(handles)
+        input, S1)."""
         return [self._facts[b] for b in self._positions(handles)]
 
     def block_entries(self, handle: BlockHandle) -> list[tuple[bytes, bytes]]:
@@ -190,19 +172,9 @@ class Table:
         return Block(self._load_block(handle)).entries()
 
     def filter_layout(self) -> str:
-        """``per-block`` (a piece in the index entry of every block),
-        ``table-wide`` (one filter block) or ``none``."""
-        if self._table_filter:
-            return "table-wide"
-        if self._filters and all(self._filters):
-            return "per-block"
-        return "none"
-
-    def index_layout(self) -> str:
-        """``facts`` (every index entry carries its block's first key,
-        entry count and plain bit) or ``handles`` (a table written
-        before the facts)."""
-        return "facts" if self._has_facts else "handles"
+        """``per-block`` (a piece in the index entry of every block) or
+        ``none``."""
+        return "per-block" if self._filters and all(self._filters) else "none"
 
     def block_codecs(self) -> list[str]:
         """Each data block's codec, read off its trailer's tag, in key
@@ -210,31 +182,12 @@ class Table:
         tags = [self._file.pread(h.offset + h.size, 1)[0] for h in self._handles]
         return [TAG_TO_CODEC.get(tag, f"tag-{tag}") for tag in tags]
 
-    def block_separators(self) -> list[bytes]:
-        """Index separator keys, aligned with :meth:`block_handles`."""
-        return list(self._separators)
-
     def key_range(self) -> Optional[tuple[bytes, bytes]]:
-        """(smallest, largest) internal key; None if there is no data block.
-
-        In the facts layout the index answers: the first block's first
-        key and the last block's own last key.  A table written before
-        holds no first key, and where each block was not yet indexed by
-        its own last key, the final index key is a successor that
-        over-covers; not handed the range, such a table reads its edge
-        blocks — once per ``Table``, and past the block cache, which
-        belongs to readers.
-        """
-        if self._key_range is None and self._facts:
-            self._key_range = (self._facts[0].first_key, self._facts[-1].last_key)
-        if self._key_range is None and self._handles:
-            first, last = (
-                Block(self._load_block(handle))
-                for handle in (self._handles[0], self._handles[-1])
-            )
-            *_, (largest, _value) = last
-            self._key_range = (first.first_key(), largest)
-        return self._key_range
+        """(smallest, largest) internal key, from the index facts; None
+        if there is no data block."""
+        if not self._facts:
+            return None
+        return (self._facts[0].first_key, self._facts[-1].last_key)
 
     # -- lookups -----------------------------------------------------
     def get(
@@ -258,19 +211,11 @@ class Table:
         """
         if order is None:
             order = internal_order(ikey)
-        if self._table_filter and not probe(self._table_filter, bloom_hash(order[0])):
-            return None
         idx = bisect_left(self._index_order, order)
-        if idx < len(self._filters) and not probe(self._filters[idx], piece_hash(order[0])):
+        if idx == len(self._filters) or not probe(self._filters[idx], piece_hash(order[0])):
             return None
-        # The next block answers only where this one's separator
-        # over-covers: the target sorts after every key it holds.
-        for handle in self._handles[idx : idx + 2]:
-            entries, orders = self._block_at(handle, wait)
-            pos = bisect_left(orders, order)
-            if pos < len(entries):
-                return entries[pos]
-        return None
+        entries, orders = self._block_at(self._handles[idx], wait)
+        return entries[bisect_left(orders, order)]
 
     # -- iteration ---------------------------------------------------
     def iter_from(self, ikey: Optional[bytes] = None) -> Iterator[tuple[bytes, bytes]]:

@@ -57,6 +57,7 @@ from ..db.db import DB
 from ..db.verify import repair_db, verify_db
 from ..devices.vfs import OSStorage
 from ..lsm.options import Options
+from ..lsm.table_format import TableCorruption, UnsupportedTableFormat
 
 __all__ = ["main", "build_parser"]
 
@@ -429,7 +430,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    result = repair_db(OSStorage(args.directory), Options())
+    try:
+        result = repair_db(OSStorage(args.directory), Options())
+    except UnsupportedTableFormat as exc:
+        print(f"repair stopped: {exc}", file=sys.stderr)
+        return 1
     print(f"salvaged {len(result['salvaged'])} tables")
     for name in result["salvaged"]:
         print(f"  + {name}")
@@ -468,7 +473,11 @@ def _fsck_dir(directory: str, repair: bool) -> int:
         print("fsck: errors found (rerun with --repair to rebuild)")
         return 1
     print("fsck: attempting repair...")
-    result = repair_db(storage, Options())
+    try:
+        result = repair_db(storage, Options())
+    except UnsupportedTableFormat as exc:
+        print(f"fsck: repair stopped: {exc}")
+        return 1
     print(f"fsck: salvaged {len(result['salvaged'])} tables, "
           f"dropped {len(result['dropped'])}")
     report = verify_db(storage, Options())
@@ -532,7 +541,11 @@ def cmd_sst(args) -> int:
     from ..lsm.table_reader import Table
 
     storage = OSStorage(args.directory)
-    table = Table(storage.open(args.file), Options())
+    try:
+        table = Table(storage.open(args.file), Options())
+    except TableCorruption as exc:
+        print(f"{args.file}: unreadable table: {exc}", file=sys.stderr)
+        return 1
     handles = table.block_handles()
     stored = sum(h.size + 5 for h in handles)
     entries = list(table)
@@ -545,7 +558,6 @@ def cmd_sst(args) -> int:
     census = Counter(table.block_codecs())
     print("codecs:        " + " ".join(f"{c}={n}" for c, n in sorted(census.items())))
     print(f"filter:        {table.filter_layout()}")
-    print(f"index:         {table.index_layout()}")
     print(f"entries:       {len(entries)} (footer: {table.num_entries})")
     print(f"key range:     {first_user!r} .. {last_user!r}")
     if raw:

@@ -1,7 +1,8 @@
 """Block pass-through: exact, checked, and the same under every executor.
 
-A sub-task whose blocks all come from one run hands the blocks S4–S6
-would only reproduce to the sink as stored.  The oracle is a plain
+A block whose index facts show no other run near it, and that the merge
+would only reproduce, goes to the sink as stored, never decompressed
+(no S3–S6).  The oracle is a plain
 newest-wins merge over the flat list of input entries — no blocks, no
 sub-tasks — and SCP's bytes: whatever passes through, every procedure
 must still write exactly what the reference holds.
@@ -181,6 +182,10 @@ def passed(encoded):
     return {b.stored for b in encoded if b.passthrough}
 
 
+def reused(encoded):
+    return {b.stored for b in encoded if b.reused}
+
+
 class TestWhereItFires:
     def test_clean_disjoint_blocks_reach_the_output_verbatim(self):
         storage = MemStorage()
@@ -194,7 +199,7 @@ class TestWhereItFires:
         )
         written = b"".join(blobs)
         # Blocks of the lower run wholly past the upper run's last key.
-        seps = [s[:-8] for s in lower.block_separators()]
+        seps = [f.last_key[:-8] for f in lower.block_facts(lower.block_handles())]
         past = [
             block for block, prev in zip(stored_blocks(lower), [b""] + seps)
             if prev > user_key(299)
@@ -245,17 +250,23 @@ class TestTraps:
         table, subtask = self._single(entries)
         blocks = stored_blocks(table)
         kept = compute(subtask, drop_deletes=False)
-        assert passed(kept) == set(blocks)  # a tombstone that stays is just an entry
-        dropped = compute(subtask, drop_deletes=True)
         holder = next(
             block for block, encoded in zip(blocks, kept)
             if encoded.first_key[:-8] <= user_key(50) <= encoded.last_key[:-8]
         )
+        # The facts of a block holding a tombstone do not say it is
+        # plain: it is decoded, and a tombstone that stays is just an
+        # entry, so the block is spliced after all.
+        assert passed(kept) == set(blocks) - {holder}
+        assert reused(kept) == {holder}
+        dropped = compute(subtask, drop_deletes=True)
         assert passed(dropped) == set(blocks) - {holder}
+        assert not reused(dropped)
         assert sum(b.num_entries for b in dropped) == 99
         # ... but a snapshot older than the tombstone still needs it.
         seen = compute(subtask, drop_deletes=True, smallest_snapshot=0)
-        assert passed(seen) == set(blocks)
+        assert passed(seen) == set(blocks) - {holder}
+        assert reused(seen) == {holder}
 
     def test_user_key_repeated_across_a_block_edge(self):
         from repro.lsm.blockfmt import Block

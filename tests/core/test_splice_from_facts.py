@@ -1,23 +1,23 @@
 """The splice decided from the index: a block whose facts show no other
-run near it skips S3 and S4's decode, and the output is the one the
-decode-based decision writes.
+run near it skips S3 and S4's decode, counts as ``passthrough``, and
+the output is the one the decode-based decision writes.
 
-The oracle is the same inputs written in the per-block-piece layout,
-whose index holds no facts, so every block takes S3 and S4: compacted,
-they must give the same data blocks, entries and splice counts.
+The oracle is the same inputs compacted with :func:`spliced_by_facts`
+marking nothing, so every block takes S3 and S4: they must give the
+same data blocks, entries and number of spliced blocks.
 """
 
 import itertools
-import random
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 
 from repro.core import steps
+from repro.core.backends import threadbackend
 from repro.core.procedures import ProcedureSpec, compact_tables
 from repro.devices import MemStorage
-from repro.lsm.ikey import KIND_VALUE, encode_internal_key
+from repro.lsm.ikey import KIND_VALUE
 from repro.lsm.options import Options
-from repro.lsm.table_format import BLOCK_TRAILER_SIZE
 from repro.lsm.table_reader import Table
 from repro.workload import ValueGenerator, format_key
 from tests.core.test_passthrough import (
@@ -27,15 +27,9 @@ from tests.core.test_passthrough import (
     reference_merge,
     run_sets,
     stored_blocks,
+    user_key,
+    values,
 )
-from tests.lsm.piece_layout import write_piece_layout
-
-
-def build_old(storage, name, entries, options=OPTIONS):
-    """``entries`` as :func:`build` takes them, in the piece layout."""
-    rows = [(encode_internal_key(user, seq, kind), value) for user, seq, kind, value in entries]
-    write_piece_layout(storage, name, rows, options)
-    return Table(storage.open(name), options)
 
 
 def compact(storage, tables, prefix, options=OPTIONS, subtask_bytes=SUBTASK_BYTES, **kw):
@@ -51,8 +45,12 @@ def compact(storage, tables, prefix, options=OPTIONS, subtask_bytes=SUBTASK_BYTE
     return blocks, entries, stats, subtasks
 
 
-def counts(stats):
-    return stats.passthrough_blocks, stats.reused_blocks
+def spliced(stats):
+    return stats.passthrough_blocks + stats.reused_blocks
+
+
+def marks_nothing(stored, *_args):
+    return [False] * len(stored)
 
 
 @settings(
@@ -63,36 +61,58 @@ def counts(stats):
 def test_facts_write_what_the_decode_writes(case):
     runs, drop_deletes, snapshot = case
     storage = MemStorage()
-    new = [build(storage, f"new-{r}.sst", run) for r, run in enumerate(runs)]
-    old = [build_old(storage, f"old-{r}.sst", run) for r, run in enumerate(runs)]
+    tables = [build(storage, f"in-{r}.sst", run) for r, run in enumerate(runs)]
     kw = dict(drop_deletes=drop_deletes, smallest_snapshot=snapshot)
-    new_blocks, new_entries, new_stats, _ = compact(storage, new, "new", **kw)
-    old_blocks, old_entries, old_stats, _ = compact(storage, old, "old", **kw)
-    assert new_entries == reference_merge(runs, drop_deletes, snapshot)
-    assert new_entries == old_entries
-    assert new_blocks == old_blocks
-    assert counts(new_stats) == counts(old_stats)
+    blocks, entries, stats, _ = compact(storage, tables, "facts", **kw)
+    with mock.patch.object(threadbackend, "spliced_by_facts", marks_nothing):
+        decoded_blocks, decoded_entries, decoded_stats, _ = compact(
+            storage, tables, "decoded", **kw
+        )
+    assert decoded_stats.passthrough_blocks == 0
+    assert entries == reference_merge(runs, drop_deletes, snapshot)
+    assert entries == decoded_entries
+    assert blocks == decoded_blocks
+    assert spliced(stats) == spliced(decoded_stats)
 
 
-def test_mixed_layout_inputs():
-    """One table with facts over one without: the same output as two
-    tables with facts."""
-    rng = random.Random(3)
-    upper = [(b"key-%05d" % i, 2000, KIND_VALUE, b"u%d;" % i * rng.randint(2, 9))
-             for i in range(0, 400)]
-    lower = [(b"key-%05d" % i, 1000, KIND_VALUE, b"l%d;" % i * rng.randint(2, 9))
-             for i in range(0, 800, 2)]
+def count_decompressed(monkeypatch):
+    """The stored blocks S3 decompresses from now on."""
+    decompressed = []
+    decompress = steps.decompress_block
+
+    def counting(stored):
+        decompressed.append(stored)
+        return decompress(stored)
+
+    monkeypatch.setattr(steps, "decompress_block", counting)
+    return decompressed
+
+
+def test_short_lone_stretch_in_a_multi_run_subtask_passes_through(monkeypatch):
+    """The lower run's blocks between the key ranges of two newer runs
+    are spliced from their facts, never decompressed, inside the one
+    sub-task all three runs share: no sub-task of their own is needed."""
+    runs = [values(0, 100, seq=3), values(300, 400, seq=2), values(0, 400)[::2]]
     storage = MemStorage()
-    both = [build(storage, "a.sst", upper), build(storage, "b.sst", lower)]
-    mixed_upper_old = [build_old(storage, "c.sst", upper), build(storage, "d.sst", lower)]
-    mixed_lower_old = [build(storage, "e.sst", upper), build_old(storage, "f.sst", lower)]
-    blocks, entries, stats, _ = compact(storage, both, "both")
-    assert stats.passthrough_blocks > 0 and stats.reused_blocks > 0
-    for tag, tables in (("mu", mixed_upper_old), ("ml", mixed_lower_old)):
-        other_blocks, other_entries, other_stats, _ = compact(storage, tables, tag)
-        assert other_entries == entries == reference_merge([upper, lower], False, None)
-        assert other_blocks == blocks
-        assert counts(other_stats) == counts(stats)
+    tables = [build(storage, f"in-{r}.sst", run) for r, run in enumerate(runs)]
+    lower = tables[-1]
+    lone = {
+        block
+        for block, f in zip(stored_blocks(lower), lower.block_facts(lower.block_handles()))
+        if user_key(99) < f.first_key[:-8] and f.last_key[:-8] < user_key(300)
+    }
+    decompressed = count_decompressed(monkeypatch)
+    blocks, entries, stats, subtasks = compact(storage, tables, "out", subtask_bytes=1 << 20)
+    (subtask,) = subtasks
+    assert all(run.handles for run in subtask.runs)
+    assert len(lone) >= 10
+    assert 8 * sum(map(len, lone)) < 1 << 20  # short beside the sub-task
+    assert stats.passthrough_blocks == len(lone)
+    assert stats.passthrough_bytes == sum(map(len, lone))
+    assert lone <= set(blocks)
+    assert not lone & set(decompressed)
+    assert len(decompressed) == sum(t.num_blocks() for t in tables) - len(lone)
+    assert entries == reference_merge(runs, False, None)
 
 
 # --- the ``compact`` shape ---------------------------------------------------
@@ -125,14 +145,7 @@ def test_compact_shape_passes_blocks_through_undecoded(monkeypatch):
         build(storage, "upper.sst", upper, COMPACT_OPTIONS),
         build(storage, "lower.sst", lower, COMPACT_OPTIONS),
     ]
-    decompressed = []
-    decompress = steps.decompress_block
-
-    def counting(stored):
-        decompressed.append(stored)
-        return decompress(stored)
-
-    monkeypatch.setattr(steps, "decompress_block", counting)
+    decompressed = count_decompressed(monkeypatch)
     numbers = itertools.count(1)
     outputs, stats, subtasks = compact_tables(
         tables, storage, COMPACT_OPTIONS, file_namer=lambda: f"{next(numbers):06d}.sst",
@@ -140,17 +153,13 @@ def test_compact_shape_passes_blocks_through_undecoded(monkeypatch):
     )
     assert sum(t.num_blocks() for t in tables) == 834
     assert (stats.passthrough_blocks, stats.reused_blocks) == (208, 417)
-    single_run = [s for s in subtasks if sum(1 for run in s.runs if run.handles) == 1]
-    assert sum(s.num_blocks() for s in single_run) == 208
-    # Only the multi-run sub-tasks' blocks take S3; no pass-through block does.
-    multi_run_blocks = sum(s.num_blocks() for s in subtasks) - 208
-    assert len(decompressed) == multi_run_blocks
+    # A pass-through block is one S3 never saw, and every other block
+    # a sub-task reads takes S3.
+    inputs = {block for t in tables for block in stored_blocks(t)}
+    never = inputs - set(decompressed)
+    assert len(never) == stats.passthrough_blocks
+    assert sum(map(len, never)) == stats.passthrough_bytes
+    assert len(decompressed) == sum(s.num_blocks() for s in subtasks) - 208
     out_tables = [Table(storage.open(m.name), COMPACT_OPTIONS) for m in outputs]
-    written = {block for t in out_tables for block in stored_blocks(t)}
-    passed = {
-        run.table.file.pread(h.offset, h.size + BLOCK_TRAILER_SIZE)
-        for s in single_run for run in s.runs for h in run.handles
-    }
-    assert passed <= written
-    assert not passed & set(decompressed)
+    assert never <= {block for t in out_tables for block in stored_blocks(t)}
     assert [e for t in out_tables for e in t] == reference_merge([upper, lower], False, None)

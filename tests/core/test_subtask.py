@@ -237,34 +237,6 @@ class TestSizeBound:
         seen = [h.offset for s in subtasks for h in s.runs[0].handles]
         assert sorted(seen) == [h.offset for h in tables[0].block_handles()]
 
-    def test_stretches_of_one_run_get_subtasks_of_their_own(self, shape):
-        """Blocks no other run overlaps sit in single-run sub-tasks, on
-        that run's block grid: all but the one block per edge that also
-        holds keys of the shared stretch."""
-        tables = _shape(shape)
-        subtasks = partition_subtasks(tables, self.SUBTASK_BYTES)
-        oldest = tables[-1]
-        others = [t.key_range() for t in tables[:-1]]
-        lo = min(r[0][:-8] for r in others)
-        hi = max(r[1][:-8] for r in others)
-        seps = [s[:-8] for s in oldest.block_separators()]
-        handles = oldest.block_handles()
-        alone = {
-            h.offset for prev, sep, h in zip([b""] + seps, seps, handles)
-            if sep < lo or prev > hi
-        }
-        in_single = {
-            h.offset
-            for s in subtasks
-            if sum(1 for run in s.runs if run.handles) == 1
-            for h in s.runs[-1].handles
-        }
-        assert len(alone) > 20
-        assert len(alone - in_single) <= 2
-        # Each such block is read once: it straddles no boundary.
-        reads = [h.offset for s in subtasks for h in s.runs[-1].handles]
-        assert all(reads.count(offset) == 1 for offset in alone & in_single)
-
 
 class TestSparseDriver:
     def test_size_bound_outranks_a_whole_driver_block(self):

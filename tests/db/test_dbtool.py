@@ -168,31 +168,50 @@ def test_sst_prints_filter_layout(db_dir, tmp_path, capsys):
     import os
 
     from repro.devices import OSStorage
-    from repro.lsm import KIND_VALUE, Options, encode_internal_key
-    from tests.lsm.table_wide_layout import write_table_wide
+    from repro.lsm import KIND_VALUE, Options, TableBuilder, encode_internal_key
 
     victim = next(f for f in sorted(os.listdir(db_dir)) if f.endswith(".sst"))
     assert main(["sst", db_dir, victim]) == 0
     assert "filter:        per-block\n" in capsys.readouterr().out
-    rows = [(encode_internal_key(b"k%03d" % i, 1, KIND_VALUE), b"v") for i in range(50)]
-    write_table_wide(OSStorage(str(tmp_path)), "000009.sst", rows, Options())
+    with OSStorage(str(tmp_path)).create("000009.sst") as f:
+        builder = TableBuilder(f, Options(bloom_bits_per_key=0))
+        for i in range(50):
+            builder.add(encode_internal_key(b"k%03d" % i, 1, KIND_VALUE), b"v")
+        builder.finish()
     assert main(["sst", str(tmp_path), "000009.sst"]) == 0
-    assert "filter:        table-wide\n" in capsys.readouterr().out
+    assert "filter:        none\n" in capsys.readouterr().out
 
 
-def test_sst_prints_index_layout(db_dir, tmp_path, capsys):
+def test_table_of_another_index_layout_is_unreadable(db_dir, capsys):
+    """A footer whose layout byte (31) is 0, as a table written before
+    the block facts holds, raises on open; verify reports the file,
+    ``sst`` names it, and repair stops without dropping it."""
     import os
 
-    from repro.devices import OSStorage
-    from repro.lsm import KIND_VALUE, Options, encode_internal_key
-    from tests.lsm.piece_layout import write_piece_layout
+    from repro.lsm.table_format import FOOTER_SIZE, TableCorruption
+    from repro.lsm.table_reader import Table
 
     victim = next(f for f in sorted(os.listdir(db_dir)) if f.endswith(".sst"))
-    assert main(["sst", db_dir, victim]) == 0
-    assert "index:         facts\n" in capsys.readouterr().out
-    rows = [(encode_internal_key(b"k%03d" % i, 1, KIND_VALUE), b"v") for i in range(50)]
-    write_piece_layout(OSStorage(str(tmp_path)), "000009.sst", rows, Options())
-    assert main(["sst", str(tmp_path), "000009.sst"]) == 0
+    path = os.path.join(db_dir, victim)
+    with open(path, "r+b") as f:
+        f.seek(-FOOTER_SIZE + 31, os.SEEK_END)
+        assert f.read(1) == b"\x01"
+        f.seek(-FOOTER_SIZE + 31, os.SEEK_END)
+        f.write(b"\x00")
+    with pytest.raises(TableCorruption, match="unsupported index layout"):
+        Table(OSStorage(db_dir).open(victim), Options())
+    assert main(["verify", db_dir]) == 1
     out = capsys.readouterr().out
-    assert "index:         handles\n" in out
-    assert "filter:        per-block\n" in out
+    assert f"{victim}: unreadable table: unsupported index layout" in out
+    assert main(["sst", db_dir, victim]) == 1
+    err = capsys.readouterr().err
+    assert f"{victim}: unreadable table: unsupported index layout" in err
+    assert main(["repair", db_dir]) == 1
+    err = capsys.readouterr().err
+    assert f"repair stopped: {victim}: unsupported index layout" in err
+    assert main(["fsck", db_dir, "--repair"]) == 1
+    out = capsys.readouterr().out
+    assert f"fsck: repair stopped: {victim}: unsupported index layout" in out
+    assert os.path.exists(path)
+    assert main(["verify", db_dir]) == 1  # still listed by the manifest
+    assert f"{victim}: unreadable table" in capsys.readouterr().out

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core import ProcedureSpec
 from repro.db import DB
 from repro.devices import MemStorage
-from repro.lsm import LogCorruption
+from repro.lsm import FOOTER_SIZE, LogCorruption, UnsupportedTableFormat
 
 from tests.helpers import corrupt_file, small_options
 
@@ -64,6 +64,35 @@ class TestCompactionDetectsCorruption:
         assert db.get(b"after-quarantine") == b"ok"
         survivors = sum(1 for _ in db.items())
         assert 0 < survivors <= 901
+        db.close()
+
+    def test_compaction_refuses_a_table_of_another_layout(self):
+        """A table whose footer names another index layout (byte 31 is
+        0, as in a table written before the block facts) is not damage:
+        the compaction stops with the error, and the table stays live
+        under its own name — never quarantined, its keys never lost."""
+        storage = MemStorage()
+        db = DB(
+            storage,
+            small_options(l0_compaction_trigger=100, l0_stop_writes_trigger=200),
+        )
+        order = list(range(900))
+        random.Random(3).shuffle(order)
+        for i in order:
+            db.put(b"key-%05d" % i, b"v-%d" % i)
+        db.flush()
+        live = sorted(meta.name for _level, meta in db.version.all_files())
+        assert len(live) > 1
+        corrupt_file(storage, live[0], -FOOTER_SIZE + 31, mask=0x01)
+        db._tables.clear()
+        db._cache.clear()
+        with pytest.raises(UnsupportedTableFormat, match="unsupported index layout"):
+            db.compact_range()
+        assert db.quarantined == []
+        assert db.obs.metrics.counter("compaction.quarantined").value == 0
+        assert storage.exists(live[0])
+        assert not storage.exists(live[0] + ".quarantined")
+        assert sorted(meta.name for _level, meta in db.version.all_files()) == live
         db.close()
 
     @pytest.mark.parametrize(

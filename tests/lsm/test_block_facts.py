@@ -1,23 +1,15 @@
 """Block facts in the index: each entry says its block's first key, entry
-count and plain bit, the footer marks the layout, and a table written
-before the facts still opens, reads and scans."""
+count and plain bit, and the footer marks the layout; a footer of any
+other layout is corruption."""
 
 import pytest
 
 from repro.devices import MemStorage
-from repro.lsm.ikey import (
-    KIND_DELETE,
-    KIND_VALUE,
-    MAX_SEQUENCE,
-    encode_internal_key,
-    lookup_key,
-)
+from repro.lsm.ikey import KIND_DELETE, KIND_VALUE, MAX_SEQUENCE, encode_internal_key
 from repro.lsm.options import Options
 from repro.lsm.table_builder import BlockCutter, TableBuilder
 from repro.lsm.table_format import (
-    FOOTER_SIZE,
     LAYOUT_FACTS,
-    LAYOUT_PIECES,
     BlockFacts,
     BlockHandle,
     Footer,
@@ -27,7 +19,6 @@ from repro.lsm.table_format import (
     facts_of_entries,
 )
 from repro.lsm.table_reader import Table
-from tests.lsm.piece_layout import write_piece_layout
 
 OPTIONS = Options(block_bytes=512, sstable_bytes=8 * 1024, compression="lz77")
 
@@ -133,19 +124,22 @@ class TestFooterLayout:
         return BlockHandle(1000, 5), BlockHandle(1010, 70)
 
     def test_round_trip(self):
-        for layout in (LAYOUT_PIECES, LAYOUT_FACTS):
-            footer = Footer(*self.handles(), 12, layout)
-            assert Footer.decode(footer.encode()) == footer
+        footer = Footer(*self.handles(), 12)
+        encoded = footer.encode()
+        assert encoded[31] == LAYOUT_FACTS
+        assert Footer.decode(encoded) == footer
 
-    def test_a_footer_written_before_the_layout_reads_as_pieces(self):
+    def test_a_footer_written_before_the_layout_is_rejected(self):
         """The earlier writer padded the handles with zeros to 32 bytes."""
         body = self.handles()[0].encode() + self.handles()[1].encode()
-        old = Footer(*self.handles(), 12).encode()
+        old = bytearray(Footer(*self.handles(), 12).encode())
+        old[31] = 0
         assert old[:32] == body + b"\x00" * (32 - len(body))
-        assert Footer.decode(old).layout == LAYOUT_PIECES
+        with pytest.raises(TableCorruption, match="unsupported index layout"):
+            Footer.decode(bytes(old))
 
     def test_unknown_layout_is_corruption(self):
-        raw = bytearray(Footer(*self.handles(), 12, LAYOUT_FACTS).encode())
+        raw = bytearray(Footer(*self.handles(), 12).encode())
         raw[31] = 7
         with pytest.raises(TableCorruption):
             Footer.decode(bytes(raw))
@@ -156,7 +150,6 @@ class TestTable:
 
     def test_index_carries_each_block_s_facts(self):
         table = build(MemStorage(), "t.sst", self.ROWS)
-        assert table.index_layout() == "facts"
         handles = table.block_handles()
         facts = table.block_facts(handles)
         for handle, block_facts in zip(handles, facts):
@@ -172,28 +165,3 @@ class TestTable:
 
         table._load_block = no_read
         assert table.key_range() == (self.ROWS[0][0], self.ROWS[-1][0])
-
-    def test_piece_layout_table_reads_as_before(self):
-        storage = MemStorage()
-        write_piece_layout(storage, "old.sst", self.ROWS, OPTIONS)
-        table = Table(storage.open("old.sst"), OPTIONS)
-        with storage.open("old.sst") as f:
-            footer = Footer.decode(f.pread(f.size() - FOOTER_SIZE, FOOTER_SIZE))
-        assert footer.layout == LAYOUT_PIECES
-        assert table.index_layout() == "handles"
-        assert table.filter_layout() == "per-block"
-        assert table.block_facts(table.block_handles()) == [None] * table.num_blocks()
-        assert list(table) == self.ROWS
-        assert list(table.iter_reverse_from(None)) == self.ROWS[::-1]
-        assert table.key_range() == (self.ROWS[0][0], self.ROWS[-1][0])
-        for ikey, value in self.ROWS[::7]:
-            assert table.get(lookup_key(ikey[:-8], MAX_SEQUENCE)) == (ikey, value)
-        assert table.get(lookup_key(b"key-99999", MAX_SEQUENCE)) is None
-
-    def test_same_data_blocks_as_the_piece_layout(self):
-        storage = MemStorage()
-        new = build(storage, "new.sst", self.ROWS)
-        write_piece_layout(storage, "old.sst", self.ROWS, OPTIONS)
-        old = Table(storage.open("old.sst"), OPTIONS)
-        assert [h.size for h in new.block_handles()] == [h.size for h in old.block_handles()]
-        assert new.block_separators() == old.block_separators()

@@ -7,27 +7,19 @@ block's facts (first key, entry count, plain bit) and the filter piece
 that block's user keys give; index and (empty) filter block stored
 under the null tag, the footer marking the facts layout.  A compaction
 that splices a block copies its facts and piece byte for byte, and
-every procedure and backend writes the same bytes.  A table in the format written before (shortened
-separators, a short successor closing an lz77-compressed index, one
-table-wide filter) still reads, and still compacts.
+every procedure and backend writes the same bytes.
 """
 
 import itertools
 
 import pytest
 
-from repro.codec import get_checksummer, get_codec
+from repro.codec import get_checksummer
 from repro.core.procedures import ProcedureSpec, compact_tables
 from repro.db import DB
 from repro.devices import MemStorage
-from repro.lsm.blockfmt import Block, BlockBuilder
-from repro.lsm.ikey import (
-    KIND_VALUE,
-    MAX_SEQUENCE,
-    encode_internal_key,
-    internal_compare,
-    lookup_key,
-)
+from repro.lsm.blockfmt import Block
+from repro.lsm.ikey import KIND_VALUE, encode_internal_key, internal_compare
 from repro.lsm.options import Options
 from repro.lsm.table_builder import TableBuilder
 from repro.lsm.table_format import (
@@ -39,12 +31,11 @@ from repro.lsm.table_format import (
     Footer,
     decode_block_contents,
     decode_block_facts,
-    encode_block_contents,
     facts_of_entries,
     read_block,
 )
 from repro.lsm.table_reader import Table
-from tests.lsm.bloom_reference import filter_of_keys, piece_of_keys
+from tests.lsm.bloom_reference import piece_of_keys
 
 OPTIONS = Options(block_bytes=512, sstable_bytes=8 * 1024, compression="lz77")
 
@@ -71,8 +62,9 @@ def assert_one_format(storage, name, options=OPTIONS):
     checksummer = get_checksummer(options.checksum)
     null = COMPRESSION_TAGS["null"]
     with storage.open(name) as f:
-        footer = Footer.decode(f.pread(f.size() - FOOTER_SIZE, FOOTER_SIZE))
-        assert footer.layout == LAYOUT_FACTS
+        raw_footer = f.pread(f.size() - FOOTER_SIZE, FOOTER_SIZE)
+        assert raw_footer[31] == LAYOUT_FACTS
+        footer = Footer.decode(raw_footer)
         index_stored = read_block(f, footer.index_handle)
         filter_stored = read_block(f, footer.filter_handle)
         assert index_stored[-BLOCK_TRAILER_SIZE] == null
@@ -124,95 +116,6 @@ class TestThreeWriters:
             spec=ProcedureSpec.scp(subtask_bytes=2048),
         )
         assert len(outputs) > 1
-        for meta in outputs:
-            assert_one_format(storage, meta.name)
-
-
-# --- a table as the writer before this format wrote it ------------------
-
-def _parent_index_key(last, first_of_next):
-    """The earlier writer's index key: ``last``'s user key cut after the
-    first byte that, raised by one, still sorts below the next block's
-    first user key (any byte for the last block), with ``last``'s
-    trailer; ``last`` itself where no such byte exists."""
-    user = last[:-8]
-    for i, byte in enumerate(user):
-        cand = user[:i] + bytes([byte + 1])
-        if byte < 0xFF and (first_of_next is None or cand < first_of_next[:-8]):
-            return cand + last[-8:]
-    return last
-
-
-def write_parent_format(storage, name, rows, options=OPTIONS, per_block=6):
-    codec, checksummer = get_codec(options.compression), get_checksummer(options.checksum)
-    blocks = [rows[i : i + per_block] for i in range(0, len(rows), per_block)]
-    out = bytearray()
-    index = BlockBuilder(1, compare=internal_compare)
-    for j, block in enumerate(blocks):
-        builder = BlockBuilder(options.block_restart_interval, compare=internal_compare)
-        for ikey, value in block:
-            builder.add(ikey, value)
-        stored = encode_block_contents(builder.finish(), codec, checksummer)
-        first_of_next = blocks[j + 1][0][0] if j + 1 < len(blocks) else None
-        key = _parent_index_key(block[-1][0], first_of_next)
-        index.add(key, BlockHandle(len(out), len(stored) - BLOCK_TRAILER_SIZE).encode())
-        out += stored
-    users = [ikey[:-8] for ikey, _ in rows]
-    handles = []
-    for stored in (
-        encode_block_contents(
-            filter_of_keys(users, options.bloom_bits_per_key), get_codec("null"), checksummer
-        ),
-        encode_block_contents(index.finish(), codec, checksummer),
-    ):
-        handles.append(BlockHandle(len(out), len(stored) - BLOCK_TRAILER_SIZE))
-        out += stored
-    assert out[-BLOCK_TRAILER_SIZE] == COMPRESSION_TAGS["lz77"]  # a compressed index
-    out += Footer(*handles, len(rows)).encode()
-    with storage.create(name) as f:
-        f.append(bytes(out))
-    return Table(storage.open(name), options)
-
-
-class TestParentFormatTable:
-    ROWS = entries(range(0, 600, 3))
-
-    def test_separators_are_the_parent_writer_s(self):
-        table = write_parent_format(MemStorage(), "old.sst", self.ROWS)
-        keys = table.block_separators()
-        assert keys[-1][:-8] == b"l"  # a short successor that over-covers
-        assert any(k[:-8] != b[-1][0][:-8] for k, b in zip(
-            keys, [self.ROWS[i : i + 6] for i in range(0, len(self.ROWS), 6)]
-        ))
-
-    def test_reads(self):
-        table = write_parent_format(MemStorage(), "old.sst", self.ROWS)
-        assert list(table) == self.ROWS
-        assert list(table.iter_reverse_from(None)) == self.ROWS[::-1]
-        assert table.key_range() == (self.ROWS[0][0], self.ROWS[-1][0])
-        for ikey, value in self.ROWS[::7]:
-            assert table.get(lookup_key(ikey[:-8], MAX_SEQUENCE)) == (ikey, value)
-        assert table.get(lookup_key(b"key-99999", MAX_SEQUENCE)) is None
-
-    @pytest.mark.parametrize("procedure", ["scp", "pcp"])
-    def test_compacts_with_a_new_format_table(self, procedure):
-        storage = MemStorage()
-        upper_rows = entries(range(0, 900, 4), seq=2)
-        tables = [
-            build(storage, "new.sst", upper_rows),
-            write_parent_format(storage, "old.sst", self.ROWS),
-        ]
-        newest = {ikey[:-8]: (ikey, value) for ikey, value in self.ROWS}
-        newest.update({ikey[:-8]: (ikey, value) for ikey, value in upper_rows})
-        expected = [newest[user] for user in sorted(newest)]
-        spec = getattr(ProcedureSpec, procedure)(subtask_bytes=2048)
-        numbers = itertools.count(1)
-        outputs, _, subtasks = compact_tables(
-            tables, storage, OPTIONS,
-            file_namer=lambda: f"{procedure}-{next(numbers):04d}.sst", spec=spec,
-        )
-        assert len(subtasks) > 1
-        assert [e for m in outputs for e in Table(storage.open(m.name), OPTIONS)] == expected
         for meta in outputs:
             assert_one_format(storage, meta.name)
 

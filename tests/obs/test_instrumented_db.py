@@ -129,9 +129,34 @@ class TestMetricsProperties:
             db.close()
 
 
+def count_s3(monkeypatch):
+    """Input blocks the compactions read (S1) and decompress (S3) from
+    now on; a block read twice, straddling two sub-tasks, counts twice."""
+    from repro.core import steps
+    from repro.core.backends import threadbackend
+
+    counts = {"read": 0, "decompressed": 0}
+    read, decompress = threadbackend.run_subtask_read, steps.decompress_block
+
+    def counting_read(subtask, *args):
+        stored = read(subtask, *args)
+        counts["read"] += len(stored)
+        return stored
+
+    def counting_decompress(stored):
+        counts["decompressed"] += 1
+        return decompress(stored)
+
+    monkeypatch.setattr(threadbackend, "run_subtask_read", counting_read)
+    monkeypatch.setattr(steps, "decompress_block", counting_decompress)
+    return counts
+
+
 class TestPassThroughIsVisible:
     """How much compaction input was moved rather than rewritten shows
-    in the counters, the compaction log, the event stream and STATS."""
+    in the counters, the compaction log, the event stream and STATS: a
+    pass-through block is one S3 never decompressed, a reused one was
+    decoded and then spliced."""
 
     def _db(self, events):
         from repro.obs import EventLog
@@ -150,13 +175,15 @@ class TestPassThroughIsVisible:
         db.compact_range()
         return db
 
-    def test_counters_log_event_and_stats_agree(self):
+    def test_counters_log_event_and_stats_agree(self, monkeypatch):
+        counts = count_s3(monkeypatch)
         events = []
         db = self._db(events)
         try:
             counters = db.obs.metrics.snapshot()["counters"]
             blocks = counters["compaction.passthrough_blocks"]
             assert blocks > 0
+            assert blocks == counts["read"] - counts["decompressed"]
             assert 0 < counters["compaction.passthrough_bytes"] <= (
                 counters["compaction.input_bytes"]
             )
@@ -168,7 +195,10 @@ class TestPassThroughIsVisible:
         finally:
             db.close()
 
-    def test_overlapping_runs_report_zero(self):
+    def test_overlapping_runs_report_zero(self, monkeypatch):
+        """Always-on counters: present, and zero for every compaction
+        whose input blocks all meet another run's, so all take S3."""
+        counts = count_s3(monkeypatch)
         db = DB(
             MemStorage(), small_options(),
             compaction_spec=ProcedureSpec.pcp(subtask_bytes=4 * 1024),
@@ -178,20 +208,25 @@ class TestPassThroughIsVisible:
             db.compact_range()
             counters = db.obs.metrics.snapshot()["counters"]
             assert counters["compaction.count"] > 0
-            # Always-on counters: present, and zero where every sub-task
-            # merges several runs.
-            assert counters["compaction.passthrough_blocks"] == 0
-            assert all(r["pass"] == 0 for r in db.compaction_log)
+            blocks = counters["compaction.passthrough_blocks"]
+            assert blocks == counts["read"] - counts["decompressed"]
+            assert sum(r["pass"] for r in db.compaction_log) == blocks
+            assert any(r["pass"] == 0 for r in db.compaction_log)
+            assert counters["compaction.reused_blocks"] > blocks
         finally:
             db.close()
 
-    def test_uniform_overwrites_report_reuse_not_passthrough(self):
+    def test_uniform_overwrites_report_reuse_not_passthrough(self, monkeypatch):
         """Same-size overwrites of uniformly drawn keys: every sub-task
         merges several runs, yet the blocks no newer run touched come
-        out of S4 as they went in and keep their stored payload."""
+        out of S4 as they went in and keep their stored payload — most
+        decoded first (reuse), a few that no other run's block range
+        meets straight from their facts (pass-through)."""
         import random
 
         from repro.obs import EventLog
+
+        counts = count_s3(monkeypatch)
 
         events = []
         db = DB(
@@ -205,15 +240,17 @@ class TestPassThroughIsVisible:
                 db.put(b"key%08d" % rng.randrange(300), b"%06d" % i * 60)
             db.compact_range()
             counters = db.obs.metrics.snapshot()["counters"]
-            assert counters["compaction.passthrough_blocks"] == 0
+            passed = counters["compaction.passthrough_blocks"]
+            assert passed == counts["read"] - counts["decompressed"]
             blocks = counters["compaction.reused_blocks"]
-            assert blocks > 100
+            assert blocks > 100 and blocks > 2 * passed
             assert 0 < counters["compaction.reused_bytes"] < (
                 counters["compaction.output_bytes"]
             )
             ends = [e for e in events if e["event"] == "compaction.end"]
             assert sum(e["reuse"] for e in ends) == blocks
-            assert all(r["pass"] == 0 for r in db.compaction_log)
+            assert sum(e["pass"] for e in ends) == passed
+            assert sum(r["pass"] for r in db.compaction_log) == passed
             assert sum(r["reuse"] for r in db.compaction_log) == blocks
             stats = KVServer(db)._stats_dict()
             assert stats["engine"]["counters"]["compaction.reused_blocks"] == blocks
